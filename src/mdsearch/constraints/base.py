@@ -1,4 +1,13 @@
-"""Violation evaluators, incremental trackers, and aggregation reports."""
+"""Violation evaluators, incremental trackers, and aggregation reports.
+
+Evaluation protocol: a constraint scores a batch of candidates, one per row,
+with :meth:`Constraint.violations`. Built-in constraints implement only that
+batched form and derive the scalar :meth:`Constraint.violation` from it.
+A black-box constraint may define only ``violation``; the default
+``violations`` then loops over the rows. Refinement scores the whole
+single-edit neighbourhood of a candidate at once through the tracker's
+:meth:`ViolationTracker.peek_block`.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +16,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError
+
+
+def token_rows(values, alphabet: int, length: int | None = None) -> np.ndarray:
+    """``values`` as an (M, L) integer array with every token in the alphabet.
+
+    Raises :class:`ContractError` on another shape, on a row length other
+    than ``length`` (when given), and on tokens outside ``range(alphabet)``.
+    """
+    values = np.asarray(values)
+    if values.ndim != 2 or (length is not None and values.shape[1] != length):
+        want = "L" if length is None else length
+        raise ContractError(f"expected (M, {want}) candidates, got shape {values.shape}")
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ContractError(f"candidates must hold integer tokens, got {values.dtype}")
+    if values.size and (values.min() < 0 or values.max() >= alphabet):
+        raise ContractError(f"token outside the alphabet of size {alphabet}")
+    return values
+
+
+def block_positions(positions, length: int) -> np.ndarray:
+    """``positions`` as an int64 array; :class:`ContractError` if out of range."""
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.size and (positions.min() < 0 or positions.max() >= length):
+        raise ContractError(f"position out of range for length {length}")
+    return positions
 
 
 class ViolationTracker:
@@ -24,17 +58,16 @@ class ViolationTracker:
         """Violation if ``candidate[pos]`` were replaced by ``token``."""
         raise NotImplementedError
 
+    def peek_block(self, positions, num_tokens: int) -> np.ndarray:
+        """Violations for every (position, token) pair; rows follow ``positions``.
+
+        Equal to :meth:`peek` entry by entry, computed in one vectorized call.
+        """
+        raise NotImplementedError
+
     def commit(self, pos: int, token: int) -> None:
         """Apply the edit to the tracked candidate."""
         raise NotImplementedError
-
-    def peek_block(self, positions, num_tokens: int) -> np.ndarray:
-        """Violations for every (position, token) pair; rows follow ``positions``."""
-        out = np.empty((len(positions), num_tokens))
-        for i, pos in enumerate(positions):
-            for token in range(num_tokens):
-                out[i, token] = self.peek(pos, token)
-        return out
 
 
 class FullRecomputeTracker(ViolationTracker):
@@ -58,18 +91,39 @@ class FullRecomputeTracker(ViolationTracker):
         finally:
             self.values[pos] = old
 
+    def peek_block(self, positions, num_tokens):
+        """One ``violations`` call over every single edit of the candidate."""
+        positions = block_positions(positions, len(self.values))
+        edits = np.tile(self.values, (positions.size * num_tokens, 1))
+        edits[np.arange(len(edits)), np.repeat(positions, num_tokens)] = np.tile(
+            np.arange(num_tokens), positions.size)
+        scores = np.asarray(self.constraint.violations(edits), dtype=np.float64)
+        return scores.reshape(positions.size, num_tokens)
+
     def commit(self, pos, token):
         self.values[pos] = token
         self._value = float(self.constraint.violation(self.values))
 
 
 class Constraint:
-    """A black-box, non-negative violation over fully specified candidates."""
+    """A black-box, non-negative violation over fully specified candidates.
+
+    Subclasses define :meth:`violations` (the built-in constraints do) or
+    only :meth:`violation`; each form is derived from the other.
+    """
 
     name = "constraint"
 
     def violation(self, values: np.ndarray) -> float:
-        raise NotImplementedError
+        """Violation of one candidate: :meth:`violations` on a batch of one."""
+        if type(self).violations is Constraint.violations:
+            raise NotImplementedError("define violation or violations")
+        return float(self.violations(np.asarray(values)[None, :])[0])
+
+    def violations(self, values: np.ndarray) -> np.ndarray:
+        """Violations of every row of ``values`` (M, L), as an (M,) array."""
+        return np.array([float(self.violation(row)) for row in np.asarray(values)],
+                        dtype=np.float64)
 
     def tracker(self, values: np.ndarray) -> ViolationTracker:
         """Incremental edit tracker; defaults to full recomputation."""
@@ -78,15 +132,10 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Per-constraint violations with their aggregation weights.
-
-    ``tiers`` optionally carries a priority key for lexicographic
-    comparison, built by :func:`tier_key`.
-    """
+    """Per-constraint violations with their aggregation weights."""
 
     values: tuple[float, ...]
     weights: tuple[float, ...]
-    tiers: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if len(self.values) != len(self.weights):
@@ -99,27 +148,3 @@ class ViolationReport:
     @property
     def feasible(self) -> bool:
         return all(v == 0 for v in self.values)
-
-
-def tier_key(report: ViolationReport, tier_order: tuple[int, ...]) -> tuple[float, ...]:
-    """Violation values rearranged into priority order."""
-    if any(not 0 <= i < len(report.values) for i in tier_order):
-        raise ContractError("tier order references an unknown constraint index")
-    return tuple(report.values[i] for i in tier_order)
-
-
-def lexicographic_compare(a: ViolationReport, b: ViolationReport,
-                          tier_order: tuple[int, ...]) -> int:
-    """Compare two reports tier by tier; earlier tiers dominate.
-
-    Returns -1 when ``a`` is preferred (lower violation in the first
-    differing tier), 1 when ``b`` is, and 0 on equality.
-    """
-    if len(a.values) != len(b.values):
-        raise ContractError("reports differ in constraint arity")
-    ka, kb = tier_key(a, tier_order), tier_key(b, tier_order)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0

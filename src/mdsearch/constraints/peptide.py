@@ -15,7 +15,13 @@ import numpy as np
 
 from ..errors import ContractError
 from ..vocab import Vocab
-from .base import Constraint, ViolationReport, ViolationTracker
+from .base import (
+    Constraint,
+    ViolationReport,
+    ViolationTracker,
+    block_positions,
+    token_rows,
+)
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 TERMINATOR = "-"
@@ -64,20 +70,49 @@ def peptide_string(values: np.ndarray, vocab: Vocab) -> str:
     return vocab.render(np.asarray(values)[:logical_length(values, term)])
 
 
+class _PrefixWindow(Constraint):
+    """A hinge on the logical prefix: its length and a weighted token count.
+
+    Subclasses pass one weight per token and define ``_nu(length, count)``
+    elementwise, so one body serves batches, trackers and their blocks.
+    """
+
+    def __init__(self, spec: PeptideSpec, vocab: Vocab, weights: np.ndarray):
+        self.spec = spec
+        self.vocab = vocab
+        self.term_id = vocab.index(TERMINATOR)
+        self.weights = weights
+
+    def _nu(self, length, count) -> np.ndarray:
+        raise NotImplementedError
+
+    def violations(self, values):
+        values = token_rows(values, len(self.weights))
+        inside = np.cumsum(values == self.term_id, axis=1) == 0
+        return self._nu(inside.sum(axis=1), (self.weights[values] * inside).sum(axis=1))
+
+    def tracker(self, values):
+        return _PrefixTracker(self, values)
+
+
+def _hinge(x, lo, hi) -> np.ndarray:
+    return (np.maximum(0, lo - x) + np.maximum(0, x - hi)).astype(np.float64)
+
+
 class _PrefixTracker(ViolationTracker):
-    """Shared machinery: cumulative counts over the logical prefix.
+    """Cumulative weighted counts over the logical prefix.
 
     Keeps the first and second terminator slots plus a per-token weight
     cumsum, so a hypothetical edit's new prefix statistics come out in O(1).
     A commit rebuilds the cached arrays in O(L).
     """
 
-    def __init__(self, values: np.ndarray, term_id: int, weights: np.ndarray):
-        self.term_id = term_id
-        self.weights = weights
+    def __init__(self, constraint: _PrefixWindow, values: np.ndarray):
+        self.constraint = constraint
+        self.term_id = constraint.term_id
+        self.weights = constraint.weights
         self.values = np.array(values, dtype=np.int64)
-        if np.any(self.values < 0) or np.any(self.values >= len(weights)):
-            raise ContractError("candidate contains values outside the alphabet")
+        token_rows(self.values[None, :], len(self.weights))
         self._rebuild()
 
     def _rebuild(self):
@@ -87,8 +122,15 @@ class _PrefixTracker(ViolationTracker):
         self.second = int(terms[1]) if terms.size > 1 else slots
         self.cum = np.concatenate(([0], np.cumsum(self.weights[self.values])))
 
+    def _check_edit(self, pos: int, token: int) -> None:
+        if not 0 <= pos < len(self.values):
+            raise ContractError(f"position {pos} out of range")
+        if not 0 <= token < len(self.weights):
+            raise ContractError(f"token {token} outside the alphabet")
+
     def _edited_prefix(self, pos: int, token: int) -> tuple[int, int]:
         """(logical length, weighted count) after a hypothetical edit."""
+        self._check_edit(pos, token)
         old = self.values[pos]
         if token == old:
             new_first = self.first
@@ -103,18 +145,22 @@ class _PrefixTracker(ViolationTracker):
             count += int(self.weights[token] - self.weights[old])
         return new_first, count
 
+    def value(self):
+        return self.constraint._nu(self.first, self.cum[self.first])
+
+    def peek(self, pos, token):
+        return self.constraint._nu(*self._edited_prefix(pos, token))
+
     def commit(self, pos, token):
-        if not 0 <= pos < len(self.values):
-            raise ContractError(f"position {pos} out of range")
-        if not 0 <= token < len(self.weights):
-            raise ContractError(f"token {token} outside the alphabet")
+        self._check_edit(pos, token)
         self.values[pos] = token
         self._rebuild()
 
-    def _block_prefixes(self, positions):
+    def peek_block(self, positions, num_tokens):
         """Vectorized :meth:`_edited_prefix` over positions x tokens."""
-        positions = np.asarray(positions)
-        num_tokens = len(self.weights)
+        if num_tokens != len(self.weights):
+            raise ContractError(f"{num_tokens} tokens for an alphabet of {len(self.weights)}")
+        positions = block_positions(positions, len(self.values))
         old = self.values[positions]
         tokens = np.arange(num_tokens)
         new_first = np.full((len(positions), num_tokens), self.first)
@@ -126,134 +172,44 @@ class _PrefixTracker(ViolationTracker):
         counts = self.cum[new_first]
         inside = positions[:, None] < new_first
         counts = counts + inside * (self.weights[tokens][None, :] - self.weights[old][:, None])
-        return new_first, counts
+        return self.constraint._nu(new_first, counts)
 
 
-class LengthWindow(Constraint):
+class LengthWindow(_PrefixWindow):
     """Hinge distance of the logical length to the allowed window."""
 
     name = "length"
 
     def __init__(self, spec: PeptideSpec, vocab: Vocab):
-        self.spec = spec
-        self.vocab = vocab
-        self.term_id = vocab.index(TERMINATOR)
+        super().__init__(spec, vocab, np.zeros(vocab.size, dtype=np.int64))
 
-    def _nu(self, length: int) -> float:
-        return float(max(0, self.spec.min_length - length)
-                     + max(0, length - self.spec.max_length))
-
-    def violation(self, values):
-        return self._nu(logical_length(values, self.term_id))
-
-    def tracker(self, values):
-        return _LengthTracker(self, values)
+    def _nu(self, length, count):
+        return _hinge(length, self.spec.min_length, self.spec.max_length)
 
 
-class _LengthTracker(_PrefixTracker):
-    def __init__(self, constraint: LengthWindow, values):
-        self.constraint = constraint
-        super().__init__(values, constraint.term_id,
-                         np.zeros(constraint.vocab.size, dtype=np.int64))
-
-    def value(self):
-        return self.constraint._nu(self.first)
-
-    def peek(self, pos, token):
-        new_first, _ = self._edited_prefix(pos, token)
-        return self.constraint._nu(new_first)
-
-    def peek_block(self, positions, num_tokens):
-        new_first, _ = self._block_prefixes(positions)
-        lo, hi = self.constraint.spec.min_length, self.constraint.spec.max_length
-        return (np.maximum(0, lo - new_first)
-                + np.maximum(0, new_first - hi)).astype(np.float64)
-
-
-class ChargeWindow(Constraint):
+class ChargeWindow(_PrefixWindow):
     """Hinge distance of the net residue charge to the allowed window."""
 
     name = "charge"
 
     def __init__(self, spec: PeptideSpec, vocab: Vocab):
-        self.spec = spec
-        self.vocab = vocab
-        self.term_id = vocab.index(TERMINATOR)
-        self.charge_of = _charge_weights(vocab, spec)
+        super().__init__(spec, vocab, _charge_weights(vocab, spec))
 
-    def _nu(self, charge: int) -> float:
-        return float(max(0, self.spec.charge_min - charge)
-                     + max(0, charge - self.spec.charge_max))
-
-    def violation(self, values):
-        values = np.asarray(values)
-        prefix = values[:logical_length(values, self.term_id)]
-        return self._nu(int(self.charge_of[prefix].sum()))
-
-    def tracker(self, values):
-        return _ChargeTracker(self, values)
+    def _nu(self, length, count):
+        return _hinge(count, self.spec.charge_min, self.spec.charge_max)
 
 
-class _ChargeTracker(_PrefixTracker):
-    def __init__(self, constraint: ChargeWindow, values):
-        self.constraint = constraint
-        super().__init__(values, constraint.term_id, constraint.charge_of)
-
-    def value(self):
-        return self.constraint._nu(int(self.cum[self.first]))
-
-    def peek(self, pos, token):
-        _, charge = self._edited_prefix(pos, token)
-        return self.constraint._nu(charge)
-
-    def peek_block(self, positions, num_tokens):
-        _, charges = self._block_prefixes(positions)
-        lo, hi = self.constraint.spec.charge_min, self.constraint.spec.charge_max
-        return (np.maximum(0, lo - charges)
-                + np.maximum(0, charges - hi)).astype(np.float64)
-
-
-class HydrophobicFraction(Constraint):
+class HydrophobicFraction(_PrefixWindow):
     """Shortfall of the hydrophobic residue fraction below the minimum."""
 
     name = "hydrophobicity"
 
     def __init__(self, spec: PeptideSpec, vocab: Vocab):
-        self.spec = spec
-        self.vocab = vocab
-        self.term_id = vocab.index(TERMINATOR)
-        self.is_hydro = _membership_weights(vocab, spec.hydrophobic)
+        super().__init__(spec, vocab, _membership_weights(vocab, spec.hydrophobic))
 
-    def _nu(self, hydro: int, length: int) -> float:
-        fraction = hydro / length if length else 0.0
-        return float(max(0.0, self.spec.hydro_min - fraction))
-
-    def violation(self, values):
-        values = np.asarray(values)
-        length = logical_length(values, self.term_id)
-        return self._nu(int(self.is_hydro[values[:length]].sum()), length)
-
-    def tracker(self, values):
-        return _HydroTracker(self, values)
-
-
-class _HydroTracker(_PrefixTracker):
-    def __init__(self, constraint: HydrophobicFraction, values):
-        self.constraint = constraint
-        super().__init__(values, constraint.term_id, constraint.is_hydro)
-
-    def value(self):
-        return self.constraint._nu(int(self.cum[self.first]), self.first)
-
-    def peek(self, pos, token):
-        new_first, hydro = self._edited_prefix(pos, token)
-        return self.constraint._nu(hydro, new_first)
-
-    def peek_block(self, positions, num_tokens):
-        new_first, hydro = self._block_prefixes(positions)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fraction = np.where(new_first > 0, hydro / np.maximum(new_first, 1), 0.0)
-        return np.maximum(0.0, self.constraint.spec.hydro_min - fraction)
+    def _nu(self, length, count):
+        fraction = np.where(length > 0, count / np.maximum(length, 1), 0.0)
+        return np.maximum(0.0, self.spec.hydro_min - fraction)
 
 
 def peptide_constraints(spec: PeptideSpec, vocab: Vocab):

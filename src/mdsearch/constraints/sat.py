@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigError, ContractError, ParseError, StaleTrackerError
 from ..vocab import Vocab
-from .base import Constraint, ViolationTracker
+from .base import Constraint, ViolationTracker, block_positions, token_rows
 
 ENUM_VAR_CAP = 20
 
@@ -57,110 +57,94 @@ class ClauseViolations(Constraint):
 
     name = "clauses"
 
-    def __init__(self, formula: CnfFormula,
-                 undecided_penalty: float = 1.0,
-                 unassigned_penalty: float = 10.0):
+    def __init__(self, formula: CnfFormula):
         self.formula = formula
-        self.undecided_penalty = undecided_penalty
-        self.unassigned_penalty = unassigned_penalty
         self._var_pos, self._polarity, self._clause_ids = formula._flat
-        # per-variable literal occurrences, for O(occurrences) flip deltas
+        # literals are stored clause by clause: where each clause's run starts
+        self._starts = np.flatnonzero(np.diff(self._clause_ids, prepend=-1))
+        # per-variable literal occurrences, for single-flip count updates
         self._occ: list[tuple[np.ndarray, np.ndarray]] = []
         for var in range(formula.num_vars):
             sel = self._var_pos == var
             self._occ.append((self._clause_ids[sel], self._polarity[sel]))
 
-    def violation(self, values):
-        values = np.asarray(values)
-        if values.shape != (self.formula.num_vars,):
-            raise ContractError(
-                f"assignment length {values.shape} != {self.formula.num_vars} variables")
-        if np.any(values > 1):
-            return self._violation_with_masks(values)
-        true_lits = values[self._var_pos] == self._polarity
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pair of each literal, variable, clause) over distinct (variable,
+        clause) pairs, so that a variable occurring twice in one clause
+        changes that clause's count once per flip."""
         m = len(self.formula.clauses)
-        satisfied = np.bincount(self._clause_ids[true_lits], minlength=m) > 0
-        return int(m - satisfied.sum())
-
-    def _violation_with_masks(self, values):
-        """Penalty variant for partially specified assignments.
-
-        Inert in the sampling pipeline (search candidates are always fully
-        specified) but kept so the evaluator degrades gracefully: undecided
-        clauses and unassigned variables are penalized instead of crashing.
-        """
-        total = 0.0
-        assigned = values <= 1
-        for clause in self.formula.clauses:
-            decided_true = False
-            undecided = False
-            for lit in clause:
-                pos = abs(lit) - 1
-                if not assigned[pos]:
-                    undecided = True
-                elif values[pos] == (1 if lit > 0 else 0):
-                    decided_true = True
-                    break
-            if decided_true:
-                continue
-            total += self.undecided_penalty if undecided else 1.0
-        total += self.unassigned_penalty * int((~assigned).sum())
-        return total
+        pairs, pair_of_lit = np.unique(self._var_pos * m + self._clause_ids,
+                                       return_inverse=True)
+        return (pair_of_lit, *np.divmod(pairs, m))
 
     def true_literal_counts(self, values) -> np.ndarray:
-        values = np.asarray(values)
-        true_lits = values[self._var_pos] == self._polarity
-        return np.bincount(self._clause_ids[true_lits],
-                           minlength=len(self.formula.clauses))
+        """Per-clause true-literal counts, (M, clauses), of (M, n) assignments."""
+        values = token_rows(values, 2, self.formula.num_vars)
+        true_lits = values[:, self._var_pos] == self._polarity
+        return np.add.reduceat(true_lits.astype(np.int64), self._starts, axis=1)
+
+    def violations(self, values):
+        return (self.true_literal_counts(values) == 0).sum(axis=1).astype(np.float64)
 
     def tracker(self, values):
         return ClauseTracker(self, values)
 
 
 class ClauseTracker(ViolationTracker):
-    """Maintains per-clause true-literal counts for O(occurrences) deltas."""
+    """Maintains per-clause true-literal counts.
+
+    ``peek`` and ``commit`` apply one flip's literal changes to a copy of
+    the counts; ``peek_block`` derives every variable's flip delta at once.
+    """
 
     def __init__(self, evaluator: ClauseViolations, values: np.ndarray):
-        values = np.asarray(values)
-        if np.any(values > 1) or np.any(values < 0):
-            raise ContractError("tracker requires a fully specified binary assignment")
         self.evaluator = evaluator
         self.values = np.array(values, dtype=np.int64)
-        self.counts = evaluator.true_literal_counts(values)
+        self.counts = evaluator.true_literal_counts(self.values[None, :])[0]
         self._violated = int((self.counts == 0).sum())
 
     def value(self):
         return self._violated
 
-    def _flip_delta(self, pos: int, token: int) -> int:
+    def _edited_counts(self, pos: int, token: int) -> np.ndarray:
+        """Clause counts after a hypothetical edit, literal by literal."""
         if token not in (0, 1):
             raise ContractError(f"token {token} outside the binary alphabet")
         if not 0 <= pos < len(self.values):
             raise ContractError(f"position {pos} out of range")
-        if token == self.values[pos]:
-            return 0
-        clause_ids, polarity = self.evaluator._occ[pos]
-        was_true = self.values[pos] == polarity
-        counts = self.counts[clause_ids]
-        newly_violated = int(((counts == 1) & was_true).sum())
-        newly_satisfied = int(((counts == 0) & ~was_true).sum())
-        return newly_violated - newly_satisfied
+        counts = self.counts.copy()
+        if token != self.values[pos]:
+            clause_ids, polarity = self.evaluator._occ[pos]
+            np.add.at(counts, clause_ids, np.where(self.values[pos] == polarity, -1, 1))
+        return counts
 
     def peek(self, pos, token):
-        return self._violated + self._flip_delta(pos, token)
+        return int((self._edited_counts(pos, token) == 0).sum())
+
+    def peek_block(self, positions, num_tokens):
+        """Flip deltas of all variables from one bincount over literal deltas."""
+        if num_tokens != 2:
+            raise ContractError(f"{num_tokens} tokens for a binary alphabet")
+        positions = block_positions(positions, len(self.values))
+        ev = self.evaluator
+        pair_of_lit, pair_var, pair_clause = ev._pairs
+        lit_delta = np.where(self.values[ev._var_pos] == ev._polarity, -1, 1)
+        pair_delta = np.bincount(pair_of_lit, weights=lit_delta, minlength=len(pair_var))
+        before = self.counts[pair_clause]
+        change = (before + pair_delta == 0).astype(np.int64) - (before == 0)
+        flip = np.bincount(pair_var, weights=change, minlength=len(self.values))
+        out = np.full((positions.size, 2), float(self._violated))
+        out[np.arange(positions.size), 1 - self.values[positions]] += flip[positions]
+        return out
 
     def commit(self, pos, token):
-        delta = self._flip_delta(pos, token)
-        if token == self.values[pos]:
-            return
-        clause_ids, polarity = self.evaluator._occ[pos]
-        was_true = self.values[pos] == polarity
-        np.subtract.at(self.counts, clause_ids[was_true], 1)
-        np.add.at(self.counts, clause_ids[~was_true], 1)
-        if np.any(self.counts < 0):
+        counts = self._edited_counts(pos, token)
+        if np.any(counts < 0):
             raise StaleTrackerError("negative clause count; tracker out of sync")
+        self.counts = counts
         self.values[pos] = token
-        self._violated += delta
+        self._violated = int((counts == 0).sum())
 
 
 def sat_violation(formula: CnfFormula, values) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import ConfigError, ContractError, ParseError
 from ..vocab import Vocab
-from .base import Constraint, ViolationTracker
+from .base import Constraint, ViolationTracker, block_positions, token_rows
 
 SOLUTION_CAP = 10_000
 
@@ -91,16 +91,11 @@ class UnitDuplicates(Constraint):
                 row = self.cell_units[cell]
                 row[0 if ui < self.side else 1 if ui < 2 * self.side else 2] = ui
 
-    def violation(self, values):
-        values = np.asarray(values)
-        if values.shape != (self.side * self.side,):
-            raise ContractError(
-                f"expected {self.side * self.side} cells, got {values.shape}")
-        if np.any(values < 0) or np.any(values >= self.side):
-            raise ContractError("cell values outside the digit alphabet")
-        grouped = np.sort(values[self.units], axis=1)
-        distinct = 1 + (np.diff(grouped, axis=1) != 0).sum(axis=1)
-        return int((self.side - distinct).sum())
+    def violations(self, values):
+        values = token_rows(values, self.side, self.side * self.side)
+        grouped = np.sort(values[:, self.units], axis=2)
+        distinct = 1 + (np.diff(grouped, axis=2) != 0).sum(axis=2)
+        return (self.side - distinct).sum(axis=1).astype(np.float64)
 
     def tracker(self, values):
         return UnitTracker(self, values)
@@ -113,10 +108,8 @@ class UnitTracker(ViolationTracker):
         self.evaluator = evaluator
         self.values = np.array(values, dtype=np.int64)
         self._total = int(evaluator.violation(self.values))
-        side = evaluator.side
-        self.hist = np.zeros((len(evaluator.units), side), dtype=np.int64)
-        for ui, unit in enumerate(evaluator.units):
-            self.hist[ui] = np.bincount(self.values[unit], minlength=side)
+        digits = np.arange(evaluator.side)
+        self.hist = (self.values[evaluator.units][:, :, None] == digits).sum(axis=1)
 
     def value(self):
         return self._total
@@ -139,6 +132,19 @@ class UnitTracker(ViolationTracker):
 
     def peek(self, pos, token):
         return self._total + self._delta(pos, token)
+
+    def peek_block(self, positions, num_tokens):
+        """Leaving ``old`` and entering ``token`` over each cell's three units."""
+        if num_tokens != self.evaluator.side:
+            raise ContractError(f"{num_tokens} tokens for {self.evaluator.side} digits")
+        positions = block_positions(positions, len(self.values))
+        units = self.evaluator.cell_units[positions]
+        old = self.values[positions]
+        leave = (self.hist[units, old[:, None]] >= 2).sum(axis=1)
+        enter = (self.hist[units] >= 1).sum(axis=1)
+        out = (self._total - leave[:, None] + enter).astype(np.float64)
+        out[np.arange(positions.size), old] = self._total
+        return out
 
     def commit(self, pos, token):
         delta = self._delta(pos, token)

@@ -62,15 +62,34 @@ def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> np.ndarray:
     return weights
 
 
-def aggregate_violation(values: np.ndarray, constraints: tuple[Constraint, ...],
-                        weights=None, tier_order=None) -> ViolationReport:
-    """Evaluate every constraint and fold the results into one report."""
+def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score every row of ``values`` (M, L) with one call per constraint.
+
+    Returns the violations (K, M), the weighted totals (M,) summed in
+    constraint order, and the resolved weights (K,).
+    """
     w = resolve_weights(weights, constraints)
-    nu = tuple(float(c.violation(values)) for c in constraints)
-    if any(v < 0 for v in nu):
+    nu = np.array([c.violations(values) for c in constraints], dtype=np.float64)
+    if nu.shape != (len(constraints), len(values)):
+        raise ContractError(f"violations of shape {nu.shape} for {len(values)} rows")
+    if np.any(nu < 0):
         raise ContractError("violations must be non-negative")
-    tiers = tuple(nu[i] for i in tier_order) if tier_order is not None else None
-    return ViolationReport(nu, tuple(float(x) for x in w), tiers)
+    totals = np.zeros(len(values))
+    for wk, vk in zip(w, nu):
+        totals += wk * vk
+    return nu, totals, w
+
+
+def _report(nu: np.ndarray, w: np.ndarray) -> ViolationReport:
+    return ViolationReport(tuple(float(v) for v in nu), tuple(float(x) for x in w))
+
+
+def aggregate_violation(values: np.ndarray, constraints: tuple[Constraint, ...],
+                        weights=None) -> ViolationReport:
+    """Evaluate every constraint and fold the results into one report."""
+    nu, _, w = score_rows(np.asarray(values)[None, :], constraints, weights)
+    return _report(nu[:, 0], w)
 
 
 def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
@@ -105,21 +124,15 @@ def best_of_pool(rows: np.ndarray, x_t: np.ndarray, count: int,
                  rng: np.random.Generator, mask_id: int) -> PoolPick:
     """Least-violating sample among ``count`` proposal draws.
 
-    Ties break toward the earliest draw. ``first_total`` is the violation
-    of the first draw, i.e. what a pool of one would have returned.
+    All draws are scored in one :func:`score_rows` call and only the pick
+    gets a report. Ties break toward the earliest draw. ``first_total`` is
+    the violation of the first draw, i.e. what a pool of one would have
+    returned.
     """
     draws = proposal_draws(rows, x_t, count, rng, mask_id)
-    best = None
-    best_report = None
-    first_total = None
-    for i in range(count):
-        report = aggregate_violation(draws[i], constraints, weights)
-        total = report.total
-        if first_total is None:
-            first_total = total
-        if best_report is None or total < best_report.total:
-            best, best_report = draws[i], report
-    return PoolPick(best, best_report, first_total)
+    nu, totals, w = score_rows(draws, constraints, weights)
+    best = int(np.argmin(totals))
+    return PoolPick(draws[best], _report(nu[:, best], w), float(totals[0]))
 
 
 def neighborhood(candidate: np.ndarray, vocab: Vocab, region: EditableRegion,
@@ -228,7 +241,8 @@ def search_step(rows: np.ndarray, x_t: np.ndarray, t: int, config: SearchConfig,
     """The per-step search operator.
 
     When the placement activates search at step ``t`` this is pool
-    selection followed by greedy refinement; otherwise a single clamped
+    selection followed by greedy refinement, which a pick with zero
+    aggregate violation skips; otherwise a single clamped
     proposal draw passes through untouched, which reproduces plain
     proposal decoding.
     """
@@ -238,7 +252,7 @@ def search_step(rows: np.ndarray, x_t: np.ndarray, t: int, config: SearchConfig,
     pool = config.candidates if active else 1
     pick = best_of_pool(rows, x_t, pool, instance.constraints, config.weights,
                         rng, vocab.mask_id)
-    if not active:
+    if not active or pick.report.total == 0:
         return SearchOutcome(pick.candidate, pick.report, pick.first_total,
                              pick.report.total, 0)
     cap = None if config.placement == "last_step" else config.max_rounds

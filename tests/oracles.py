@@ -80,3 +80,21 @@ def enumerate_posterior(support, weights, observed, num_tokens) -> np.ndarray:
 def tv_distance(counts: dict, probs: dict, n: int) -> float:
     keys = set(counts) | set(probs)
     return 0.5 * sum(abs(counts.get(k, 0) / n - probs.get(k, 0.0)) for k in keys)
+
+
+def pool_by_draw(draws, constraints, weights=None):
+    """The pool pick by a per-draw ``aggregate_violation`` loop.
+
+    Returns (index of the pick, its report, total of the first draw); the
+    earliest draw wins ties. Reference for the batched ``best_of_pool``.
+    """
+    from mdsearch.search import aggregate_violation
+
+    best, best_report, first_total = None, None, None
+    for i, draw in enumerate(draws):
+        report = aggregate_violation(draw, constraints, weights)
+        if first_total is None:
+            first_total = report.total
+        if best_report is None or report.total < best_report.total:
+            best, best_report = i, report
+    return best, best_report, first_total

@@ -1,0 +1,229 @@
+"""Batched fast paths against slow oracles.
+
+``violations`` against the naive recounts row by row, ``peek_block``
+against scalar ``peek`` before and after commits, and ``best_of_pool``
+against a per-draw ``aggregate_violation`` loop.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from mdsearch.constraints.base import Constraint, FullRecomputeTracker
+from mdsearch.constraints.peptide import (
+    TERMINATOR,
+    PeptideSpec,
+    peptide_constraints,
+    residue_vocab,
+)
+from mdsearch.constraints.sat import ClauseViolations, CnfFormula
+from mdsearch.constraints.sudoku import UnitDuplicates, random_solution
+from mdsearch.search import best_of_pool, proposal_draws
+
+from oracles import (
+    naive_peptide_report,
+    naive_sat_violation,
+    naive_sudoku_violation,
+    pool_by_draw,
+)
+
+VOCAB = residue_vocab()
+TERM = VOCAB.index(TERMINATOR)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def random_cnf(rng, num_vars, num_clauses, repeats=False):
+    """3-CNF; with ``repeats`` a clause may name one variable more than once."""
+    clauses = []
+    for _ in range(num_clauses):
+        chosen = rng.choice(num_vars, size=3, replace=repeats) + 1
+        signs = rng.integers(0, 2, size=3) * 2 - 1
+        clauses.append(tuple(int(v * s) for v, s in zip(chosen, signs)))
+    return CnfFormula(num_vars, tuple(clauses))
+
+
+def noisy_solutions(rng, box, rows):
+    """Valid grids (as tokens) with a random share of cells overwritten."""
+    side = box * box
+    batch = np.tile(random_solution(box, rng).ravel() - 1, (rows, 1))
+    noise = rng.random(batch.shape) < rng.random()
+    batch[noise] = rng.integers(0, side, size=int(noise.sum()))
+    return batch
+
+
+def naive_sudoku_tokens(values, side):
+    return naive_sudoku_violation((np.asarray(values) + 1).reshape(side, side))
+
+
+def naive_peptide_tokens(values):
+    return naive_peptide_report(VOCAB.render(values).split(TERMINATOR, 1)[0])
+
+
+class BlackBox(Constraint):
+    """Defines only the scalar ``violation``, as an outside evaluator would."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+
+    def violation(self, values):
+        return self.inner.violation(values)
+
+
+# --- violations against the naive recounts ----------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, rows=st.integers(1, 40), repeats=st.booleans())
+def test_sat_violations_match_naive_recount(seed, rows, repeats):
+    rng = np.random.default_rng(seed)
+    f = random_cnf(rng, int(rng.integers(3, 12)), int(rng.integers(1, 60)), repeats)
+    batch = rng.integers(0, 2, size=(rows, f.num_vars))
+    got = ClauseViolations(f).violations(batch)
+    assert got.tolist() == [naive_sat_violation(f.clauses, a) for a in batch]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, box=st.sampled_from([2, 3]), rows=st.integers(1, 12))
+def test_sudoku_violations_match_naive_recount(seed, box, rows):
+    rng = np.random.default_rng(seed)
+    batch = noisy_solutions(rng, box, rows)
+    got = UnitDuplicates(box).violations(batch)
+    assert got.tolist() == [naive_sudoku_tokens(row, box * box) for row in batch]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, slots=st.integers(0, 60), rows=st.integers(1, 20))
+@example(seed=0, slots=0, rows=3)  # empty candidates: an empty prefix
+@example(seed=1, slots=12, rows=3)
+def test_peptide_violations_match_naive_recount(seed, slots, rows):
+    rng = np.random.default_rng(seed)
+    batch = rng.integers(0, TERM, size=(rows, slots))  # row 0: no terminator
+    for row in batch[1:]:
+        row[rng.random(slots) < rng.random()] = TERM
+    if rows > 1 and slots:
+        batch[1, 0] = TERM  # terminator at slot 0
+    constraints = peptide_constraints(PeptideSpec(), VOCAB)
+    got = np.array([c.violations(batch) for c in constraints]).T
+    for row, nu in zip(batch, got):
+        assert tuple(nu) == naive_peptide_tokens(row)
+
+
+# --- peek_block against scalar peek -----------------------------------------
+
+def assert_block_matches_peeks(tracker, positions, num_tokens):
+    block = tracker.peek_block(positions, num_tokens)
+    assert block.shape == (len(positions), num_tokens)
+    for i, pos in enumerate(positions):
+        for token in range(num_tokens):
+            assert block[i, token] == tracker.peek(int(pos), token)
+
+
+def walk(rng, constraint, values, num_tokens, naive, commits=8):
+    """Check blocks over a random subset of positions between random commits."""
+    tracker = constraint.tracker(values)
+    work = np.array(values)
+    for _ in range(commits):
+        positions = rng.permutation(len(work))[:int(rng.integers(1, len(work) + 1))]
+        assert_block_matches_peeks(tracker, positions, num_tokens)
+        pos, token = int(rng.integers(len(work))), int(rng.integers(num_tokens))
+        tracker.commit(pos, token)
+        work[pos] = token
+        assert tracker.value() == naive(work)
+    assert_block_matches_peeks(tracker, np.arange(len(work)), num_tokens)
+    return tracker
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, repeats=st.booleans())
+def test_clause_tracker_block_matches_peeks(seed, repeats):
+    rng = np.random.default_rng(seed)
+    f = random_cnf(rng, int(rng.integers(3, 10)), int(rng.integers(1, 45)), repeats)
+    walk(rng, ClauseViolations(f), rng.integers(0, 2, size=f.num_vars), 2,
+         lambda a: naive_sat_violation(f.clauses, a))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, box=st.sampled_from([2, 3]))
+def test_unit_tracker_block_matches_peeks(seed, box):
+    rng = np.random.default_rng(seed)
+    side = box * box
+    walk(rng, UnitDuplicates(box), noisy_solutions(rng, box, 1)[0], side,
+         lambda a: naive_sudoku_tokens(a, side))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS)
+def test_prefix_tracker_block_matches_peeks(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, VOCAB.size, size=int(rng.integers(1, 30)))
+    for k, c in enumerate(peptide_constraints(PeptideSpec(), VOCAB)):
+        walk(rng, c, values, VOCAB.size, lambda a: naive_peptide_tokens(a)[k])
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=SEEDS)
+def test_full_recompute_block_matches_peeks(seed):
+    rng = np.random.default_rng(seed)
+    f = random_cnf(rng, 6, int(rng.integers(1, 30)), repeats=True)
+    tracker = walk(rng, BlackBox(ClauseViolations(f)), rng.integers(0, 2, size=6), 2,
+                   lambda a: naive_sat_violation(f.clauses, a))
+    assert isinstance(tracker, FullRecomputeTracker)
+    walk(rng, BlackBox(UnitDuplicates(2)), noisy_solutions(rng, 2, 1)[0], 4,
+         lambda a: naive_sudoku_tokens(a, 4))
+    charge = peptide_constraints(PeptideSpec(), VOCAB)[1]
+    walk(rng, BlackBox(charge), rng.integers(0, VOCAB.size, size=12), VOCAB.size,
+         lambda a: naive_peptide_tokens(a)[1])
+
+
+# --- best_of_pool against the per-draw loop ----------------------------------
+
+def pool_task(rng, task):
+    """(constraints, alphabet size, length, weights) for a random instance."""
+    if task == "sat":
+        f = random_cnf(rng, int(rng.integers(3, 8)), int(rng.integers(1, 30)))
+        return (ClauseViolations(f),), 2, f.num_vars, None
+    if task == "sudoku":
+        return (UnitDuplicates(2),), 4, 16, (1.5,)
+    weights = tuple(float(w) for w in rng.random(3) * 3)
+    return (peptide_constraints(PeptideSpec(), VOCAB), VOCAB.size,
+            int(rng.integers(1, 20)), weights)
+
+
+def assert_pool_matches_loop(rows, x_t, count, constraints, weights, seed, mask_id):
+    draws = proposal_draws(rows, x_t, count, np.random.default_rng(seed), mask_id)
+    best, report, first_total = pool_by_draw(draws, constraints, weights)
+    pick = best_of_pool(rows, x_t, count, constraints, weights,
+                        np.random.default_rng(seed), mask_id)
+    assert pick.candidate.tobytes() == draws[best].tobytes()
+    assert pick.report == report
+    assert pick.first_total == first_total
+    return draws, best
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, count=st.integers(1, 40),
+       task=st.sampled_from(["sat", "sudoku", "peptide"]))
+def test_best_of_pool_matches_per_draw_loop(seed, count, task):
+    rng = np.random.default_rng(seed)
+    constraints, size, length, weights = pool_task(rng, task)
+    x_t = rng.integers(0, size, size=length)
+    x_t[rng.random(length) < rng.random()] = size  # the mask id
+    raw = rng.random((length, size)) ** 3 + 1e-3
+    rows = raw / raw.sum(axis=1, keepdims=True)
+    assert_pool_matches_loop(rows, x_t, count, constraints, weights,
+                             int(rng.integers(2**32)), size)
+
+
+def test_best_of_pool_tie_goes_to_the_earliest_draw():
+    class FirstBitClear(Constraint):
+        name = "first-bit"
+
+        def violation(self, values):
+            return float(values[0] == 0) + 1.0
+
+    rows = np.full((3, 2), 0.5)
+    x_t = np.full(3, 2)
+    for seed in range(20):
+        draws, best = assert_pool_matches_loop(rows, x_t, 16, (FirstBitClear(),),
+                                               None, seed, 2)
+        totals = np.where(draws[:, 0] == 0, 2.0, 1.0)
+        assert best == np.flatnonzero(totals == totals.min())[0]

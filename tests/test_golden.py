@@ -1,0 +1,50 @@
+"""Golden outputs: SHA-256 digests of ``run_experiment`` records.
+
+The digests were computed before the batched constraint protocol replaced
+the per-draw and per-edit scalar loops. Any change to the evaluators, the
+pool, refinement or the RNG streams that alters a sample shows up here,
+which a rerun-determinism check (c10) cannot catch.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+
+import pytest
+
+from mdsearch.harness.runner import presets, run_experiment
+
+SEED = 11
+
+CONFIGS = {
+    "sat": replace(presets()["sat"], seed=SEED, num_samples=60),
+    "sudoku": replace(presets()["sudoku"], seed=SEED, num_samples=60),
+    "peptide": replace(presets()["peptide"], seed=SEED, num_samples=60),
+    "sudoku9": replace(presets()["sudoku"], seed=SEED, num_samples=6,
+                       sudoku_box=3, sudoku_blanks=40),
+    "sat-last-step": replace(presets()["sat"], seed=SEED, num_samples=40,
+                             placement="last_step"),
+}
+
+DIGESTS = {
+    "sat": "7262fe703a3f8e78c987d7c99a4d04d071c0f701ff6555ffc73236d886e0f270",
+    "sudoku": "6422ffa1e121f4ae6497fcd103a179ef1db54ed7d7308609694bf868119309c4",
+    "peptide": "34f57e023a353ec6464a275ef7d07684e91dd369588f5b0e2718af78f471e89e",
+    "sudoku9": "8bba39136f1572abaf59468a838461d1d7e4e8749821834f737ce92ef6cb1d3b",
+    "sat-last-step": "44606ab353aef87667d39241a0b7ee74007f6fe259f203a2ed0815d30301aca8",
+}
+
+
+def records_digest(cfg) -> str:
+    """SHA-256 over (value, total, violations, rounds) of every record."""
+    digest = hashlib.sha256()
+    for record in run_experiment(cfg).records:
+        assert record.error is None, record.error
+        line = [record.value, record.total, list(record.violations), record.rounds]
+        digest.update(json.dumps(line).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_records_match_golden_digest(name):
+    assert records_digest(CONFIGS[name]) == DIGESTS[name]

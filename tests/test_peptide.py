@@ -67,6 +67,25 @@ def test_reports_match_naive_oracle():
         assert report.values == naive_peptide_report(residues)
 
 
+def test_evaluators_reject_tokens_outside_the_alphabet():
+    lysine = VOCAB.index("K")
+    # -1 used to read as the terminator's weight and 99 raised IndexError
+    negative = np.array([lysine] * 12 + [-1] * 3 + [TERM])
+    too_large = np.array([lysine] * 12 + [99] + [TERM])
+    for c in peptide_constraints(SPEC, VOCAB):
+        for bad in (negative, too_large):
+            with pytest.raises(ContractError):
+                c.violation(bad)
+            with pytest.raises(ContractError):
+                c.violations(np.stack([np.full(len(bad), lysine), bad]))
+            with pytest.raises(ContractError):
+                c.tracker(bad)
+        tracker = c.tracker(np.full(12, lysine))
+        for pos, token in ((3, -1), (3, VOCAB.size), (-1, lysine), (12, lysine)):
+            with pytest.raises(ContractError):
+                tracker.peek(pos, token)
+
+
 def test_count_based_properties_are_order_free():
     rng = np.random.default_rng(1)
     residues = list("KKDDLLAAWWGGHH")

@@ -5,8 +5,6 @@ from mdsearch.constraints.base import (
     Constraint,
     FullRecomputeTracker,
     ViolationReport,
-    lexicographic_compare,
-    tier_key,
 )
 from mdsearch.errors import ContractError
 from mdsearch.search import aggregate_violation
@@ -47,38 +45,6 @@ def test_weight_arity_checked():
 def test_negative_violation_rejected():
     with pytest.raises(ContractError):
         aggregate_violation(np.zeros(1), (Fixed("a", -1.0),))
-
-
-def test_lexicographic_examples():
-    a = ViolationReport((0.0, 5.0), (1.0, 1.0))
-    b = ViolationReport((1.0, 0.0), (1.0, 1.0))
-    assert lexicographic_compare(a, b, (0, 1)) == -1  # first tier dominates
-    assert lexicographic_compare(b, a, (0, 1)) == 1
-    assert lexicographic_compare(a, a, (0, 1)) == 0
-    # reversed priority flips the preference
-    assert lexicographic_compare(a, b, (1, 0)) == 1
-
-
-def test_lexicographic_single_tier_matches_total():
-    a = ViolationReport((2.0,), (1.0,))
-    b = ViolationReport((3.0,), (1.0,))
-    assert lexicographic_compare(a, b, (0,)) == -1
-    assert (a.total < b.total)
-
-
-def test_lexicographic_arity_and_order_checks():
-    a = ViolationReport((0.0, 1.0), (1.0, 1.0))
-    b = ViolationReport((0.0,), (1.0,))
-    with pytest.raises(ContractError):
-        lexicographic_compare(a, b, (0,))
-    with pytest.raises(ContractError):
-        tier_key(a, (0, 7))
-
-
-def test_tier_key_attached_by_aggregate():
-    report = aggregate_violation(np.zeros(1), (Fixed("a", 1.0), Fixed("b", 2.0)),
-                                 tier_order=(1, 0))
-    assert report.tiers == (2.0, 1.0)
 
 
 def test_full_recompute_tracker_consistency():

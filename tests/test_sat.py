@@ -130,13 +130,34 @@ def test_tracker_rejects_bad_input():
         tracker.peek(9, 1)
 
 
-def test_partial_assignment_penalties():
-    f = CnfFormula(2, ((1, 2), (-1, -2)))
-    evaluator = ClauseViolations(f, undecided_penalty=1.0, unassigned_penalty=10.0)
-    # one masked variable: clause 1 decided true by x2=1, clause 2 undecided
+def test_violations_reject_tokens_outside_the_alphabet():
+    evaluator = ClauseViolations(CnfFormula(2, ((1, 2), (-1, -2))))
     masked = assignment_vocab().mask_id
-    value = evaluator.violation(np.array([masked, 1]))
-    assert value == 1.0 + 10.0
+    for bad in ([masked, 1], [-1, 0], [0, 5]):
+        with pytest.raises(ContractError):
+            evaluator.violation(np.array(bad))
+        with pytest.raises(ContractError):
+            evaluator.violations(np.array([[0, 1], bad]))
+    with pytest.raises(ContractError):
+        evaluator.violations(np.array([0, 1]))  # a batch is two-dimensional
+
+
+def test_tracker_counts_repeated_variables_once_per_clause():
+    # x1 or not x1 is a tautology; x1 or x1 is violated as soon as x1 is false
+    f = CnfFormula(2, ((1, -1), (2,), (1, 1, 2)))
+    evaluator = ClauseViolations(f)
+    a = np.array([1, 0])
+    tracker = evaluator.tracker(a)
+    block = tracker.peek_block(np.arange(2), 2)
+    for pos in range(2):
+        for token in range(2):
+            edited = a.copy()
+            edited[pos] = token
+            expected = naive_sat_violation(f.clauses, edited)
+            assert tracker.peek(pos, token) == expected
+            assert block[pos, token] == expected
+    tracker.commit(0, 0)
+    assert tracker.value() == naive_sat_violation(f.clauses, [0, 0]) == 2
 
 
 def test_satisfying_assignments_enumeration():

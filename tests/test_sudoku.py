@@ -55,6 +55,20 @@ def test_violation_matches_naive_oracle():
         assert evaluator9.violation(grid.ravel() - 1) == naive_sudoku_violation(grid)
 
 
+def test_violations_reject_tokens_outside_the_alphabet():
+    evaluator = UnitDuplicates(2)
+    good = VALID_4X4.ravel() - 1
+    for token in (-1, 4, 99):
+        bad = good.copy()
+        bad[5] = token
+        with pytest.raises(ContractError):
+            evaluator.violations(np.stack([good, bad]))
+    with pytest.raises(ContractError):
+        evaluator.violations(good[None, :15])  # wrong cell count
+    with pytest.raises(ContractError):
+        evaluator.violations(good)  # a batch is two-dimensional
+
+
 def test_violation_transpose_invariant():
     rng = np.random.default_rng(1)
     for _ in range(100):
