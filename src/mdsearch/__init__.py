@@ -45,7 +45,7 @@ from .tasks import (
     sat_instance,
     sudoku_instance,
 )
-from .vocab import EditableRegion, Vocab, apply_edit, fully_masked, masked_positions
+from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "sudoku_instance",
     "EditableRegion",
     "Vocab",
-    "apply_edit",
     "fully_masked",
     "masked_positions",
 ]

@@ -21,23 +21,21 @@ ROW_TOL = 1e-9
 def check_rows(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
     """Validate denoiser output against its contract; returns the array.
 
-    Checks shape, finiteness, non-negativity, row normalization within
-    ``ROW_TOL``, and one-hot consistency with the observed tokens.
+    Checks shape, non-negativity and row normalization within ``ROW_TOL``
+    (both tests fail on NaN and infinite entries), and one-hot consistency
+    with the observed tokens.
     """
     rows = np.asarray(rows, dtype=np.float64)
     values = np.asarray(values)
     if rows.shape != (len(values), vocab.size):
         raise DenoiserContractError(
             f"rows have shape {rows.shape}, expected ({len(values)}, {vocab.size})")
-    if not np.all(np.isfinite(rows)):
-        raise DenoiserContractError("rows contain non-finite entries")
-    if np.any(rows < -ROW_TOL):
-        raise DenoiserContractError("rows contain negative probabilities")
-    sums = rows.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > ROW_TOL):
+    if not (rows >= -ROW_TOL).all():
+        raise DenoiserContractError("rows contain negative or NaN entries")
+    if not (np.abs(rows.sum(axis=1) - 1.0) <= ROW_TOL).all():
         raise DenoiserContractError("rows are not normalized")
     observed = np.flatnonzero(values != vocab.mask_id)
-    if observed.size and np.any(rows[observed, values[observed]] < 1.0 - ROW_TOL):
+    if observed.size and (rows[observed, values[observed]] < 1.0 - ROW_TOL).any():
         raise DenoiserContractError("rows at unmasked positions must be one-hot")
     return rows
 
@@ -109,14 +107,14 @@ def exact_posterior(dist: DataDistribution, values: np.ndarray,
     Row ``i`` is the marginal of the support at position ``i`` restricted to
     elements agreeing with every unmasked position of ``values``. When no
     support element is consistent (search edits can leave the support), the
-    masked rows fall back to uniform so sampling can proceed.
+    masked rows fall back to uniform so sampling can proceed. The support
+    must lie inside the alphabet, as :class:`ExactPosteriorDenoiser`
+    checks once when it is built.
     """
     values = np.asarray(values)
     if len(values) != dist.length:
         raise ContractError(
             f"sequence length {len(values)} != support length {dist.length}")
-    if np.any(dist.support >= vocab.size):
-        raise ConfigError("support contains values outside the alphabet")
     observed = np.flatnonzero(values != vocab.mask_id)
     consistent = np.all(dist.support[:, observed] == values[observed], axis=1)
     if not consistent.any():

@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .denoise import ROW_TOL
-from .errors import ConfigError, ContractError, DenoiserContractError
+from .errors import ConfigError, ContractError
 from .vocab import EditableRegion, Vocab, masked_positions
 
 
@@ -75,12 +74,18 @@ def reverse_coeffs(t: int, schedule: NoiseSchedule) -> ReverseCoeffs:
     return ReverseCoeffs((1.0 - a_prev) / denom, (a_prev - a_t) / denom)
 
 
-def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row via inverse CDF, one uniform per row."""
+def sample_rows(rows: np.ndarray, rng: np.random.Generator,
+                count: int | None = None) -> np.ndarray:
+    """Categorical draws per row via inverse CDF, one uniform per draw.
+
+    Returns one draw per row, or with ``count`` an array of shape
+    ``(count, len(rows))`` holding ``count`` independent draws per row.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     cdf = np.cumsum(rows, axis=1)
-    u = rng.random(rows.shape[0]) * cdf[:, -1]
-    idx = (cdf <= u[:, None]).sum(axis=1)
+    shape = rows.shape[0] if count is None else (count, rows.shape[0])
+    u = rng.random(shape) * cdf[:, -1]
+    idx = (cdf <= u[..., None]).sum(axis=-1)
     return np.minimum(idx, rows.shape[1] - 1).astype(np.int64)
 
 
@@ -113,27 +118,15 @@ def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, t: int,
 
     Unmasked positions carry over unchanged. Each masked position stays
     masked with probability ``stay_prob``, otherwise draws a token from the
-    denoiser's categorical at that position. Only the rows actually sampled
-    from (the masked subset) are validated here; ``check_rows`` offers the
-    full output check.
+    denoiser's categorical at that position. ``rows`` must already satisfy
+    :func:`~mdsearch.denoise.check_rows`, which ``sample`` applies.
     """
-    x_t = np.asarray(x_t)
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape != (len(x_t), vocab.size):
-        raise DenoiserContractError(
-            f"rows have shape {rows.shape}, expected ({len(x_t)}, {vocab.size})")
     coeffs = reverse_coeffs(t, schedule)
     out = np.array(x_t, dtype=np.int64)
     masked = masked_positions(x_t, vocab.mask_id)
-    if masked.size:
-        sub = rows[masked]
-        if (np.any(np.abs(sub.sum(axis=1) - 1.0) > ROW_TOL)
-                or np.any(sub < -ROW_TOL) or not np.all(np.isfinite(sub))):
-            raise DenoiserContractError("denoiser rows at masked positions are invalid")
-        commit = rng.random(masked.size) < coeffs.commit_prob
-        chosen = masked[commit]
-        if chosen.size:
-            out[chosen] = sample_rows(sub[commit], rng)
+    chosen = masked[rng.random(masked.size) < coeffs.commit_prob]
+    if chosen.size:
+        out[chosen] = sample_rows(rows[chosen], rng)
     return out
 
 

@@ -9,10 +9,6 @@ class ContractError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class InadmissibleEditError(ContractError):
-    """Edit at a frozen position, or with a token outside the alphabet."""
-
-
 class DenoiserContractError(ContractError):
     """Denoiser output failed validation against the interface contract."""
 

@@ -1,7 +1,8 @@
 """Experiment harness: config files, generators, runner, CLI."""
 
+from ..constraints.sudoku import random_puzzle
 from .configio import RunConfig, load_config, parse_config, render_config
-from .generators import random_formula, random_puzzle
+from .generators import random_formula
 from .runner import (
     RunResult,
     SampleRecord,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constraints import sat, sudoku
+from ..constraints import sat
 from ..errors import ConfigError, GenerationError
 
 REJECTION_CAP = 1000
@@ -37,7 +37,3 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
         f"no satisfiable formula after {REJECTION_CAP} draws "
         f"(clause/variable ratio {num_clauses / num_vars:.1f})")
 
-
-def random_puzzle(box: int, blanks: int, rng: np.random.Generator) -> sudoku.SudokuBoard:
-    """Puzzle with a known completion; see :func:`...sudoku.random_puzzle`."""
-    return sudoku.random_puzzle(box, blanks, rng)

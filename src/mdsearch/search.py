@@ -1,10 +1,12 @@
 """Violation-guided search embedded in the reverse denoising loop.
 
-Each reverse step can refine the denoiser's proposal before the chain
-advances: draw a pool of fully specified candidates from the proposal
-distribution (already-unmasked positions clamped), keep the least-violating
-one, then greedily walk single-token edits while the aggregate violation
-strictly decreases. The refined candidate drives the guided reverse kernel.
+At the reverse steps where the placement turns search on, the denoiser's
+proposal is refined before the chain advances: draw a pool of fully
+specified candidates from the proposal distribution (already-unmasked
+positions clamped), keep the least-violating one, then greedily walk
+single-token edits while the aggregate violation strictly decreases. The
+refined candidate drives the guided reverse kernel. Every other step is
+the plain reverse step.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from .constraints.base import Constraint, ViolationReport
 from .denoise import Denoiser, check_rows
-from .diffusion import NoiseSchedule, guided_reverse_step, vanilla_reverse_step
+from .diffusion import (NoiseSchedule, guided_reverse_step, sample_rows,
+                        vanilla_reverse_step)
 from .errors import ConfigError, ContractError, SampleError
 from .tasks import Instance
 from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
@@ -104,12 +107,7 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     x_t = np.asarray(x_t)
     draws = np.tile(x_t, (count, 1))
     masked = masked_positions(x_t, mask_id)
-    if masked.size:
-        sub = np.asarray(rows, dtype=np.float64)[masked]
-        cdf = np.cumsum(sub, axis=1)
-        u = rng.random((count, masked.size)) * cdf[:, -1]
-        idx = (cdf[None, :, :] <= u[:, :, None]).sum(axis=2)
-        draws[:, masked] = np.minimum(idx, sub.shape[1] - 1)
+    draws[:, masked] = sample_rows(np.asarray(rows)[masked], rng, count)
     return draws
 
 
@@ -135,6 +133,18 @@ def best_of_pool(rows: np.ndarray, x_t: np.ndarray, count: int,
     return PoolPick(draws[best], _report(nu[:, best], w), float(totals[0]))
 
 
+def edit_positions(region: EditableRegion, mask_id: int, allow_unmask_edits: bool,
+                   x_t: np.ndarray | None) -> tuple[int, ...]:
+    """Editable positions, or only those still masked in ``x_t`` when
+    ``allow_unmask_edits`` is off."""
+    if allow_unmask_edits:
+        return region.positions
+    if x_t is None:
+        raise ContractError("restricting edits to masked positions needs x_t")
+    still_masked = set(masked_positions(x_t, mask_id).tolist())
+    return tuple(p for p in region.positions if p in still_masked)
+
+
 def neighborhood(candidate: np.ndarray, vocab: Vocab, region: EditableRegion,
                  allow_unmask_edits: bool = True,
                  x_t: np.ndarray | None = None
@@ -148,13 +158,7 @@ def neighborhood(candidate: np.ndarray, vocab: Vocab, region: EditableRegion,
     candidate = np.asarray(candidate)
     if np.any(candidate == vocab.mask_id):
         raise ContractError("neighborhood requires a fully specified candidate")
-    positions = region.positions
-    if not allow_unmask_edits:
-        if x_t is None:
-            raise ContractError("restricting edits to masked positions needs x_t")
-        still_masked = set(masked_positions(x_t, vocab.mask_id).tolist())
-        positions = tuple(p for p in positions if p in still_masked)
-    for pos in positions:
+    for pos in edit_positions(region, vocab.mask_id, allow_unmask_edits, x_t):
         for token in range(vocab.size):
             if token == candidate[pos]:
                 continue
@@ -186,12 +190,7 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     """
     w = resolve_weights(weights, constraints)
     current = np.array(start, dtype=np.int64)
-    positions = region.positions
-    if not allow_unmask_edits:
-        if x_t is None:
-            raise ContractError("restricting edits to masked positions needs x_t")
-        still_masked = set(masked_positions(x_t, vocab.mask_id).tolist())
-        positions = tuple(p for p in positions if p in still_masked)
+    positions = edit_positions(region, vocab.mask_id, allow_unmask_edits, x_t)
     trackers = [c.tracker(current) for c in constraints]
 
     def current_total():
@@ -236,28 +235,21 @@ def search_active(placement: str, t: int) -> bool:
     return placement == "all_steps" or (placement == "last_step" and t == 1)
 
 
-def search_step(rows: np.ndarray, x_t: np.ndarray, t: int, config: SearchConfig,
+def search_step(rows: np.ndarray, x_t: np.ndarray, config: SearchConfig,
                 instance: Instance, rng: np.random.Generator) -> SearchOutcome:
-    """The per-step search operator.
+    """The per-step search operator, run where :func:`search_active` holds.
 
-    When the placement activates search at step ``t`` this is pool
-    selection followed by greedy refinement, which a pick with zero
-    aggregate violation skips; otherwise a single clamped
-    proposal draw passes through untouched, which reproduces plain
-    proposal decoding.
+    Pool selection followed by greedy refinement, which a pick with zero
+    aggregate violation skips. Refinement is unbounded under ``last_step``.
     """
-    vocab = instance.vocab
-    check_rows(rows, x_t, vocab)
-    active = search_active(config.placement, t)
-    pool = config.candidates if active else 1
-    pick = best_of_pool(rows, x_t, pool, instance.constraints, config.weights,
-                        rng, vocab.mask_id)
-    if not active or pick.report.total == 0:
+    pick = best_of_pool(rows, x_t, config.candidates, instance.constraints,
+                        config.weights, rng, instance.vocab.mask_id)
+    if pick.report.total == 0:
         return SearchOutcome(pick.candidate, pick.report, pick.first_total,
                              pick.report.total, 0)
     cap = None if config.placement == "last_step" else config.max_rounds
     refined = refine(pick.candidate, instance.constraints, config.weights,
-                     vocab, instance.region, cap,
+                     instance.vocab, instance.region, cap,
                      allow_unmask_edits=config.allow_unmask_edits, x_t=x_t)
     return SearchOutcome(refined.candidate, refined.report, pick.first_total,
                          pick.report.total, refined.rounds)
@@ -265,7 +257,7 @@ def search_step(rows: np.ndarray, x_t: np.ndarray, t: int, config: SearchConfig,
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Per-step diagnostics; violation fields are None when search is off."""
+    """Per-step diagnostics; violation fields are None at steps without search."""
 
     t: int
     first_violation: float | None
@@ -284,10 +276,12 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
            collect_masks: bool = False) -> tuple[np.ndarray, SampleTrace]:
     """Run the full reverse chain and return the clean sequence plus trace.
 
-    Placement ``off`` uses the plain reverse step driven by the raw
-    denoiser output; the other placements route every step through the
-    search operator and the guided kernel. The final step always commits
-    every remaining masked position, so the result has no masks.
+    Steps where the placement activates search run the search operator
+    and commit through the guided kernel; every other step is the plain
+    reverse step driven by the denoiser output, and is skipped when nothing
+    is masked. Denoiser rows are checked once per call. The final step
+    always commits every remaining masked position, so the result has no
+    masks.
     """
     if denoiser.vocab.size != instance.vocab.size:
         raise ConfigError("denoiser and instance disagree on the alphabet")
@@ -299,20 +293,20 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     records = []
     for t in range(schedule.steps, 0, -1):
         masked_before = int(masked_positions(x, vocab.mask_id).size)
+        active = search_active(config.placement, t)
+        first = pool = refined = None
+        rounds = 0
         try:
-            if config.placement == "off":
-                if masked_before:
-                    rows = denoiser.denoise(x, t)
-                    x = vanilla_reverse_step(x, rows, t, schedule, rng, vocab)
-                first = pool = refined = None
-                rounds = 0
-            else:
-                rows = denoiser.denoise(x, t)
-                outcome = search_step(rows, x, t, config, instance, rng)
+            if active or masked_before:
+                rows = check_rows(denoiser.denoise(x, t), x, vocab)
+            if active:
+                outcome = search_step(rows, x, config, instance, rng)
                 x = guided_reverse_step(x, outcome.candidate, t, schedule, rng,
                                         vocab.mask_id)
                 first, pool = outcome.first_total, outcome.pool_total
                 refined, rounds = outcome.report.total, outcome.rounds
+            elif masked_before:
+                x = vanilla_reverse_step(x, rows, t, schedule, rng, vocab)
         except Exception as exc:
             raise SampleError(f"{instance.name}: step t={t} failed: {exc}") from exc
         masked_now = masked_positions(x, vocab.mask_id)

@@ -1,4 +1,4 @@
-"""Alphabets, token sequences, and the single-token edit primitive.
+"""Alphabets, token sequences, and the editable region.
 
 Sequences are plain numpy integer arrays whose entries are either token ids
 (dense ``0 .. size-1``) or the reserved ``mask_id == size``. All functions
@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, InadmissibleEditError
+from .errors import ConfigError, ContractError
 
 MASK_CHAR = "?"
 
@@ -103,9 +103,6 @@ class EditableRegion:
     def frozen(self) -> tuple[int, ...]:
         return tuple(p for p in range(self.length) if p not in self.editable)
 
-    def is_editable(self, pos: int) -> bool:
-        return pos in self.editable
-
 
 def fully_masked(length: int, region: EditableRegion, mask_id: int,
                  frozen_values: np.ndarray | None = None) -> np.ndarray:
@@ -131,21 +128,3 @@ def masked_positions(values: np.ndarray, mask_id: int) -> np.ndarray:
     """Indices currently holding the mask id, in ascending order."""
     return np.flatnonzero(np.asarray(values) == mask_id)
 
-
-def apply_edit(values: np.ndarray, pos: int, token: int,
-               region: EditableRegion, vocab: Vocab) -> np.ndarray:
-    """Return a copy of ``values`` with a single admissible replacement.
-
-    Edits are rejected when the position is frozen or the token is not a
-    generable member of the alphabet (the mask id is never writable here:
-    search always works on fully specified candidates).
-    """
-    if not 0 <= pos < len(values):
-        raise ContractError(f"position {pos} out of range for length {len(values)}")
-    if not region.is_editable(pos):
-        raise InadmissibleEditError(f"position {pos} is frozen")
-    if not vocab.is_token(token):
-        raise InadmissibleEditError(f"token {token} is not a generable token")
-    out = np.array(values, dtype=np.int64)
-    out[pos] = token
-    return out

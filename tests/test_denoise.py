@@ -39,6 +39,9 @@ def test_check_rows_rejections():
         check_rows(np.array([[0.0, 1.0], [0.5, 0.5]]), seq, AB)  # not one-hot at 0
     with pytest.raises(DenoiserContractError):
         check_rows(np.array([[1.0, 0.0], [1.2, -0.2]]), seq, AB)  # negative
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DenoiserContractError):
+            check_rows(np.array([[1.0, 0.0], [bad, 0.5]]), seq, AB)  # not finite
 
 
 def test_data_distribution_validation():

@@ -4,6 +4,12 @@ The digests were computed before the batched constraint protocol replaced
 the per-draw and per-edit scalar loops. Any change to the evaluators, the
 pool, refinement or the RNG streams that alters a sample shows up here,
 which a rerun-determinism check (c10) cannot catch.
+
+``sat-last-step`` was recomputed when the steps of ``last_step`` without
+search moved from a pool of one draw plus the guided commit to the plain
+reverse step: the two have the same distribution but draw from the
+generator in a different order. ``sat-off`` and ``sudoku-off`` were
+computed before that change and pin the plain reverse step.
 """
 
 import hashlib
@@ -24,6 +30,9 @@ CONFIGS = {
                        sudoku_box=3, sudoku_blanks=40),
     "sat-last-step": replace(presets()["sat"], seed=SEED, num_samples=40,
                              placement="last_step"),
+    "sat-off": replace(presets()["sat"], seed=SEED, num_samples=60, placement="off"),
+    "sudoku-off": replace(presets()["sudoku"], seed=SEED, num_samples=60,
+                          placement="off"),
 }
 
 DIGESTS = {
@@ -31,7 +40,9 @@ DIGESTS = {
     "sudoku": "6422ffa1e121f4ae6497fcd103a179ef1db54ed7d7308609694bf868119309c4",
     "peptide": "34f57e023a353ec6464a275ef7d07684e91dd369588f5b0e2718af78f471e89e",
     "sudoku9": "8bba39136f1572abaf59468a838461d1d7e4e8749821834f737ce92ef6cb1d3b",
-    "sat-last-step": "44606ab353aef87667d39241a0b7ee74007f6fe259f203a2ed0815d30301aca8",
+    "sat-last-step": "9426228c0a3b55e5799ec471244000b7d4526c1d7c4cb92aad336f429d5317ac",
+    "sat-off": "f75ad32d41152f33cbbedce48dd2469a8ad222dc00b2025fa877bd91259c6760",
+    "sudoku-off": "f79c9da6fa388dbdb76b30eede8a8aca4e2cf6e83e9d00ab367520d268da2e73",
 }
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ import mdsearch as m
 from mdsearch.constraints.base import Constraint
 from mdsearch.constraints.sat import ClauseViolations, CnfFormula
 from mdsearch.denoise import DataDistribution, ExactPosteriorDenoiser, UniformDenoiser
-from mdsearch.errors import ConfigError, ContractError, SampleError
+from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, SampleError
+from mdsearch.harness.runner import build_instance, presets, sample_rng, search_config
 from mdsearch.search import (
     SearchConfig,
     best_of_pool,
@@ -243,31 +246,14 @@ def test_search_step_placements():
     instance = _sat_searchable()
     rows = np.full((3, 2), 0.5)
     x_t = np.full(3, BIN.mask_id)
-    off = SearchConfig(placement="off", candidates=16, max_rounds=8)
-    outcome = search_step(rows, x_t, 3, off, instance, np.random.default_rng(0))
-    assert outcome.rounds == 0
-    assert outcome.first_total == outcome.pool_total  # single raw draw
-
     last = SearchConfig(placement="last_step", candidates=16, max_rounds=8)
-    outcome = search_step(rows, x_t, 3, last, instance, np.random.default_rng(0))
-    assert outcome.rounds == 0  # inactive above the final step
-    outcome = search_step(rows, x_t, 1, last, instance, np.random.default_rng(0))
+    outcome = search_step(rows, x_t, last, instance, np.random.default_rng(0))
     assert outcome.report.total == 0.0  # refined until convergence
 
     allsteps = SearchConfig(placement="all_steps", candidates=16, max_rounds=8)
-    outcome = search_step(rows, x_t, 3, allsteps, instance, np.random.default_rng(0))
+    outcome = search_step(rows, x_t, allsteps, instance, np.random.default_rng(0))
     assert outcome.report.total <= outcome.pool_total
     assert outcome.pool_total <= outcome.first_total
-
-
-def test_search_step_off_equals_raw_draw():
-    instance = _sat_searchable()
-    rows = np.full((3, 2), 0.5)
-    x_t = np.full(3, BIN.mask_id)
-    cfg = SearchConfig(placement="off", candidates=64, max_rounds=8)
-    draw = proposal_draws(rows, x_t, 1, np.random.default_rng(9), BIN.mask_id)[0]
-    outcome = search_step(rows, x_t, 2, cfg, instance, np.random.default_rng(9))
-    assert np.array_equal(outcome.candidate, draw)
 
 
 def test_search_step_restricted_edits_keep_committed_values():
@@ -277,8 +263,7 @@ def test_search_step_restricted_edits_keep_committed_values():
     cfg = SearchConfig(placement="all_steps", candidates=8, max_rounds=8,
                        allow_unmask_edits=False)
     for seed in range(20):
-        outcome = search_step(rows, x_t, 2, cfg, instance,
-                              np.random.default_rng(seed))
+        outcome = search_step(rows, x_t, cfg, instance, np.random.default_rng(seed))
         assert outcome.candidate[0] == 0  # committed positions never revised
 
 
@@ -325,6 +310,39 @@ def test_sample_monotone_unmasking_and_termination():
             previous = now
         assert not previous
         assert masked_positions(final, instance.vocab.mask_id).size == 0
+
+
+@pytest.mark.parametrize("task", ["sat", "sudoku", "peptide"])
+def test_last_step_equals_off_above_the_final_step(task):
+    # Steps of last_step without search are the plain reverse step, drawing
+    # from the generator exactly as placement off does.
+    cfg = presets()[task]
+    schedule = m.linear_schedule(cfg.steps)
+    for i in range(10):
+        instance = build_instance(cfg, i)
+        denoiser = m.build_denoiser(instance, cfg.denoiser, cfg.epsilon)
+        traces = {}
+        for placement in ("off", "last_step"):
+            scfg = search_config(replace(cfg, placement=placement))
+            _, traces[placement] = sample(instance, denoiser, schedule, scfg,
+                                          sample_rng(cfg.seed, i), collect_masks=True)
+        assert traces["off"][:-1] == traces["last_step"][:-1]
+        for record in traces["last_step"][:-1]:
+            assert record.t > 1 and record.first_violation is None
+            assert record.pool_violation is None and record.refined_violation is None
+        assert traces["last_step"][-1].refined_violation is not None
+
+
+def test_sample_off_rejects_bad_denoiser_rows():
+    class Unnormalized(UniformDenoiser):
+        def denoise(self, values, t):
+            return 2.0 * super().denoise(values, t)
+
+    instance = _sat_searchable()
+    with pytest.raises(SampleError) as err:
+        sample(instance, Unnormalized(instance.vocab), m.linear_schedule(3),
+               SearchConfig(placement="off"), np.random.default_rng(0))
+    assert isinstance(err.value.__cause__, DenoiserContractError)
 
 
 def test_sample_trace_invariant_refined_at_most_pool():

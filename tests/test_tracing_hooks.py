@@ -1,0 +1,32 @@
+"""The benchmark's tracer must still find the sampler's layers.
+
+``perfbench/tracing.py`` wraps functions by name on ``mdsearch.search``.
+If one of them is renamed or bypassed, the traced run records no span for
+that layer; this test makes that a tier-1 failure instead of a silent gap
+in ``perfbench/run.py --trace 1``.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mdsearch as m
+from mdsearch.constraints.sat import CnfFormula
+from mdsearch.search import SearchConfig, sample
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+
+@pytest.mark.parametrize("placement", ["off", "all_steps"])
+def test_traced_sample_records_step_and_row_check_spans(placement):
+    instance = m.sat_instance(CnfFormula(3, ((1, 2), (-1, 2), (2, 3))), name="tiny")
+    denoiser = m.build_denoiser(instance, "exact")
+    cfg = SearchConfig(placement=placement, candidates=4, max_rounds=2)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        sample(instance, denoiser, m.linear_schedule(4), cfg, np.random.default_rng(0))
+    recorded = {tracer.names[i] for i in tracer.arrays()["name"]}
+    assert {"diffusion.step", "denoise.check_rows"} <= recorded

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from mdsearch.errors import ConfigError, ContractError, InadmissibleEditError
+from mdsearch.errors import ConfigError, ContractError
 from mdsearch.vocab import (
     EditableRegion,
     Vocab,
-    apply_edit,
     fully_masked,
     masked_positions,
 )
@@ -47,7 +45,6 @@ def test_region_helpers():
     region = EditableRegion.with_frozen(4, {0, 2})
     assert region.positions == (1, 3)
     assert region.frozen == (0, 2)
-    assert region.is_editable(1) and not region.is_editable(0)
     assert EditableRegion.all_editable(3).positions == (0, 1, 2)
     with pytest.raises(ConfigError):
         EditableRegion(3, frozenset({5}))
@@ -99,36 +96,3 @@ def test_fully_masked_reports_editable_set():
     out = fully_masked(5, region, AB.mask_id, np.array([0, 1, 0, 0, 2]))
     assert tuple(masked_positions(out, AB.mask_id)) == region.positions
 
-
-def test_apply_edit():
-    region = EditableRegion.all_editable(3)
-    seq = np.array([0, 1, 2])
-    out = apply_edit(seq, 1, 3, region, AB)
-    assert np.array_equal(out, [0, 3, 2])
-    assert np.array_equal(seq, [0, 1, 2])  # input untouched
-    out2 = apply_edit(np.zeros(7, dtype=np.int64), 3, 1, EditableRegion.all_editable(7), BIN)
-    assert np.array_equal(out2, [0, 0, 0, 1, 0, 0, 0])
-
-
-def test_apply_edit_rejections():
-    region = EditableRegion.with_frozen(3, {0})
-    seq = np.array([0, 1, 2])
-    with pytest.raises(InadmissibleEditError):
-        apply_edit(seq, 0, 1, region, AB)
-    with pytest.raises(InadmissibleEditError):
-        apply_edit(seq, 1, AB.mask_id, region, AB)
-    with pytest.raises(ContractError):
-        apply_edit(seq, 9, 1, region, AB)
-
-
-@given(st.data())
-def test_apply_edit_invertible(data):
-    length = data.draw(st.integers(2, 8))
-    seq = np.array(data.draw(st.lists(st.integers(0, 3), min_size=length,
-                                      max_size=length)))
-    pos = data.draw(st.integers(0, length - 1))
-    token = data.draw(st.integers(0, 3))
-    region = EditableRegion.all_editable(length)
-    edited = apply_edit(seq, pos, token, region, AB)
-    restored = apply_edit(edited, pos, int(seq[pos]), region, AB)
-    assert np.array_equal(restored, seq)
