@@ -20,6 +20,7 @@ from .denoise import (
 from .diffusion import (
     NoiseSchedule,
     ReverseCoeffs,
+    first_hitting_steps,
     forward_corrupt,
     guided_reverse_step,
     linear_schedule,
@@ -60,6 +61,7 @@ __all__ = [
     "load_table",
     "NoiseSchedule",
     "ReverseCoeffs",
+    "first_hitting_steps",
     "forward_corrupt",
     "guided_reverse_step",
     "linear_schedule",

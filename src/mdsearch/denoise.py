@@ -54,7 +54,11 @@ def _clamp_observed(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.nd
 
 
 class Denoiser:
-    """Interface: deterministic map from (sequence, step) to token rows."""
+    """Interface: deterministic map from (sequence, step) to token rows.
+
+    ``sample`` does not query the denoiser at plain reverse steps where no
+    position unmasks; the rows of such a step would go unused.
+    """
 
     def __init__(self, vocab: Vocab):
         self.vocab = vocab
@@ -121,9 +125,9 @@ def exact_posterior(dist: DataDistribution, values: np.ndarray,
         return _uniform_rows(values, vocab)
     sub = dist.support[consistent]
     w = dist.weights[consistent]
-    rows = np.zeros((dist.length, vocab.size))
-    for i in range(dist.length):
-        np.add.at(rows[i], sub[:, i], w)
+    bins = (sub + np.arange(dist.length) * vocab.size).ravel()
+    rows = np.bincount(bins, np.repeat(w, dist.length), dist.length * vocab.size)
+    rows = rows.reshape(dist.length, vocab.size)
     rows /= rows.sum(axis=1, keepdims=True)
     return _clamp_observed(rows, values, vocab)
 

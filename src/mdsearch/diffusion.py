@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .vocab import EditableRegion, Vocab, masked_positions
+from .vocab import EditableRegion, masked_positions
 
 
 @dataclass(frozen=True)
@@ -111,22 +111,26 @@ def forward_corrupt(values: np.ndarray, t: int, schedule: NoiseSchedule,
     return out
 
 
-def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, t: int,
-                         schedule: NoiseSchedule, rng: np.random.Generator,
-                         vocab: Vocab) -> np.ndarray:
-    """Plain reverse transition driven directly by the denoiser output.
+def first_hitting_steps(schedule: NoiseSchedule, count: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """The step at which each of ``count`` masked positions unmasks.
 
-    Unmasked positions carry over unchanged. Each masked position stays
-    masked with probability ``stay_prob``, otherwise draws a token from the
-    denoiser's categorical at that position. ``rows`` must already satisfy
-    :func:`~mdsearch.denoise.check_rows`, which ``sample`` applies.
+    Under the plain reverse chain the steps are independent with
+    ``P(t) = alpha_{t-1} - alpha_t``; one uniform per position is inverted
+    through the schedule, so ``u`` in ``[alpha_t, alpha_{t-1})`` gives ``t``.
     """
-    coeffs = reverse_coeffs(t, schedule)
+    rising = np.asarray(schedule.alphas[::-1])
+    return schedule.steps + 1 - np.searchsorted(rising, rng.random(count), side="right")
+
+
+def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarray,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Plain reverse commit: each position in ``committing`` (from
+    :func:`first_hitting_steps`) draws a token from its row; the rest carry
+    over. ``rows`` must already satisfy :func:`~mdsearch.denoise.check_rows`.
+    """
     out = np.array(x_t, dtype=np.int64)
-    masked = masked_positions(x_t, vocab.mask_id)
-    chosen = masked[rng.random(masked.size) < coeffs.commit_prob]
-    if chosen.size:
-        out[chosen] = sample_rows(rows[chosen], rng)
+    out[committing] = sample_rows(rows[committing], rng)
     return out
 
 

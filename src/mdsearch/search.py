@@ -18,8 +18,8 @@ import numpy as np
 
 from .constraints.base import Constraint, ViolationReport
 from .denoise import Denoiser, check_rows
-from .diffusion import (NoiseSchedule, guided_reverse_step, sample_rows,
-                        vanilla_reverse_step)
+from .diffusion import (NoiseSchedule, first_hitting_steps, guided_reverse_step,
+                        sample_rows, vanilla_reverse_step)
 from .errors import ConfigError, ContractError, SampleError
 from .tasks import Instance
 from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
@@ -255,8 +255,7 @@ def search_step(rows: np.ndarray, x_t: np.ndarray, config: SearchConfig,
                          pick.report.total, refined.rounds)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Per-step diagnostics; violation fields are None at steps without search."""
 
     t: int
@@ -277,11 +276,13 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     """Run the full reverse chain and return the clean sequence plus trace.
 
     Steps where the placement activates search run the search operator
-    and commit through the guided kernel; every other step is the plain
-    reverse step driven by the denoiser output, and is skipped when nothing
-    is masked. Denoiser rows are checked once per call. The final step
-    always commits every remaining masked position, so the result has no
-    masks.
+    and commit through the guided kernel. Elsewhere each masked position
+    unmasks at a step drawn up front (:func:`first_hitting_steps`; under
+    ``last_step`` those drawn for t=1 go to search), and the denoiser is
+    queried only at steps where a position unmasks: the rows of other
+    steps go unused, even from a ``t``-dependent model. Rows are checked
+    once per call. The final step always commits every remaining masked
+    position, so the result has no masks.
     """
     if denoiser.vocab.size != instance.vocab.size:
         raise ConfigError("denoiser and instance disagree on the alphabet")
@@ -290,33 +291,35 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     vocab = instance.vocab
     x = fully_masked(instance.length, instance.region, vocab.mask_id,
                      instance.frozen_values)
+    masked = masked_positions(x, vocab.mask_id)
+    # all_steps searches at every step; drawing nothing keeps its stream as it was
+    hits = first_hitting_steps(
+        schedule, masked.size if config.placement != "all_steps" else 0, rng)
+    order = masked[np.argsort(-hits, kind="stable")]
+    counts = np.bincount(hits, minlength=schedule.steps + 1).tolist()
+    done = 0
     records = []
     for t in range(schedule.steps, 0, -1):
-        masked_before = int(masked_positions(x, vocab.mask_id).size)
         active = search_active(config.placement, t)
         first = pool = refined = None
-        rounds = 0
+        rounds, committed = 0, counts[t]
         try:
-            if active or masked_before:
+            if active or committed:
                 rows = check_rows(denoiser.denoise(x, t), x, vocab)
             if active:
+                masked_before = masked_positions(x, vocab.mask_id).size
                 outcome = search_step(rows, x, config, instance, rng)
                 x = guided_reverse_step(x, outcome.candidate, t, schedule, rng,
                                         vocab.mask_id)
                 first, pool = outcome.first_total, outcome.pool_total
                 refined, rounds = outcome.report.total, outcome.rounds
-            elif masked_before:
-                x = vanilla_reverse_step(x, rows, t, schedule, rng, vocab)
+                committed = masked_before - masked_positions(x, vocab.mask_id).size
+            elif committed:
+                x = vanilla_reverse_step(x, rows, order[done:done + committed], rng)
+                done += committed
         except Exception as exc:
             raise SampleError(f"{instance.name}: step t={t} failed: {exc}") from exc
-        masked_now = masked_positions(x, vocab.mask_id)
-        records.append(StepRecord(
-            t=t,
-            first_violation=first,
-            pool_violation=pool,
-            refined_violation=refined,
-            rounds=rounds,
-            committed=masked_before - int(masked_now.size),
-            masked_after=tuple(int(p) for p in masked_now) if collect_masks else None,
-        ))
+        masks = (tuple(int(p) for p in masked_positions(x, vocab.mask_id))
+                 if collect_masks else None)
+        records.append(StepRecord(t, first, pool, refined, rounds, committed, masks))
     return x, tuple(records)

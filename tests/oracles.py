@@ -98,3 +98,49 @@ def pool_by_draw(draws, constraints, weights=None):
         if best_report is None or report.total < best_report.total:
             best, best_report = i, report
     return best, best_report, first_total
+
+
+def posterior_by_position(support, weights, values, num_tokens, mask_id):
+    """Exact posterior rows built one position at a time with ``np.add.at``.
+
+    Rows at masked positions are the support's marginals among the elements
+    consistent with the observed tokens, or uniform when none is; observed
+    positions are one-hot. Reference for the one-pass ``exact_posterior``.
+    """
+    support, values = np.asarray(support), np.asarray(values)
+    length = support.shape[1]
+    observed = np.flatnonzero(values != mask_id)
+    consistent = np.all(support[:, observed] == values[observed], axis=1)
+    if consistent.any():
+        sub, w = support[consistent], np.asarray(weights)[consistent]
+        rows = np.zeros((length, num_tokens))
+        for i in range(length):
+            np.add.at(rows[i], sub[:, i], w)
+        rows /= rows.sum(axis=1, keepdims=True)
+    else:
+        rows = np.full((length, num_tokens), 1.0 / num_tokens)
+    rows[observed] = 0.0
+    rows[observed, values[observed]] = 1.0
+    return rows
+
+
+def bernoulli_chain(denoiser, alphas, values, mask_id, rng):
+    """The plain reverse chain run one step at a time.
+
+    At step t each masked position commits with probability
+    ``(alpha_{t-1} - alpha_t) / (1 - alpha_t)`` to a token drawn from the
+    denoiser's row at that step. Returns the final sequence and the commit
+    counts of steps T..1. Reference for the first-hitting chain in ``sample``.
+    """
+    x = np.array(values, dtype=np.int64)
+    counts = []
+    for t in range(len(alphas) - 1, 0, -1):
+        masked = np.flatnonzero(x == mask_id)
+        commit = (alphas[t - 1] - alphas[t]) / (1.0 - alphas[t])
+        chosen = [p for p in masked if rng.random() < commit]
+        if chosen:
+            rows = denoiser.denoise(x, t)
+            for p in chosen:
+                x[p] = rng.choice(rows.shape[1], p=rows[p])
+        counts.append(len(chosen))
+    return x, tuple(counts)

@@ -13,7 +13,7 @@ from mdsearch.denoise import (
 from mdsearch.errors import ConfigError, DenoiserContractError, ParseError
 from mdsearch.vocab import Vocab
 
-from oracles import enumerate_posterior
+from oracles import enumerate_posterior, posterior_by_position
 
 AB = Vocab(("A", "B"))
 M = AB.mask_id
@@ -192,3 +192,23 @@ def test_load_table_errors(tmp_path):
         with pytest.raises(ParseError) as err:
             load_table(path, AB)
         assert fragment in str(err.value)
+
+
+def test_exact_posterior_bitwise_matches_per_position_oracle():
+    rng = np.random.default_rng(8)
+    for case in range(300):
+        num_tokens = int(rng.integers(2, 6))
+        length = int(rng.integers(1, 9))
+        vocab = Vocab(tuple("ABCDEF"[:num_tokens]))
+        support = rng.integers(0, num_tokens, size=(int(rng.integers(1, 40)), length))
+        weights = rng.random(len(support)) + 0.01 if case % 2 else None
+        dist = DataDistribution(support, weights)
+        # observe a support row's tokens (frozen or committed positions), or
+        # random tokens that may match no row and force the uniform fallback
+        source = (support[rng.integers(len(support))] if case % 3
+                  else rng.integers(0, num_tokens, size=length))
+        values = np.where(rng.random(length) < 0.4, source, vocab.mask_id)
+        rows = exact_posterior(dist, values, vocab)
+        oracle = posterior_by_position(dist.support, dist.weights, values,
+                                       num_tokens, vocab.mask_id)
+        assert rows.tobytes() == oracle.tobytes()

@@ -3,6 +3,7 @@ import pytest
 
 from mdsearch.diffusion import (
     NoiseSchedule,
+    first_hitting_steps,
     forward_corrupt,
     guided_reverse_step,
     linear_schedule,
@@ -104,31 +105,48 @@ def test_sample_rows_count_draws_per_row():
     assert abs(out[:, 1].mean() - 0.75) < 0.03
 
 
+def test_first_hitting_steps_marginals():
+    # P(t) = alpha_{t-1} - alpha_t on a non-linear schedule
+    sched = NoiseSchedule((1.0, 0.9, 0.5, 0.2, 0.0))
+    n = 100_000
+    hits = first_hitting_steps(sched, n, np.random.default_rng(4))
+    assert hits.min() >= 1 and hits.max() <= 4
+    freq = np.bincount(hits, minlength=5)[1:] / n
+    assert 0.5 * np.abs(freq - [0.1, 0.4, 0.3, 0.2]).sum() < 0.01
+    assert first_hitting_steps(sched, 0, np.random.default_rng(4)).size == 0
+
+
 def test_vanilla_no_masks_identity():
-    sched = linear_schedule(4)
     seq = np.array([0, 1, 1])
     rows = np.eye(2)[seq]
-    out = vanilla_reverse_step(seq, rows, 3, sched, np.random.default_rng(0), AB)
+    committing = np.array([], dtype=np.int64)
+    out = vanilla_reverse_step(seq, rows, committing, np.random.default_rng(0))
     assert np.array_equal(out, seq)
 
 
 def test_vanilla_final_step_commits_everything():
-    sched = linear_schedule(4)
     seq = np.full(6, AB.mask_id)
-    rows = np.full((6, 2), 0.5)
-    out = vanilla_reverse_step(seq, rows, 1, sched, np.random.default_rng(0), AB)
-    assert masked_positions(out, AB.mask_id).size == 0
+    pattern = np.array([0, 1, 1, 0, 0, 1])
+    rows = np.eye(2)[pattern]
+    out = vanilla_reverse_step(seq, rows, np.arange(6), np.random.default_rng(0))
+    assert np.array_equal(out, pattern)
+    # only the committing positions unmask, each from its own row
+    out = vanilla_reverse_step(seq, rows, np.array([1, 4]), np.random.default_rng(0))
+    assert masked_positions(out, AB.mask_id).tolist() == [0, 2, 3, 5]
+    assert out[1] == 1 and out[4] == 0
 
 
 def test_vanilla_unmask_probability():
-    # one masked position, one-hot row, commit weight 0.25 at t=4 of T=4
+    # one masked position, one-hot row, unmask step t=4 of T=4 with
+    # probability alpha_3 - alpha_4 = 0.25
     sched = linear_schedule(4)
     seq = np.array([0, AB.mask_id])
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
     rng = np.random.default_rng(42)
-    hits = sum(
-        vanilla_reverse_step(seq, rows, 4, sched, rng, AB)[1] == 1
-        for _ in range(10_000))
+    hits = 0
+    for _ in range(10_000):
+        committing = np.flatnonzero(first_hitting_steps(sched, 1, rng) == 4) + 1
+        hits += vanilla_reverse_step(seq, rows, committing, rng)[1] == 1
     assert abs(hits / 10_000 - 0.25) < 0.02
 
 
@@ -191,9 +209,10 @@ def test_monotone_unmasking_vanilla():
     rng = np.random.default_rng(3)
     x = np.full(12, AB.mask_id)
     rows = np.full((12, 2), 0.5)
+    hits = first_hitting_steps(sched, 12, rng)
     masked = set(range(12))
     for t in range(8, 0, -1):
-        x = vanilla_reverse_step(x, rows, t, sched, rng, AB)
+        x = vanilla_reverse_step(x, rows, np.flatnonzero(hits == t), rng)
         now = set(masked_positions(x, AB.mask_id).tolist())
         assert now <= masked
         masked = now

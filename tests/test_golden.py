@@ -5,11 +5,12 @@ the per-draw and per-edit scalar loops. Any change to the evaluators, the
 pool, refinement or the RNG streams that alters a sample shows up here,
 which a rerun-determinism check (c10) cannot catch.
 
-``sat-last-step`` was recomputed when the steps of ``last_step`` without
-search moved from a pool of one draw plus the guided commit to the plain
-reverse step: the two have the same distribution but draw from the
-generator in a different order. ``sat-off`` and ``sudoku-off`` were
-computed before that change and pin the plain reverse step.
+``sat-last-step``, ``sat-off`` and ``sudoku-off`` pin the steps without
+search. They were recomputed when those steps moved from a per-step
+Bernoulli commit to the first-hitting chain, which draws every position's
+unmask step up front: the two have the same distribution but draw from the
+generator in a different order. ``sat``, ``sudoku``, ``peptide`` and
+``sudoku9`` search at every step and did not change.
 """
 
 import hashlib
@@ -40,9 +41,9 @@ DIGESTS = {
     "sudoku": "6422ffa1e121f4ae6497fcd103a179ef1db54ed7d7308609694bf868119309c4",
     "peptide": "34f57e023a353ec6464a275ef7d07684e91dd369588f5b0e2718af78f471e89e",
     "sudoku9": "8bba39136f1572abaf59468a838461d1d7e4e8749821834f737ce92ef6cb1d3b",
-    "sat-last-step": "9426228c0a3b55e5799ec471244000b7d4526c1d7c4cb92aad336f429d5317ac",
-    "sat-off": "f75ad32d41152f33cbbedce48dd2469a8ad222dc00b2025fa877bd91259c6760",
-    "sudoku-off": "f79c9da6fa388dbdb76b30eede8a8aca4e2cf6e83e9d00ab367520d268da2e73",
+    "sat-last-step": "4bc031db62d5d4ee3be10ffd0b621dd9a6daf8b2b24aa0435d18f30616205c08",
+    "sat-off": "7061bdf57d85a256b2ed01272945290a87f1b41c601e7f989b482561b46b3d47",
+    "sudoku-off": "0a58a136a9834c0dc792f166f813ba2e8df3fa7b23c0b2e8649a507e45169286",
 }
 
 

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 import mdsearch as m
 from mdsearch.constraints.base import Constraint
 from mdsearch.constraints.sat import ClauseViolations, CnfFormula
-from mdsearch.denoise import DataDistribution, ExactPosteriorDenoiser, UniformDenoiser
+from mdsearch.denoise import (DataDistribution, Denoiser, ExactPosteriorDenoiser,
+                              UniformDenoiser)
 from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, SampleError
 from mdsearch.harness.runner import build_instance, presets, sample_rng, search_config
 from mdsearch.search import (
@@ -21,7 +24,7 @@ from mdsearch.search import (
 from mdsearch.tasks import Instance, sat_instance, sudoku_instance
 from mdsearch.vocab import EditableRegion, Vocab, masked_positions
 
-from oracles import naive_sat_violation
+from oracles import bernoulli_chain, naive_sat_violation, tv_distance
 
 BIN = Vocab(("0", "1"))
 PAIR_FORMULA = CnfFormula(2, ((1, 2), (-1, 2)))  # feasible iff x2 is true
@@ -343,6 +346,73 @@ def test_sample_off_rejects_bad_denoiser_rows():
         sample(instance, Unnormalized(instance.vocab), m.linear_schedule(3),
                SearchConfig(placement="off"), np.random.default_rng(0))
     assert isinstance(err.value.__cause__, DenoiserContractError)
+
+
+class CountingDenoiser(Denoiser):
+    """Records the step of every query it passes on to ``inner``."""
+
+    def __init__(self, inner):
+        super().__init__(inner.vocab)
+        self.inner = inner
+        self.steps = []
+
+    def denoise(self, values, t):
+        self.steps.append(t)
+        return self.inner.denoise(values, t)
+
+
+@pytest.mark.parametrize("placement", ["off", "last_step", "all_steps"])
+def test_denoiser_queried_only_where_needed(placement):
+    cfg = replace(presets()["sat"], placement=placement, steps=20)
+    schedule = m.linear_schedule(cfg.steps)
+    for i in range(6):
+        instance = build_instance(cfg, i)
+        den = CountingDenoiser(m.build_denoiser(instance, cfg.denoiser, cfg.epsilon))
+        _, trace = sample(instance, den, schedule, search_config(cfg),
+                          sample_rng(cfg.seed, i))
+        assert len(trace) == cfg.steps
+        committing = [r.t for r in trace if r.committed > 0]
+        if placement == "off":
+            assert den.steps == committing
+        elif placement == "last_step":
+            assert den.steps == [t for t in committing if t > 1] + [1]
+        else:
+            assert den.steps == list(range(cfg.steps, 0, -1))
+
+
+def test_sample_off_matches_the_bernoulli_chain():
+    # Even-parity support on 3 bits at T=3: each position unmasks at a step
+    # uniform on {3, 2, 1}, so simultaneous commits are common. The sample
+    # leaves the support with probability 1/2 when all three commit
+    # together, or when one commits and the other two then commit together
+    # (12 of 27 step patterns): 6/27 overall.
+    vocab = Vocab(("A", "B"))
+    support = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    den = ExactPosteriorDenoiser(DataDistribution(support), vocab)
+    instance = Instance("parity", vocab, EditableRegion.all_editable(3), ())
+    sched = m.linear_schedule(3)
+    in_support = {row.tobytes() for row in support.astype(np.int64)}
+    n = 8000
+    runs = {"sample": [], "oracle": []}
+    for i in range(n):
+        final, trace = sample(instance, den, sched, SearchConfig(placement="off"),
+                              np.random.default_rng(np.random.SeedSequence([3, i])))
+        runs["sample"].append((final, tuple(r.committed for r in trace)))
+        runs["oracle"].append(bernoulli_chain(
+            den, sched.alphas, np.full(3, vocab.mask_id), vocab.mask_id,
+            np.random.default_rng(np.random.SeedSequence([4, i]))))
+    exact = {(a, b, 3 - a - b): 6 / (math.factorial(a) * math.factorial(b)
+                                     * math.factorial(3 - a - b)) / 27
+             for a in range(4) for b in range(4 - a)}
+    patterns, outside = {}, {}
+    for name, results in runs.items():
+        patterns[name] = Counter(counts for _, counts in results)
+        outside[name] = sum(x.tobytes() not in in_support for x, _ in results) / n
+        assert tv_distance(patterns[name], exact, n) < 0.03
+        assert abs(outside[name] - 6 / 27) < 0.025
+    assert tv_distance(patterns["sample"], {k: v / n for k, v in
+                                            patterns["oracle"].items()}, n) < 0.04
+    assert abs(outside["sample"] - outside["oracle"]) < 0.03
 
 
 def test_sample_trace_invariant_refined_at_most_pool():

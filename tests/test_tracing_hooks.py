@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 
 
-@pytest.mark.parametrize("placement", ["off", "all_steps"])
+@pytest.mark.parametrize("placement", ["off", "last_step", "all_steps"])
 def test_traced_sample_records_step_and_row_check_spans(placement):
     instance = m.sat_instance(CnfFormula(3, ((1, 2), (-1, 2), (2, 3))), name="tiny")
     denoiser = m.build_denoiser(instance, "exact")
