@@ -32,7 +32,6 @@ from .search import (
     StepRecord,
     aggregate_violation,
     best_of_pool,
-    neighborhood,
     proposal_draws,
     refine,
     sample,
@@ -71,7 +70,6 @@ __all__ = [
     "StepRecord",
     "aggregate_violation",
     "best_of_pool",
-    "neighborhood",
     "proposal_draws",
     "refine",
     "sample",

@@ -21,7 +21,6 @@ from .sat import (
     load_dimacs,
     parse_dimacs,
     render_dimacs,
-    sat_delta,
     sat_violation,
     satisfying_assignments,
 )
@@ -35,7 +34,6 @@ from .sudoku import (
     random_solution,
     read_puzzles,
     render_sudoku_line,
-    sudoku_delta,
     sudoku_violation,
 )
 
@@ -56,7 +54,6 @@ __all__ = [
     "load_dimacs",
     "parse_dimacs",
     "render_dimacs",
-    "sat_delta",
     "sat_violation",
     "satisfying_assignments",
     "SudokuBoard",
@@ -68,6 +65,5 @@ __all__ = [
     "random_solution",
     "read_puzzles",
     "render_sudoku_line",
-    "sudoku_delta",
     "sudoku_violation",
 ]

@@ -4,9 +4,12 @@ Evaluation protocol: a constraint scores a batch of candidates, one per row,
 with :meth:`Constraint.violations`. Built-in constraints implement only that
 batched form and derive the scalar :meth:`Constraint.violation` from it.
 A black-box constraint may define only ``violation``; the default
-``violations`` then loops over the rows. Refinement scores the whole
-single-edit neighbourhood of a candidate at once through the tracker's
-:meth:`ViolationTracker.peek_block`.
+``violations`` then loops over the rows.
+
+Refinement reaches a constraint through its tracker, a cache of the current
+candidate rebuilt from the full candidate on every commit. The tracker
+scores the whole single-edit neighborhood at once with
+:meth:`ViolationTracker.peek_block`; there is no other edit path.
 """
 
 from __future__ import annotations
@@ -46,50 +49,56 @@ def block_positions(positions, length: int) -> np.ndarray:
 class ViolationTracker:
     """Tracks one constraint's violation under single-token edits.
 
-    Trackers own a private copy of the candidate; callers must mirror every
-    ``commit`` on their own copy to stay in sync.
+    The tracker owns a private copy of the candidate; callers must mirror
+    every ``commit`` on their own copy to stay in sync. Subclasses define
+    :meth:`_rebuild` and :meth:`peek_block` only.
     """
+
+    def __init__(self, constraint: "Constraint", values: np.ndarray):
+        self.constraint = constraint
+        self.values = np.array(values, dtype=np.int64)
+        self._value = self._rebuild(self.values)
+
+    def _rebuild(self, values: np.ndarray):
+        """Validate ``values``, recompute the cache from it, return its violation.
+
+        Raises :class:`ContractError` before touching the cache when a token
+        lies outside the constraint's alphabet.
+        """
+        raise NotImplementedError
 
     def value(self) -> float:
         """Violation of the tracked candidate."""
-        raise NotImplementedError
-
-    def peek(self, pos: int, token: int) -> float:
-        """Violation if ``candidate[pos]`` were replaced by ``token``."""
-        raise NotImplementedError
+        return self._value
 
     def peek_block(self, positions, num_tokens: int) -> np.ndarray:
         """Violations for every (position, token) pair; rows follow ``positions``.
 
-        Equal to :meth:`peek` entry by entry, computed in one vectorized call.
+        Entry ``[i, token]`` is the violation of the candidate with
+        ``positions[i]`` replaced by ``token``, computed in one vectorized call.
         """
         raise NotImplementedError
 
     def commit(self, pos: int, token: int) -> None:
-        """Apply the edit to the tracked candidate."""
-        raise NotImplementedError
+        """Apply the edit to the tracked candidate.
+
+        The edit is rebuilt on a copy, so a rejected one (position out of
+        range, token outside the alphabet) raises :class:`ContractError` and
+        leaves the tracker unchanged.
+        """
+        if not 0 <= pos < len(self.values):
+            raise ContractError(f"position {pos} out of range")
+        values = self.values.copy()
+        values[pos] = token
+        self._value = self._rebuild(values)
+        self.values = values
 
 
 class FullRecomputeTracker(ViolationTracker):
     """Fallback tracker for evaluators without an incremental variant."""
 
-    def __init__(self, constraint: "Constraint", values: np.ndarray):
-        self.constraint = constraint
-        self.values = np.array(values, dtype=np.int64)
-        self._value = float(constraint.violation(self.values))
-
-    def value(self):
-        return self._value
-
-    def peek(self, pos, token):
-        old = self.values[pos]
-        if token == old:
-            return self._value
-        self.values[pos] = token
-        try:
-            return float(self.constraint.violation(self.values))
-        finally:
-            self.values[pos] = old
+    def _rebuild(self, values):
+        return float(self.constraint.violation(values))
 
     def peek_block(self, positions, num_tokens):
         """One ``violations`` call over every single edit of the candidate."""
@@ -99,10 +108,6 @@ class FullRecomputeTracker(ViolationTracker):
             np.arange(num_tokens), positions.size)
         scores = np.asarray(self.constraint.violations(edits), dtype=np.float64)
         return scores.reshape(positions.size, num_tokens)
-
-    def commit(self, pos, token):
-        self.values[pos] = token
-        self._value = float(self.constraint.violation(self.values))
 
 
 class Constraint:

@@ -103,75 +103,36 @@ class _PrefixTracker(ViolationTracker):
     """Cumulative weighted counts over the logical prefix.
 
     Keeps the first and second terminator slots plus a per-token weight
-    cumsum, so a hypothetical edit's new prefix statistics come out in O(1).
-    A commit rebuilds the cached arrays in O(L).
+    cumsum, so every edit's new prefix statistics come out in O(1).
     """
 
-    def __init__(self, constraint: _PrefixWindow, values: np.ndarray):
-        self.constraint = constraint
-        self.term_id = constraint.term_id
-        self.weights = constraint.weights
-        self.values = np.array(values, dtype=np.int64)
-        token_rows(self.values[None, :], len(self.weights))
-        self._rebuild()
-
-    def _rebuild(self):
-        terms = np.flatnonzero(self.values == self.term_id)
-        slots = len(self.values)
+    def _rebuild(self, values):
+        weights, term_id = self.constraint.weights, self.constraint.term_id
+        token_rows(values[None, :], len(weights))
+        terms = np.flatnonzero(values == term_id)
+        slots = len(values)
         self.first = int(terms[0]) if terms.size else slots
         self.second = int(terms[1]) if terms.size > 1 else slots
-        self.cum = np.concatenate(([0], np.cumsum(self.weights[self.values])))
-
-    def _check_edit(self, pos: int, token: int) -> None:
-        if not 0 <= pos < len(self.values):
-            raise ContractError(f"position {pos} out of range")
-        if not 0 <= token < len(self.weights):
-            raise ContractError(f"token {token} outside the alphabet")
-
-    def _edited_prefix(self, pos: int, token: int) -> tuple[int, int]:
-        """(logical length, weighted count) after a hypothetical edit."""
-        self._check_edit(pos, token)
-        old = self.values[pos]
-        if token == old:
-            new_first = self.first
-        elif token == self.term_id:
-            new_first = min(self.first, pos)
-        elif pos == self.first:
-            new_first = self.second
-        else:
-            new_first = self.first
-        count = int(self.cum[new_first])
-        if pos < new_first:
-            count += int(self.weights[token] - self.weights[old])
-        return new_first, count
-
-    def value(self):
+        self.cum = np.concatenate(([0], np.cumsum(weights[values])))
         return self.constraint._nu(self.first, self.cum[self.first])
 
-    def peek(self, pos, token):
-        return self.constraint._nu(*self._edited_prefix(pos, token))
-
-    def commit(self, pos, token):
-        self._check_edit(pos, token)
-        self.values[pos] = token
-        self._rebuild()
-
     def peek_block(self, positions, num_tokens):
-        """Vectorized :meth:`_edited_prefix` over positions x tokens."""
-        if num_tokens != len(self.weights):
-            raise ContractError(f"{num_tokens} tokens for an alphabet of {len(self.weights)}")
+        """(logical length, weighted count) of every edit, then the hinge."""
+        weights, term_id = self.constraint.weights, self.constraint.term_id
+        if num_tokens != len(weights):
+            raise ContractError(f"{num_tokens} tokens for an alphabet of {len(weights)}")
         positions = block_positions(positions, len(self.values))
         old = self.values[positions]
         tokens = np.arange(num_tokens)
         new_first = np.full((len(positions), num_tokens), self.first)
-        new_first[:, self.term_id] = np.minimum(self.first, positions)
+        new_first[:, term_id] = np.minimum(self.first, positions)
         at_first = positions == self.first
-        new_first[at_first] = np.where(tokens == self.term_id, self.first, self.second)
+        new_first[at_first] = np.where(tokens == term_id, self.first, self.second)
         noop = old[:, None] == tokens[None, :]
         new_first[noop] = self.first
         counts = self.cum[new_first]
         inside = positions[:, None] < new_first
-        counts = counts + inside * (self.weights[tokens][None, :] - self.weights[old][:, None])
+        counts = counts + inside * (weights[tokens][None, :] - weights[old][:, None])
         return self.constraint._nu(new_first, counts)
 
 

@@ -1,4 +1,4 @@
-"""CNF clause evaluation with incremental flip deltas, plus DIMACS io.
+"""CNF clause evaluation with vectorized flip deltas, plus DIMACS io.
 
 Assignments are token arrays over the binary alphabet: token 1 means true.
 Variable ``v`` (1-based, as in DIMACS) corresponds to position ``v - 1``.
@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, ContractError, ParseError, StaleTrackerError
+from ..errors import ConfigError, ContractError, ParseError
 from ..vocab import Vocab
 from .base import Constraint, ViolationTracker, block_positions, token_rows
 
@@ -62,11 +62,6 @@ class ClauseViolations(Constraint):
         self._var_pos, self._polarity, self._clause_ids = formula._flat
         # literals are stored clause by clause: where each clause's run starts
         self._starts = np.flatnonzero(np.diff(self._clause_ids, prepend=-1))
-        # per-variable literal occurrences, for single-flip count updates
-        self._occ: list[tuple[np.ndarray, np.ndarray]] = []
-        for var in range(formula.num_vars):
-            sel = self._var_pos == var
-            self._occ.append((self._clause_ids[sel], self._polarity[sel]))
 
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,70 +87,33 @@ class ClauseViolations(Constraint):
 
 
 class ClauseTracker(ViolationTracker):
-    """Maintains per-clause true-literal counts.
+    """Caches per-clause true-literal counts; ``peek_block`` derives every
+    variable's flip delta from them at once."""
 
-    ``peek`` and ``commit`` apply one flip's literal changes to a copy of
-    the counts; ``peek_block`` derives every variable's flip delta at once.
-    """
-
-    def __init__(self, evaluator: ClauseViolations, values: np.ndarray):
-        self.evaluator = evaluator
-        self.values = np.array(values, dtype=np.int64)
-        self.counts = evaluator.true_literal_counts(self.values[None, :])[0]
-        self._violated = int((self.counts == 0).sum())
-
-    def value(self):
-        return self._violated
-
-    def _edited_counts(self, pos: int, token: int) -> np.ndarray:
-        """Clause counts after a hypothetical edit, literal by literal."""
-        if token not in (0, 1):
-            raise ContractError(f"token {token} outside the binary alphabet")
-        if not 0 <= pos < len(self.values):
-            raise ContractError(f"position {pos} out of range")
-        counts = self.counts.copy()
-        if token != self.values[pos]:
-            clause_ids, polarity = self.evaluator._occ[pos]
-            np.add.at(counts, clause_ids, np.where(self.values[pos] == polarity, -1, 1))
-        return counts
-
-    def peek(self, pos, token):
-        return int((self._edited_counts(pos, token) == 0).sum())
+    def _rebuild(self, values):
+        self.counts = self.constraint.true_literal_counts(values[None, :])[0]
+        return int((self.counts == 0).sum())
 
     def peek_block(self, positions, num_tokens):
         """Flip deltas of all variables from one bincount over literal deltas."""
         if num_tokens != 2:
             raise ContractError(f"{num_tokens} tokens for a binary alphabet")
         positions = block_positions(positions, len(self.values))
-        ev = self.evaluator
+        ev = self.constraint
         pair_of_lit, pair_var, pair_clause = ev._pairs
         lit_delta = np.where(self.values[ev._var_pos] == ev._polarity, -1, 1)
         pair_delta = np.bincount(pair_of_lit, weights=lit_delta, minlength=len(pair_var))
         before = self.counts[pair_clause]
         change = (before + pair_delta == 0).astype(np.int64) - (before == 0)
         flip = np.bincount(pair_var, weights=change, minlength=len(self.values))
-        out = np.full((positions.size, 2), float(self._violated))
+        out = np.full((positions.size, 2), float(self._value))
         out[np.arange(positions.size), 1 - self.values[positions]] += flip[positions]
         return out
-
-    def commit(self, pos, token):
-        counts = self._edited_counts(pos, token)
-        if np.any(counts < 0):
-            raise StaleTrackerError("negative clause count; tracker out of sync")
-        self.counts = counts
-        self.values[pos] = token
-        self._violated = int((counts == 0).sum())
 
 
 def sat_violation(formula: CnfFormula, values) -> int:
     """Count of unsatisfied clauses under a full assignment."""
     return int(ClauseViolations(formula).violation(values))
-
-
-def sat_delta(formula: CnfFormula, values, pos: int) -> int:
-    """Change in unsatisfied-clause count if position ``pos`` were flipped."""
-    tracker = ClauseTracker(ClauseViolations(formula), values)
-    return int(tracker.peek(pos, 1 - int(np.asarray(values)[pos])) - tracker.value())
 
 
 def satisfying_assignments(formula: CnfFormula) -> np.ndarray:

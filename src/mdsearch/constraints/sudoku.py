@@ -84,7 +84,9 @@ class UnitDuplicates(Constraint):
         self.box = box
         self.side = box * box
         self.units = unit_indices(box)
-        # the 3 units containing each cell, for O(1) edit deltas
+        # offset of each unit's histogram in one flat bincount
+        self._unit_base = np.arange(len(self.units))[:, None] * self.side
+        # the 3 units containing each cell, for per-edit deltas
         self.cell_units = np.empty((self.side * self.side, 3), dtype=np.int64)
         for ui, unit in enumerate(self.units):
             for cell in unit:
@@ -104,58 +106,27 @@ class UnitDuplicates(Constraint):
 class UnitTracker(ViolationTracker):
     """Per-unit digit histograms; an edit touches exactly three units."""
 
-    def __init__(self, evaluator: UnitDuplicates, values: np.ndarray):
-        self.evaluator = evaluator
-        self.values = np.array(values, dtype=np.int64)
-        self._total = int(evaluator.violation(self.values))
-        digits = np.arange(evaluator.side)
-        self.hist = (self.values[evaluator.units][:, :, None] == digits).sum(axis=1)
-
-    def value(self):
-        return self._total
-
-    def _delta(self, pos: int, token: int) -> int:
-        if not 0 <= pos < len(self.values):
-            raise ContractError(f"position {pos} out of range")
-        if not 0 <= token < self.evaluator.side:
-            raise ContractError(f"token {token} outside the digit alphabet")
-        old = self.values[pos]
-        if token == old:
-            return 0
-        delta = 0
-        for ui in self.evaluator.cell_units[pos]:
-            if self.hist[ui, old] >= 2:
-                delta -= 1
-            if self.hist[ui, token] >= 1:
-                delta += 1
-        return delta
-
-    def peek(self, pos, token):
-        return self._total + self._delta(pos, token)
+    def _rebuild(self, values):
+        ev = self.constraint
+        values = token_rows(values[None, :], ev.side, ev.side * ev.side)[0]
+        shape = (len(ev.units), ev.side)
+        flat = (values[ev.units] + ev._unit_base).ravel()
+        self.hist = np.bincount(flat, minlength=shape[0] * shape[1]).reshape(shape)
+        # sum(max(0, hist - 1)), read off as cells minus the digits present
+        return int(flat.size - np.count_nonzero(self.hist))
 
     def peek_block(self, positions, num_tokens):
         """Leaving ``old`` and entering ``token`` over each cell's three units."""
-        if num_tokens != self.evaluator.side:
-            raise ContractError(f"{num_tokens} tokens for {self.evaluator.side} digits")
+        if num_tokens != self.constraint.side:
+            raise ContractError(f"{num_tokens} tokens for {self.constraint.side} digits")
         positions = block_positions(positions, len(self.values))
-        units = self.evaluator.cell_units[positions]
+        units = self.constraint.cell_units[positions]
         old = self.values[positions]
         leave = (self.hist[units, old[:, None]] >= 2).sum(axis=1)
         enter = (self.hist[units] >= 1).sum(axis=1)
-        out = (self._total - leave[:, None] + enter).astype(np.float64)
-        out[np.arange(positions.size), old] = self._total
+        out = (self._value - leave[:, None] + enter).astype(np.float64)
+        out[np.arange(positions.size), old] = self._value
         return out
-
-    def commit(self, pos, token):
-        delta = self._delta(pos, token)
-        old = self.values[pos]
-        if token == old:
-            return
-        for ui in self.evaluator.cell_units[pos]:
-            self.hist[ui, old] -= 1
-            self.hist[ui, token] += 1
-        self.values[pos] = token
-        self._total += delta
 
 
 def sudoku_violation(grid: np.ndarray, box: int | None = None) -> int:
@@ -166,17 +137,6 @@ def sudoku_violation(grid: np.ndarray, box: int | None = None) -> int:
     if np.any(grid < 1):
         raise ContractError("grid must be fully specified (no blanks)")
     return int(UnitDuplicates(box).violation(grid.ravel() - 1))
-
-
-def sudoku_delta(grid: np.ndarray, cell: tuple[int, int], new_digit: int,
-                 box: int | None = None) -> int:
-    """Duplicate-count change from rewriting one cell of a full grid."""
-    grid = np.asarray(grid)
-    if box is None:
-        box = int(round(grid.shape[0] ** 0.5))
-    tracker = UnitTracker(UnitDuplicates(box), grid.ravel() - 1)
-    pos = cell[0] * box * box + cell[1]
-    return int(tracker.peek(pos, new_digit - 1) - tracker.value())
 
 
 def _used_digit_masks(board_tokens: np.ndarray, units) -> np.ndarray:

@@ -27,9 +27,5 @@ class GenerationError(RuntimeError):
     """Instance generator exhausted its rejection budget."""
 
 
-class StaleTrackerError(RuntimeError):
-    """Incremental violation state was driven out of sync with its candidate."""
-
-
 class SampleError(RuntimeError):
     """A reverse-sampling run aborted; the cause carries the failing step."""

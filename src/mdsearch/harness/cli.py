@@ -87,7 +87,7 @@ def _cmd_sample(args) -> int:
     denoiser = build_denoiser(instance, cfg.denoiser, cfg.epsilon)
     final, trace = sample(instance, denoiser, linear_schedule(cfg.steps),
                           search_config(cfg), sample_rng(cfg.seed, 0))
-    print(f"# instance {instance.name} schedule={cfg.schedule} T={cfg.steps}")
+    print(f"# instance {instance.name} T={cfg.steps}")
     for record in trace:
         if record.first_violation is None:
             print(f"t={record.t:3d} committed={record.committed}")

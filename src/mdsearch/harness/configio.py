@@ -32,7 +32,6 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     weights: tuple[float, ...] | None = None
-    schedule: str = "linear"
     allow_unmask_edits: bool = True
     instances: str | None = None
     sat_vars: int = 7
@@ -46,8 +45,6 @@ class RunConfig:
             raise ConfigError(f"task must be one of {TASKS}")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}")
-        if self.schedule != "linear":
-            raise ConfigError("only the linear schedule is supported")
         if self.steps < 1 or self.candidates < 1 or self.rounds < 0:
             raise ConfigError("steps/candidates must be >= 1 and rounds >= 0")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -63,7 +60,7 @@ class RunConfig:
 
 
 _RUN_FIELDS = ("task", "steps", "candidates", "rounds", "placement", "epsilon",
-               "denoiser", "num_samples", "seed", "out", "weights", "schedule",
+               "denoiser", "num_samples", "seed", "out", "weights",
                "allow_unmask_edits", "instances")
 _SECTIONS = {
     "sat": (("vars", "sat_vars"), ("clauses", "sat_clauses")),

@@ -199,6 +199,7 @@ def load_results(path) -> RunResult:
     if header.get("format") != RESULT_FORMAT:
         raise ConfigError(f"{path}: not a result file")
     raw_cfg = header["config"]
+    raw_cfg.pop("schedule", None)  # older headers carry it; it only held "linear"
     if raw_cfg.get("weights") is not None:
         raw_cfg["weights"] = tuple(raw_cfg["weights"])
     cfg = RunConfig(**raw_cfg)

@@ -12,7 +12,7 @@ the plain reverse step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,28 +143,6 @@ def edit_positions(region: EditableRegion, mask_id: int, allow_unmask_edits: boo
         raise ContractError("restricting edits to masked positions needs x_t")
     still_masked = set(masked_positions(x_t, mask_id).tolist())
     return tuple(p for p in region.positions if p in still_masked)
-
-
-def neighborhood(candidate: np.ndarray, vocab: Vocab, region: EditableRegion,
-                 allow_unmask_edits: bool = True,
-                 x_t: np.ndarray | None = None
-                 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Every admissible single-token replacement of ``candidate``.
-
-    Yields ``(pos, token, edited)`` in ascending (pos, token) order,
-    skipping no-ops. With ``allow_unmask_edits`` disabled the editable set
-    shrinks to positions still masked in ``x_t``.
-    """
-    candidate = np.asarray(candidate)
-    if np.any(candidate == vocab.mask_id):
-        raise ContractError("neighborhood requires a fully specified candidate")
-    for pos in edit_positions(region, vocab.mask_id, allow_unmask_edits, x_t):
-        for token in range(vocab.size):
-            if token == candidate[pos]:
-                continue
-            edited = np.array(candidate)
-            edited[pos] = token
-            yield pos, token, edited
 
 
 class RefineResult(NamedTuple):

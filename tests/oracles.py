@@ -61,6 +61,29 @@ def naive_peptide_report(residues: str, min_len=10, max_len=50,
     return (float(nu_len), float(nu_charge), float(nu_hydro))
 
 
+def neighborhood(candidate, vocab, region, allow_unmask_edits=True, x_t=None):
+    """Every admissible single-token replacement of ``candidate``.
+
+    Yields ``(pos, token, edited)`` in ascending (pos, token) order,
+    skipping no-ops. With ``allow_unmask_edits`` disabled the editable set
+    shrinks to positions still masked in ``x_t``. Brute-force reference for
+    the neighborhood that ``refine`` scores through ``peek_block``.
+    """
+    from mdsearch.errors import ContractError
+    from mdsearch.search import edit_positions
+
+    candidate = np.asarray(candidate)
+    if np.any(candidate == vocab.mask_id):
+        raise ContractError("neighborhood requires a fully specified candidate")
+    for pos in edit_positions(region, vocab.mask_id, allow_unmask_edits, x_t):
+        for token in range(vocab.size):
+            if token == candidate[pos]:
+                continue
+            edited = np.array(candidate)
+            edited[pos] = token
+            yield pos, token, edited
+
+
 def enumerate_posterior(support, weights, observed, num_tokens) -> np.ndarray:
     """Brute-force conditional marginals; ``observed`` maps pos -> token."""
     support = np.asarray(support)

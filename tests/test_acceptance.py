@@ -22,7 +22,7 @@ from mdsearch.harness import (
     random_puzzle,
     run_experiment,
 )
-from mdsearch.search import SearchConfig, best_of_pool, neighborhood, proposal_draws, refine
+from mdsearch.search import SearchConfig, best_of_pool, proposal_draws, refine
 from mdsearch.tasks import Instance, peptide_instance, sat_instance, sudoku_instance
 from mdsearch.vocab import EditableRegion, Vocab, masked_positions
 
@@ -30,6 +30,7 @@ from oracles import (
     naive_peptide_report,
     naive_sat_violation,
     naive_sudoku_violation,
+    neighborhood,
     tv_distance,
 )
 
@@ -119,7 +120,7 @@ def test_c03_oracle_equivalence():
         flipped = a.copy()
         flipped[pos] = token
         tracker = ev.tracker(a)
-        assert tracker.peek(pos, token) - tracker.value() == (
+        assert tracker.peek_block([pos], 2)[0, token] - tracker.value() == (
             naive_sat_violation(f.clauses, flipped)
             - naive_sat_violation(f.clauses, a))
 
@@ -135,7 +136,7 @@ def test_c03_oracle_equivalence():
         token = int(rng.integers(0, 4))
         edited = grid.copy()
         edited[pos // 4, pos % 4] = token + 1
-        assert tracker.peek(pos, token) - tracker.value() == (
+        assert tracker.peek_block([pos], 4)[0, token] - tracker.value() == (
             naive_sudoku_violation(edited) - naive_sudoku_violation(grid))
 
     vocab = residue_vocab()

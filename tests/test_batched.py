@@ -1,11 +1,13 @@
 """Batched fast paths against slow oracles.
 
-``violations`` against the naive recounts row by row, ``peek_block``
-against scalar ``peek`` before and after commits, and ``best_of_pool``
+``violations`` against the naive recounts row by row, every ``peek_block``
+entry against the naive recount of its edited candidate before and between
+commits, rejected commits against an unchanged tracker, and ``best_of_pool``
 against a per-draw ``aggregate_violation`` loop.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mdsearch.constraints.base import Constraint, FullRecomputeTracker
@@ -17,6 +19,7 @@ from mdsearch.constraints.peptide import (
 )
 from mdsearch.constraints.sat import ClauseViolations, CnfFormula
 from mdsearch.constraints.sudoku import UnitDuplicates, random_solution
+from mdsearch.errors import ContractError
 from mdsearch.search import best_of_pool, proposal_draws
 
 from oracles import (
@@ -107,14 +110,17 @@ def test_peptide_violations_match_naive_recount(seed, slots, rows):
         assert tuple(nu) == naive_peptide_tokens(row)
 
 
-# --- peek_block against scalar peek -----------------------------------------
+# --- peek_block against the naive recount ----------------------------------
 
-def assert_block_matches_peeks(tracker, positions, num_tokens):
+def assert_block_matches_naive(tracker, work, positions, num_tokens, naive):
+    """Every block entry equals the naive recount of ``work`` with that edit."""
     block = tracker.peek_block(positions, num_tokens)
     assert block.shape == (len(positions), num_tokens)
     for i, pos in enumerate(positions):
         for token in range(num_tokens):
-            assert block[i, token] == tracker.peek(int(pos), token)
+            edited = np.array(work)
+            edited[pos] = token
+            assert block[i, token] == naive(edited)
 
 
 def walk(rng, constraint, values, num_tokens, naive, commits=8):
@@ -123,18 +129,18 @@ def walk(rng, constraint, values, num_tokens, naive, commits=8):
     work = np.array(values)
     for _ in range(commits):
         positions = rng.permutation(len(work))[:int(rng.integers(1, len(work) + 1))]
-        assert_block_matches_peeks(tracker, positions, num_tokens)
+        assert_block_matches_naive(tracker, work, positions, num_tokens, naive)
         pos, token = int(rng.integers(len(work))), int(rng.integers(num_tokens))
         tracker.commit(pos, token)
         work[pos] = token
         assert tracker.value() == naive(work)
-    assert_block_matches_peeks(tracker, np.arange(len(work)), num_tokens)
+    assert_block_matches_naive(tracker, work, np.arange(len(work)), num_tokens, naive)
     return tracker
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=SEEDS, repeats=st.booleans())
-def test_clause_tracker_block_matches_peeks(seed, repeats):
+def test_clause_tracker_block_matches_naive_recount(seed, repeats):
     rng = np.random.default_rng(seed)
     f = random_cnf(rng, int(rng.integers(3, 10)), int(rng.integers(1, 45)), repeats)
     walk(rng, ClauseViolations(f), rng.integers(0, 2, size=f.num_vars), 2,
@@ -143,7 +149,7 @@ def test_clause_tracker_block_matches_peeks(seed, repeats):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=SEEDS, box=st.sampled_from([2, 3]))
-def test_unit_tracker_block_matches_peeks(seed, box):
+def test_unit_tracker_block_matches_naive_recount(seed, box):
     rng = np.random.default_rng(seed)
     side = box * box
     walk(rng, UnitDuplicates(box), noisy_solutions(rng, box, 1)[0], side,
@@ -152,7 +158,7 @@ def test_unit_tracker_block_matches_peeks(seed, box):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=SEEDS)
-def test_prefix_tracker_block_matches_peeks(seed):
+def test_prefix_tracker_block_matches_naive_recount(seed):
     rng = np.random.default_rng(seed)
     values = rng.integers(0, VOCAB.size, size=int(rng.integers(1, 30)))
     for k, c in enumerate(peptide_constraints(PeptideSpec(), VOCAB)):
@@ -161,7 +167,7 @@ def test_prefix_tracker_block_matches_peeks(seed):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=SEEDS)
-def test_full_recompute_block_matches_peeks(seed):
+def test_full_recompute_block_matches_naive_recount(seed):
     rng = np.random.default_rng(seed)
     f = random_cnf(rng, 6, int(rng.integers(1, 30)), repeats=True)
     tracker = walk(rng, BlackBox(ClauseViolations(f)), rng.integers(0, 2, size=6), 2,
@@ -172,6 +178,46 @@ def test_full_recompute_block_matches_peeks(seed):
     charge = peptide_constraints(PeptideSpec(), VOCAB)[1]
     walk(rng, BlackBox(charge), rng.integers(0, VOCAB.size, size=12), VOCAB.size,
          lambda a: naive_peptide_tokens(a)[1])
+
+
+# --- rejected commits --------------------------------------------------------
+
+def tracker_case(kind, rng):
+    """(constraint, candidate, alphabet size, naive recount) of one tracker kind."""
+    f = random_cnf(rng, 6, 20)
+    sat = (ClauseViolations(f), rng.integers(0, 2, size=6), 2,
+           lambda a: naive_sat_violation(f.clauses, a))
+    if kind == "clause":
+        return sat
+    if kind == "full":
+        return (BlackBox(sat[0]),) + sat[1:]
+    if kind == "unit":
+        return (UnitDuplicates(2), noisy_solutions(rng, 2, 1)[0], 4,
+                lambda a: naive_sudoku_tokens(a, 4))
+    charge = peptide_constraints(PeptideSpec(), VOCAB)[1]
+    return (charge, rng.integers(0, VOCAB.size, size=12), VOCAB.size,
+            lambda a: naive_peptide_tokens(a)[1])
+
+
+@pytest.mark.parametrize("kind", ["clause", "unit", "prefix", "full"])
+def test_rejected_commit_leaves_the_tracker_unchanged(kind):
+    rng = np.random.default_rng(7)
+    constraint, values, size, naive = tracker_case(kind, rng)
+    tracker = constraint.tracker(values)
+    assert isinstance(tracker, FullRecomputeTracker) == (kind == "full")
+    everywhere = np.arange(len(values))
+    block, value = tracker.peek_block(everywhere, size), tracker.value()
+    for pos, token in ((-1, 0), (len(values), 0), (0, -1), (0, size), (1, size + 7)):
+        with pytest.raises(ContractError):
+            tracker.commit(pos, token)
+        assert tracker.values.tolist() == values.tolist()
+        assert tracker.value() == value == naive(values)
+        assert np.array_equal(tracker.peek_block(everywhere, size), block)
+    work = np.array(values)
+    work[0] = (work[0] + 1) % size
+    tracker.commit(0, int(work[0]))
+    assert tracker.value() == naive(work)
+    assert_block_matches_naive(tracker, work, everywhere, size, naive)
 
 
 # --- best_of_pool against the per-draw loop ----------------------------------

@@ -52,8 +52,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(denoiser="magic")
     with pytest.raises(ConfigError):
-        RunConfig(schedule="cosine")
-    with pytest.raises(ConfigError):
         RunConfig(seed=-1)
 
 
@@ -158,6 +156,19 @@ def test_results_roundtrip(tmp_path):
                 a.rounds, a.value) == (b.index, b.instance, b.feasible,
                                        b.violations, b.total, b.rounds, b.value)
     assert (tmp_path / "run.summary.csv").exists()
+
+
+def test_results_load_a_header_with_the_linear_schedule(tmp_path):
+    out = tmp_path / "run.jsonl"
+    result = run_experiment(small_config(out=str(out)))
+    header, *records = out.read_text().splitlines()
+    header = json.loads(header)
+    assert "schedule" not in header["config"]
+    header["config"]["schedule"] = "linear"
+    out.write_text("\n".join([json.dumps(header, sort_keys=True), *records]) + "\n")
+    loaded = load_results(out)
+    assert loaded.config == replace(result.config, out=None)
+    assert [r.total for r in loaded.records] == [r.total for r in result.records]
 
 
 def test_result_files_byte_identical(tmp_path):

@@ -29,6 +29,11 @@ def tokens(residues: str, slots: int | None = None) -> np.ndarray:
     return out
 
 
+def naive_report(values) -> tuple:
+    """The naive recount of a token array's logical prefix."""
+    return naive_peptide_report(VOCAB.render(values).split(TERMINATOR, 1)[0])
+
+
 def test_vocab_shape():
     assert VOCAB.size == 21
     assert VOCAB.symbols[-1] == TERMINATOR
@@ -83,7 +88,9 @@ def test_evaluators_reject_tokens_outside_the_alphabet():
         tracker = c.tracker(np.full(12, lysine))
         for pos, token in ((3, -1), (3, VOCAB.size), (-1, lysine), (12, lysine)):
             with pytest.raises(ContractError):
-                tracker.peek(pos, token)
+                tracker.commit(pos, token)
+        with pytest.raises(ContractError):
+            tracker.peek_block([12], VOCAB.size)
 
 
 def test_count_based_properties_are_order_free():
@@ -113,29 +120,31 @@ def test_trackers_match_full_evaluation():
             token = int(rng.integers(VOCAB.size))
             probe = work.copy()
             probe[pos] = token
-            for c, tr in zip(constraints, trackers):
-                assert tr.peek(pos, token) == pytest.approx(c.violation(probe), abs=0)
+            for tr, expected in zip(trackers, naive_report(probe)):
+                assert tr.peek_block([pos], VOCAB.size)[0, token] == expected
             if rng.random() < 0.4:
                 for tr in trackers:
                     tr.commit(pos, token)
                 work[pos] = token
-                for c, tr in zip(constraints, trackers):
-                    assert tr.value() == pytest.approx(c.violation(work), abs=0)
+                for tr, expected in zip(trackers, naive_report(work)):
+                    assert tr.value() == expected
 
 
 def test_tracker_blocks_match_scalar_peeks():
+    """Each block entry equals the naive recount of that one edited peptide."""
     rng = np.random.default_rng(3)
     constraints = peptide_constraints(SPEC, VOCAB)
     for _ in range(10):
         values = rng.integers(0, VOCAB.size, size=20)
         positions = np.arange(20)
-        for c in constraints:
-            tracker = c.tracker(values)
-            block = tracker.peek_block(positions, VOCAB.size)
-            for i in range(20):
-                for token in range(VOCAB.size):
-                    assert block[i, token] == pytest.approx(
-                        tracker.peek(int(i), token), abs=0)
+        blocks = [c.tracker(values).peek_block(positions, VOCAB.size) for c in constraints]
+        for i in range(20):
+            for token in range(VOCAB.size):
+                edited = values.copy()
+                edited[i] = token
+                expected = naive_report(edited)
+                for block, nu in zip(blocks, expected):
+                    assert block[i, token] == nu
 
 
 def test_terminator_edits_change_length_scope():
@@ -147,9 +156,9 @@ def test_terminator_edits_change_length_scope():
     tracker = length.tracker(values)
     assert tracker.value() == 0.0
     # placing an earlier terminator shortens the peptide below the window
-    assert tracker.peek(4, TERM) == 6.0
+    assert tracker.peek_block([4], VOCAB.size)[0, TERM] == 6.0
     # replacing the terminator with a residue extends to the next one (none -> 15)
-    assert tracker.peek(10, VOCAB.index("A")) == 0.0
+    assert tracker.peek_block([10], VOCAB.size)[0, VOCAB.index("A")] == 0.0
 
 
 def test_empty_peptide():

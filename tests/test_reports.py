@@ -58,7 +58,7 @@ def test_full_recompute_tracker_consistency():
     tracker = CountOnes().tracker(values)
     assert isinstance(tracker, FullRecomputeTracker)
     assert tracker.value() == 2.0
-    assert tracker.peek(0, 1) == 3.0
-    assert tracker.value() == 2.0  # peek must not mutate
+    assert tracker.peek_block([0], 2).tolist() == [[2.0, 3.0]]
+    assert tracker.value() == 2.0  # peek_block must not mutate
     tracker.commit(0, 1)
     assert tracker.value() == 3.0

@@ -10,7 +10,6 @@ from mdsearch.constraints.sat import (
     is_satisfiable,
     parse_dimacs,
     render_dimacs,
-    sat_delta,
     sat_violation,
     satisfying_assignments,
 )
@@ -26,6 +25,12 @@ def random_formula(rng, num_vars=7, num_clauses=45):
         signs = rng.integers(0, 2, size=3) * 2 - 1
         clauses.append(tuple(int(v * s) for v, s in zip(chosen, signs)))
     return CnfFormula(num_vars, tuple(clauses))
+
+
+def sat_delta(formula, values, pos):
+    """Change in unsatisfied-clause count from flipping ``pos``, by ``peek_block``."""
+    tracker = ClauseViolations(formula).tracker(values)
+    return tracker.peek_block([pos], 2)[0, 1 - values[pos]] - tracker.value()
 
 
 def test_formula_validation():
@@ -98,7 +103,7 @@ def test_tracker_matches_recomputation():
             token = int(rng.integers(0, 2))
             expected = naive_sat_violation(f.clauses, np.where(
                 np.arange(f.num_vars) == pos, token, work))
-            assert tracker.peek(pos, token) == expected
+            assert tracker.peek_block([pos], 2)[0, token] == expected
             if rng.random() < 0.5:
                 tracker.commit(pos, token)
                 work[pos] = token
@@ -125,9 +130,13 @@ def test_tracker_rejects_bad_input():
         ClauseTracker(evaluator, np.array([0, 2]))
     tracker = evaluator.tracker(np.array([0, 1]))
     with pytest.raises(ContractError):
-        tracker.peek(0, 5)
+        tracker.commit(0, 5)
     with pytest.raises(ContractError):
-        tracker.peek(9, 1)
+        tracker.commit(9, 1)
+    with pytest.raises(ContractError):
+        tracker.peek_block([9], 2)
+    with pytest.raises(ContractError):
+        tracker.peek_block([0], 3)
 
 
 def test_violations_reject_tokens_outside_the_alphabet():
@@ -154,7 +163,6 @@ def test_tracker_counts_repeated_variables_once_per_clause():
             edited = a.copy()
             edited[pos] = token
             expected = naive_sat_violation(f.clauses, edited)
-            assert tracker.peek(pos, token) == expected
             assert block[pos, token] == expected
     tracker.commit(0, 0)
     assert tracker.value() == naive_sat_violation(f.clauses, [0, 0]) == 2

@@ -15,7 +15,6 @@ from mdsearch.harness.runner import build_instance, presets, sample_rng, search_
 from mdsearch.search import (
     SearchConfig,
     best_of_pool,
-    neighborhood,
     proposal_draws,
     refine,
     sample,
@@ -24,7 +23,7 @@ from mdsearch.search import (
 from mdsearch.tasks import Instance, sat_instance, sudoku_instance
 from mdsearch.vocab import EditableRegion, Vocab, masked_positions
 
-from oracles import bernoulli_chain, naive_sat_violation, tv_distance
+from oracles import bernoulli_chain, naive_sat_violation, neighborhood, tv_distance
 
 BIN = Vocab(("0", "1"))
 PAIR_FORMULA = CnfFormula(2, ((1, 2), (-1, 2)))  # feasible iff x2 is true

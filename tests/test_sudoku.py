@@ -11,7 +11,6 @@ from mdsearch.constraints.sudoku import (
     random_solution,
     read_puzzles,
     render_sudoku_line,
-    sudoku_delta,
     sudoku_violation,
     unit_indices,
 )
@@ -76,6 +75,13 @@ def test_violation_transpose_invariant():
         assert sudoku_violation(grid) == sudoku_violation(grid.T)
 
 
+def sudoku_delta(grid, cell, new_digit):
+    """Duplicate-count change from rewriting one cell, by ``peek_block``."""
+    tracker = UnitDuplicates(2).tracker(grid.ravel() - 1)
+    pos = cell[0] * 4 + cell[1]
+    return tracker.peek_block([pos], 4)[0, new_digit - 1] - tracker.value()
+
+
 def test_delta_examples():
     assert sudoku_delta(VALID_4X4, (0, 0), 1) == 0  # rewrite to itself
     assert sudoku_delta(VALID_4X4, (0, 0), 2) > 0   # introduces duplicates
@@ -102,7 +108,7 @@ def test_tracker_matches_recomputation():
             r, c = int(rng.integers(4)), int(rng.integers(4))
             digit = int(rng.integers(1, 5))
             expected = naive_sudoku_violation(_edited(work, r, c, digit))
-            assert tracker.peek(r * 4 + c, digit - 1) == expected
+            assert tracker.peek_block([r * 4 + c], 4)[0, digit - 1] == expected
             if rng.random() < 0.5:
                 tracker.commit(r * 4 + c, digit - 1)
                 work[r, c] = digit
