@@ -21,7 +21,6 @@ from .diffusion import (
     NoiseSchedule,
     ReverseCoeffs,
     first_hitting_steps,
-    forward_corrupt,
     guided_reverse_step,
     linear_schedule,
     reverse_coeffs,
@@ -61,7 +60,6 @@ __all__ = [
     "NoiseSchedule",
     "ReverseCoeffs",
     "first_hitting_steps",
-    "forward_corrupt",
     "guided_reverse_step",
     "linear_schedule",
     "reverse_coeffs",

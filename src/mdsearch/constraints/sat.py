@@ -116,37 +116,58 @@ def sat_violation(formula: CnfFormula, values) -> int:
     return int(ClauseViolations(formula).violation(values))
 
 
-def satisfying_assignments(formula: CnfFormula) -> np.ndarray:
-    """All satisfying assignments as a (K, n) array of 0/1 tokens.
+# Truth tables of variables 0..5 inside one 64-bit word: bit c of word v is
+# bit v of code c.
+_WORD_BITS = 6
+_IN_WORD = np.array([sum(1 << c for c in range(64) if c >> v & 1)
+                     for v in range(_WORD_BITS)], dtype=np.uint64)
 
-    Exhaustive enumeration, capped at ``ENUM_VAR_CAP`` variables; evaluated
-    in chunks to bound memory.
+
+def _satisfying_words(formula: CnfFormula) -> np.ndarray:
+    """Truth table of the formula over all 2^n codes, packed into uint64 words.
+
+    Bit ``c % 64`` of word ``c // 64`` is set when assignment ``c`` (bit ``v``
+    of ``c`` is variable ``v + 1``) satisfies every clause; bits at and above
+    ``2^n`` are clear.
     """
     n = formula.num_vars
     if n > ENUM_VAR_CAP:
         raise ConfigError(f"enumeration capped at {ENUM_VAR_CAP} variables, got {n}")
-    found = []
-    chunk = 1 << 14
-    for start in range(0, 1 << n, chunk):
-        codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        assignments = (codes[:, None] >> np.arange(n)) & 1
-        ok = np.ones(len(codes), dtype=bool)
-        for clause in formula.clauses:
-            clause_sat = np.zeros(len(codes), dtype=bool)
-            for lit in clause:
-                clause_sat |= assignments[:, abs(lit) - 1] == (1 if lit > 0 else 0)
-            ok &= clause_sat
-            if not ok.any():
-                break
-        if ok.any():
-            found.append(assignments[ok])
-    if not found:
-        return np.empty((0, n), dtype=np.int64)
-    return np.concatenate(found, axis=0)
+    word_index = np.arange(1 << max(n - _WORD_BITS, 0), dtype=np.uint64)
+    # variable v >= 6 is constant within a word: negating bit v-6 of the
+    # word index gives an all-ones or all-zeros word
+    tables = [_IN_WORD[v] if v < _WORD_BITS
+              else -((word_index >> np.uint64(v - _WORD_BITS)) & np.uint64(1))
+              for v in range(n)]
+    # below 6 variables the one word is partial: only its low 2^n bits are codes
+    ok = np.full(word_index.shape, np.uint64((1 << min(1 << n, 64)) - 1))
+    for clause in formula.clauses:
+        clause_ok = np.zeros_like(ok)
+        for lit in clause:
+            table = tables[abs(lit) - 1]
+            clause_ok |= table if lit > 0 else ~table
+        ok &= clause_ok
+        if not ok.any():
+            break
+    return ok
+
+
+def satisfying_assignments(formula: CnfFormula) -> np.ndarray:
+    """All satisfying assignments as an int64 (K, n) array of 0/1 tokens.
+
+    Exhaustive enumeration, capped at ``ENUM_VAR_CAP`` variables. The formula
+    is evaluated in one pass, without chunks, over packed truth tables with
+    one bit per code (2^n / 8 bytes per variable); the rows come out in
+    ascending code order, variable 1 being the lowest bit of the code.
+    """
+    words = _satisfying_words(formula)
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    codes = np.flatnonzero(bits)
+    return (codes[:, None] >> np.arange(formula.num_vars, dtype=np.int64)) & 1
 
 
 def is_satisfiable(formula: CnfFormula) -> bool:
-    return satisfying_assignments(formula).shape[0] > 0
+    return bool(_satisfying_words(formula).any())
 
 
 def parse_dimacs(text: str) -> CnfFormula:

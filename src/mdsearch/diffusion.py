@@ -1,4 +1,4 @@
-"""Absorbing noise schedule and the forward/reverse step kernels.
+"""Absorbing noise schedule and the reverse step kernels.
 
 The forward process independently replaces tokens with the mask id; a token
 survives unmasked through step ``t`` with probability ``alpha_t``. Reverse
@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .vocab import EditableRegion, masked_positions
+from .vocab import masked_positions
 
 
 @dataclass(frozen=True)
@@ -87,28 +87,6 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator,
     u = rng.random(shape) * cdf[:, -1]
     idx = (cdf <= u[..., None]).sum(axis=-1)
     return np.minimum(idx, rows.shape[1] - 1).astype(np.int64)
-
-
-def forward_corrupt(values: np.ndarray, t: int, schedule: NoiseSchedule,
-                    region: EditableRegion, rng: np.random.Generator,
-                    mask_id: int) -> np.ndarray:
-    """Corrupt a clean sequence to its step-``t`` marginal.
-
-    Each editable token is kept with probability ``alpha_t``, otherwise
-    replaced by the mask id. Frozen positions are never touched. This is a
-    test/diagnostic utility, not part of the sampling loop.
-    """
-    values = np.asarray(values)
-    if not 0 <= t <= schedule.steps:
-        raise ContractError(f"step {t} outside schedule range 0..{schedule.steps}")
-    editable = np.array(region.positions, dtype=np.int64)
-    if editable.size and np.any(values[editable] == mask_id):
-        raise ContractError("input must be fully specified on the editable region")
-    out = np.array(values, dtype=np.int64)
-    if editable.size:
-        survive = rng.random(editable.size) < schedule.alpha(t)
-        out[editable[~survive]] = mask_id
-    return out
 
 
 def first_hitting_steps(schedule: NoiseSchedule, count: int,

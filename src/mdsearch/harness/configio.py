@@ -128,6 +128,8 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     values = {}
     if parser.has_section("run"):
         for key, raw in parser.items("run"):
+            if key == "schedule" and raw.strip() == "linear":
+                continue  # older files carry it; it only ever held "linear"
             if key not in _RUN_FIELDS:
                 raise ConfigError(f"unknown key {key!r} in [run]")
             values[key] = _coerce(key, raw)

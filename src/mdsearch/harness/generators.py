@@ -15,9 +15,10 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
     """Uniform random 3-CNF with distinct variables per clause.
 
     With ``require_satisfiable`` the draw is rejection-sampled against an
-    exhaustive satisfiability check (hence the variable cap); at 45 clauses
-    over 7 variables most draws are unsatisfiable, so expect several
-    rejections per instance.
+    exhaustive satisfiability check over packed truth tables (hence the
+    variable cap), which costs a few milliseconds per draw even at the cap;
+    at 45 clauses over 7 variables most draws are unsatisfiable, so expect
+    several rejections per instance.
     """
     if num_vars < 3:
         raise ConfigError("3-CNF needs at least 3 variables")

@@ -61,6 +61,28 @@ def naive_peptide_report(residues: str, min_len=10, max_len=50,
     return (float(nu_len), float(nu_charge), float(nu_hydro))
 
 
+def forward_corrupt(values, t, schedule, region, rng, mask_id) -> np.ndarray:
+    """Corrupt a clean sequence to its step-``t`` marginal.
+
+    Each editable token is kept with probability ``alpha_t``, otherwise
+    replaced by the mask id. Frozen positions are never touched. Reference
+    for the forward process the reverse kernels invert.
+    """
+    from mdsearch.errors import ContractError
+
+    values = np.asarray(values)
+    if not 0 <= t <= schedule.steps:
+        raise ContractError(f"step {t} outside schedule range 0..{schedule.steps}")
+    editable = np.array(region.positions, dtype=np.int64)
+    if editable.size and np.any(values[editable] == mask_id):
+        raise ContractError("input must be fully specified on the editable region")
+    out = np.array(values, dtype=np.int64)
+    if editable.size:
+        survive = rng.random(editable.size) < schedule.alpha(t)
+        out[editable[~survive]] = mask_id
+    return out
+
+
 def neighborhood(candidate, vocab, region, allow_unmask_edits=True, x_t=None):
     """Every admissible single-token replacement of ``candidate``.
 
@@ -82,6 +104,39 @@ def neighborhood(candidate, vocab, region, allow_unmask_edits=True, x_t=None):
             edited = np.array(candidate)
             edited[pos] = token
             yield pos, token, edited
+
+
+def satisfying_assignments_by_chunks(formula) -> np.ndarray:
+    """All satisfying assignments as a (K, n) array of 0/1 tokens.
+
+    Exhaustive enumeration, capped at ``ENUM_VAR_CAP`` variables; evaluated
+    in chunks to bound memory. Reference for the packed-word enumeration in
+    ``sat.satisfying_assignments``.
+    """
+    from mdsearch.constraints.sat import ENUM_VAR_CAP
+    from mdsearch.errors import ConfigError
+
+    n = formula.num_vars
+    if n > ENUM_VAR_CAP:
+        raise ConfigError(f"enumeration capped at {ENUM_VAR_CAP} variables, got {n}")
+    found = []
+    chunk = 1 << 14
+    for start in range(0, 1 << n, chunk):
+        codes = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
+        assignments = (codes[:, None] >> np.arange(n)) & 1
+        ok = np.ones(len(codes), dtype=bool)
+        for clause in formula.clauses:
+            clause_sat = np.zeros(len(codes), dtype=bool)
+            for lit in clause:
+                clause_sat |= assignments[:, abs(lit) - 1] == (1 if lit > 0 else 0)
+            ok &= clause_sat
+            if not ok.any():
+                break
+        if ok.any():
+            found.append(assignments[ok])
+    if not found:
+        return np.empty((0, n), dtype=np.int64)
+    return np.concatenate(found, axis=0)
 
 
 def enumerate_posterior(support, weights, observed, num_tokens) -> np.ndarray:

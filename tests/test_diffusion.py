@@ -4,7 +4,6 @@ import pytest
 from mdsearch.diffusion import (
     NoiseSchedule,
     first_hitting_steps,
-    forward_corrupt,
     guided_reverse_step,
     linear_schedule,
     reverse_coeffs,
@@ -13,6 +12,8 @@ from mdsearch.diffusion import (
 )
 from mdsearch.errors import ConfigError, ContractError
 from mdsearch.vocab import EditableRegion, Vocab, masked_positions
+
+from oracles import forward_corrupt
 
 AB = Vocab(("A", "B"))
 

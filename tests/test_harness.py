@@ -73,6 +73,14 @@ def test_config_file_parsing_and_overlay(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
+def test_config_accepts_the_linear_schedule_key():
+    cfg = small_config(weights=(1.0, 2.0))
+    old = render_config(cfg).replace("[run]\n", "[run]\nschedule = linear\n")
+    assert parse_config(old) == cfg
+    with pytest.raises(ConfigError):
+        parse_config("[run]\nschedule = cosine\n")
+
+
 def test_random_formula_properties():
     rng = np.random.default_rng(0)
     f = random_formula(7, 45, rng)

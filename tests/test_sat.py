@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdsearch.constraints.sat import (
+    ENUM_VAR_CAP,
     ClauseTracker,
     ClauseViolations,
     CnfFormula,
@@ -14,8 +15,9 @@ from mdsearch.constraints.sat import (
     satisfying_assignments,
 )
 from mdsearch.errors import ConfigError, ContractError, ParseError
+from mdsearch.harness import generators
 
-from oracles import naive_sat_violation
+from oracles import naive_sat_violation, satisfying_assignments_by_chunks
 
 
 def random_formula(rng, num_vars=7, num_clauses=45):
@@ -177,6 +179,48 @@ def test_satisfying_assignments_enumeration():
     assert not is_satisfiable(contradiction)
     with pytest.raises(ConfigError):
         satisfying_assignments(CnfFormula(21, ((1, 2, 3),)))
+    with pytest.raises(ConfigError):
+        is_satisfiable(CnfFormula(21, ((1, 2, 3),)))
+
+
+@st.composite
+def cnf_formulas(draw):
+    """Formulas over 1-12 variables whose clauses may repeat a variable or
+    hold both of its literals; many unit clauses make some unsatisfiable."""
+    n = draw(st.integers(1, 12))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4).map(tuple),
+                            min_size=1, max_size=3 * n + 4))
+    return CnfFormula(n, tuple(clauses))
+
+
+def assert_enumeration_matches_oracle(formula):
+    expected = satisfying_assignments_by_chunks(formula)
+    got = satisfying_assignments(formula)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert is_satisfiable(formula) == (expected.shape[0] > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnf_formulas())
+@example(CnfFormula(1, ((1,),)))                      # one code in a partial word
+@example(CnfFormula(3, ((1, -1), (2, 2, -3))))        # tautology, repeated variable
+@example(CnfFormula(5, ((1, 2, 3, 4, 5),)))           # partial word, 31 of 32 codes
+@example(CnfFormula(6, ((-6,), (1, -1))))             # exactly one word
+@example(CnfFormula(7, ((7,), (-7, 1))))              # first word-index variable
+@example(CnfFormula(12, ((12, 1), (-12, -1))))        # highest word-index bit
+@example(CnfFormula(4, ((2,), (-2, 3), (-3,))))       # unsatisfiable by propagation
+@example(CnfFormula(8, ((8,), (-8,))))                # unsatisfiable over many words
+def test_satisfying_assignments_match_the_chunked_oracle(formula):
+    assert_enumeration_matches_oracle(formula)
+
+
+def test_satisfying_assignments_match_the_chunked_oracle_at_the_cap():
+    formula = generators.random_formula(20, 70, np.random.default_rng(11))
+    assert formula.num_vars == ENUM_VAR_CAP
+    assert_enumeration_matches_oracle(formula)
 
 
 def test_dimacs_roundtrip():
