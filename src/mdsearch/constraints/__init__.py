@@ -9,8 +9,6 @@ from .base import (
 from .peptide import (
     PeptideSpec,
     peptide_constraints,
-    peptide_violation,
-    read_peptides,
     residue_vocab,
 )
 from .sat import (
@@ -20,8 +18,8 @@ from .sat import (
     is_satisfiable,
     load_dimacs,
     parse_dimacs,
+    random_formula,
     render_dimacs,
-    sat_violation,
     satisfying_assignments,
 )
 from .sudoku import (
@@ -34,7 +32,6 @@ from .sudoku import (
     random_solution,
     read_puzzles,
     render_sudoku_line,
-    sudoku_violation,
 )
 
 __all__ = [
@@ -44,8 +41,6 @@ __all__ = [
     "ViolationTracker",
     "PeptideSpec",
     "peptide_constraints",
-    "peptide_violation",
-    "read_peptides",
     "residue_vocab",
     "ClauseViolations",
     "CnfFormula",
@@ -53,8 +48,8 @@ __all__ = [
     "is_satisfiable",
     "load_dimacs",
     "parse_dimacs",
+    "random_formula",
     "render_dimacs",
-    "sat_violation",
     "satisfying_assignments",
     "SudokuBoard",
     "UnitDuplicates",
@@ -65,5 +60,4 @@ __all__ = [
     "random_solution",
     "read_puzzles",
     "render_sudoku_line",
-    "sudoku_violation",
 ]

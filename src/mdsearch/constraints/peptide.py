@@ -15,13 +15,7 @@ import numpy as np
 
 from ..errors import ContractError
 from ..vocab import Vocab
-from .base import (
-    Constraint,
-    ViolationReport,
-    ViolationTracker,
-    block_positions,
-    token_rows,
-)
+from .base import Constraint, ViolationTracker, block_positions, token_rows
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 TERMINATOR = "-"
@@ -177,27 +171,3 @@ def peptide_constraints(spec: PeptideSpec, vocab: Vocab):
     """The three evaluators in report order: length, charge, hydrophobicity."""
     return (LengthWindow(spec, vocab), ChargeWindow(spec, vocab),
             HydrophobicFraction(spec, vocab))
-
-
-def peptide_violation(seq, spec: PeptideSpec | None = None,
-                      vocab: Vocab | None = None) -> ViolationReport:
-    """Three-component report for a peptide given as a string or token array."""
-    spec = spec or PeptideSpec()
-    vocab = vocab or residue_vocab()
-    if isinstance(seq, str):
-        values = vocab.parse(seq + TERMINATOR)
-    else:
-        values = np.asarray(seq)
-    nu = tuple(c.violation(values) for c in peptide_constraints(spec, vocab))
-    return ViolationReport(nu, (1.0, 1.0, 1.0))
-
-
-def read_peptides(path) -> list[str]:
-    """Single-letter residue strings, one per line; ``#`` comments."""
-    out = []
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                out.append(line)
-    return out

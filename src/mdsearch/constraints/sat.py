@@ -11,11 +11,12 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, ContractError, ParseError
+from ..errors import ConfigError, ContractError, GenerationError, ParseError
 from ..vocab import Vocab
 from .base import Constraint, ViolationTracker, block_positions, token_rows
 
 ENUM_VAR_CAP = 20
+REJECTION_CAP = 1000
 
 
 def assignment_vocab() -> Vocab:
@@ -111,11 +112,6 @@ class ClauseTracker(ViolationTracker):
         return out
 
 
-def sat_violation(formula: CnfFormula, values) -> int:
-    """Count of unsatisfied clauses under a full assignment."""
-    return int(ClauseViolations(formula).violation(values))
-
-
 # Truth tables of variables 0..5 inside one 64-bit word: bit c of word v is
 # bit v of code c.
 _WORD_BITS = 6
@@ -168,6 +164,35 @@ def satisfying_assignments(formula: CnfFormula) -> np.ndarray:
 
 def is_satisfiable(formula: CnfFormula) -> bool:
     return bool(_satisfying_words(formula).any())
+
+
+def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
+                   require_satisfiable: bool = True) -> CnfFormula:
+    """Uniform random 3-CNF with distinct variables per clause.
+
+    With ``require_satisfiable`` the draw is rejection-sampled against an
+    exhaustive satisfiability check over packed truth tables (hence the
+    variable cap), which costs a few milliseconds per draw even at the cap;
+    at 45 clauses over 7 variables most draws are unsatisfiable, so expect
+    several rejections per instance.
+    """
+    if num_vars < 3:
+        raise ConfigError("3-CNF needs at least 3 variables")
+    if require_satisfiable and num_vars > ENUM_VAR_CAP:
+        raise ConfigError(
+            f"satisfiability check supports at most {ENUM_VAR_CAP} variables")
+    for _ in range(REJECTION_CAP):
+        clauses = []
+        for _ in range(num_clauses):
+            chosen = rng.choice(num_vars, size=3, replace=False) + 1
+            signs = rng.integers(0, 2, size=3) * 2 - 1
+            clauses.append(tuple(int(v * s) for v, s in zip(chosen, signs)))
+        formula = CnfFormula(num_vars, tuple(clauses))
+        if not require_satisfiable or is_satisfiable(formula):
+            return formula
+    raise GenerationError(
+        f"no satisfiable formula after {REJECTION_CAP} draws "
+        f"(clause/variable ratio {num_clauses / num_vars:.1f})")
 
 
 def parse_dimacs(text: str) -> CnfFormula:

@@ -129,16 +129,6 @@ class UnitTracker(ViolationTracker):
         return out
 
 
-def sudoku_violation(grid: np.ndarray, box: int | None = None) -> int:
-    """Duplicate count of a fully specified digit grid."""
-    grid = np.asarray(grid)
-    if box is None:
-        box = int(round(grid.shape[0] ** 0.5))
-    if np.any(grid < 1):
-        raise ContractError("grid must be fully specified (no blanks)")
-    return int(UnitDuplicates(box).violation(grid.ravel() - 1))
-
-
 def _used_digit_masks(board_tokens: np.ndarray, units) -> np.ndarray:
     unit_used = np.zeros(len(units), dtype=np.int64)
     for ui, unit in enumerate(units):

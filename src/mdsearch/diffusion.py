@@ -4,7 +4,9 @@ The forward process independently replaces tokens with the mask id; a token
 survives unmasked through step ``t`` with probability ``alpha_t``. Reverse
 steps unmask: a masked position either keeps its mask (weight ``stay_prob``)
 or commits a clean token (weight ``commit_prob``), with the two weights
-summing to one at every step.
+summing to one at every step. The sampler draws each position's unmask step
+once from these weights (:func:`first_hitting_steps`); the kernels only
+commit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .vocab import masked_positions
 
 
 @dataclass(frozen=True)
@@ -112,26 +113,18 @@ def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarr
     return out
 
 
-def guided_reverse_step(x_t: np.ndarray, refined: np.ndarray, t: int,
-                        schedule: NoiseSchedule, rng: np.random.Generator,
+def guided_reverse_step(refined: np.ndarray, remaining: np.ndarray,
                         mask_id: int) -> np.ndarray:
     """Reverse transition committing toward a search-refined candidate.
 
-    Positions already unmasked in ``x_t`` are set to the refined candidate's
-    value deterministically (search may have revised them). Masked positions
-    unmask to the refined value with probability ``commit_prob`` and keep
-    the mask otherwise.
+    Every position takes the refined candidate's value (search may have
+    revised unmasked ones) except ``remaining``, the positions whose unmask
+    step from :func:`first_hitting_steps` is still to come, which keep the
+    mask. Draws no random numbers.
     """
-    x_t = np.asarray(x_t)
     refined = np.asarray(refined)
-    if refined.shape != x_t.shape:
-        raise ContractError("refined candidate and latent state differ in length")
     if np.any(refined == mask_id):
         raise ContractError("refined candidate must be fully specified")
-    coeffs = reverse_coeffs(t, schedule)
     out = np.array(refined, dtype=np.int64)
-    masked = masked_positions(x_t, mask_id)
-    if masked.size:
-        stay = masked[rng.random(masked.size) >= coeffs.commit_prob]
-        out[stay] = mask_id
+    out[remaining] = mask_id
     return out

@@ -1,8 +1,8 @@
-"""Experiment harness: config files, generators, runner, CLI."""
+"""Experiment harness: config files, runner, CLI."""
 
+from ..constraints.sat import random_formula
 from ..constraints.sudoku import random_puzzle
 from .configio import RunConfig, load_config, parse_config, render_config
-from .generators import random_formula
 from .runner import (
     RunResult,
     SampleRecord,

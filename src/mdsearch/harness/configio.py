@@ -100,20 +100,19 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _coerce(name: str, raw: str):
     raw = raw.strip()
-    if name in ("steps", "candidates", "rounds", "num_samples", "seed",
-                "sat_vars", "sat_clauses", "sudoku_box", "sudoku_blanks",
-                "peptide_slots"):
+    kind = _FIELD_TYPES[name]
+    if kind == "int":
         return int(raw)
-    if name == "epsilon":
+    if kind == "float":
         return float(raw)
-    if name == "allow_unmask_edits":
+    if kind == "bool":
         lowered = raw.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"bad boolean {raw!r} for {name}")
-    if name == "weights":
+    if kind.startswith("tuple[float"):
         return tuple(float(x) for x in raw.split(","))
     return raw
 

@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from ..constraints import sat, sudoku
+from ..constraints.sat import random_formula
 from ..constraints.sudoku import random_puzzle
 from ..errors import ConfigError
 from ..diffusion import linear_schedule
 from ..search import SearchConfig, aggregate_violation, sample
 from ..tasks import Instance, build_denoiser, peptide_instance, sat_instance, sudoku_instance
 from .configio import RunConfig
-from .generators import random_formula
 
 RESULT_FORMAT = "mdsearch-results"
 _GEN_DOMAIN = 101

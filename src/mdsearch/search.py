@@ -253,26 +253,24 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
            collect_masks: bool = False) -> tuple[np.ndarray, SampleTrace]:
     """Run the full reverse chain and return the clean sequence plus trace.
 
-    Steps where the placement activates search run the search operator
-    and commit through the guided kernel. Elsewhere each masked position
-    unmasks at a step drawn up front (:func:`first_hitting_steps`; under
-    ``last_step`` those drawn for t=1 go to search), and the denoiser is
-    queried only at steps where a position unmasks: the rows of other
-    steps go unused, even from a ``t``-dependent model. Rows are checked
-    once per call. The final step always commits every remaining masked
-    position, so the result has no masks.
+    Each masked position unmasks at a step drawn up front
+    (:func:`first_hitting_steps`), whatever the placement. Steps where the
+    placement activates search run the search operator and commit through
+    the guided kernel, which keeps masked only the positions whose step is
+    still to come; search never reads the drawn steps. Elsewhere the
+    denoiser is queried only at steps where a position unmasks: the rows of
+    other steps go unused, even from a ``t``-dependent model. Rows are
+    checked once per call. The final step always commits every remaining
+    masked position, so the result has no masks.
     """
     if denoiser.vocab.size != instance.vocab.size:
         raise ConfigError("denoiser and instance disagree on the alphabet")
     if config.weights is not None:
         resolve_weights(config.weights, instance.constraints)
     vocab = instance.vocab
-    x = fully_masked(instance.length, instance.region, vocab.mask_id,
-                     instance.frozen_values)
+    x = fully_masked(instance.region, vocab.mask_id, instance.frozen_values)
     masked = masked_positions(x, vocab.mask_id)
-    # all_steps searches at every step; drawing nothing keeps its stream as it was
-    hits = first_hitting_steps(
-        schedule, masked.size if config.placement != "all_steps" else 0, rng)
+    hits = first_hitting_steps(schedule, masked.size, rng)
     order = masked[np.argsort(-hits, kind="stable")]
     counts = np.bincount(hits, minlength=schedule.steps + 1).tolist()
     done = 0
@@ -285,18 +283,16 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
             if active or committed:
                 rows = check_rows(denoiser.denoise(x, t), x, vocab)
             if active:
-                masked_before = masked_positions(x, vocab.mask_id).size
                 outcome = search_step(rows, x, config, instance, rng)
-                x = guided_reverse_step(x, outcome.candidate, t, schedule, rng,
+                x = guided_reverse_step(outcome.candidate, order[done + committed:],
                                         vocab.mask_id)
                 first, pool = outcome.first_total, outcome.pool_total
                 refined, rounds = outcome.report.total, outcome.rounds
-                committed = masked_before - masked_positions(x, vocab.mask_id).size
             elif committed:
                 x = vanilla_reverse_step(x, rows, order[done:done + committed], rng)
-                done += committed
         except Exception as exc:
             raise SampleError(f"{instance.name}: step t={t} failed: {exc}") from exc
+        done += committed
         masks = (tuple(int(p) for p in masked_positions(x, vocab.mask_id))
                  if collect_masks else None)
         records.append(StepRecord(t, first, pool, refined, rounds, committed, masks))

@@ -46,16 +46,13 @@ class Vocab:
         except ValueError:
             raise KeyError(f"unknown symbol {symbol!r}") from None
 
-    def is_token(self, value: int) -> bool:
-        return 0 <= value < len(self.symbols)
-
     def render(self, values: np.ndarray) -> str:
         """Sequence as a symbol string, masked positions shown as ``?``."""
         out = []
         for v in np.asarray(values):
             if v == self.mask_id:
                 out.append(MASK_CHAR)
-            elif self.is_token(v):
+            elif 0 <= v < self.size:
                 out.append(self.symbols[v])
             else:
                 raise ContractError(f"value {v} outside alphabet of size {self.size}")
@@ -104,11 +101,10 @@ class EditableRegion:
         return tuple(p for p in range(self.length) if p not in self.editable)
 
 
-def fully_masked(length: int, region: EditableRegion, mask_id: int,
+def fully_masked(region: EditableRegion, mask_id: int,
                  frozen_values: np.ndarray | None = None) -> np.ndarray:
     """Initial latent state: mask everywhere editable, frozen values elsewhere."""
-    if region.length != length:
-        raise ConfigError(f"region length {region.length} != sequence length {length}")
+    length = region.length
     out = np.full(length, mask_id, dtype=np.int64)
     if region.frozen:
         if frozen_values is None:

@@ -222,3 +222,36 @@ def bernoulli_chain(denoiser, alphas, values, mask_id, rng):
                 x[p] = rng.choice(rows.shape[1], p=rows[p])
         counts.append(len(chosen))
     return x, tuple(counts)
+
+
+def guided_chain(instance, denoiser, schedule, config, rng):
+    """The search-every-step chain run one step at a time with a per-step coin.
+
+    At step t search refines the denoiser's proposal; each position still
+    masked then commits to the refined value with probability
+    ``reverse_coeffs(t).commit_prob`` and keeps the mask otherwise, while
+    unmasked positions adopt the refined value. The instance has no frozen
+    positions, so the chain starts fully masked. Returns the final sequence
+    and the commit counts of steps T..1. Reference for ``sample`` under
+    ``all_steps``, which reads the unmask steps from one up-front draw.
+    """
+    from mdsearch.denoise import check_rows
+    from mdsearch.diffusion import reverse_coeffs
+    from mdsearch.search import search_step
+
+    mask_id = instance.vocab.mask_id
+    x = np.full(instance.length, mask_id, dtype=np.int64)
+    counts = []
+    for t in range(schedule.steps, 0, -1):
+        rows = check_rows(denoiser.denoise(x, t), x, instance.vocab)
+        refined = search_step(rows, x, config, instance, rng).candidate
+        commit = reverse_coeffs(t, schedule).commit_prob
+        chosen = 0
+        for p in range(instance.length):
+            if x[p] == mask_id:
+                if rng.random() >= commit:
+                    continue
+                chosen += 1
+            x[p] = refined[p]
+        counts.append(chosen)
+    return x, tuple(counts)

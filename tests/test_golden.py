@@ -9,8 +9,21 @@ which a rerun-determinism check (c10) cannot catch.
 search. They were recomputed when those steps moved from a per-step
 Bernoulli commit to the first-hitting chain, which draws every position's
 unmask step up front: the two have the same distribution but draw from the
-generator in a different order. ``sat``, ``sudoku``, ``peptide`` and
-``sudoku9`` search at every step and did not change.
+generator in a different order.
+
+``sat``, ``sudoku``, ``peptide`` and ``sudoku9`` search at every step. They
+were recomputed, once and at the same seed, when the guided commit moved
+from a per-step coin per masked position to the same up-front draw of
+unmask steps (same distribution, different generator order):
+
+- sat: 7262fe70... -> 2b0b6691...
+- sudoku: 6422ffa1... -> e8d635a2...
+- peptide: 34f57e02... -> 03332582...
+- sudoku9: 8bba3913... -> 676da335...
+
+The three placements without search every step stayed byte-identical: under
+``last_step`` the coin at t=1 was the last draw of a sample and always
+committed.
 """
 
 import hashlib
@@ -37,10 +50,10 @@ CONFIGS = {
 }
 
 DIGESTS = {
-    "sat": "7262fe703a3f8e78c987d7c99a4d04d071c0f701ff6555ffc73236d886e0f270",
-    "sudoku": "6422ffa1e121f4ae6497fcd103a179ef1db54ed7d7308609694bf868119309c4",
-    "peptide": "34f57e023a353ec6464a275ef7d07684e91dd369588f5b0e2718af78f471e89e",
-    "sudoku9": "8bba39136f1572abaf59468a838461d1d7e4e8749821834f737ce92ef6cb1d3b",
+    "sat": "2b0b66911f669e168496ca8d685a680e2f71f21a7bd885198be1ac257dfb17bb",
+    "sudoku": "e8d635a281221fe374969d4bf0b9ceeb1e86b15943264f639128bb139fd57ea4",
+    "peptide": "03332582c8e4ec0f5bf89c4df0d8cc46ddfed13369ad3ef689e8b86266ad3556",
+    "sudoku9": "676da33527f462ffedee454e5acc636187c353d527b5253cccabcfb40545c459",
     "sat-last-step": "4bc031db62d5d4ee3be10ffd0b621dd9a6daf8b2b24aa0435d18f30616205c08",
     "sat-off": "7061bdf57d85a256b2ed01272945290a87f1b41c601e7f989b482561b46b3d47",
     "sudoku-off": "0a58a136a9834c0dc792f166f813ba2e8df3fa7b23c0b2e8649a507e45169286",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mdsearch.constraints.sat import is_satisfiable
-from mdsearch.constraints.sudoku import sudoku_violation
+from mdsearch.constraints.sudoku import UnitDuplicates
 from mdsearch.errors import ConfigError, GenerationError
 from mdsearch.harness import (
     RunConfig,
@@ -113,7 +113,7 @@ def test_random_formula_rejection_cap():
 def test_random_puzzle_generator():
     rng = np.random.default_rng(3)
     solved = random_puzzle(2, 0, rng)
-    assert sudoku_violation(solved.grid) == 0
+    assert UnitDuplicates(2).violation(solved.grid.ravel() - 1) == 0
     puzzle = random_puzzle(2, 8, rng)
     assert (puzzle.grid == 0).sum() == 8
     dist = exact_distribution(

@@ -7,17 +7,22 @@ from mdsearch.constraints.peptide import (
     logical_length,
     peptide_constraints,
     peptide_string,
-    peptide_violation,
-    read_peptides,
     residue_vocab,
 )
 from mdsearch.errors import ContractError
+from mdsearch.search import aggregate_violation
 
 from oracles import naive_peptide_report
 
 VOCAB = residue_vocab()
 SPEC = PeptideSpec()
 TERM = VOCAB.index(TERMINATOR)
+
+
+def peptide_report(residues: str):
+    """Three-component report of a residue string under the default spec."""
+    return aggregate_violation(VOCAB.parse(residues + TERMINATOR),
+                               peptide_constraints(SPEC, VOCAB))
 
 
 def tokens(residues: str, slots: int | None = None) -> np.ndarray:
@@ -47,18 +52,18 @@ def test_logical_length_and_rendering():
 
 
 def test_feasible_example():
-    report = peptide_violation("KKLLLAAAWW")
+    report = peptide_report("KKLLLAAAWW")
     assert report.values == (0.0, 0.0, 0.0)
     assert report.feasible
 
 
 def test_charge_hinge_example():
-    report = peptide_violation("G" * 10)
+    report = peptide_report("G" * 10)
     assert report.values[1] == 2.0  # charge 0, window starts at +2
 
 
 def test_length_hinge_example():
-    report = peptide_violation("KKLLLAAAW")  # nine residues
+    report = peptide_report("KKLLLAAAW")  # nine residues
     assert report.values[0] == 1.0
 
 
@@ -68,7 +73,7 @@ def test_reports_match_naive_oracle():
     for _ in range(500):
         n = int(rng.integers(0, 60))
         residues = "".join(rng.choice(letters, size=n))
-        report = peptide_violation(residues)
+        report = peptide_report(residues)
         assert report.values == naive_peptide_report(residues)
 
 
@@ -96,16 +101,16 @@ def test_evaluators_reject_tokens_outside_the_alphabet():
 def test_count_based_properties_are_order_free():
     rng = np.random.default_rng(1)
     residues = list("KKDDLLAAWWGGHH")
-    base = peptide_violation("".join(residues))
+    base = peptide_report("".join(residues))
     for _ in range(20):
         rng.shuffle(residues)
-        report = peptide_violation("".join(residues))
+        report = peptide_report("".join(residues))
         assert report.values[1:] == base.values[1:]
 
 
 def test_unknown_residue_rejected():
     with pytest.raises(ContractError):
-        peptide_violation("KKLLZ")
+        peptide_report("KKLLZ")
 
 
 def test_trackers_match_full_evaluation():
@@ -162,12 +167,6 @@ def test_terminator_edits_change_length_scope():
 
 
 def test_empty_peptide():
-    report = peptide_violation("")
+    report = peptide_report("")
     assert report.values[0] == 10.0
     assert report.values[2] == pytest.approx(0.30)
-
-
-def test_read_peptides(tmp_path):
-    path = tmp_path / "peps.txt"
-    path.write_text("# set\nKKLLLAAAWW\n\nGGG\n", encoding="utf-8")
-    assert read_peptides(path) == ["KKLLLAAAWW", "GGG"]

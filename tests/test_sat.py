@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mdsearch.constraints import sat
 from mdsearch.constraints.sat import (
     ENUM_VAR_CAP,
     ClauseTracker,
@@ -11,11 +12,9 @@ from mdsearch.constraints.sat import (
     is_satisfiable,
     parse_dimacs,
     render_dimacs,
-    sat_violation,
     satisfying_assignments,
 )
 from mdsearch.errors import ConfigError, ContractError, ParseError
-from mdsearch.harness import generators
 
 from oracles import naive_sat_violation, satisfying_assignments_by_chunks
 
@@ -49,14 +48,14 @@ def test_formula_validation():
 
 
 def test_sat_violation_examples():
-    f = CnfFormula(3, ((1, 2, 3),))
-    assert sat_violation(f, np.array([0, 0, 0])) == 1
-    assert sat_violation(f, np.array([1, 0, 0])) == 0
-    g = CnfFormula(2, ((1, 2), (-1, 2)))
-    assert sat_violation(g, np.array([0, 1])) == 0
-    assert sat_violation(g, np.array([0, 0])) == 1
+    f = ClauseViolations(CnfFormula(3, ((1, 2, 3),)))
+    assert f.violation(np.array([0, 0, 0])) == 1
+    assert f.violation(np.array([1, 0, 0])) == 0
+    g = ClauseViolations(CnfFormula(2, ((1, 2), (-1, 2))))
+    assert g.violation(np.array([0, 1])) == 0
+    assert g.violation(np.array([0, 0])) == 1
     with pytest.raises(ContractError):
-        sat_violation(g, np.array([0, 1, 1]))
+        g.violation(np.array([0, 1, 1]))
 
 
 def test_sat_violation_matches_naive_oracle():
@@ -75,9 +74,10 @@ def test_sat_violation_invariant_under_reordering():
     rng.shuffle(shuffled_clauses)
     shuffled_clauses = [tuple(int(x) for x in rng.permutation(c)) for c in shuffled_clauses]
     g = CnfFormula(6, tuple(shuffled_clauses))
+    ev_f, ev_g = ClauseViolations(f), ClauseViolations(g)
     for _ in range(200):
         a = rng.integers(0, 2, size=6)
-        assert sat_violation(f, a) == sat_violation(g, a)
+        assert ev_f.violation(a) == ev_g.violation(a)
 
 
 def test_sat_delta_examples():
@@ -218,7 +218,7 @@ def test_satisfying_assignments_match_the_chunked_oracle(formula):
 
 
 def test_satisfying_assignments_match_the_chunked_oracle_at_the_cap():
-    formula = generators.random_formula(20, 70, np.random.default_rng(11))
+    formula = sat.random_formula(20, 70, np.random.default_rng(11))
     assert formula.num_vars == ENUM_VAR_CAP
     assert_enumeration_matches_oracle(formula)
 

@@ -23,7 +23,8 @@ from mdsearch.search import (
 from mdsearch.tasks import Instance, sat_instance, sudoku_instance
 from mdsearch.vocab import EditableRegion, Vocab, masked_positions
 
-from oracles import bernoulli_chain, naive_sat_violation, neighborhood, tv_distance
+from oracles import (bernoulli_chain, guided_chain, naive_sat_violation, neighborhood,
+                     tv_distance)
 
 BIN = Vocab(("0", "1"))
 PAIR_FORMULA = CnfFormula(2, ((1, 2), (-1, 2)))  # feasible iff x2 is true
@@ -379,18 +380,26 @@ def test_denoiser_queried_only_where_needed(placement):
             assert den.steps == list(range(cfg.steps, 0, -1))
 
 
+# Even-parity support on 3 bits, and the exact law of the per-step commit
+# counts (a, b, c) at T=3, where each position unmasks at a step uniform on
+# {3, 2, 1}: 3! / (a! b! c!) of the 27 step patterns.
+PARITY = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.int64)
+UNIFORM_STEP_PATTERNS = {
+    (a, b, 3 - a - b): 6 / (math.factorial(a) * math.factorial(b)
+                            * math.factorial(3 - a - b)) / 27
+    for a in range(4) for b in range(4 - a)}
+
+
 def test_sample_off_matches_the_bernoulli_chain():
     # Even-parity support on 3 bits at T=3: each position unmasks at a step
     # uniform on {3, 2, 1}, so simultaneous commits are common. The sample
     # leaves the support with probability 1/2 when all three commit
     # together, or when one commits and the other two then commit together
     # (12 of 27 step patterns): 6/27 overall.
-    vocab = Vocab(("A", "B"))
-    support = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    den = ExactPosteriorDenoiser(DataDistribution(support), vocab)
-    instance = Instance("parity", vocab, EditableRegion.all_editable(3), ())
+    den = ExactPosteriorDenoiser(DataDistribution(PARITY), BIN)
+    instance = Instance("parity", BIN, EditableRegion.all_editable(3), ())
     sched = m.linear_schedule(3)
-    in_support = {row.tobytes() for row in support.astype(np.int64)}
+    in_support = {row.tobytes() for row in PARITY}
     n = 8000
     runs = {"sample": [], "oracle": []}
     for i in range(n):
@@ -398,20 +407,51 @@ def test_sample_off_matches_the_bernoulli_chain():
                               np.random.default_rng(np.random.SeedSequence([3, i])))
         runs["sample"].append((final, tuple(r.committed for r in trace)))
         runs["oracle"].append(bernoulli_chain(
-            den, sched.alphas, np.full(3, vocab.mask_id), vocab.mask_id,
+            den, sched.alphas, np.full(3, BIN.mask_id), BIN.mask_id,
             np.random.default_rng(np.random.SeedSequence([4, i]))))
-    exact = {(a, b, 3 - a - b): 6 / (math.factorial(a) * math.factorial(b)
-                                     * math.factorial(3 - a - b)) / 27
-             for a in range(4) for b in range(4 - a)}
     patterns, outside = {}, {}
     for name, results in runs.items():
         patterns[name] = Counter(counts for _, counts in results)
         outside[name] = sum(x.tobytes() not in in_support for x, _ in results) / n
-        assert tv_distance(patterns[name], exact, n) < 0.03
+        assert tv_distance(patterns[name], UNIFORM_STEP_PATTERNS, n) < 0.03
         assert abs(outside[name] - 6 / 27) < 0.025
     assert tv_distance(patterns["sample"], {k: v / n for k, v in
                                             patterns["oracle"].items()}, n) < 0.04
     assert abs(outside["sample"] - outside["oracle"]) < 0.03
+
+
+def test_sample_all_steps_matches_the_guided_chain():
+    # Search at every step on the even-parity support of 3 bits, T=3, under
+    # the clause (x1 or x2 or x3): a pool of two and no refinement rounds,
+    # so search skews which tokens commit. The commit pattern must still
+    # follow the exact law of independent uniform unmask steps in the state,
+    # not only in the trace, and the outputs must match the step-by-step
+    # chain with a per-step coin.
+    den = ExactPosteriorDenoiser(DataDistribution(PARITY), BIN)
+    clause = ClauseViolations(CnfFormula(3, ((1, 2, 3),)))
+    instance = Instance("parity", BIN, EditableRegion.all_editable(3), (clause,))
+    sched = m.linear_schedule(3)
+    cfg = SearchConfig(placement="all_steps", candidates=2, max_rounds=0)
+    n = 8000
+    runs = {"sample": [], "oracle": []}
+    for i in range(n):
+        final, trace = sample(instance, den, sched, cfg,
+                              np.random.default_rng(np.random.SeedSequence([5, i])),
+                              collect_masks=True)
+        masked = [3] + [len(r.masked_after) for r in trace]
+        counts = tuple(a - b for a, b in zip(masked, masked[1:]))
+        assert counts == tuple(r.committed for r in trace)
+        runs["sample"].append((final, counts))
+        runs["oracle"].append(guided_chain(
+            instance, den, sched, cfg,
+            np.random.default_rng(np.random.SeedSequence([6, i]))))
+    outputs = {}
+    for name, results in runs.items():
+        assert tv_distance(Counter(counts for _, counts in results),
+                           UNIFORM_STEP_PATTERNS, n) < 0.03
+        outputs[name] = Counter(x.tobytes() for x, _ in results)
+    assert tv_distance(outputs["sample"], {k: v / n for k, v in
+                                           outputs["oracle"].items()}, n) < 0.04
 
 
 def test_sample_trace_invariant_refined_at_most_pool():

@@ -11,7 +11,6 @@ from mdsearch.constraints.sudoku import (
     random_solution,
     read_puzzles,
     render_sudoku_line,
-    sudoku_violation,
     unit_indices,
 )
 from mdsearch.errors import ConfigError, ContractError, ParseError
@@ -32,12 +31,13 @@ def test_unit_structure():
 
 
 def test_violation_examples():
-    assert sudoku_violation(VALID_4X4) == 0
+    evaluator = UnitDuplicates(2)
+    assert evaluator.violation(VALID_4X4.ravel() - 1) == 0
     grid = VALID_4X4.copy()
     grid[0] = [1, 1, 2, 3]  # duplicate 1 in the first row
-    assert sudoku_violation(grid) == naive_sudoku_violation(grid)
-    with pytest.raises(ContractError):
-        sudoku_violation(np.zeros((4, 4), dtype=int))
+    assert evaluator.violation(grid.ravel() - 1) == naive_sudoku_violation(grid)
+    with pytest.raises(ContractError):  # a blank is no digit
+        evaluator.violation(np.zeros((4, 4), dtype=int).ravel() - 1)
     with pytest.raises(ContractError):
         UnitDuplicates(2).violation(np.full(16, 9))
 
@@ -70,9 +70,10 @@ def test_violations_reject_tokens_outside_the_alphabet():
 
 def test_violation_transpose_invariant():
     rng = np.random.default_rng(1)
+    evaluator = UnitDuplicates(2)
     for _ in range(100):
         grid = rng.integers(1, 5, size=(4, 4))
-        assert sudoku_violation(grid) == sudoku_violation(grid.T)
+        assert evaluator.violation(grid.ravel() - 1) == evaluator.violation(grid.T.ravel() - 1)
 
 
 def sudoku_delta(grid, cell, new_digit):
@@ -149,7 +150,7 @@ def test_completions_and_generator():
     rng = np.random.default_rng(3)
     # blanks=0: the puzzle is its own unique completion and is valid
     full = random_puzzle(2, 0, rng)
-    assert sudoku_violation(full.grid) == 0
+    assert UnitDuplicates(2).violation(full.grid.ravel() - 1) == 0
     assert len(completions(full)) == 1
 
     puzzle = random_puzzle(2, 8, rng)
@@ -165,7 +166,7 @@ def test_completions_and_generator():
 
 def test_random_solution_is_valid_9x9():
     grid = random_solution(3, np.random.default_rng(4))
-    assert sudoku_violation(grid) == 0
+    assert UnitDuplicates(3).violation(grid.ravel() - 1) == 0
 
 
 def test_completion_cap():

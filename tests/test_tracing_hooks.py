@@ -1,6 +1,7 @@
 """The benchmark's tracer must still find the sampler's layers.
 
-``perfbench/tracing.py`` wraps functions by name on ``mdsearch.search``.
+``perfbench/tracing.py`` wraps functions by name on ``mdsearch.search`` and
+``mdsearch.harness.runner``.
 If one of them is renamed or bypassed, the traced run records no span for
 that layer; this test makes that a tier-1 failure instead of a silent gap
 in ``perfbench/run.py --trace 1``.
@@ -14,6 +15,7 @@ import pytest
 
 import mdsearch as m
 from mdsearch.constraints.sat import CnfFormula
+from mdsearch.harness.runner import build_instance, presets
 from mdsearch.search import SearchConfig, sample
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -30,3 +32,13 @@ def test_traced_sample_records_step_and_row_check_spans(placement):
         sample(instance, denoiser, m.linear_schedule(4), cfg, np.random.default_rng(0))
     recorded = {tracer.names[i] for i in tracer.arrays()["name"]}
     assert {"diffusion.step", "denoise.check_rows"} <= recorded
+
+
+def test_traced_sat_instance_build_records_a_generation_span():
+    # the tracer wraps runner.random_formula; generating through any other
+    # binding would leave harness.gen_s empty
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        build_instance(presets()["sat"], 0)
+    recorded = {tracer.names[i] for i in tracer.arrays()["name"]}
+    assert "harness.gen" in recorded

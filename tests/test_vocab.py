@@ -17,7 +17,10 @@ def test_vocab_basics():
     assert AB.size == 4
     assert AB.mask_id == 4
     assert AB.index("C") == 2
-    assert AB.is_token(3) and not AB.is_token(4)
+    assert AB.render(np.array([3, 4])) == "D?"
+    for value in (-1, 5):
+        with pytest.raises(ContractError):
+            AB.render(np.array([value]))
     with pytest.raises(KeyError):
         AB.index("Z")
 
@@ -54,34 +57,32 @@ def test_region_helpers():
 
 def test_fully_masked_all_editable():
     region = EditableRegion.all_editable(3)
-    out = fully_masked(3, region, AB.mask_id)
+    out = fully_masked(region, AB.mask_id)
     assert np.array_equal(out, [4, 4, 4])
 
 
 def test_fully_masked_with_frozen():
     region = EditableRegion.with_frozen(3, {0})
     frozen = np.array([0, 0, 0])
-    out = fully_masked(3, region, AB.mask_id, frozen)
+    out = fully_masked(region, AB.mask_id, frozen)
     assert np.array_equal(out, [0, 4, 4])
 
 
 def test_fully_masked_sat_shape():
     # assignment bits all editable; the formula lives outside the sequence
     region = EditableRegion.all_editable(7)
-    out = fully_masked(7, region, BIN.mask_id)
+    out = fully_masked(region, BIN.mask_id)
     assert np.array_equal(out, np.full(7, 2))
 
 
 def test_fully_masked_errors():
     region = EditableRegion.with_frozen(3, {0})
     with pytest.raises(ConfigError):
-        fully_masked(4, region, AB.mask_id)
+        fully_masked(region, AB.mask_id)  # missing frozen values
     with pytest.raises(ConfigError):
-        fully_masked(3, region, AB.mask_id)  # missing frozen values
+        fully_masked(region, AB.mask_id, np.array([0, 0]))
     with pytest.raises(ConfigError):
-        fully_masked(3, region, AB.mask_id, np.array([0, 0]))
-    with pytest.raises(ConfigError):
-        fully_masked(3, region, AB.mask_id, np.array([AB.mask_id, 0, 0]))
+        fully_masked(region, AB.mask_id, np.array([AB.mask_id, 0, 0]))
 
 
 def test_masked_positions():
@@ -93,6 +94,6 @@ def test_masked_positions():
 
 def test_fully_masked_reports_editable_set():
     region = EditableRegion.with_frozen(5, {1, 4})
-    out = fully_masked(5, region, AB.mask_id, np.array([0, 1, 0, 0, 2]))
+    out = fully_masked(region, AB.mask_id, np.array([0, 1, 0, 0, 2]))
     assert tuple(masked_positions(out, AB.mask_id)) == region.positions
 
