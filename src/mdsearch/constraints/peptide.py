@@ -122,8 +122,6 @@ class _PrefixTracker(ViolationTracker):
         new_first[:, term_id] = np.minimum(self.first, positions)
         at_first = positions == self.first
         new_first[at_first] = np.where(tokens == term_id, self.first, self.second)
-        noop = old[:, None] == tokens[None, :]
-        new_first[noop] = self.first
         counts = self.cum[new_first]
         inside = positions[:, None] < new_first
         counts = counts + inside * (weights[tokens][None, :] - weights[old][:, None])

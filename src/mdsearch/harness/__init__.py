@@ -2,7 +2,7 @@
 
 from ..constraints.sat import random_formula
 from ..constraints.sudoku import random_puzzle
-from .configio import RunConfig, load_config, parse_config, render_config
+from .configio import RunConfig, load_config, parse_config
 from .runner import (
     RunResult,
     SampleRecord,
@@ -24,7 +24,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "parse_config",
-    "render_config",
     "random_formula",
     "random_puzzle",
     "RunResult",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from ..diffusion import linear_schedule
@@ -30,21 +30,31 @@ from .runner import (
     write_summary_csv,
 )
 
-_SEARCH_NAMES = {"off": "off", "last": "last_step", "all": "all_steps",
-                 "last_step": "last_step", "all_steps": "all_steps"}
+_SEARCH_NAMES = {"last": "last_step", "all": "all_steps"}
+
+
+def _search_name(text: str) -> str:
+    return _SEARCH_NAMES.get(text, text)  # RunConfig rejects unknown names
+
+
+def _comma_list(convert):
+    """argparse type: ``1,4`` gives ``[convert("1"), convert("4")]``."""
+    def listed(text):
+        return [convert(item) for item in text.split(",")]
+    listed.__name__ = f"{convert.__name__} list"  # named in argparse's errors
+    return listed
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, lists: bool = False):
-    split = (lambda s: s.split(",")) if lists else (lambda s: s)
+    kind = _comma_list if lists else (lambda convert: convert)
     parser.add_argument("--task", choices=("sat", "sudoku", "peptide"))
-    parser.add_argument("--steps", type=split if lists else int,
-                        help="denoising steps T")
-    parser.add_argument("--css", type=split if lists else int, dest="candidates",
+    parser.add_argument("--steps", type=kind(int), help="denoising steps T")
+    parser.add_argument("--css", type=kind(int), dest="candidates",
                         help="proposal pool size per step")
     parser.add_argument("--rounds", type=int, help="refinement round cap")
-    parser.add_argument("--search", type=split if lists else str,
+    parser.add_argument("--search", type=kind(_search_name), dest="placement",
                         help="off|last|all")
-    parser.add_argument("--eps", type=split if lists else float, dest="epsilon",
+    parser.add_argument("--eps", type=kind(float), dest="epsilon",
                         help="denoiser corruption weight")
     parser.add_argument("--denoiser", help="exact|noisy|uniform|table:PATH")
     parser.add_argument("--n-samples", type=int, dest="num_samples")
@@ -54,28 +64,13 @@ def _add_run_flags(parser: argparse.ArgumentParser, lists: bool = False):
     parser.add_argument("--config", help="config file; flags override it")
 
 
-def _placement(name: str) -> str:
-    try:
-        return _SEARCH_NAMES[name]
-    except KeyError:
-        raise ConfigError(f"unknown search placement {name!r}") from None
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace, skip=()) -> RunConfig:
+    """The task preset, then the config file, then every flag that was given."""
     base = presets()[args.task] if args.task else RunConfig()
     if args.config:
         base = load_config(args.config, base)
-    overrides = {}
-    for flag, attr in (("task", "task"), ("steps", "steps"),
-                       ("candidates", "candidates"), ("rounds", "rounds"),
-                       ("epsilon", "epsilon"), ("denoiser", "denoiser"),
-                       ("num_samples", "num_samples"), ("seed", "seed"),
-                       ("out", "out"), ("instances", "instances")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[attr] = value
-    if getattr(args, "search", None) is not None:
-        overrides["placement"] = _placement(args.search)
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if f.name not in skip and getattr(args, f.name, None) is not None}
     return replace(base, **overrides)
 
 
@@ -114,17 +109,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _merge_config(argparse.Namespace(
-        task=args.task, steps=None, candidates=None, rounds=args.rounds,
-        epsilon=None, denoiser=args.denoiser, num_samples=args.num_samples,
-        seed=args.seed, out=None, instances=args.instances,
-        config=args.config, search=None))
-    placements = [_placement(p) for p in args.search] if args.search else None
-    counts = [int(x) for x in args.candidates] if args.candidates else None
-    steps = [int(x) for x in args.steps] if args.steps else None
-    epsilons = [float(x) for x in args.epsilon] if args.epsilon else None
-    results = ablate(cfg, placements=placements, candidate_counts=counts,
-                     step_counts=steps, epsilons=epsilons, out_dir=args.out)
+    # the swept axes are lists and --out names a directory: ablate takes them
+    cfg = _merge_config(args, skip=("steps", "candidates", "placement", "epsilon",
+                                    "out"))
+    results = ablate(cfg, placements=args.placement, candidate_counts=args.candidates,
+                     step_counts=args.steps, epsilons=args.epsilon, out_dir=args.out)
     text = render_summary_csv(results)
     sys.stdout.write(text)
     if args.out:

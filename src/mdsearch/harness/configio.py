@@ -1,8 +1,10 @@
 """Run configuration: the dataclass plus its ``key = value`` file format.
 
 The file format uses ``[section]`` headers; ``[run]`` holds the common
-fields and each task contributes its own small section. ``parse_config``
-inverts ``render_config`` exactly.
+fields and each task contributes its own small section, whose keys are
+the task's fields without their prefix (``sat_vars`` is ``vars`` in
+``[sat]``). ``_coerce`` is the only parser of a value, and building a
+``RunConfig`` is the only check of one.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import configparser
 from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigError
-from ..search import PLACEMENTS
+from ..search import SearchConfig
 
 DENOISER_CHOICES = ("exact", "noisy", "uniform")
 TASKS = ("sat", "sudoku", "peptide")
@@ -43,10 +45,8 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}")
-        if self.placement not in PLACEMENTS:
-            raise ConfigError(f"placement must be one of {PLACEMENTS}")
-        if self.steps < 1 or self.candidates < 1 or self.rounds < 0:
-            raise ConfigError("steps/candidates must be >= 1 and rounds >= 0")
+        if self.steps < 1:
+            raise ConfigError("steps must be >= 1")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must lie in [0, 1]")
         if self.num_samples < 0:
@@ -57,63 +57,43 @@ class RunConfig:
                 or self.denoiser.startswith("table:")):
             raise ConfigError(
                 f"denoiser must be one of {DENOISER_CHOICES} or table:PATH")
+        search_config(self)  # checks the search fields
 
 
-_RUN_FIELDS = ("task", "steps", "candidates", "rounds", "placement", "epsilon",
-               "denoiser", "num_samples", "seed", "out", "weights",
-               "allow_unmask_edits", "instances")
-_SECTIONS = {
-    "sat": (("vars", "sat_vars"), ("clauses", "sat_clauses")),
-    "sudoku": (("box", "sudoku_box"), ("blanks", "sudoku_blanks")),
-    "peptide": (("slots", "peptide_slots"),),
-}
+def search_config(cfg: RunConfig) -> SearchConfig:
+    return SearchConfig(candidates=cfg.candidates, max_rounds=cfg.rounds,
+                        placement=cfg.placement,
+                        allow_unmask_edits=cfg.allow_unmask_edits,
+                        weights=cfg.weights)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _file_key(name: str) -> tuple[str, str]:
+    """(section, key) of a field in the file format."""
+    section, _, key = name.partition("_")
+    return (section, key) if section in TASKS else ("run", name)
 
 
-def render_config(cfg: RunConfig) -> str:
-    """Serialize to the config file format; unset optionals are omitted."""
-    lines = ["[run]"]
-    for name in _RUN_FIELDS:
-        value = getattr(cfg, name)
-        if value is None:
-            continue
-        lines.append(f"{name} = {_format_value(value)}")
-    for section, mapping in _SECTIONS.items():
-        lines.append("")
-        lines.append(f"[{section}]")
-        for key, attr in mapping:
-            lines.append(f"{key} = {_format_value(getattr(cfg, attr))}")
-    return "\n".join(lines) + "\n"
+_FILE_FIELDS = {_file_key(f.name): f for f in fields(RunConfig)}
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _coerce(name: str, raw: str):
+def _coerce(field, raw: str):
     raw = raw.strip()
-    kind = _FIELD_TYPES[name]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
+    try:
+        if field.type == "int":
+            return int(raw)
+        if field.type == "float":
+            return float(raw)
+        if field.type.startswith("tuple[float"):
+            return tuple(float(x) for x in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"bad value {raw!r} for {field.name}") from None
+    if field.type == "bool":
         lowered = raw.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"bad boolean {raw!r} for {name}")
-    if kind.startswith("tuple[float"):
-        return tuple(float(x) for x in raw.split(","))
+        raise ConfigError(f"bad boolean {raw!r} for {field.name}")
     return raw
 
 
@@ -124,27 +104,19 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config file: {exc}") from None
-    values = {}
-    if parser.has_section("run"):
-        for key, raw in parser.items("run"):
-            if key == "schedule" and raw.strip() == "linear":
-                continue  # older files carry it; it only ever held "linear"
-            if key not in _RUN_FIELDS:
-                raise ConfigError(f"unknown key {key!r} in [run]")
-            values[key] = _coerce(key, raw)
-    for section, mapping in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
-        known = dict(mapping)
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-            values[known[key]] = _coerce(known[key], raw)
-    unknown = set(parser.sections()) - {"run"} - set(_SECTIONS)
+    unknown = set(parser.sections()) - {"run", *TASKS}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    cfg = base or RunConfig()
-    return replace(cfg, **values)
+    values = {}
+    for section in parser.sections():
+        for key, raw in parser.items(section):
+            if (section, key) == ("run", "schedule") and raw.strip() == "linear":
+                continue  # older files carry it; it only ever held "linear"
+            field = _FILE_FIELDS.get((section, key))
+            if field is None:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            values[field.name] = _coerce(field, raw)
+    return replace(base or RunConfig(), **values)
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

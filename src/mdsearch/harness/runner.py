@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, replace
@@ -22,11 +23,11 @@ import numpy as np
 from ..constraints import sat, sudoku
 from ..constraints.sat import random_formula
 from ..constraints.sudoku import random_puzzle
-from ..errors import ConfigError
+from ..errors import ConfigError, ContractError
 from ..diffusion import linear_schedule
-from ..search import SearchConfig, aggregate_violation, sample
+from ..search import aggregate_violation, resolve_weights, sample
 from ..tasks import Instance, build_denoiser, peptide_instance, sat_instance, sudoku_instance
-from .configio import RunConfig
+from .configio import RunConfig, search_config
 
 RESULT_FORMAT = "mdsearch-results"
 _GEN_DOMAIN = 101
@@ -111,23 +112,22 @@ class RunResult:
     wall_time: float
 
 
-def search_config(cfg: RunConfig) -> SearchConfig:
-    return SearchConfig(candidates=cfg.candidates, max_rounds=cfg.rounds,
-                        placement=cfg.placement,
-                        allow_unmask_edits=cfg.allow_unmask_edits,
-                        weights=cfg.weights)
-
-
 def run_experiment(cfg: RunConfig) -> RunResult:
     """Run every sample of a config; write result files when ``out`` is set.
 
-    Per-sample errors are recorded (with zeroed metrics) rather than
-    aborting the whole run.
+    Weights that do not match the task's constraints fail the run before
+    its first sample; other per-sample errors are recorded (with zeroed
+    metrics) rather than aborting the whole run.
     """
     schedule = linear_schedule(cfg.steps)
     scfg = search_config(cfg)
     instances = load_instances(cfg) if cfg.instances else [
         build_instance(cfg, i) for i in range(cfg.num_samples)]
+    if instances:
+        try:
+            resolve_weights(cfg.weights, instances[0].constraints)
+        except ContractError as exc:
+            raise ConfigError(f"weights: {exc}") from None
     names: tuple[str, ...] = ()
     records = []
     run_start = time.perf_counter()
@@ -195,23 +195,19 @@ def load_results(path) -> RunResult:
         lines = [line for line in handle.read().splitlines() if line.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty result file")
-    header = json.loads(lines[0])
-    if header.get("format") != RESULT_FORMAT:
+    try:
+        header, *rows = [json.loads(line) for line in lines]
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != RESULT_FORMAT:
         raise ConfigError(f"{path}: not a result file")
     raw_cfg = header["config"]
     raw_cfg.pop("schedule", None)  # older headers carry it; it only held "linear"
     if raw_cfg.get("weights") is not None:
         raw_cfg["weights"] = tuple(raw_cfg["weights"])
-    cfg = RunConfig(**raw_cfg)
-    records = []
-    for line in lines[1:]:
-        data = json.loads(line)
-        records.append(SampleRecord(
-            index=data["index"], instance=data["instance"],
-            feasible=data["feasible"], violations=tuple(data["violations"]),
-            total=data["total"], rounds=data["rounds"], value=data["value"],
-            error=data.get("error")))
-    return RunResult(cfg, tuple(header["constraints"]), tuple(records), 0.0)
+    records = tuple(SampleRecord(**{**row, "violations": tuple(row["violations"])})
+                    for row in rows)
+    return RunResult(RunConfig(**raw_cfg), tuple(header["constraints"]), records, 0.0)
 
 
 def summarize_records(result: RunResult) -> dict:
@@ -283,21 +279,18 @@ def paired_feasibility(a: RunResult, b: RunResult) -> np.ndarray:
 
 def ablate(base: RunConfig, placements=None, candidate_counts=None,
            step_counts=None, epsilons=None, out_dir=None) -> list[RunResult]:
-    """Sweep the requested axes as a cross product of paired runs."""
-    placements = list(placements or [base.placement])
-    candidate_counts = list(candidate_counts or [base.candidates])
-    step_counts = list(step_counts or [base.steps])
-    epsilons = list(epsilons or [base.epsilon])
-    results = []
-    for placement in placements:
-        for count in candidate_counts:
-            for steps in step_counts:
-                for eps in epsilons:
-                    arm = replace(base, placement=placement, candidates=count,
-                                  steps=steps, epsilon=eps, out=None)
-                    if out_dir is not None:
-                        stem = (f"{base.task}-{placement}-M{count}-T{steps}-"
-                                f"eps{eps}").replace(".", "p")
-                        arm = replace(arm, out=str(Path(out_dir) / f"{stem}.jsonl"))
-                    results.append(run_experiment(arm))
-    return results
+    """Sweep the requested axes as a cross product of paired runs.
+
+    Every arm is built, and so checked, before the first one runs.
+    """
+    arms = []
+    for placement, count, steps, eps in itertools.product(
+            placements or [base.placement], candidate_counts or [base.candidates],
+            step_counts or [base.steps], epsilons or [base.epsilon]):
+        out = None
+        if out_dir is not None:
+            stem = f"{base.task}-{placement}-M{count}-T{steps}-eps{eps}"
+            out = str(Path(out_dir) / f"{stem.replace('.', 'p')}.jsonl")
+        arms.append(replace(base, placement=placement, candidates=count,
+                            steps=steps, epsilon=eps, out=out))
+    return [run_experiment(arm) for arm in arms]

@@ -116,3 +116,53 @@ def test_sample_with_dimacs_instance(tmp_path, capsys):
                    "uniform")
     assert code == 0
     assert "one" in capsys.readouterr().out
+
+
+# --- a bad setting stops the run before its first sample -------------------
+
+@pytest.mark.parametrize("line", ["steps = abc", "weights = 1.0,x"])
+def test_malformed_config_value_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\n{line}\n", encoding="utf-8")
+    out = tmp_path / "bench.jsonl"
+    code = run_cli("bench", "--task", "sat", "--n-samples", "2",
+                   "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+
+
+def test_ablate_malformed_list_item_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as err:
+        run_cli("ablate", "--task", "sat", "--css", "1,x", "--n-samples", "2",
+                "--out", str(out_dir))
+    assert err.value.code == 2
+    assert list(out_dir.glob("*")) == []
+
+
+def test_ablate_checks_every_arm_before_the_first_runs(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    code = run_cli("ablate", "--task", "sat", "--steps", "4", "--css", "4",
+                   "--rounds", "2", "--eps", "0.1,2", "--n-samples", "2",
+                   "--out", str(out_dir))
+    assert code == 2
+    assert list(out_dir.glob("*")) == []
+
+
+def test_weight_arity_fails_the_run_not_each_sample(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nweights = 1.0,2.0\n", encoding="utf-8")
+    out = tmp_path / "bench.jsonl"
+    code = run_cli("bench", "--task", "sat", "--steps", "4", "--css", "4",
+                   "--rounds", "2", "--n-samples", "3", "--config", str(cfg),
+                   "--out", str(out))
+    assert code == 2
+    assert "weights" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summarize_non_json_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "notes.jsonl"
+    path.write_text("{oops\n", encoding="utf-8")
+    assert run_cli("summarize", str(path)) == 2
+    assert "not a result file" in capsys.readouterr().err

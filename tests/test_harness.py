@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from mdsearch.harness import (
     presets,
     random_formula,
     random_puzzle,
-    render_config,
     render_summary_csv,
     run_experiment,
     summarize_records,
@@ -35,11 +36,48 @@ def small_config(**overrides):
 
 
 def test_config_roundtrip():
-    for cfg in (RunConfig(),
-                small_config(out="x.jsonl", weights=(1.0, 2.5)),
-                presets()["peptide"],
-                small_config(instances="dir", allow_unmask_edits=False)):
-        assert parse_config(render_config(cfg)) == cfg
+    text = """
+[run]
+task = sudoku
+steps = 5
+candidates = 8
+rounds = 0
+placement = last_step
+epsilon = 0.25
+denoiser = table:rows.tsv
+num_samples = 3
+seed = 11
+out = runs/x.jsonl
+weights = 1.0, 2.5,0.5
+allow_unmask_edits = off
+instances = boards.txt
+
+[sudoku]
+box = 3
+blanks = 12
+
+[sat]
+vars = 5
+clauses = 9
+
+[peptide]
+slots = 20
+"""
+    assert parse_config(text) == RunConfig(
+        task="sudoku", steps=5, candidates=8, rounds=0, placement="last_step",
+        epsilon=0.25, denoiser="table:rows.tsv", num_samples=3, seed=11,
+        out="runs/x.jsonl", weights=(1.0, 2.5, 0.5), allow_unmask_edits=False,
+        instances="boards.txt", sat_vars=5, sat_clauses=9, sudoku_box=3,
+        sudoku_blanks=12, peptide_slots=20)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    example = re.search(r"```\n(\[run\]\n.*?)```", readme, re.S).group(1)
+    assert parse_config(example) == RunConfig(
+        task="sat", steps=20, candidates=32, placement="all_steps",
+        sat_vars=7, sat_clauses=45)
 
 
 def test_config_validation():
@@ -53,6 +91,11 @@ def test_config_validation():
         RunConfig(denoiser="magic")
     with pytest.raises(ConfigError):
         RunConfig(seed=-1)
+    with pytest.raises(ConfigError):
+        RunConfig(weights=(-1.0,))
+    for bad in ({"steps": 0}, {"candidates": 0}, {"rounds": -1}):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
 
 
 def test_config_file_parsing_and_overlay(tmp_path):
@@ -74,9 +117,8 @@ def test_config_file_parsing_and_overlay(tmp_path):
 
 
 def test_config_accepts_the_linear_schedule_key():
-    cfg = small_config(weights=(1.0, 2.0))
-    old = render_config(cfg).replace("[run]\n", "[run]\nschedule = linear\n")
-    assert parse_config(old) == cfg
+    text = "[run]\nschedule = linear\nsteps = 4\nweights = 1.0,2.0\n"
+    assert parse_config(text) == RunConfig(steps=4, weights=(1.0, 2.0))
     with pytest.raises(ConfigError):
         parse_config("[run]\nschedule = cosine\n")
 

@@ -4,10 +4,12 @@
 ``mdsearch.harness.runner``.
 If one of them is renamed or bypassed, the traced run records no span for
 that layer; this test makes that a tier-1 failure instead of a silent gap
-in ``perfbench/run.py --trace 1``.
+in ``perfbench/run.py --trace 1``. The benchmark's workloads call the
+harness the same way, so their first jobs run here too.
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,9 @@ from mdsearch.harness.runner import build_instance, presets
 from mdsearch.search import SearchConfig, sample
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("placement", ["off", "last_step", "all_steps"])
@@ -42,3 +46,14 @@ def test_traced_sat_instance_build_records_a_generation_span():
         build_instance(presets()["sat"], 0)
     recorded = {tracer.names[i] for i in tracer.arrays()["name"]}
     assert "harness.gen" in recorded
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_workload_entry_points_still_run(name):
+    workload = workloads.WORKLOADS[name](seed=7, seconds=1)
+    workload = replace(workload, jobs=workload.jobs[:3])
+    streams = workloads.set_up(workload)
+    outcomes = workloads.run_pass(workload, streams)
+    assert [o.error for o in outcomes] == [None] * len(workload.jobs)
+    assert checks.check_outcomes(workload, streams, outcomes) == []
+    assert checks.check_parity(workload, streams, outcomes, 1) == []
