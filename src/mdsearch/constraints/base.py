@@ -7,9 +7,10 @@ A black-box constraint may define only ``violation``; the default
 ``violations`` then loops over the rows.
 
 Refinement reaches a constraint through its tracker, a cache of the current
-candidate rebuilt from the full candidate on every commit. The tracker
-scores the whole single-edit neighborhood at once with
-:meth:`ViolationTracker.peek_block`; there is no other edit path.
+candidate validated when the tracker is built and rebuilt on every commit,
+which checks only the new position and token. The tracker scores the whole
+single-edit neighborhood at once with :meth:`ViolationTracker.peek_block`;
+there is no other edit path.
 """
 
 from __future__ import annotations
@@ -54,16 +55,22 @@ class ViolationTracker:
     :meth:`_rebuild` and :meth:`peek_block` only.
     """
 
+    # token range (and length) checked when built and per commit, if set
+    alphabet: int | None = None
+    length: int | None = None
+
     def __init__(self, constraint: "Constraint", values: np.ndarray):
         self.constraint = constraint
         self.values = np.array(values, dtype=np.int64)
+        if self.alphabet is not None:
+            token_rows(self.values[None, :], self.alphabet, self.length)
         self._value = self._rebuild(self.values)
 
     def _rebuild(self, values: np.ndarray):
-        """Validate ``values``, recompute the cache from it, return its violation.
+        """Recompute the cache from ``values`` and return its violation.
 
-        Raises :class:`ContractError` before touching the cache when a token
-        lies outside the constraint's alphabet.
+        Without an ``alphabet``, raise :class:`ContractError` on a bad token
+        before touching the cache.
         """
         raise NotImplementedError
 
@@ -88,6 +95,8 @@ class ViolationTracker:
         """
         if not 0 <= pos < len(self.values):
             raise ContractError(f"position {pos} out of range")
+        if self.alphabet is not None and not 0 <= token < self.alphabet:
+            raise ContractError(f"token {token} outside the alphabet of size {self.alphabet}")
         values = self.values.copy()
         values[pos] = token
         self._value = self._rebuild(values)

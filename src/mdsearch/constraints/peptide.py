@@ -100,9 +100,10 @@ class _PrefixTracker(ViolationTracker):
     cumsum, so every edit's new prefix statistics come out in O(1).
     """
 
+    alphabet = property(lambda self: len(self.constraint.weights))
+
     def _rebuild(self, values):
         weights, term_id = self.constraint.weights, self.constraint.term_id
-        token_rows(values[None, :], len(weights))
         terms = np.flatnonzero(values == term_id)
         slots = len(values)
         self.first = int(terms[0]) if terms.size else slots

@@ -75,12 +75,12 @@ class ClauseViolations(Constraint):
         return (pair_of_lit, *np.divmod(pairs, m))
 
     def true_literal_counts(self, values) -> np.ndarray:
-        """Per-clause true-literal counts, (M, clauses), of (M, n) assignments."""
-        values = token_rows(values, 2, self.formula.num_vars)
-        true_lits = values[:, self._var_pos] == self._polarity
-        return np.add.reduceat(true_lits.astype(np.int64), self._starts, axis=1)
+        """Per-clause true-literal counts (..., clauses) of checked (..., n) tokens."""
+        true_lits = values[..., self._var_pos] == self._polarity
+        return np.add.reduceat(true_lits.astype(np.int64), self._starts, axis=-1)
 
     def violations(self, values):
+        values = token_rows(values, 2, self.formula.num_vars)
         return (self.true_literal_counts(values) == 0).sum(axis=1).astype(np.float64)
 
     def tracker(self, values):
@@ -91,8 +91,11 @@ class ClauseTracker(ViolationTracker):
     """Caches per-clause true-literal counts; ``peek_block`` derives every
     variable's flip delta from them at once."""
 
+    alphabet = 2
+    length = property(lambda self: self.constraint.formula.num_vars)
+
     def _rebuild(self, values):
-        self.counts = self.constraint.true_literal_counts(values[None, :])[0]
+        self.counts = self.constraint.true_literal_counts(values)
         return int((self.counts == 0).sum())
 
     def peek_block(self, positions, num_tokens):

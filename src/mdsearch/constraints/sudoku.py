@@ -86,12 +86,10 @@ class UnitDuplicates(Constraint):
         self.units = unit_indices(box)
         # offset of each unit's histogram in one flat bincount
         self._unit_base = np.arange(len(self.units))[:, None] * self.side
-        # the 3 units containing each cell, for per-edit deltas
-        self.cell_units = np.empty((self.side * self.side, 3), dtype=np.int64)
+        # the row, column and box unit of each cell (3, cells), for per-edit deltas
+        self.cell_units = np.empty((3, self.side * self.side), dtype=np.int64)
         for ui, unit in enumerate(self.units):
-            for cell in unit:
-                row = self.cell_units[cell]
-                row[0 if ui < self.side else 1 if ui < 2 * self.side else 2] = ui
+            self.cell_units[ui // self.side, unit] = ui
 
     def violations(self, values):
         values = token_rows(values, self.side, self.side * self.side)
@@ -106,25 +104,27 @@ class UnitDuplicates(Constraint):
 class UnitTracker(ViolationTracker):
     """Per-unit digit histograms; an edit touches exactly three units."""
 
+    alphabet = property(lambda self: self.constraint.side)
+    length = property(lambda self: self.constraint.side ** 2)
+
     def _rebuild(self, values):
         ev = self.constraint
-        values = token_rows(values[None, :], ev.side, ev.side * ev.side)[0]
-        shape = (len(ev.units), ev.side)
         flat = (values[ev.units] + ev._unit_base).ravel()
-        self.hist = np.bincount(flat, minlength=shape[0] * shape[1]).reshape(shape)
+        self.hist = np.bincount(flat, minlength=flat.size).reshape(len(ev.units), ev.side)
         # sum(max(0, hist - 1)), read off as cells minus the digits present
         return int(flat.size - np.count_nonzero(self.hist))
 
     def peek_block(self, positions, num_tokens):
-        """Leaving ``old`` and entering ``token`` over each cell's three units."""
+        """Leaving ``old`` and entering ``token`` over each cell's three units, by ``take``."""
         if num_tokens != self.constraint.side:
             raise ContractError(f"{num_tokens} tokens for {self.constraint.side} digits")
         positions = block_positions(positions, len(self.values))
-        units = self.constraint.cell_units[positions]
+        units = self.constraint.cell_units.take(positions, axis=1)
         old = self.values[positions]
-        leave = (self.hist[units, old[:, None]] >= 2).sum(axis=1)
-        enter = (self.hist[units] >= 1).sum(axis=1)
-        out = (self._value - leave[:, None] + enter).astype(np.float64)
+        enter = (self.hist >= 1).view(np.int8).take(units, axis=0)
+        leave = (self.hist >= 2).view(np.int8).take(units * num_tokens + old)
+        delta = enter[0] + enter[1] + enter[2] - (leave[0] + leave[1] + leave[2])[:, None]
+        out = np.add(delta, self._value, dtype=np.float64)
         out[np.arange(positions.size), old] = self._value
         return out
 
@@ -155,7 +155,7 @@ def completions(board: SudokuBoard, limit: int = SOLUTION_CAP) -> list[np.ndarra
 
     def cell_options(pos):
         used = 0
-        for ui in evaluator.cell_units[pos]:
+        for ui in evaluator.cell_units[:, pos]:
             used |= unit_used[ui]
         return full & ~used
 
@@ -181,11 +181,11 @@ def completions(board: SudokuBoard, limit: int = SOLUTION_CAP) -> list[np.ndarra
             if not best_opts & (1 << tok):
                 continue
             tokens[best_pos] = tok
-            for ui in evaluator.cell_units[best_pos]:
+            for ui in evaluator.cell_units[:, best_pos]:
                 unit_used[ui] |= 1 << tok
             recurse()
             tokens[best_pos] = -1
-            for ui in evaluator.cell_units[best_pos]:
+            for ui in evaluator.cell_units[:, best_pos]:
                 unit_used[ui] &= ~(1 << tok)
             if len(out) >= limit:
                 return
@@ -206,7 +206,7 @@ def random_solution(box: int, rng: np.random.Generator) -> np.ndarray:
         if index == side * side:
             return True
         used = 0
-        for ui in evaluator.cell_units[index]:
+        for ui in evaluator.cell_units[:, index]:
             used |= unit_used[ui]
         options = [tok for tok in range(side) if not used & (1 << tok)]
         if not options:
@@ -214,12 +214,12 @@ def random_solution(box: int, rng: np.random.Generator) -> np.ndarray:
         rng.shuffle(options)
         for tok in options:
             tokens[index] = tok
-            for ui in evaluator.cell_units[index]:
+            for ui in evaluator.cell_units[:, index]:
                 unit_used[ui] |= 1 << tok
             if fill(index + 1):
                 return True
             tokens[index] = -1
-            for ui in evaluator.cell_units[index]:
+            for ui in evaluator.cell_units[:, index]:
                 unit_used[ui] &= ~(1 << tok)
         return False
 

@@ -105,6 +105,8 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"bad config file: {exc}") from None
     unknown = set(parser.sections()) - {"run", *TASKS}
+    if parser.defaults():  # configparser would copy these keys into every section
+        unknown.add(parser.default_section)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     values = {}

@@ -205,9 +205,13 @@ def load_results(path) -> RunResult:
     raw_cfg.pop("schedule", None)  # older headers carry it; it only held "linear"
     if raw_cfg.get("weights") is not None:
         raw_cfg["weights"] = tuple(raw_cfg["weights"])
-    records = tuple(SampleRecord(**{**row, "violations": tuple(row["violations"])})
-                    for row in rows)
-    return RunResult(RunConfig(**raw_cfg), tuple(header["constraints"]), records, 0.0)
+    records = []
+    for number, row in enumerate(rows, start=1):
+        try:
+            records.append(SampleRecord(**{**row, "violations": tuple(row["violations"])}))
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: malformed record {number}: {exc!r}") from None
+    return RunResult(RunConfig(**raw_cfg), tuple(header["constraints"]), tuple(records), 0.0)
 
 
 def summarize_records(result: RunResult) -> dict:

@@ -178,14 +178,15 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     history = [total]
     rounds = 0
     pos_arr = np.array(positions, dtype=np.int64)
+    rows = np.arange(len(positions))
     while total > 0 and positions and (max_rounds is None or rounds < max_rounds):
-        scores = np.zeros((len(positions), vocab.size))
-        for wk, tracker in zip(w, trackers):
-            if wk != 0.0:
-                scores += wk * tracker.peek_block(pos_arr, vocab.size)
-        scores[np.arange(len(positions)), current[pos_arr]] = np.inf
-        flat = int(np.argmin(scores))
-        best = float(scores.ravel()[flat])
+        # in constraint order from the first weighted block (total > 0: one exists)
+        blocks = (wk * tracker.peek_block(pos_arr, vocab.size)
+                  for wk, tracker in zip(w, trackers) if wk != 0.0)
+        scores = sum(blocks, next(blocks))
+        scores[rows, current[pos_arr]] = np.inf
+        flat = int(scores.argmin())
+        best = float(scores.flat[flat])
         if not best < total:
             break
         pos = int(pos_arr[flat // vocab.size])

@@ -106,6 +106,33 @@ def neighborhood(candidate, vocab, region, allow_unmask_edits=True, x_t=None):
             yield pos, token, edited
 
 
+def refine_by_neighborhood(start, constraints, weights, vocab, region, max_rounds):
+    """Greedy descent scoring every :func:`neighborhood` edit with
+    ``aggregate_violation``: (candidate, report, rounds, history).
+
+    Takes the first strictly least edit in (position, token) order while it
+    strictly improves, for at most ``max_rounds`` rounds. Reference for
+    ``refine``, whose weighted totals add the constraints in the same order.
+    """
+    from mdsearch.search import aggregate_violation
+
+    current = np.array(start, dtype=np.int64)
+    report = aggregate_violation(current, constraints, weights)
+    history, rounds = [report.total], 0
+    while report.total > 0 and rounds < max_rounds:
+        best = None
+        for _, _, edited in neighborhood(current, vocab, region):
+            edit_report = aggregate_violation(edited, constraints, weights)
+            if best is None or edit_report.total < best[0].total:
+                best = (edit_report, edited)
+        if best is None or not best[0].total < report.total:
+            break
+        report, current = best
+        history.append(report.total)
+        rounds += 1
+    return current, report, rounds, tuple(history)
+
+
 def satisfying_assignments_by_chunks(formula) -> np.ndarray:
     """All satisfying assignments as a (K, n) array of 0/1 tokens.
 

@@ -156,6 +156,23 @@ def test_unit_tracker_block_matches_naive_recount(seed, box):
          lambda a: naive_sudoku_tokens(a, side))
 
 
+@pytest.mark.parametrize("box", [2, 3])
+def test_unit_tracker_block_edge_shapes(box):
+    rng = np.random.default_rng(box)
+    side = box * box
+    values = noisy_solutions(rng, box, 1)[0]
+    tracker = UnitDuplicates(box).tracker(values)
+    naive = lambda a: naive_sudoku_tokens(a, side)
+    assert tracker.peek_block([], side).shape == (0, side)
+    assert tracker.peek_block(np.array([], dtype=np.int64), side).shape == (0, side)
+    p = int(rng.integers(side * side))
+    assert_block_matches_naive(tracker, values, [p], side, naive)  # a Python list
+    assert_block_matches_naive(tracker, values, [p, 0, p, p], side, naive)
+    for bad in ([-1], [side * side], [0, side * side + 3]):
+        with pytest.raises(ContractError):
+            tracker.peek_block(bad, side)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=SEEDS)
 def test_prefix_tracker_block_matches_naive_recount(seed):

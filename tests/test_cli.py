@@ -161,6 +161,21 @@ def test_weight_arity_fails_the_run_not_each_sample(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["missing key", "unknown key"])
+def test_summarize_malformed_record_is_usage_error(tmp_path, capsys, case):
+    path = tmp_path / "bench.jsonl"
+    assert run_cli("bench", "--task", "sat", "--steps", "2", "--css", "2",
+                   "--rounds", "2", "--n-samples", "2", "--out", str(path)) == 0
+    header, first, second = path.read_text(encoding="utf-8").splitlines()
+    bad = ({"index": 0} if case == "missing key"
+           else {**json.loads(second), "colour": "blue"})
+    path.write_text("\n".join([header, first, json.dumps(bad)]) + "\n",
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("summarize", str(path)) == 2
+    assert "malformed record 2" in capsys.readouterr().err
+
+
 def test_summarize_non_json_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "notes.jsonl"
     path.write_text("{oops\n", encoding="utf-8")

@@ -123,6 +123,20 @@ def test_config_accepts_the_linear_schedule_key():
         parse_config("[run]\nschedule = cosine\n")
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nsteps = abc\n",                  # alone: its keys were dropped
+    "[DEFAULT]\nseed = 3\n\n[sat]\nvars = 5\n",  # copied into [sat] as a bad key
+    "[DEFAULT]\nsteps = 4\n\n[run]\nseed = 3\n",  # copied into [run]
+], ids=["alone", "next-to-task", "next-to-run"])
+def test_config_default_section_is_unknown(tmp_path, text):
+    with pytest.raises(ConfigError, match="unknown config sections: \\['DEFAULT'\\]"):
+        parse_config(text)
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="DEFAULT"):
+        load_config(path)
+
+
 def test_random_formula_properties():
     rng = np.random.default_rng(0)
     f = random_formula(7, 45, rng)

@@ -7,6 +7,7 @@ import pytest
 
 import mdsearch as m
 from mdsearch.constraints.base import Constraint
+from mdsearch.constraints.peptide import PeptideSpec
 from mdsearch.constraints.sat import ClauseViolations, CnfFormula
 from mdsearch.denoise import (DataDistribution, Denoiser, ExactPosteriorDenoiser,
                               UniformDenoiser)
@@ -21,10 +22,10 @@ from mdsearch.search import (
     search_step,
 )
 from mdsearch.tasks import Instance, sat_instance, sudoku_instance
-from mdsearch.vocab import EditableRegion, Vocab, masked_positions
+from mdsearch.vocab import EditableRegion, Vocab, fully_masked, masked_positions
 
 from oracles import (bernoulli_chain, guided_chain, naive_sat_violation, neighborhood,
-                     tv_distance)
+                     refine_by_neighborhood, tv_distance)
 
 BIN = Vocab(("0", "1"))
 PAIR_FORMULA = CnfFormula(2, ((1, 2), (-1, 2)))  # feasible iff x2 is true
@@ -217,6 +218,63 @@ def test_refine_full_recompute_path_matches_trackers():
                       EditableRegion.all_editable(6), max_rounds=16)
         assert np.array_equal(fast.candidate, slow.candidate)
         assert fast.history == slow.history
+
+
+def assert_refine_paths_agree(start, constraints, weights, vocab, region, cap):
+    """Tracker path, full-recompute path and the brute-force descent agree
+    byte for byte; returns the tracker path's result."""
+    fast = refine(start, constraints, weights, vocab, region, cap)
+    slow = refine(start, tuple(HideTracker(c) for c in constraints), weights,
+                  vocab, region, cap)
+    candidate, report, rounds, history = refine_by_neighborhood(
+        start, constraints, weights, vocab, region, cap)
+    for result in (fast, slow):
+        assert result.candidate.tobytes() == candidate.tobytes()
+        assert result.history == history
+        assert result.rounds == rounds
+        assert result.report == report
+    return fast
+
+
+def test_refine_sudoku9_tracker_path_matches_full_recompute():
+    from mdsearch.constraints.sudoku import random_puzzle
+
+    rng = np.random.default_rng(11)
+    moved = 0
+    for _ in range(3):
+        instance = sudoku_instance(random_puzzle(3, 40, rng))
+        den = m.build_denoiser(instance, "noisy", 0.5)
+        x = fully_masked(instance.region, instance.vocab.mask_id, instance.frozen_values)
+        pick = best_of_pool(den.denoise(x, 10), x, 8, instance.constraints, None, rng,
+                            instance.vocab.mask_id)
+        result = assert_refine_paths_agree(pick.candidate, instance.constraints, None,
+                                           instance.vocab, instance.region, 16)
+        moved += result.rounds
+    assert moved > 0
+
+
+@pytest.mark.parametrize("case", ["default", "swamped"])
+def test_refine_weighted_peptide_tracker_path_matches_full_recompute(case):
+    """Random non-unit weights on the three windows. In the swamped case no
+    12-slot peptide meets the length window and its weight is about 2^53
+    times the others, so the last bits of every weighted sum, and with them
+    the ties between edits, depend on adding the constraints in order."""
+    rng = np.random.default_rng(12)
+    if case == "default":
+        spec, slots = PeptideSpec(), 24
+    else:
+        spec, slots = PeptideSpec(min_length=20, charge_min=6, hydro_min=0.8), 12
+    instance = m.peptide_instance(spec, slots=slots)
+    moved = 0
+    for _ in range(8):
+        weights = tuple(float(w) for w in 0.5 + rng.random(3) * 2.5)
+        if case == "swamped":
+            weights = (2.0 ** 53 * weights[0],) + weights[1:]
+        start = rng.integers(0, instance.vocab.size, size=slots)
+        result = assert_refine_paths_agree(start, instance.constraints, weights,
+                                           instance.vocab, instance.region, 16)
+        moved += result.rounds
+    assert moved > 0
 
 
 def test_refine_respects_frozen_positions():
