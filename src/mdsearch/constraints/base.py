@@ -61,6 +61,9 @@ class ViolationTracker:
 
     def __init__(self, constraint: "Constraint", values: np.ndarray):
         self.constraint = constraint
+        values = np.asarray(values)
+        if not np.issubdtype(values.dtype, np.integer):
+            raise ContractError(f"candidates must hold integer tokens, got {values.dtype}")
         self.values = np.array(values, dtype=np.int64)
         if self.alphabet is not None:
             token_rows(self.values[None, :], self.alphabet, self.length)

@@ -7,7 +7,7 @@ Variable ``v`` (1-based, as in DIMACS) corresponds to position ``v - 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -169,28 +169,102 @@ def is_satisfiable(formula: CnfFormula) -> bool:
     return bool(_satisfying_words(formula).any())
 
 
+def _loop_draw(num_vars: int, num_clauses: int, rng: np.random.Generator) -> CnfFormula:
+    """One random 3-CNF, drawn clause by clause with ``choice`` and ``integers``.
+
+    The reference for :func:`_block_draw` and its fallback.
+    """
+    clauses = []
+    for _ in range(num_clauses):
+        chosen = rng.choice(num_vars, size=3, replace=False) + 1
+        signs = rng.integers(0, 2, size=3) * 2 - 1
+        clauses.append(tuple(int(v * s) for v, s in zip(chosen, signs)))
+    return CnfFormula(num_vars, tuple(clauses))
+
+
+def _block_draw(num_vars: int, num_clauses: int,
+                rng: np.random.Generator) -> CnfFormula | None:
+    """:func:`_loop_draw` from one block of 32-bit generator output.
+
+    ``choice(n, 3, replace=False)`` is Floyd's algorithm over Lemire-bounded
+    32-bit draws with bounds n-2, n-1 and n (the first draws nothing at
+    n=3), then a shuffle of the three picks with bounds 3 and 2; each sign is
+    the top bit of one more 32-bit draw. A clause thus reads 8 words, or 7 at
+    n=3, in the loop's order. Where Lemire's method might reject a draw (the
+    low half of ``word * bound`` below the bound) the loop would read extra
+    words: the generator is restored and ``None`` returned.
+    """
+    floyd_bounds = [num_vars - 1, num_vars] if num_vars == 3 else [
+        num_vars - 2, num_vars - 1, num_vars]
+    bounds = np.array(floyd_bounds + [3, 2, 2, 2, 2], dtype=np.uint64)
+    state = rng.bit_generator.state
+    words = rng.integers(0, 1 << 32, size=(max(num_clauses, 0), len(bounds)),
+                         dtype=np.uint32)
+    scaled = words * bounds
+    if ((scaled & np.uint64(0xFFFFFFFF)) < bounds).any():
+        rng.bit_generator.state = state
+        return None
+    *picks, swap2, swap1 = (scaled[:, :-3] >> np.uint64(32)).astype(np.int64).T
+    if num_vars == 3:
+        picks.insert(0, 0)
+    first, second, third = picks
+    # Floyd: a pick already taken is replaced by the step's upper end
+    second = np.where(second == first, num_vars - 2, second)
+    third = np.where((third == first) | (third == second), num_vars - 1, third)
+    # shuffle: swap slot 2 with slot swap2, then slot 1 with slot swap1
+    first, second, third = (np.where(swap2 == 0, third, first),
+                            np.where(swap2 == 1, third, second),
+                            np.choose(swap2, (first, second, third)))
+    first, second = (np.where(swap1 == 0, second, first),
+                     np.where(swap1 == 0, first, second))
+    signs = 2 * (words[:, -3:] >> np.uint32(31)).astype(np.int64) - 1
+    literals = (np.stack([first, second, third], axis=1) + 1) * signs
+    return CnfFormula(num_vars, tuple(map(tuple, literals.tolist())))
+
+
+@cache
+def _block_draw_is_exact() -> bool:
+    """Whether :func:`_block_draw` reproduces :func:`_loop_draw` on this numpy.
+
+    Checked once per process on a fixed seed at n=3 (an odd word count per
+    clause, which leaves a buffered half word for the n=7 draw after it):
+    same clauses and same final generator state.
+    """
+    block_rng, loop_rng = np.random.default_rng(20240613), np.random.default_rng(20240613)
+    for num_vars, num_clauses in ((3, 5), (7, 9)):
+        if _block_draw(num_vars, num_clauses, block_rng) != _loop_draw(
+                num_vars, num_clauses, loop_rng):
+            return False
+    return block_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
                    require_satisfiable: bool = True) -> CnfFormula:
     """Uniform random 3-CNF with distinct variables per clause.
 
+    Each draw takes all its clauses from one block of 32-bit generator output
+    (:func:`_block_draw`), which gives the same formula and leaves the
+    generator in the same state as a per-clause ``choice``/``integers`` loop.
+    The loop (:func:`_loop_draw`) still runs where a bounded draw might be
+    rejected, and for every draw if the block draw failed its once-per-process
+    check against the loop.
+
     With ``require_satisfiable`` the draw is rejection-sampled against an
     exhaustive satisfiability check over packed truth tables (hence the
-    variable cap), which costs a few milliseconds per draw even at the cap;
-    at 45 clauses over 7 variables most draws are unsatisfiable, so expect
-    several rejections per instance.
+    variable cap); at 45 clauses over 7 variables most draws are
+    unsatisfiable, so expect several rejections per instance.
     """
     if num_vars < 3:
         raise ConfigError("3-CNF needs at least 3 variables")
     if require_satisfiable and num_vars > ENUM_VAR_CAP:
         raise ConfigError(
             f"satisfiability check supports at most {ENUM_VAR_CAP} variables")
+    # choice draws 64-bit words from 2^32 variables on
+    block = num_vars < 1 << 32 and _block_draw_is_exact()
     for _ in range(REJECTION_CAP):
-        clauses = []
-        for _ in range(num_clauses):
-            chosen = rng.choice(num_vars, size=3, replace=False) + 1
-            signs = rng.integers(0, 2, size=3) * 2 - 1
-            clauses.append(tuple(int(v * s) for v, s in zip(chosen, signs)))
-        formula = CnfFormula(num_vars, tuple(clauses))
+        formula = _block_draw(num_vars, num_clauses, rng) if block else None
+        if formula is None:
+            formula = _loop_draw(num_vars, num_clauses, rng)
         if not require_satisfiable or is_satisfiable(formula):
             return formula
     raise GenerationError(

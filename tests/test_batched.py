@@ -237,6 +237,17 @@ def test_rejected_commit_leaves_the_tracker_unchanged(kind):
     assert_block_matches_naive(tracker, work, everywhere, size, naive)
 
 
+@pytest.mark.parametrize("kind", ["clause", "unit", "prefix", "full"])
+def test_tracker_rejects_a_float_candidate(kind):
+    # every value truncates to a valid token, so only the dtype check can fire
+    constraint, values, _, _ = tracker_case(kind, np.random.default_rng(7))
+    floats = values + 0.25
+    with pytest.raises(ContractError):
+        constraint.violations(floats[None, :])
+    with pytest.raises(ContractError):
+        constraint.tracker(floats)
+
+
 # --- best_of_pool against the per-draw loop ----------------------------------
 
 def pool_task(rng, task):

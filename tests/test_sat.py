@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +16,8 @@ from mdsearch.constraints.sat import (
     render_dimacs,
     satisfying_assignments,
 )
-from mdsearch.errors import ConfigError, ContractError, ParseError
+from mdsearch.errors import ConfigError, ContractError, GenerationError, ParseError
+from mdsearch.harness.runner import build_instance, instance_rng, presets
 
 from oracles import naive_sat_violation, satisfying_assignments_by_chunks
 
@@ -26,6 +29,16 @@ def random_formula(rng, num_vars=7, num_clauses=45):
         signs = rng.integers(0, 2, size=3) * 2 - 1
         clauses.append(tuple(int(v * s) for v, s in zip(chosen, signs)))
     return CnfFormula(num_vars, tuple(clauses))
+
+
+def random_formula_by_clause(num_vars, num_clauses, rng):
+    """``sat.random_formula`` as it was before the block draw: the clause loop
+    above, rejection-sampled until satisfiable."""
+    for _ in range(sat.REJECTION_CAP):
+        formula = random_formula(rng, num_vars, num_clauses)
+        if is_satisfiable(formula):
+            return formula
+    raise GenerationError("no satisfiable formula")
 
 
 def sat_delta(formula, values, pos):
@@ -245,3 +258,102 @@ def test_dimacs_errors():
         parse_dimacs("p cnf 2 2\n1 2 0\n")  # clause count mismatch
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 1 1\n5 0\n")  # literal out of range
+
+
+# --- random formulas: the block draw against the per-clause loop -------------
+
+def assert_same_stream(a, b):
+    """The two generators give the same next 32-bit words and doubles."""
+    words = [rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() for rng in (a, b)]
+    assert words[0] == words[1]
+    assert a.random() == b.random()
+
+
+def pre_drawn(bit_generator, seed, pre_draws):
+    """A generator after ``pre_draws`` 32-bit draws: an odd count leaves a
+    buffered half word in PCG64."""
+    rng = np.random.Generator(bit_generator(seed))
+    rng.integers(0, 2**32, size=pre_draws, dtype=np.uint32)
+    return rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(3, 20),
+       num_clauses=st.integers(0, 80), pre_draws=st.integers(0, 2),
+       bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]))
+@example(seed=0, num_vars=3, num_clauses=45, pre_draws=1, bit_generator=np.random.PCG64)
+@example(seed=0, num_vars=7, num_clauses=0, pre_draws=0, bit_generator=np.random.PCG64)
+def test_block_draw_matches_the_clause_loop(seed, num_vars, num_clauses, pre_draws,
+                                            bit_generator):
+    block_rng = pre_drawn(bit_generator, seed, pre_draws)
+    loop_rng = pre_drawn(bit_generator, seed, pre_draws)
+    if num_clauses == 0:
+        with pytest.raises(ConfigError) as block_error:
+            sat._block_draw(num_vars, num_clauses, block_rng)
+        with pytest.raises(ConfigError) as loop_error:
+            sat._loop_draw(num_vars, num_clauses, loop_rng)
+        assert str(block_error.value) == str(loop_error.value)
+    else:
+        formula = sat._block_draw(num_vars, num_clauses, block_rng)
+        if formula is None:  # a possible Lemire rejection restores the state
+            formula = sat._loop_draw(num_vars, num_clauses, block_rng)
+        expected = sat._loop_draw(num_vars, num_clauses, loop_rng)
+        assert formula.clauses == expected.clauses
+    assert_same_stream(block_rng, loop_rng)
+
+
+def forced_rejection_rng(seed):
+    """A PCG64 generator whose next 32-bit word is 0 (its buffered half word)."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state.update(has_uint32=1, uinteger=0)
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_random_formula_falls_back_to_the_loop_on_a_lemire_rejection():
+    # at n=7 Floyd's first bound is 5: the word 0 leaves a low half of 0,
+    # below 2^32 mod 5 = 1, so the loop rejects it and reads another word
+    probe = forced_rejection_rng(3)
+    assert sat._block_draw(7, 45, probe) is None
+    assert probe.bit_generator.state == forced_rejection_rng(3).bit_generator.state
+    rng, loop_rng = forced_rejection_rng(3), forced_rejection_rng(3)
+    formula = sat.random_formula(7, 45, rng, require_satisfiable=False)
+    assert formula == sat._loop_draw(7, 45, loop_rng)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    # without the forced word the same seed takes the block draw
+    assert sat._block_draw(7, 45, np.random.default_rng(3)) is not None
+
+
+@pytest.fixture
+def fresh_self_check():
+    sat._block_draw_is_exact.cache_clear()
+    yield
+    sat._block_draw_is_exact.cache_clear()
+
+
+def test_random_formula_uses_the_loop_when_the_block_draw_fails_its_check(
+        fresh_self_check, monkeypatch):
+    real = sat._block_draw
+
+    def wrong(num_vars, num_clauses, rng):
+        clauses = real(num_vars, num_clauses, rng).clauses
+        flipped = (-clauses[0][0],) + clauses[0][1:]
+        return CnfFormula(num_vars, (flipped,) + clauses[1:])
+
+    monkeypatch.setattr(sat, "_block_draw", wrong)
+    assert not sat._block_draw_is_exact()
+    rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):
+        assert sat.random_formula(7, 45, rng) == random_formula_by_clause(7, 45, loop_rng)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_build_instance_matches_the_clause_loop_on_the_sat_preset():
+    base = presets()["sat"]
+    for seed in (1, 7, 99):
+        cfg = replace(base, seed=seed)
+        for index in range(100):
+            expected = random_formula_by_clause(cfg.sat_vars, cfg.sat_clauses,
+                                                instance_rng(seed, index))
+            assert render_dimacs(build_instance(cfg, index).data) == render_dimacs(expected)
