@@ -1,16 +1,16 @@
 """Violation evaluators, incremental trackers, and aggregation reports.
 
-Evaluation protocol: a constraint scores a batch of candidates, one per row,
-with :meth:`Constraint.violations`. Built-in constraints implement only that
-batched form and derive the scalar :meth:`Constraint.violation` from it.
-A black-box constraint may define only ``violation``; the default
-``violations`` then loops over the rows.
+A constraint scores a batch of candidates, one per row, with
+:meth:`Constraint.violations`; for refinement, its tracker caches one
+candidate and scores every single edit at once with :meth:`ViolationTracker.peek_block`.
 
-Refinement reaches a constraint through its tracker, a cache of the current
-candidate validated when the tracker is built and rebuilt on every commit,
-which checks only the new position and token. The tracker scores the whole
-single-edit neighborhood at once with :meth:`ViolationTracker.peek_block`;
-there is no other edit path.
+A constraint states its ``alphabet`` (tokens per position) and candidate
+``length`` once, as attributes; ``None``, as on a black box, leaves that
+bound open. This module alone checks every input against them: each batch
+of candidates, each tracked candidate, each edit block and each committed
+edit. Then it calls the unchecked hooks a built-in constraint defines:
+``_violations`` on the constraint, ``_rebuild`` and ``_peek_block`` on its
+tracker. A black box may define only ``violation`` instead.
 """
 
 from __future__ import annotations
@@ -22,29 +22,40 @@ import numpy as np
 from ..errors import ContractError
 
 
-def token_rows(values, alphabet: int, length: int | None = None) -> np.ndarray:
-    """``values`` as an (M, L) integer array with every token in the alphabet.
+def _integers(values, bound: int | None, what: str) -> np.ndarray:
+    """``values`` as int64; :class:`ContractError` unless integers in ``range(bound)``.
 
-    Raises :class:`ContractError` on another shape, on a row length other
-    than ``length`` (when given), and on tokens outside ``range(alphabet)``.
+    An empty array passes whatever its dtype: numpy reads ``[]`` as float.
+    """
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ContractError(f"{what} must be integers, got {values.dtype}")
+    values = values.astype(np.int64, copy=False)
+    # one reduction: read as unsigned, negative integers exceed every bound
+    if bound is not None and values.size and values.view(np.uint64).max() >= bound:
+        raise ContractError(f"{what} outside range({bound})")
+    return values
+
+
+def _check_index(index, bound: int | None, what: str) -> None:
+    """:class:`ContractError` unless ``index`` is one integer in ``range(bound)``,
+    and not a bool, which numpy reads as a mask."""
+    if type(index) is bool or not isinstance(index, (int, np.integer)) or (
+            bound is not None and not 0 <= index < bound):
+        raise ContractError(f"{what} {index!r} is not an integer in range({bound})")
+
+
+def token_rows(values, alphabet: int | None, length: int | None = None) -> np.ndarray:
+    """``values`` as an (M, L) int64 array of tokens in ``range(alphabet)``.
+
+    Raises :class:`ContractError` on another shape or row length and on other
+    tokens; a bound of ``None`` is not checked.
     """
     values = np.asarray(values)
     if values.ndim != 2 or (length is not None and values.shape[1] != length):
         want = "L" if length is None else length
         raise ContractError(f"expected (M, {want}) candidates, got shape {values.shape}")
-    if not np.issubdtype(values.dtype, np.integer):
-        raise ContractError(f"candidates must hold integer tokens, got {values.dtype}")
-    if values.size and (values.min() < 0 or values.max() >= alphabet):
-        raise ContractError(f"token outside the alphabet of size {alphabet}")
-    return values
-
-
-def block_positions(positions, length: int) -> np.ndarray:
-    """``positions`` as an int64 array; :class:`ContractError` if out of range."""
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.size and (positions.min() < 0 or positions.max() >= length):
-        raise ContractError(f"position out of range for length {length}")
-    return positions
+    return _integers(values, alphabet, "tokens")
 
 
 class ViolationTracker:
@@ -52,21 +63,13 @@ class ViolationTracker:
 
     The tracker owns a private copy of the candidate; callers must mirror
     every ``commit`` on their own copy to stay in sync. Subclasses define
-    :meth:`_rebuild` and :meth:`peek_block` only.
+    :meth:`_rebuild` and :meth:`_peek_block` only, and see checked input.
     """
-
-    # token range (and length) checked when built and per commit, if set
-    alphabet: int | None = None
-    length: int | None = None
 
     def __init__(self, constraint: "Constraint", values: np.ndarray):
         self.constraint = constraint
-        values = np.asarray(values)
-        if not np.issubdtype(values.dtype, np.integer):
-            raise ContractError(f"candidates must hold integer tokens, got {values.dtype}")
-        self.values = np.array(values, dtype=np.int64)
-        if self.alphabet is not None:
-            token_rows(self.values[None, :], self.alphabet, self.length)
+        row = token_rows(np.asarray(values)[None], constraint.alphabet, constraint.length)
+        self.values = row[0].copy()
         self._value = self._rebuild(self.values)
 
     def _rebuild(self, values: np.ndarray):
@@ -87,19 +90,25 @@ class ViolationTracker:
         Entry ``[i, token]`` is the violation of the candidate with
         ``positions[i]`` replaced by ``token``, computed in one vectorized call.
         """
+        alphabet = self.constraint.alphabet
+        if alphabet is not None and num_tokens != alphabet:
+            raise ContractError(f"{num_tokens} tokens for an alphabet of {alphabet}")
+        return self._peek_block(_integers(positions, len(self.values), "positions"),
+                                num_tokens)
+
+    def _peek_block(self, positions: np.ndarray, num_tokens: int) -> np.ndarray:
+        """:meth:`peek_block` on checked positions."""
         raise NotImplementedError
 
     def commit(self, pos: int, token: int) -> None:
         """Apply the edit to the tracked candidate.
 
-        The edit is rebuilt on a copy, so a rejected one (position out of
-        range, token outside the alphabet) raises :class:`ContractError` and
+        The edit is rebuilt on a copy, so a rejected one (a position or token
+        that is not an integer in range) raises :class:`ContractError` and
         leaves the tracker unchanged.
         """
-        if not 0 <= pos < len(self.values):
-            raise ContractError(f"position {pos} out of range")
-        if self.alphabet is not None and not 0 <= token < self.alphabet:
-            raise ContractError(f"token {token} outside the alphabet of size {self.alphabet}")
+        _check_index(pos, len(self.values), "position")
+        _check_index(token, self.constraint.alphabet, "token")
         values = self.values.copy()
         values[pos] = token
         self._value = self._rebuild(values)
@@ -112,9 +121,8 @@ class FullRecomputeTracker(ViolationTracker):
     def _rebuild(self, values):
         return float(self.constraint.violation(values))
 
-    def peek_block(self, positions, num_tokens):
+    def _peek_block(self, positions, num_tokens):
         """One ``violations`` call over every single edit of the candidate."""
-        positions = block_positions(positions, len(self.values))
         edits = np.tile(self.values, (positions.size * num_tokens, 1))
         edits[np.arange(len(edits)), np.repeat(positions, num_tokens)] = np.tile(
             np.arange(num_tokens), positions.size)
@@ -125,22 +133,27 @@ class FullRecomputeTracker(ViolationTracker):
 class Constraint:
     """A black-box, non-negative violation over fully specified candidates.
 
-    Subclasses define :meth:`violations` (the built-in constraints do) or
+    Subclasses define :meth:`_violations` (the built-in constraints do) or
     only :meth:`violation`; each form is derived from the other.
     """
 
     name = "constraint"
+    alphabet: int | None = None
+    length: int | None = None
 
     def violation(self, values: np.ndarray) -> float:
         """Violation of one candidate: :meth:`violations` on a batch of one."""
-        if type(self).violations is Constraint.violations:
-            raise NotImplementedError("define violation or violations")
+        if type(self)._violations is Constraint._violations:
+            raise NotImplementedError("define violation or _violations")
         return float(self.violations(np.asarray(values)[None, :])[0])
 
     def violations(self, values: np.ndarray) -> np.ndarray:
-        """Violations of every row of ``values`` (M, L), as an (M,) array."""
-        return np.array([float(self.violation(row)) for row in np.asarray(values)],
-                        dtype=np.float64)
+        """Violations of every row of ``values`` (M, L), checked, as an (M,) array."""
+        return self._violations(token_rows(values, self.alphabet, self.length))
+
+    def _violations(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`violations` of checked rows; by default one ``violation`` per row."""
+        return np.array([float(self.violation(row)) for row in values], dtype=np.float64)
 
     def tracker(self, values: np.ndarray) -> ViolationTracker:
         """Incremental edit tracker; defaults to full recomputation."""

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError
 from ..vocab import Vocab
-from .base import Constraint, ViolationTracker, block_positions, token_rows
+from .base import Constraint, ViolationTracker
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 TERMINATOR = "-"
@@ -76,12 +75,12 @@ class _PrefixWindow(Constraint):
         self.vocab = vocab
         self.term_id = vocab.index(TERMINATOR)
         self.weights = weights
+        self.alphabet = len(weights)
 
     def _nu(self, length, count) -> np.ndarray:
         raise NotImplementedError
 
-    def violations(self, values):
-        values = token_rows(values, len(self.weights))
+    def _violations(self, values):
         inside = np.cumsum(values == self.term_id, axis=1) == 0
         return self._nu(inside.sum(axis=1), (self.weights[values] * inside).sum(axis=1))
 
@@ -100,8 +99,6 @@ class _PrefixTracker(ViolationTracker):
     cumsum, so every edit's new prefix statistics come out in O(1).
     """
 
-    alphabet = property(lambda self: len(self.constraint.weights))
-
     def _rebuild(self, values):
         weights, term_id = self.constraint.weights, self.constraint.term_id
         terms = np.flatnonzero(values == term_id)
@@ -111,12 +108,9 @@ class _PrefixTracker(ViolationTracker):
         self.cum = np.concatenate(([0], np.cumsum(weights[values])))
         return self.constraint._nu(self.first, self.cum[self.first])
 
-    def peek_block(self, positions, num_tokens):
+    def _peek_block(self, positions, num_tokens):
         """(logical length, weighted count) of every edit, then the hinge."""
         weights, term_id = self.constraint.weights, self.constraint.term_id
-        if num_tokens != len(weights):
-            raise ContractError(f"{num_tokens} tokens for an alphabet of {len(weights)}")
-        positions = block_positions(positions, len(self.values))
         old = self.values[positions]
         tokens = np.arange(num_tokens)
         new_first = np.full((len(positions), num_tokens), self.first)

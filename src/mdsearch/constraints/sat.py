@@ -11,9 +11,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ..errors import ConfigError, ContractError, GenerationError, ParseError
+from ..errors import ConfigError, GenerationError, ParseError
 from ..vocab import Vocab
-from .base import Constraint, ViolationTracker, block_positions, token_rows
+from .base import Constraint, ViolationTracker
 
 ENUM_VAR_CAP = 20
 REJECTION_CAP = 1000
@@ -35,11 +35,14 @@ class CnfFormula:
             raise ConfigError("formula needs at least one variable")
         if not self.clauses:
             raise ConfigError("formula needs at least one clause")
+        n = self.num_vars
         for clause in self.clauses:
             if not clause:
                 raise ConfigError("clauses must be non-empty")
-            if any(lit == 0 or abs(lit) > self.num_vars for lit in clause):
-                raise ConfigError(f"literal out of range in clause {clause}")
+            # not isinstance(lit, int): a bool literal would read as variable 1
+            if not all((type(lit) is int or isinstance(lit, np.integer)) and 0 < abs(lit) <= n
+                       for lit in clause):
+                raise ConfigError(f"literal not an integer in range in clause {clause}")
 
     @cached_property
     def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -57,9 +60,11 @@ class ClauseViolations(Constraint):
     """Number of clauses with every literal false."""
 
     name = "clauses"
+    alphabet = 2
 
     def __init__(self, formula: CnfFormula):
         self.formula = formula
+        self.length = formula.num_vars
         self._var_pos, self._polarity, self._clause_ids = formula._flat
         # literals are stored clause by clause: where each clause's run starts
         self._starts = np.flatnonzero(np.diff(self._clause_ids, prepend=-1))
@@ -79,8 +84,7 @@ class ClauseViolations(Constraint):
         true_lits = values[..., self._var_pos] == self._polarity
         return np.add.reduceat(true_lits.astype(np.int64), self._starts, axis=-1)
 
-    def violations(self, values):
-        values = token_rows(values, 2, self.formula.num_vars)
+    def _violations(self, values):
         return (self.true_literal_counts(values) == 0).sum(axis=1).astype(np.float64)
 
     def tracker(self, values):
@@ -91,18 +95,12 @@ class ClauseTracker(ViolationTracker):
     """Caches per-clause true-literal counts; ``peek_block`` derives every
     variable's flip delta from them at once."""
 
-    alphabet = 2
-    length = property(lambda self: self.constraint.formula.num_vars)
-
     def _rebuild(self, values):
         self.counts = self.constraint.true_literal_counts(values)
         return int((self.counts == 0).sum())
 
-    def peek_block(self, positions, num_tokens):
+    def _peek_block(self, positions, num_tokens):
         """Flip deltas of all variables from one bincount over literal deltas."""
-        if num_tokens != 2:
-            raise ContractError(f"{num_tokens} tokens for a binary alphabet")
-        positions = block_positions(positions, len(self.values))
         ev = self.constraint
         pair_of_lit, pair_var, pair_clause = ev._pairs
         lit_delta = np.where(self.values[ev._var_pos] == ev._polarity, -1, 1)

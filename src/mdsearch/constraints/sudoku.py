@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ContractError, ParseError
+from ..errors import ConfigError, ParseError
 from ..vocab import Vocab
-from .base import Constraint, ViolationTracker, block_positions, token_rows
+from .base import Constraint, ViolationTracker
 
 SOLUTION_CAP = 10_000
 
@@ -83,6 +83,7 @@ class UnitDuplicates(Constraint):
     def __init__(self, box: int):
         self.box = box
         self.side = box * box
+        self.alphabet, self.length = self.side, self.side * self.side
         self.units = unit_indices(box)
         # offset of each unit's histogram in one flat bincount
         self._unit_base = np.arange(len(self.units))[:, None] * self.side
@@ -91,8 +92,7 @@ class UnitDuplicates(Constraint):
         for ui, unit in enumerate(self.units):
             self.cell_units[ui // self.side, unit] = ui
 
-    def violations(self, values):
-        values = token_rows(values, self.side, self.side * self.side)
+    def _violations(self, values):
         grouped = np.sort(values[:, self.units], axis=2)
         distinct = 1 + (np.diff(grouped, axis=2) != 0).sum(axis=2)
         return (self.side - distinct).sum(axis=1).astype(np.float64)
@@ -104,9 +104,6 @@ class UnitDuplicates(Constraint):
 class UnitTracker(ViolationTracker):
     """Per-unit digit histograms; an edit touches exactly three units."""
 
-    alphabet = property(lambda self: self.constraint.side)
-    length = property(lambda self: self.constraint.side ** 2)
-
     def _rebuild(self, values):
         ev = self.constraint
         flat = (values[ev.units] + ev._unit_base).ravel()
@@ -114,11 +111,8 @@ class UnitTracker(ViolationTracker):
         # sum(max(0, hist - 1)), read off as cells minus the digits present
         return int(flat.size - np.count_nonzero(self.hist))
 
-    def peek_block(self, positions, num_tokens):
+    def _peek_block(self, positions, num_tokens):
         """Leaving ``old`` and entering ``token`` over each cell's three units, by ``take``."""
-        if num_tokens != self.constraint.side:
-            raise ContractError(f"{num_tokens} tokens for {self.constraint.side} digits")
-        positions = block_positions(positions, len(self.values))
         units = self.constraint.cell_units.take(positions, axis=1)
         old = self.values[positions]
         enter = (self.hist >= 1).view(np.int8).take(units, axis=0)

@@ -224,7 +224,8 @@ def test_rejected_commit_leaves_the_tracker_unchanged(kind):
     assert isinstance(tracker, FullRecomputeTracker) == (kind == "full")
     everywhere = np.arange(len(values))
     block, value = tracker.peek_block(everywhere, size), tracker.value()
-    for pos, token in ((-1, 0), (len(values), 0), (0, -1), (0, size), (1, size + 7)):
+    for pos, token in ((-1, 0), (len(values), 0), (0, -1), (0, size), (1, size + 7),
+                       (0, 1.5), (1.0, 0), (True, 1), (0, True)):
         with pytest.raises(ContractError):
             tracker.commit(pos, token)
         assert tracker.values.tolist() == values.tolist()
@@ -235,6 +236,26 @@ def test_rejected_commit_leaves_the_tracker_unchanged(kind):
     tracker.commit(0, int(work[0]))
     assert tracker.value() == naive(work)
     assert_block_matches_naive(tracker, work, everywhere, size, naive)
+
+
+@pytest.mark.parametrize("kind", ["clause", "unit", "prefix", "full"])
+def test_tracker_block_edge_shapes(kind):
+    rng = np.random.default_rng(11)
+    constraint, values, size, naive = tracker_case(kind, rng)
+    tracker = constraint.tracker(values)
+    assert tracker.peek_block([], size).shape == (0, size)
+    assert tracker.peek_block(np.array([], dtype=np.int64), size).shape == (0, size)
+    p = int(rng.integers(len(values)))
+    assert_block_matches_naive(tracker, values, [p], size, naive)  # a Python list
+    assert_block_matches_naive(tracker, values, [p, 0, p, p], size, naive)
+    for bad in ([-1], [len(values)], [0, len(values) + 3], [1.7], [True], [0.0, 1.0]):
+        with pytest.raises(ContractError):
+            tracker.peek_block(bad, size)
+    if constraint.alphabet is not None:  # a black box states no alphabet
+        for wrong in (size - 1, size + 1):
+            with pytest.raises(ContractError):
+                tracker.peek_block([p], wrong)
+    assert tracker.value() == naive(values)
 
 
 @pytest.mark.parametrize("kind", ["clause", "unit", "prefix", "full"])

@@ -47,6 +47,12 @@ def test_negative_violation_rejected():
         aggregate_violation(np.zeros(1), (Fixed("a", -1.0),))
 
 
+def test_negative_violation_of_a_valid_candidate_rejected():
+    # integer tokens pass the input check, so only the sign check can fire
+    with pytest.raises(ContractError, match="non-negative"):
+        aggregate_violation(np.zeros(1, dtype=np.int64), (Fixed("a", -1.0),))
+
+
 def test_full_recompute_tracker_consistency():
     class CountOnes(Constraint):
         name = "ones"

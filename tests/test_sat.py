@@ -60,6 +60,15 @@ def test_formula_validation():
         CnfFormula(2, ((0,),))
 
 
+def test_formula_rejects_non_integer_literals():
+    # a float literal would fail only later, in violations; True would
+    # read as variable 1
+    for bad in (1.5, 2.0, np.float64(1.0), True, np.True_):
+        with pytest.raises(ConfigError):
+            CnfFormula(3, ((bad, 2, 3),))
+    assert CnfFormula(3, ((np.int64(1), -2, 3),)).clauses == ((1, -2, 3),)
+
+
 def test_sat_violation_examples():
     f = ClauseViolations(CnfFormula(3, ((1, 2, 3),)))
     assert f.violation(np.array([0, 0, 0])) == 1

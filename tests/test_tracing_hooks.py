@@ -1,7 +1,7 @@
 """The benchmark's tracer must still find the sampler's layers.
 
 ``perfbench/tracing.py`` wraps functions by name on ``mdsearch.search`` and
-``mdsearch.harness.runner``.
+``mdsearch.harness.runner``, and methods on the constraint and tracker classes.
 If one of them is renamed or bypassed, the traced run records no span for
 that layer; this test makes that a tier-1 failure instead of a silent gap
 in ``perfbench/run.py --trace 1``. The benchmark's workloads call the
@@ -17,7 +17,7 @@ import pytest
 
 import mdsearch as m
 from mdsearch.constraints.sat import CnfFormula
-from mdsearch.harness.runner import build_instance, presets
+from mdsearch.harness.runner import build_instance, presets, sample_rng, search_config
 from mdsearch.search import SearchConfig, sample
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -46,6 +46,22 @@ def test_traced_sat_instance_build_records_a_generation_span():
         build_instance(presets()["sat"], 0)
     recorded = {tracer.names[i] for i in tracer.arrays()["name"]}
     assert "harness.gen" in recorded
+
+
+def test_traced_refining_sample_records_tracker_spans():
+    # the tracer wraps peek_block, commit and tracker only on the classes
+    # whose own attributes define them
+    cfg = presets()["sudoku"]
+    instance = build_instance(cfg, 0)
+    denoiser = m.build_denoiser(instance, cfg.denoiser, cfg.epsilon)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        _, trace = sample(instance, denoiser, m.linear_schedule(cfg.steps),
+                          search_config(cfg), sample_rng(cfg.seed, 0))
+    assert cfg.placement == "all_steps" and sum(r.rounds for r in trace) > 0
+    recorded = {tracer.names[i] for i in tracer.arrays()["name"]}
+    assert {"constraints.peek_block", "constraints.commit",
+            "constraints.tracker_init"} <= recorded
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
