@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -31,18 +32,20 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # not isinstance(x, int): a bool would read as 1
+        if not (type(self.num_vars) is int or isinstance(self.num_vars, np.integer)):
+            raise ConfigError(f"variable count must be an integer, got {self.num_vars!r}")
         if self.num_vars < 1:
             raise ConfigError("formula needs at least one variable")
         if not self.clauses:
             raise ConfigError("formula needs at least one clause")
+        if not all(self.clauses):
+            raise ConfigError("clauses must be non-empty")
+        literals = list(chain.from_iterable(self.clauses))
         n = self.num_vars
-        for clause in self.clauses:
-            if not clause:
-                raise ConfigError("clauses must be non-empty")
-            # not isinstance(lit, int): a bool literal would read as variable 1
-            if not all((type(lit) is int or isinstance(lit, np.integer)) and 0 < abs(lit) <= n
-                       for lit in clause):
-                raise ConfigError(f"literal not an integer in range in clause {clause}")
+        if not (all(t is int or issubclass(t, np.integer) for t in set(map(type, literals)))
+                and -n <= min(literals) and max(literals) <= n and 0 not in literals):
+            raise ConfigError(f"literals must be nonzero integers in -{n}..{n}")
 
     @cached_property
     def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -54,6 +57,25 @@ class CnfFormula:
                 polarity.append(1 if lit > 0 else 0)
                 clause_ids.append(ci)
         return (np.array(var_pos), np.array(polarity), np.array(clause_ids))
+
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        """Read-only ascending codes of the satisfying assignments, evaluated
+        once per formula for :func:`is_satisfiable` and
+        :func:`satisfying_assignments`.
+
+        Only the words of :func:`_satisfying_words` that hold a satisfying
+        code are unpacked. The formula keeps the K codes rather than the
+        2^n / 8 bytes of words, which at 20 variables are 128 KiB.
+        """
+        words = _satisfying_words(self)
+        hit = np.flatnonzero(words)
+        bits = np.unpackbits(words[hit].astype("<u8", copy=False).view(np.uint8),
+                             bitorder="little")
+        word, bit = np.nonzero(bits.reshape(-1, 64))
+        codes = hit[word] << _WORD_BITS | bit
+        codes.flags.writeable = False
+        return codes
 
 
 class ClauseViolations(Constraint):
@@ -118,6 +140,10 @@ class ClauseTracker(ViolationTracker):
 _WORD_BITS = 6
 _IN_WORD = np.array([sum(1 << c for c in range(64) if c >> v & 1)
                      for v in range(_WORD_BITS)], dtype=np.uint64)
+# Words gathered per block of clauses: the whole formula at 7 variables,
+# one clause at 20, so a block stays in cache and an unsatisfiable formula
+# stops after few blocks.
+_BLOCK_WORDS = 1 << 15
 
 
 def _satisfying_words(formula: CnfFormula) -> np.ndarray:
@@ -126,24 +152,38 @@ def _satisfying_words(formula: CnfFormula) -> np.ndarray:
     Bit ``c % 64`` of word ``c // 64`` is set when assignment ``c`` (bit ``v``
     of ``c`` is variable ``v + 1``) satisfies every clause; bits at and above
     ``2^n`` are clear.
+
+    Clauses are evaluated in blocks of about ``_BLOCK_WORDS`` gathered words:
+    each clause, padded to the widest by repeating its first literal, gathers
+    its variables' rows of the (n, words) variable table, flips the negated
+    ones, ORs them, and the block's clauses are ANDed into the result. The
+    evaluation stops after the first block that leaves no code satisfying.
     """
     n = formula.num_vars
     if n > ENUM_VAR_CAP:
         raise ConfigError(f"enumeration capped at {ENUM_VAR_CAP} variables, got {n}")
-    word_index = np.arange(1 << max(n - _WORD_BITS, 0), dtype=np.uint64)
+    num_words = 1 << max(n - _WORD_BITS, 0)
+    table = np.empty((n, num_words), dtype=np.uint64)
+    table[:_WORD_BITS] = _IN_WORD[:n, None]
     # variable v >= 6 is constant within a word: negating bit v-6 of the
     # word index gives an all-ones or all-zeros word
-    tables = [_IN_WORD[v] if v < _WORD_BITS
-              else -((word_index >> np.uint64(v - _WORD_BITS)) & np.uint64(1))
-              for v in range(n)]
+    high = table[_WORD_BITS:]
+    np.right_shift(np.arange(num_words, dtype=np.uint64),
+                   np.arange(len(high), dtype=np.uint64)[:, None], out=high)
+    high &= np.uint64(1)
+    np.negative(high, out=high)
+    width = max(map(len, formula.clauses))
+    literals = np.array([c + c[:1] * (width - len(c)) for c in formula.clauses],
+                        dtype=np.int64)
+    variables = np.abs(literals) - 1
+    flips = np.negative((literals < 0).astype(np.uint64))[..., None]
     # below 6 variables the one word is partial: only its low 2^n bits are codes
-    ok = np.full(word_index.shape, np.uint64((1 << min(1 << n, 64)) - 1))
-    for clause in formula.clauses:
-        clause_ok = np.zeros_like(ok)
-        for lit in clause:
-            table = tables[abs(lit) - 1]
-            clause_ok |= table if lit > 0 else ~table
-        ok &= clause_ok
+    ok = np.full(num_words, np.uint64((1 << min(1 << n, 64)) - 1))
+    step = max(_BLOCK_WORDS // (width * num_words), 1)
+    for start in range(0, len(literals), step):
+        rows = table[variables[start:start + step]]
+        rows ^= flips[start:start + step]
+        ok &= np.bitwise_and.reduce(np.bitwise_or.reduce(rows, axis=1), axis=0)
         if not ok.any():
             break
     return ok
@@ -152,19 +192,21 @@ def _satisfying_words(formula: CnfFormula) -> np.ndarray:
 def satisfying_assignments(formula: CnfFormula) -> np.ndarray:
     """All satisfying assignments as an int64 (K, n) array of 0/1 tokens.
 
-    Exhaustive enumeration, capped at ``ENUM_VAR_CAP`` variables. The formula
-    is evaluated in one pass, without chunks, over packed truth tables with
-    one bit per code (2^n / 8 bytes per variable); the rows come out in
-    ascending code order, variable 1 being the lowest bit of the code.
+    Exhaustive enumeration, capped at ``ENUM_VAR_CAP`` variables, over packed
+    truth tables with one bit per code (2^n / 8 bytes per variable), clauses
+    evaluated in blocks (:func:`_satisfying_words`). The satisfying codes are
+    computed once per formula and cached on it, so enumerating a formula that
+    :func:`is_satisfiable` has checked evaluates no clause. The rows come out
+    in ascending code order, variable 1 being the lowest bit of the code.
     """
-    words = _satisfying_words(formula)
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-    codes = np.flatnonzero(bits)
+    codes = formula._codes
     return (codes[:, None] >> np.arange(formula.num_vars, dtype=np.int64)) & 1
 
 
 def is_satisfiable(formula: CnfFormula) -> bool:
-    return bool(_satisfying_words(formula).any())
+    """Whether any assignment satisfies the formula; fills the formula's
+    cached satisfying codes (see :func:`satisfying_assignments`)."""
+    return formula._codes.size > 0
 
 
 def _loop_draw(num_vars: int, num_clauses: int, rng: np.random.Generator) -> CnfFormula:
@@ -249,8 +291,10 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
 
     With ``require_satisfiable`` the draw is rejection-sampled against an
     exhaustive satisfiability check over packed truth tables (hence the
-    variable cap); at 45 clauses over 7 variables most draws are
-    unsatisfiable, so expect several rejections per instance.
+    variable cap), which evaluates the clauses in blocks; at 45 clauses over
+    7 variables most draws are unsatisfiable, so expect several rejections
+    per instance. The check caches the accepted formula's satisfying codes on
+    it, so :func:`satisfying_assignments` on the result evaluates no clause.
     """
     if num_vars < 3:
         raise ConfigError("3-CNF needs at least 3 variables")

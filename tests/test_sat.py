@@ -69,6 +69,15 @@ def test_formula_rejects_non_integer_literals():
     assert CnfFormula(3, ((np.int64(1), -2, 3),)).clauses == ((1, -2, 3),)
 
 
+def test_formula_rejects_a_non_integer_variable_count():
+    # 3.5 would build and then fail in every check and enumeration; True
+    # would read as one variable
+    for bad in (3.5, 3.0, np.float64(3.0), True, np.True_, "3"):
+        with pytest.raises(ConfigError):
+            CnfFormula(bad, ((1,),))
+    assert CnfFormula(np.int64(3), ((1, -2, 3),)) == CnfFormula(3, ((1, -2, 3),))
+
+
 def test_sat_violation_examples():
     f = ClauseViolations(CnfFormula(3, ((1, 2, 3),)))
     assert f.violation(np.array([0, 0, 0])) == 1
@@ -236,6 +245,78 @@ def assert_enumeration_matches_oracle(formula):
 @example(CnfFormula(4, ((2,), (-2, 3), (-3,))))       # unsatisfiable by propagation
 @example(CnfFormula(8, ((8,), (-8,))))                # unsatisfiable over many words
 def test_satisfying_assignments_match_the_chunked_oracle(formula):
+    assert_enumeration_matches_oracle(formula)
+
+
+def clauses_per_block(formula):
+    """Clauses per block of ``sat._satisfying_words`` (one variable row is
+    2^(n-6) words, and every clause is padded to the widest)."""
+    width = max(map(len, formula.clauses))
+    return max(sat._BLOCK_WORDS // (width << max(formula.num_vars - 6, 0)), 1)
+
+
+@st.composite
+def multi_block_cnf_formulas(draw):
+    """Formulas over 13-18 variables with clauses of 1-5 literals, one of
+    them 5 wide, and more clauses than fit in one block."""
+    n = draw(st.integers(13, 18))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    per_block = sat._BLOCK_WORDS // (5 << (n - 6))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=5).map(tuple),
+                            min_size=per_block, max_size=2 * per_block + 6))
+    widest = tuple(draw(st.lists(literal, min_size=5, max_size=5)))
+    clauses.insert(draw(st.integers(0, len(clauses))), widest)
+    return CnfFormula(n, tuple(clauses))
+
+
+def mixed_width_formula(num_vars, num_clauses, seed):
+    rng = np.random.default_rng(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        chosen = rng.choice(num_vars, size=int(rng.integers(1, 6)), replace=False) + 1
+        clauses.append(tuple(int(v) for v in chosen * rng.choice((-1, 1), size=chosen.size)))
+    return CnfFormula(num_vars, tuple(clauses))
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_block_cnf_formulas())
+@example(mixed_width_formula(20, 12, seed=4))
+@example(mixed_width_formula(16, 40, seed=5))
+def test_multi_block_enumeration_matches_the_chunked_oracle(formula):
+    assert len(formula.clauses) > clauses_per_block(formula)
+    assert_enumeration_matches_oracle(formula)
+
+
+def test_enumeration_stopped_after_the_first_block_matches_the_chunked_oracle():
+    # x16 and not x16 in the first block; the clauses after it would be
+    # satisfiable on their own
+    tail = tuple((v, -(v % 15 + 1), v % 13 + 2) for v in range(1, 16)) * 2
+    formula = CnfFormula(16, ((16, 1, 2), (16,), (-16,)) + tail)
+    per_block = clauses_per_block(formula)
+    assert 3 <= per_block < len(formula.clauses)
+    first_block = CnfFormula(16, formula.clauses[:per_block])
+    assert satisfying_assignments_by_chunks(first_block).shape[0] == 0
+    assert satisfying_assignments_by_chunks(CnfFormula(16, tail)).shape[0] > 0
+    assert_enumeration_matches_oracle(formula)
+
+
+def test_a_formula_is_evaluated_once_and_its_codes_are_read_only(monkeypatch):
+    calls = []
+    real = sat._satisfying_words
+    monkeypatch.setattr(sat, "_satisfying_words", lambda f: calls.append(f) or real(f))
+    formula = mixed_width_formula(9, 20, seed=6)
+    assert is_satisfiable(formula)
+    support = satisfying_assignments(formula)
+    assert len(calls) == 1
+    assert satisfying_assignments(formula).tobytes() == support.tobytes()
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        formula._codes[0] = 0
+    # an equal formula built on its own evaluates to the same assignments
+    twin = mixed_width_formula(9, 20, seed=6)
+    assert twin == formula and twin is not formula
+    assert satisfying_assignments(twin).tobytes() == support.tobytes()
+    assert len(calls) == 2
     assert_enumeration_matches_oracle(formula)
 
 

@@ -9,6 +9,7 @@ harness the same way, so their first jobs run here too.
 """
 
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,14 +17,17 @@ import numpy as np
 import pytest
 
 import mdsearch as m
+from mdsearch.constraints import sat
 from mdsearch.constraints.sat import CnfFormula
-from mdsearch.harness.runner import build_instance, presets, sample_rng, search_config
+from mdsearch.harness.runner import (build_instance, instance_rng, presets, sample_rng,
+                                     search_config)
 from mdsearch.search import SearchConfig, sample
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+from oracles import satisfying_assignments_by_chunks  # noqa: E402
 
 
 @pytest.mark.parametrize("placement", ["off", "last_step", "all_steps"])
@@ -46,6 +50,29 @@ def test_traced_sat_instance_build_records_a_generation_span():
         build_instance(presets()["sat"], 0)
     recorded = {tracer.names[i] for i in tracer.arrays()["name"]}
     assert "harness.gen" in recorded
+
+
+def test_traced_sat_set_up_checks_every_draw_and_enumerates_once():
+    # harness.gen_draws counts sat.is_satisfiable calls and tasks.enum_s
+    # times tasks.exact_distribution: checking or enumerating a formula
+    # through any other binding would zero them without an error
+    cfg = presets()["sat"]
+    index = 0
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        instance = build_instance(cfg, index)
+        m.build_denoiser(instance, cfg.denoiser, cfg.epsilon)
+    spans = Counter(tracer.names[i] for i in tracer.arrays()["name"])
+    rng, draws = instance_rng(cfg.seed, index), 0
+    while True:  # the draws random_formula makes, replayed by the clause loop
+        draws += 1
+        formula = sat._loop_draw(cfg.sat_vars, cfg.sat_clauses, rng)
+        if satisfying_assignments_by_chunks(formula).shape[0] > 0:
+            break
+    assert formula == instance.data and draws > 1
+    assert spans["harness.sat_check"] == draws
+    assert spans["harness.gen"] == 1
+    assert spans["tasks.enum"] == 1
 
 
 def test_traced_refining_sample_records_tracker_spans():
