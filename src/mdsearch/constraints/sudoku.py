@@ -7,6 +7,8 @@ token ids ``digit - 1`` flattened row-major. A board of box size ``b`` has
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import ConfigError, ParseError
@@ -75,6 +77,18 @@ def unit_indices(box: int) -> np.ndarray:
     return np.array(rows + cols + boxes)
 
 
+@lru_cache(maxsize=16)
+def _bin_offsets(box: int, rows: int) -> np.ndarray:
+    """Read-only ``row * slots + unit * side`` for every unit slot of ``rows``
+    candidates, in :func:`unit_indices` order (slots = units * side)."""
+    side = box * box
+    units = 3 * side
+    out = (np.arange(rows)[:, None] * (units * side)
+           + np.repeat(np.arange(units) * side, side))
+    out.setflags(write=False)
+    return out
+
+
 class UnitDuplicates(Constraint):
     """Total duplicate count over all units: sum of max(0, count - 1)."""
 
@@ -85,17 +99,27 @@ class UnitDuplicates(Constraint):
         self.side = box * box
         self.alphabet, self.length = self.side, self.side * self.side
         self.units = unit_indices(box)
-        # offset of each unit's histogram in one flat bincount
-        self._unit_base = np.arange(len(self.units))[:, None] * self.side
+        self._unit_cells = self.units.ravel()
         # the row, column and box unit of each cell (3, cells), for per-edit deltas
         self.cell_units = np.empty((3, self.side * self.side), dtype=np.int64)
         for ui, unit in enumerate(self.units):
             self.cell_units[ui // self.side, unit] = ui
 
+    def _unit_histograms(self, values):
+        """Digit counts (M, units, side) of every unit of every row of ``values``
+        (M, cells), by one ``bincount`` over ``row * slots + unit * side + token``."""
+        rows, slots = len(values), self._unit_cells.size
+        flat = values.take(self._unit_cells, axis=1)
+        flat += _bin_offsets(self.box, rows)
+        hist = np.bincount(flat.ravel(), minlength=rows * slots)
+        return hist.reshape(rows, len(self.units), self.side)
+
     def _violations(self, values):
-        grouped = np.sort(values[:, self.units], axis=2)
-        distinct = 1 + (np.diff(grouped, axis=2) != 0).sum(axis=2)
-        return (self.side - distinct).sum(axis=1).astype(np.float64)
+        # sum(max(0, count - 1)) over the units, read off as the unit slots
+        # minus the digits present
+        hist = self._unit_histograms(values)
+        return np.subtract(self._unit_cells.size, np.count_nonzero(hist, axis=(1, 2)),
+                           dtype=np.float64)
 
     def tracker(self, values):
         return UnitTracker(self, values)
@@ -105,11 +129,8 @@ class UnitTracker(ViolationTracker):
     """Per-unit digit histograms; an edit touches exactly three units."""
 
     def _rebuild(self, values):
-        ev = self.constraint
-        flat = (values[ev.units] + ev._unit_base).ravel()
-        self.hist = np.bincount(flat, minlength=flat.size).reshape(len(ev.units), ev.side)
-        # sum(max(0, hist - 1)), read off as cells minus the digits present
-        return int(flat.size - np.count_nonzero(self.hist))
+        self.hist = self.constraint._unit_histograms(values[None])[0]
+        return int(self.hist.size - np.count_nonzero(self.hist))
 
     def _peek_block(self, positions, num_tokens):
         """Leaving ``old`` and entering ``token`` over each cell's three units, by ``take``."""

@@ -98,10 +98,29 @@ class DataDistribution:
         weights.setflags(write=False)
         self.support = support
         self.weights = weights
+        self._bin_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def length(self) -> int:
         return self.support.shape[1]
+
+    def bin_tables(self, num_tokens: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (S, L) posterior bin table and the matching (S, L) weights, read-only.
+
+        Entry ``[s, i]`` of the bin table is ``support[s, i] + i * num_tokens``,
+        the flat ``(L, num_tokens)`` cell that support row ``s`` adds its
+        weight to at position ``i``; the weights repeat ``weights[s]`` along
+        the row. Built on first use per alphabet size and kept: 16 bytes
+        per support cell.
+        """
+        tables = self._bin_tables.get(num_tokens)
+        if tables is None:
+            bins = self.support + np.arange(self.length) * num_tokens
+            spread = np.repeat(self.weights, self.length).reshape(self.support.shape)
+            bins.setflags(write=False)
+            spread.setflags(write=False)
+            tables = self._bin_tables[num_tokens] = (bins, spread)
+        return tables
 
 
 def exact_posterior(dist: DataDistribution, values: np.ndarray,
@@ -114,19 +133,22 @@ def exact_posterior(dist: DataDistribution, values: np.ndarray,
     masked rows fall back to uniform so sampling can proceed. The support
     must lie inside the alphabet, as :class:`ExactPosteriorDenoiser`
     checks once when it is built.
+
+    The consistent rows of :meth:`DataDistribution.bin_tables` feed one
+    ``bincount``, which sums each cell in support-row order.
     """
     values = np.asarray(values)
     if len(values) != dist.length:
         raise ContractError(
             f"sequence length {len(values)} != support length {dist.length}")
     observed = np.flatnonzero(values != vocab.mask_id)
-    consistent = np.all(dist.support[:, observed] == values[observed], axis=1)
+    consistent = (dist.support[:, observed] == values[observed]).all(axis=1)
     if not consistent.any():
         return _uniform_rows(values, vocab)
-    sub = dist.support[consistent]
-    w = dist.weights[consistent]
-    bins = (sub + np.arange(dist.length) * vocab.size).ravel()
-    rows = np.bincount(bins, np.repeat(w, dist.length), dist.length * vocab.size)
+    bins, spread = dist.bin_tables(vocab.size)
+    rows = np.bincount(bins.compress(consistent, axis=0).ravel(),
+                       spread.compress(consistent, axis=0).ravel(),
+                       dist.length * vocab.size)
     rows = rows.reshape(dist.length, vocab.size)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows  # observed rows are one-hot: every consistent row agrees there
@@ -139,6 +161,7 @@ class ExactPosteriorDenoiser(Denoiser):
         super().__init__(vocab)
         if np.any(dist.support >= vocab.size) or np.any(dist.support < 0):
             raise ConfigError("support contains values outside the alphabet")
+        dist.bin_tables(vocab.size)  # built here, at set-up, not while sampling
         self.dist = dist
 
     def denoise(self, values, t):
@@ -158,7 +181,7 @@ class CorruptedDenoiser(Denoiser):
         self.epsilon = epsilon
 
     def denoise(self, values, t):
-        rows = np.array(self.base.denoise(values, t), dtype=np.float64)
+        rows = np.asarray(self.base.denoise(values, t), dtype=np.float64)
         rows = (1.0 - self.epsilon) * rows + self.epsilon / self.vocab.size
         return _clamp_observed(rows, values, self.vocab)
 

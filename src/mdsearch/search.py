@@ -11,7 +11,9 @@ the plain reverse step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -51,8 +53,9 @@ class SearchConfig:
             raise ConfigError("refinement rounds must be non-negative")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}")
-        if self.weights is not None and any(w < 0 for w in self.weights):
-            raise ConfigError("constraint weights must be non-negative")
+        if self.weights is not None and not all(
+                math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ConfigError("constraint weights must be finite and non-negative")
 
 
 def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> np.ndarray:
@@ -62,6 +65,8 @@ def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> np.ndarray:
     if weights.shape != (len(constraints),):
         raise ContractError(
             f"{weights.size} weights for {len(constraints)} constraints")
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise ContractError("weights must be finite and non-negative")
     return weights
 
 
@@ -76,7 +81,7 @@ def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
     nu = np.array([c.violations(values) for c in constraints], dtype=np.float64)
     if nu.shape != (len(constraints), len(values)):
         raise ContractError(f"violations of shape {nu.shape} for {len(values)} rows")
-    if np.any(nu < 0):
+    if (nu < 0).any():
         raise ContractError("violations must be non-negative")
     totals = np.zeros(len(values))
     for wk, vk in zip(w, nu):
@@ -85,7 +90,7 @@ def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
 
 
 def _report(nu: np.ndarray, w: np.ndarray) -> ViolationReport:
-    return ViolationReport(tuple(float(v) for v in nu), tuple(float(x) for x in w))
+    return ViolationReport(tuple(nu.tolist()), tuple(w.tolist()))
 
 
 def aggregate_violation(values: np.ndarray, constraints: tuple[Constraint, ...],
@@ -105,7 +110,7 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     if count < 1:
         raise ConfigError("need at least one draw")
     x_t = np.asarray(x_t)
-    draws = np.tile(x_t, (count, 1))
+    draws = np.repeat(x_t[None], count, 0)
     masked = masked_positions(x_t, mask_id)
     draws[:, masked] = sample_rows(np.asarray(rows)[masked], rng, count)
     return draws
@@ -249,6 +254,15 @@ class StepRecord(NamedTuple):
 SampleTrace = tuple[StepRecord, ...]
 
 
+@lru_cache(maxsize=64)
+def _empty_records(steps: int) -> tuple[StepRecord, ...]:
+    """The record of a step where nothing happens, entry ``t`` for step ``t``.
+
+    Records are immutable, so every sample with this step count shares them.
+    """
+    return tuple(StepRecord(t, None, None, None, 0, 0) for t in range(steps + 1))
+
+
 def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
            config: SearchConfig, rng: np.random.Generator,
            collect_masks: bool = False) -> tuple[np.ndarray, SampleTrace]:
@@ -263,6 +277,11 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     other steps go unused, even from a ``t``-dependent model. Rows are
     checked once per call. The final step always commits every remaining
     masked position, so the result has no masks.
+
+    The chain jumps between those event steps: a step without search or
+    commit does no work and gets a shared empty record (with
+    ``collect_masks``, a fresh one holding the unchanged masks), so the
+    trace still has one record per step, ``t = T .. 1``.
     """
     if denoiser.vocab.size != instance.vocab.size:
         raise ConfigError("denoiser and instance disagree on the alphabet")
@@ -274,27 +293,33 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     hits = first_hitting_steps(schedule, masked.size, rng)
     order = masked[np.argsort(-hits, kind="stable")]
     counts = np.bincount(hits, minlength=schedule.steps + 1).tolist()
+    empty = _empty_records(schedule.steps)
+    masks = tuple(masked.tolist()) if collect_masks else None
     done = 0
     records = []
     for t in range(schedule.steps, 0, -1):
+        committed = counts[t]
         active = search_active(config.placement, t)
+        if not (active or committed):
+            records.append(empty[t] if masks is None
+                           else empty[t]._replace(masked_after=masks))
+            continue
         first = pool = refined = None
-        rounds, committed = 0, counts[t]
+        rounds = 0
         try:
-            if active or committed:
-                rows = check_rows(denoiser.denoise(x, t), x, vocab)
+            rows = check_rows(denoiser.denoise(x, t), x, vocab)
             if active:
                 outcome = search_step(rows, x, config, instance, rng)
                 x = guided_reverse_step(outcome.candidate, order[done + committed:],
                                         vocab.mask_id)
                 first, pool = outcome.first_total, outcome.pool_total
                 refined, rounds = outcome.report.total, outcome.rounds
-            elif committed:
+            else:
                 x = vanilla_reverse_step(x, rows, order[done:done + committed], rng)
         except Exception as exc:
             raise SampleError(f"{instance.name}: step t={t} failed: {exc}") from exc
         done += committed
-        masks = (tuple(int(p) for p in masked_positions(x, vocab.mask_id))
-                 if collect_masks else None)
+        if collect_masks:
+            masks = tuple(masked_positions(x, vocab.mask_id).tolist())
         records.append(StepRecord(t, first, pool, refined, rounds, committed, masks))
     return x, tuple(records)

@@ -282,3 +282,62 @@ def guided_chain(instance, denoiser, schedule, config, rng):
             x[p] = refined[p]
         counts.append(chosen)
     return x, tuple(counts)
+
+
+def sample_rows_by_sum(rows, rng, count=None) -> np.ndarray:
+    """Categorical draws by counting every cumulative sum at or below the
+    uniform, capped at the last token.
+
+    The same uniforms, in the same order, as ``diffusion.sample_rows``;
+    reference for its draw from the transposed CDF.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    cdf = np.cumsum(rows, axis=1)
+    shape = rows.shape[0] if count is None else (count, rows.shape[0])
+    u = rng.random(shape) * cdf[:, -1]
+    idx = (cdf <= u[..., None]).sum(axis=-1)
+    return np.minimum(idx, rows.shape[1] - 1).astype(np.int64)
+
+
+def sample_by_step(instance, denoiser, schedule, config, rng, collect_masks=False):
+    """``sample`` walked through every step, building a fresh record at each.
+
+    Queries the denoiser, searches and commits at the same steps and in
+    the same order as ``sample``, and commits plain steps through
+    :func:`sample_rows_by_sum`. Reference for ``sample``, which jumps
+    between the steps where something happens.
+    """
+    from mdsearch.denoise import check_rows
+    from mdsearch.diffusion import first_hitting_steps, guided_reverse_step
+    from mdsearch.search import StepRecord, search_active, search_step
+    from mdsearch.vocab import fully_masked, masked_positions
+
+    vocab = instance.vocab
+    x = fully_masked(instance.region, vocab.mask_id, instance.frozen_values)
+    masked = masked_positions(x, vocab.mask_id)
+    hits = first_hitting_steps(schedule, masked.size, rng)
+    order = masked[np.argsort(-hits, kind="stable")]
+    counts = np.bincount(hits, minlength=schedule.steps + 1).tolist()
+    done = 0
+    records = []
+    for t in range(schedule.steps, 0, -1):
+        active = search_active(config.placement, t)
+        first = pool = refined = None
+        rounds, committed = 0, counts[t]
+        if active or committed:
+            rows = check_rows(denoiser.denoise(x, t), x, vocab)
+        if active:
+            outcome = search_step(rows, x, config, instance, rng)
+            x = guided_reverse_step(outcome.candidate, order[done + committed:],
+                                    vocab.mask_id)
+            first, pool = outcome.first_total, outcome.pool_total
+            refined, rounds = outcome.report.total, outcome.rounds
+        elif committed:
+            x = np.array(x, dtype=np.int64)
+            committing = order[done:done + committed]
+            x[committing] = sample_rows_by_sum(rows[committing], rng)
+        done += committed
+        masks = (tuple(int(p) for p in masked_positions(x, vocab.mask_id))
+                 if collect_masks else None)
+        records.append(StepRecord(t, first, pool, refined, rounds, committed, masks))
+    return x, tuple(records)

@@ -93,6 +93,21 @@ def test_sudoku_violations_match_naive_recount(seed, box, rows):
     assert got.tolist() == [naive_sudoku_tokens(row, box * box) for row in batch]
 
 
+@pytest.mark.parametrize("box", [2, 3])
+def test_sudoku_scores_batches_of_any_size_with_one_constraint(box):
+    # bin offsets are cached per board and batch size: every size, and a
+    # tracker built afterwards, must read its own
+    rng = np.random.default_rng(box)
+    side = box * box
+    constraint = UnitDuplicates(box)
+    for rows in (3, 40, 1, 0, 17, 64, 2):
+        batch = noisy_solutions(rng, box, rows)
+        got = constraint.violations(batch)
+        assert got.tolist() == [naive_sudoku_tokens(row, side) for row in batch]
+    values = noisy_solutions(rng, box, 1)[0]
+    assert constraint.tracker(values).value() == naive_sudoku_tokens(values, side)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, slots=st.integers(0, 60), rows=st.integers(1, 20))
 @example(seed=0, slots=0, rows=3)  # empty candidates: an empty prefix

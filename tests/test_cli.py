@@ -120,7 +120,8 @@ def test_sample_with_dimacs_instance(tmp_path, capsys):
 
 # --- a bad setting stops the run before its first sample -------------------
 
-@pytest.mark.parametrize("line", ["steps = abc", "weights = 1.0,x"])
+@pytest.mark.parametrize("line", ["steps = abc", "weights = 1.0,x", "weights = nan",
+                                  "weights = inf"])
 def test_malformed_config_value_is_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[run]\n{line}\n", encoding="utf-8")

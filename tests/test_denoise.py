@@ -212,3 +212,19 @@ def test_exact_posterior_bitwise_matches_per_position_oracle():
         oracle = posterior_by_position(dist.support, dist.weights, values,
                                        num_tokens, vocab.mask_id)
         assert rows.tobytes() == oracle.tobytes()
+
+
+def test_posterior_tables_are_built_with_the_denoiser_and_read_only():
+    vocab = Vocab(tuple("ABC"))
+    support = np.array([[0, 1], [2, 2], [1, 0]])
+    dist = DataDistribution(support, [1.0, 2.0, 3.0])
+    ExactPosteriorDenoiser(dist, vocab)
+    assert list(dist._bin_tables) == [vocab.size]
+    bins, spread = dist.bin_tables(vocab.size)
+    assert dist.bin_tables(vocab.size)[0] is bins
+    assert np.array_equal(bins, [[0, 4], [2, 5], [1, 3]])
+    assert np.array_equal(spread, np.repeat(dist.weights, 2).reshape(3, 2))
+    for table in (bins, spread):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+    assert np.array_equal(dist.bin_tables(4)[0], [[0, 5], [2, 6], [1, 4]])

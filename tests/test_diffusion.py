@@ -13,7 +13,7 @@ from mdsearch.diffusion import (
 from mdsearch.errors import ConfigError, ContractError
 from mdsearch.vocab import EditableRegion, Vocab, masked_positions
 
-from oracles import forward_corrupt
+from oracles import forward_corrupt, sample_rows_by_sum
 
 AB = Vocab(("A", "B"))
 
@@ -104,6 +104,34 @@ def test_sample_rows_count_draws_per_row():
     assert out.shape == (4000, 2)
     assert np.all(out[:, 0] == 1)
     assert abs(out[:, 1].mean() - 0.75) < 0.03
+
+
+class LargestUniform:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("num_tokens", range(2, 22))
+def test_sample_rows_matches_the_inverse_cdf_oracle(num_tokens):
+    rng = np.random.default_rng(num_tokens)
+    for case in range(20):
+        length = int(rng.integers(1, 60))
+        rows = rng.random((length, num_tokens))
+        rows[:, rng.random(num_tokens) < 0.3] = 0.0  # zero-probability columns
+        hot = (rng.random(length) < 0.3) | (rows.sum(axis=1) == 0)
+        rows[hot] = 0.0
+        rows[hot, rng.integers(0, num_tokens, hot.sum())] = 1.0  # one-hot rows
+        rows /= rows.sum(axis=1, keepdims=True)
+        for count in (None, 1, 32):
+            got = sample_rows(rows, np.random.default_rng([num_tokens, case]), count)
+            want = sample_rows_by_sum(rows, np.random.default_rng([num_tokens, case]),
+                                      count)
+            assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+            top = sample_rows(rows, LargestUniform(), count)
+            assert top.tobytes() == sample_rows_by_sum(rows, LargestUniform(),
+                                                       count).tobytes()
 
 
 def test_first_hitting_steps_marginals():

@@ -14,7 +14,10 @@ from mdsearch.denoise import (DataDistribution, Denoiser, ExactPosteriorDenoiser
 from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, SampleError
 from mdsearch.harness.runner import build_instance, presets, sample_rng, search_config
 from mdsearch.search import (
+    PLACEMENTS,
     SearchConfig,
+    StepRecord,
+    aggregate_violation,
     best_of_pool,
     proposal_draws,
     refine,
@@ -25,7 +28,7 @@ from mdsearch.tasks import Instance, sat_instance, sudoku_instance
 from mdsearch.vocab import EditableRegion, Vocab, fully_masked, masked_positions
 
 from oracles import (bernoulli_chain, guided_chain, naive_sat_violation, neighborhood,
-                     refine_by_neighborhood, tv_distance)
+                     refine_by_neighborhood, sample_by_step, tv_distance)
 
 BIN = Vocab(("0", "1"))
 PAIR_FORMULA = CnfFormula(2, ((1, 2), (-1, 2)))  # feasible iff x2 is true
@@ -51,6 +54,17 @@ def test_search_config_validation():
         SearchConfig(placement="sometimes")
     with pytest.raises(ConfigError):
         SearchConfig(weights=(-1.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            SearchConfig(weights=(1.0, bad))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_non_finite_or_negative_weights_are_rejected_before_scoring(bad):
+    # nan * 0 and inf * 0 are both nan: a total that no comparison orders
+    constraints = _sat_searchable().constraints
+    with pytest.raises(ContractError):
+        aggregate_violation(np.zeros(3, dtype=np.int64), constraints, (bad,))
 
 
 def test_proposal_draws_clamp_observed():
@@ -510,6 +524,70 @@ def test_sample_all_steps_matches_the_guided_chain():
         outputs[name] = Counter(x.tobytes() for x, _ in results)
     assert tv_distance(outputs["sample"], {k: v / n for k, v in
                                            outputs["oracle"].items()}, n) < 0.04
+
+
+class StepTilted:
+    """A ``t``-dependent model, duck-typed: masked rows lean toward token
+    ``t mod |V|``, observed rows are one-hot."""
+
+    def __init__(self, vocab):
+        self.vocab = vocab
+
+    def denoise(self, values, t):
+        values = np.asarray(values)
+        rows = np.ones((len(values), self.vocab.size))
+        rows[:, t % self.vocab.size] += t
+        rows /= rows.sum(axis=1, keepdims=True)
+        observed = np.flatnonzero(values != self.vocab.mask_id)
+        rows[observed] = 0.0
+        rows[observed, values[observed]] = 1.0
+        return rows
+
+
+@pytest.mark.parametrize("collect_masks", [False, True])
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("task", ["sat", "sudoku", "peptide", "t-dependent"])
+def test_sample_matches_the_per_step_oracle(task, placement, collect_masks):
+    # byte for byte, outputs and traces, at the preset step count and at a
+    # long chain where most steps neither search nor commit
+    cfg = replace(presets()["sat" if task == "t-dependent" else task],
+                  placement=placement)
+    scfg = search_config(cfg)
+    for i in range(4):
+        schedule = m.linear_schedule((cfg.steps, 64)[i % 2])
+        instance = build_instance(cfg, i)
+        denoiser = (StepTilted(instance.vocab) if task == "t-dependent"
+                    else m.build_denoiser(instance, cfg.denoiser, cfg.epsilon))
+        final, trace = sample(instance, denoiser, schedule, scfg,
+                              sample_rng(cfg.seed, i), collect_masks)
+        want, want_trace = sample_by_step(instance, denoiser, schedule, scfg,
+                                          sample_rng(cfg.seed, i), collect_masks)
+        assert final.dtype == want.dtype and final.tobytes() == want.tobytes()
+        assert trace == want_trace
+
+
+def test_empty_step_records_are_shared():
+    cfg = replace(presets()["sat"], placement="off", denoiser="exact")
+    instance = build_instance(cfg, 0)
+    denoiser = m.build_denoiser(instance, cfg.denoiser)
+    schedule = m.linear_schedule(64)
+    traces = [sample(instance, denoiser, schedule, search_config(cfg),
+                     sample_rng(cfg.seed, i))[1] for i in range(2)]
+    shared = 0
+    for a, b in zip(*traces):
+        if a.committed == 0 and b.committed == 0:
+            assert a is b and a == StepRecord(a.t, None, None, None, 0, 0)
+            shared += 1
+    assert shared > 0
+    # with masks, an empty step's record repeats the masks of the step before
+    _, trace = sample(instance, denoiser, schedule, search_config(cfg),
+                      sample_rng(cfg.seed, 0), collect_masks=True)
+    before = tuple(range(instance.length))
+    for record in trace:
+        if record.committed == 0:
+            assert record.masked_after == before
+        before = record.masked_after
+    assert before == ()
 
 
 def test_sample_trace_invariant_refined_at_most_pool():

@@ -19,6 +19,7 @@ import pytest
 import mdsearch as m
 from mdsearch.constraints import sat
 from mdsearch.constraints.sat import CnfFormula
+from mdsearch.harness.configio import RunConfig
 from mdsearch.harness.runner import (build_instance, instance_rng, presets, sample_rng,
                                      search_config)
 from mdsearch.search import SearchConfig, sample
@@ -40,6 +41,28 @@ def test_traced_sample_records_step_and_row_check_spans(placement):
         sample(instance, denoiser, m.linear_schedule(4), cfg, np.random.default_rng(0))
     recorded = {tracer.names[i] for i in tracer.arrays()["name"]}
     assert {"diffusion.step", "denoise.check_rows"} <= recorded
+
+
+def test_traced_plain_chain_spans_one_denoise_check_and_commit_per_event_step():
+    # denoise.calls, denoise.check_rows_s and diffusion.step_calls read these
+    # spans: a step that skips the wrapped calls, or a commit made through
+    # another binding, would change them without an error
+    cfg = RunConfig(task="sat", steps=64, placement="off", denoiser="exact", seed=7,
+                    sat_vars=20, sat_clauses=70)
+    instance = build_instance(cfg, 0)
+    denoiser = m.build_denoiser(instance, cfg.denoiser)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        _, trace = sample(instance, denoiser, m.linear_schedule(cfg.steps),
+                          search_config(cfg), sample_rng(cfg.seed, 0))
+    spans = tracer.arrays()
+    names = np.array(tracer.names)[spans["name"]]
+    top = spans["parent"] < 0
+    events = sum(r.committed > 0 for r in trace)
+    assert len(trace) == cfg.steps and 0 < events < cfg.steps
+    assert (names == "denoise.check_rows").sum() == events
+    assert (names == "diffusion.step").sum() == events
+    assert ((names == "denoise.denoise") & top).sum() == events
 
 
 def test_traced_sat_instance_build_records_a_generation_span():
