@@ -7,7 +7,7 @@ Variable ``v`` (1-based, as in DIMACS) corresponds to position ``v - 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -48,15 +48,15 @@ class CnfFormula:
             raise ConfigError(f"literals must be nonzero integers in -{n}..{n}")
 
     @cached_property
-    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(variable positions, polarity, clause index) for every literal."""
-        var_pos, polarity, clause_ids = [], [], []
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                var_pos.append(abs(lit) - 1)
-                polarity.append(1 if lit > 0 else 0)
-                clause_ids.append(ci)
-        return (np.array(var_pos), np.array(polarity), np.array(clause_ids))
+    def _literals(self) -> np.ndarray:
+        """Read-only (clauses, width) int64 table of the literals: each clause
+        is padded to the widest by repeating its first literal, which leaves
+        its truth under every assignment unchanged."""
+        width = max(map(len, self.clauses))
+        table = np.array([c + c[:1] * (width - len(c)) for c in self.clauses],
+                         dtype=np.int64)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def _codes(self) -> np.ndarray:
@@ -87,24 +87,29 @@ class ClauseViolations(Constraint):
     def __init__(self, formula: CnfFormula):
         self.formula = formula
         self.length = formula.num_vars
-        self._var_pos, self._polarity, self._clause_ids = formula._flat
-        # literals are stored clause by clause: where each clause's run starts
-        self._starts = np.flatnonzero(np.diff(self._clause_ids, prepend=-1))
+        # (clauses, width) variable position and polarity of each padded literal
+        self._var_pos = np.abs(formula._literals) - 1
+        self._polarity = (formula._literals > 0).astype(np.int64)
 
     @cached_property
     def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pair of each literal, variable, clause) over distinct (variable,
-        clause) pairs, so that a variable occurring twice in one clause
-        changes that clause's count once per flip."""
-        m = len(self.formula.clauses)
-        pairs, pair_of_lit = np.unique(self._var_pos * m + self._clause_ids,
-                                       return_inverse=True)
+        """(pair of each padded literal, variable, clause) over distinct
+        (variable, clause) pairs, so that a variable occurring twice in one
+        clause changes that clause's count once per flip."""
+        m = len(self._var_pos)
+        keys = self._var_pos * m + np.arange(m)[:, None]
+        pairs, pair_of_lit = np.unique(keys.ravel(), return_inverse=True)
         return (pair_of_lit, *np.divmod(pairs, m))
 
     def true_literal_counts(self, values) -> np.ndarray:
-        """Per-clause true-literal counts (..., clauses) of checked (..., n) tokens."""
-        true_lits = values[..., self._var_pos] == self._polarity
-        return np.add.reduceat(true_lits.astype(np.int64), self._starts, axis=-1)
+        """Per-clause true-literal counts (..., clauses) of checked (..., n) tokens.
+
+        Counted over the padded table, so a pad counts its clause's first
+        literal again. A count is zero exactly when its clause is false, and
+        flip deltas are taken over the same padded literals, so violations,
+        tracker values and tracker deltas are those of the unpadded clauses.
+        """
+        return (values[..., self._var_pos] == self._polarity).sum(axis=-1)
 
     def _violations(self, values):
         return (self.true_literal_counts(values) == 0).sum(axis=1).astype(np.float64)
@@ -125,7 +130,7 @@ class ClauseTracker(ViolationTracker):
         """Flip deltas of all variables from one bincount over literal deltas."""
         ev = self.constraint
         pair_of_lit, pair_var, pair_clause = ev._pairs
-        lit_delta = np.where(self.values[ev._var_pos] == ev._polarity, -1, 1)
+        lit_delta = np.where(self.values[ev._var_pos] == ev._polarity, -1, 1).ravel()
         pair_delta = np.bincount(pair_of_lit, weights=lit_delta, minlength=len(pair_var))
         before = self.counts[pair_clause]
         change = (before + pair_delta == 0).astype(np.int64) - (before == 0)
@@ -154,8 +159,8 @@ def _satisfying_words(formula: CnfFormula) -> np.ndarray:
     ``2^n`` are clear.
 
     Clauses are evaluated in blocks of about ``_BLOCK_WORDS`` gathered words:
-    each clause, padded to the widest by repeating its first literal, gathers
-    its variables' rows of the (n, words) variable table, flips the negated
+    each clause, a row of the formula's padded literal table, gathers its
+    variables' rows of the (n, words) variable table, flips the negated
     ones, ORs them, and the block's clauses are ANDed into the result. The
     evaluation stops after the first block that leaves no code satisfying.
     """
@@ -172,9 +177,8 @@ def _satisfying_words(formula: CnfFormula) -> np.ndarray:
                    np.arange(len(high), dtype=np.uint64)[:, None], out=high)
     high &= np.uint64(1)
     np.negative(high, out=high)
-    width = max(map(len, formula.clauses))
-    literals = np.array([c + c[:1] * (width - len(c)) for c in formula.clauses],
-                        dtype=np.int64)
+    literals = formula._literals
+    width = literals.shape[1]
     variables = np.abs(literals) - 1
     flips = np.negative((literals < 0).astype(np.uint64))[..., None]
     # below 6 variables the one word is partial: only its low 2^n bits are codes
@@ -212,7 +216,8 @@ def is_satisfiable(formula: CnfFormula) -> bool:
 def _loop_draw(num_vars: int, num_clauses: int, rng: np.random.Generator) -> CnfFormula:
     """One random 3-CNF, drawn clause by clause with ``choice`` and ``integers``.
 
-    The reference for :func:`_block_draw` and its fallback.
+    The draw :func:`random_formula` makes where :func:`_block_draw` returns
+    ``None``, and the reference the tests hold the block draw to.
     """
     clauses = []
     for _ in range(num_clauses):
@@ -230,10 +235,13 @@ def _block_draw(num_vars: int, num_clauses: int,
     32-bit draws with bounds n-2, n-1 and n (the first draws nothing at
     n=3), then a shuffle of the three picks with bounds 3 and 2; each sign is
     the top bit of one more 32-bit draw. A clause thus reads 8 words, or 7 at
-    n=3, in the loop's order. Where Lemire's method might reject a draw (the
-    low half of ``word * bound`` below the bound) the loop would read extra
-    words: the generator is restored and ``None`` returned.
+    n=3, in the loop's order. Where the loop would read other words, ``None``
+    is returned with the generator as it was: where Lemire's method might
+    reject a draw (the low half of ``word * bound`` below the bound), and
+    from 2^32 variables on, where ``choice`` draws 64-bit words.
     """
+    if num_vars >= 1 << 32:
+        return None
     floyd_bounds = [num_vars - 1, num_vars] if num_vars == 3 else [
         num_vars - 2, num_vars - 1, num_vars]
     bounds = np.array(floyd_bounds + [3, 2, 2, 2, 2], dtype=np.uint64)
@@ -262,32 +270,16 @@ def _block_draw(num_vars: int, num_clauses: int,
     return CnfFormula(num_vars, tuple(map(tuple, literals.tolist())))
 
 
-@cache
-def _block_draw_is_exact() -> bool:
-    """Whether :func:`_block_draw` reproduces :func:`_loop_draw` on this numpy.
-
-    Checked once per process on a fixed seed at n=3 (an odd word count per
-    clause, which leaves a buffered half word for the n=7 draw after it):
-    same clauses and same final generator state.
-    """
-    block_rng, loop_rng = np.random.default_rng(20240613), np.random.default_rng(20240613)
-    for num_vars, num_clauses in ((3, 5), (7, 9)):
-        if _block_draw(num_vars, num_clauses, block_rng) != _loop_draw(
-                num_vars, num_clauses, loop_rng):
-            return False
-    return block_rng.bit_generator.state == loop_rng.bit_generator.state
-
-
 def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
                    require_satisfiable: bool = True) -> CnfFormula:
     """Uniform random 3-CNF with distinct variables per clause.
 
     Each draw takes all its clauses from one block of 32-bit generator output
-    (:func:`_block_draw`), which gives the same formula and leaves the
-    generator in the same state as a per-clause ``choice``/``integers`` loop.
-    The loop (:func:`_loop_draw`) still runs where a bounded draw might be
-    rejected, and for every draw if the block draw failed its once-per-process
-    check against the loop.
+    (:func:`_block_draw`). As the tests check on the installed numpy, that
+    gives the same formula, and leaves the generator in the same state, as
+    the per-clause ``choice``/``integers`` loop (:func:`_loop_draw`), which
+    runs only where the block draw returns ``None``: where a bounded draw
+    might be rejected, and from 2^32 variables on.
 
     With ``require_satisfiable`` the draw is rejection-sampled against an
     exhaustive satisfiability check over packed truth tables (hence the
@@ -301,10 +293,8 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
     if require_satisfiable and num_vars > ENUM_VAR_CAP:
         raise ConfigError(
             f"satisfiability check supports at most {ENUM_VAR_CAP} variables")
-    # choice draws 64-bit words from 2^32 variables on
-    block = num_vars < 1 << 32 and _block_draw_is_exact()
     for _ in range(REJECTION_CAP):
-        formula = _block_draw(num_vars, num_clauses, rng) if block else None
+        formula = _block_draw(num_vars, num_clauses, rng)
         if formula is None:
             formula = _loop_draw(num_vars, num_clauses, rng)
         if not require_satisfiable or is_satisfiable(formula):

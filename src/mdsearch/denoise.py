@@ -176,6 +176,8 @@ class CorruptedDenoiser(Denoiser):
     """
 
     def __init__(self, base: Denoiser, epsilon: float):
+        if not 0.0 <= epsilon <= 1.0:
+            raise ConfigError(f"mixing weight {epsilon} outside [0, 1]")
         super().__init__(base.vocab)
         self.base = base
         self.epsilon = epsilon
@@ -188,8 +190,6 @@ class CorruptedDenoiser(Denoiser):
 
 def corrupt(base: Denoiser, epsilon: float) -> Denoiser:
     """Blend ``base`` with uniform noise: ``(1-eps) * base + eps * uniform``."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError(f"mixing weight {epsilon} outside [0, 1]")
     return CorruptedDenoiser(base, epsilon)
 
 
@@ -205,12 +205,9 @@ class TableDenoiser(Denoiser):
         self.table = table
 
     def denoise(self, values, t):
-        rows = _uniform_rows(values, self.vocab)
-        entry = self.table.get(self.vocab.render(values))
-        if entry:
-            for pos, row in entry.items():
-                if pos < len(values):
-                    rows[pos] = row
+        rows = np.full((len(values), self.vocab.size), 1.0 / self.vocab.size)
+        for pos, row in self.table.get(self.vocab.render(values), {}).items():
+            rows[pos] = row
         return _clamp_observed(rows, values, self.vocab)
 
 

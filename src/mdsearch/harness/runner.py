@@ -201,17 +201,24 @@ def load_results(path) -> RunResult:
         header = None
     if not isinstance(header, dict) or header.get("format") != RESULT_FORMAT:
         raise ConfigError(f"{path}: not a result file")
-    raw_cfg = header["config"]
+    raw_cfg = header.get("config")
+    if not isinstance(raw_cfg, dict):
+        raise ConfigError(f"{path}: malformed header: config is {raw_cfg!r}")
     raw_cfg.pop("schedule", None)  # older headers carry it; it only held "linear"
-    if raw_cfg.get("weights") is not None:
-        raw_cfg["weights"] = tuple(raw_cfg["weights"])
+    try:
+        if raw_cfg.get("weights") is not None:
+            raw_cfg["weights"] = tuple(raw_cfg["weights"])
+        config = RunConfig(**raw_cfg)
+        constraint_names = tuple(header["constraints"])
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: malformed header: {exc!r}") from None
     records = []
     for number, row in enumerate(rows, start=1):
         try:
             records.append(SampleRecord(**{**row, "violations": tuple(row["violations"])}))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed record {number}: {exc!r}") from None
-    return RunResult(RunConfig(**raw_cfg), tuple(header["constraints"]), tuple(records), 0.0)
+    return RunResult(config, constraint_names, tuple(records), 0.0)
 
 
 def summarize_records(result: RunResult) -> dict:

@@ -47,6 +47,11 @@ class SearchConfig:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("candidates", "max_rounds"):
+            value = getattr(self, name)
+            # not isinstance(value, int): a bool would read as 0 or 1
+            if not (type(value) is int or isinstance(value, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.candidates < 1:
             raise ConfigError("candidate pool must hold at least one draw")
         if self.max_rounds < 0:

@@ -177,6 +177,25 @@ def test_summarize_malformed_record_is_usage_error(tmp_path, capsys, case):
     assert "malformed record 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["no config", "unknown config key", "config list"])
+def test_summarize_malformed_header_is_usage_error(tmp_path, capsys, case):
+    path = tmp_path / "bench.jsonl"
+    assert run_cli("bench", "--task", "sat", "--steps", "2", "--css", "2",
+                   "--rounds", "2", "--n-samples", "1", "--out", str(path)) == 0
+    header, record = path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(header)
+    if case == "no config":
+        del header["config"]
+    elif case == "unknown config key":
+        header["config"]["colour"] = "blue"
+    else:
+        header["config"] = []
+    path.write_text("\n".join([json.dumps(header), record]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("summarize", str(path)) == 2
+    assert "malformed header" in capsys.readouterr().err
+
+
 def test_summarize_non_json_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "notes.jsonl"
     path.write_text("{oops\n", encoding="utf-8")

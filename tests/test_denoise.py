@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdsearch.denoise import (
+    CorruptedDenoiser,
     DataDistribution,
     ExactPosteriorDenoiser,
     UniformDenoiser,
@@ -146,6 +147,16 @@ def test_corrupt_mixture():
     assert np.allclose(rows, [[0.75, 0.25], [0.75, 0.25]])
     with pytest.raises(ConfigError):
         corrupt(base, 1.5)
+
+
+@pytest.mark.parametrize("bad", [2.0, -0.1, float("nan")])
+def test_corrupted_denoiser_rejects_a_mixing_weight_outside_the_unit_interval(bad):
+    # built directly, without corrupt(), a weight of 2 would give negative rows
+    base = UniformDenoiser(AB)
+    with pytest.raises(ConfigError, match="outside"):
+        CorruptedDenoiser(base, bad)
+    with pytest.raises(ConfigError, match="outside"):
+        corrupt(base, bad)
 
 
 def test_corrupt_stays_stochastic_and_clamped():

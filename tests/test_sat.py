@@ -225,6 +225,30 @@ def cnf_formulas(draw):
     return CnfFormula(n, tuple(clauses))
 
 
+@settings(max_examples=150, deadline=None)
+@given(cnf_formulas(), st.integers(0, 2**32 - 1))
+def test_clause_counts_over_the_padded_table_match_the_naive_oracle(formula, seed):
+    rng = np.random.default_rng(seed)
+    n = formula.num_vars
+    evaluator = ClauseViolations(formula)
+    batch = rng.integers(0, 2, size=(8, n))
+    assert evaluator.violations(batch).tolist() == [
+        naive_sat_violation(formula.clauses, row) for row in batch]
+    work = batch[0].copy()
+    tracker = evaluator.tracker(work)
+    for _ in range(6):
+        block = tracker.peek_block(np.arange(n), 2)
+        for pos in range(n):
+            for token in range(2):
+                edited = work.copy()
+                edited[pos] = token
+                assert block[pos, token] == naive_sat_violation(formula.clauses, edited)
+        pos, token = int(rng.integers(n)), int(rng.integers(2))
+        tracker.commit(pos, token)
+        work[pos] = token
+        assert tracker.value() == naive_sat_violation(formula.clauses, work)
+
+
 def assert_enumeration_matches_oracle(formula):
     expected = satisfying_assignments_by_chunks(formula)
     got = satisfying_assignments(formula)
@@ -413,30 +437,6 @@ def test_random_formula_falls_back_to_the_loop_on_a_lemire_rejection():
     assert rng.bit_generator.state == loop_rng.bit_generator.state
     # without the forced word the same seed takes the block draw
     assert sat._block_draw(7, 45, np.random.default_rng(3)) is not None
-
-
-@pytest.fixture
-def fresh_self_check():
-    sat._block_draw_is_exact.cache_clear()
-    yield
-    sat._block_draw_is_exact.cache_clear()
-
-
-def test_random_formula_uses_the_loop_when_the_block_draw_fails_its_check(
-        fresh_self_check, monkeypatch):
-    real = sat._block_draw
-
-    def wrong(num_vars, num_clauses, rng):
-        clauses = real(num_vars, num_clauses, rng).clauses
-        flipped = (-clauses[0][0],) + clauses[0][1:]
-        return CnfFormula(num_vars, (flipped,) + clauses[1:])
-
-    monkeypatch.setattr(sat, "_block_draw", wrong)
-    assert not sat._block_draw_is_exact()
-    rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(3):
-        assert sat.random_formula(7, 45, rng) == random_formula_by_clause(7, 45, loop_rng)
-    assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_build_instance_matches_the_clause_loop_on_the_sat_preset():

@@ -59,6 +59,15 @@ def test_search_config_validation():
             SearchConfig(weights=(1.0, bad))
 
 
+@pytest.mark.parametrize("field", ["candidates", "max_rounds"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, None, "4"])
+def test_search_config_rejects_counts_that_are_not_integers(field, bad):
+    # True would read as one draw; None failed on a comparison with TypeError
+    with pytest.raises(ConfigError, match=field):
+        SearchConfig(**{field: bad})
+    assert SearchConfig(**{field: np.int64(4)}) == SearchConfig(**{field: 4})
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_non_finite_or_negative_weights_are_rejected_before_scoring(bad):
     # nan * 0 and inf * 0 are both nan: a total that no comparison orders
