@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError
+from ..errors import ContractError, is_integer
 
 
 def _integers(values, bound: int | None, what: str) -> np.ndarray:
@@ -40,8 +40,7 @@ def _integers(values, bound: int | None, what: str) -> np.ndarray:
 def _check_index(index, bound: int | None, what: str) -> None:
     """:class:`ContractError` unless ``index`` is one integer in ``range(bound)``,
     and not a bool, which numpy reads as a mask."""
-    if type(index) is bool or not isinstance(index, (int, np.integer)) or (
-            bound is not None and not 0 <= index < bound):
+    if not is_integer(index) or (bound is not None and not 0 <= index < bound):
         raise ContractError(f"{what} {index!r} is not an integer in range({bound})")
 
 

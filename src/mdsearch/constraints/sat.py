@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..errors import ConfigError, GenerationError, ParseError
+from ..errors import ConfigError, GenerationError, ParseError, is_integer
 from ..vocab import Vocab
 from .base import Constraint, ViolationTracker
 
@@ -32,8 +32,7 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # not isinstance(x, int): a bool would read as 1
-        if not (type(self.num_vars) is int or isinstance(self.num_vars, np.integer)):
+        if not is_integer(self.num_vars):
             raise ConfigError(f"variable count must be an integer, got {self.num_vars!r}")
         if self.num_vars < 1:
             raise ConfigError("formula needs at least one variable")

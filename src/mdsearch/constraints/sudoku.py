@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ConfigError, ParseError
+from ..errors import ConfigError, ParseError, is_integer
 from ..vocab import Vocab
 from .base import Constraint, ViolationTracker
 
@@ -27,6 +27,11 @@ def digit_vocab(box: int) -> Vocab:
     return Vocab(tuple(_DIGIT_CHARS[:side]))
 
 
+def _check_box(box) -> None:
+    if not is_integer(box) or box < 2:
+        raise ConfigError(f"box size must be an integer of at least 2, got {box!r}")
+
+
 class SudokuBoard:
     """A puzzle: box size plus a grid with 0 marking blanks.
 
@@ -34,8 +39,7 @@ class SudokuBoard:
     """
 
     def __init__(self, box: int, grid: np.ndarray):
-        if box < 2:
-            raise ConfigError("box size must be at least 2")
+        _check_box(box)
         side = box * box
         grid = np.array(grid, dtype=np.int64)
         if grid.shape != (side, side):
@@ -78,6 +82,25 @@ def unit_indices(box: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def unit_tables(box: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """The unit tables of one box size, built once and shared read-only.
+
+    Returns ``units``, the (units, side) :func:`unit_indices`; ``cell_units``,
+    the (3, cells) row, column and box unit of each cell; and the same unit
+    ids as one ``(row, column, box)`` tuple of plain ints per cell, which the
+    backtracking loops of :func:`random_solution` and :func:`completions` read.
+    """
+    side = box * box
+    units = unit_indices(box)
+    ids = np.arange(len(units))[:, None]
+    cell_units = np.empty((3, side * side), dtype=np.int64)
+    cell_units[ids // side, units] = ids
+    units.setflags(write=False)
+    cell_units.setflags(write=False)
+    return units, cell_units, tuple(zip(*cell_units.tolist()))
+
+
+@lru_cache(maxsize=16)
 def _bin_offsets(box: int, rows: int) -> np.ndarray:
     """Read-only ``row * slots + unit * side`` for every unit slot of ``rows``
     candidates, in :func:`unit_indices` order (slots = units * side)."""
@@ -95,15 +118,13 @@ class UnitDuplicates(Constraint):
     name = "units"
 
     def __init__(self, box: int):
+        _check_box(box)
         self.box = box
         self.side = box * box
         self.alphabet, self.length = self.side, self.side * self.side
-        self.units = unit_indices(box)
+        # cell_units (3, cells) gives the three units an edit touches
+        self.units, self.cell_units, _ = unit_tables(box)
         self._unit_cells = self.units.ravel()
-        # the row, column and box unit of each cell (3, cells), for per-edit deltas
-        self.cell_units = np.empty((3, self.side * self.side), dtype=np.int64)
-        for ui, unit in enumerate(self.units):
-            self.cell_units[ui // self.side, unit] = ui
 
     def _unit_histograms(self, values):
         """Digit counts (M, units, side) of every unit of every row of ``values``
@@ -144,35 +165,29 @@ class UnitTracker(ViolationTracker):
         return out
 
 
-def _used_digit_masks(board_tokens: np.ndarray, units) -> np.ndarray:
-    unit_used = np.zeros(len(units), dtype=np.int64)
-    for ui, unit in enumerate(units):
-        for cell in unit:
-            tok = board_tokens[cell]
-            if tok >= 0:
-                unit_used[ui] |= 1 << int(tok)
-    return unit_used
-
-
 def completions(board: SudokuBoard, limit: int = SOLUTION_CAP) -> list[np.ndarray]:
     """All full solutions consistent with the givens, up to ``limit``.
 
-    Deterministic backtracking with a most-constrained-cell heuristic;
-    solutions come out as flat token arrays.
+    Deterministic backtracking with a most-constrained-cell heuristic. The
+    board and the digits used in each unit are held as plain Python ints (a
+    token list and one bitmask per unit). Blanks are scanned in ascending
+    order: the first with no option ends the branch, the first with one is
+    taken at once, and otherwise the first with the fewest options. Its
+    tokens are tried in ascending order, so solutions come out in a fixed
+    order, each as a flat int64 token array, and ``limit`` keeps a prefix of
+    that order.
     """
     side = board.side
-    evaluator = UnitDuplicates(board.box)
-    tokens = board.tokens().copy()
-    unit_used = _used_digit_masks(tokens, evaluator.units)
+    cell_units = unit_tables(board.box)[2]
+    tokens = board.tokens().tolist()
+    unit_used = [0] * (3 * side)
+    for pos, tok in enumerate(tokens):
+        if tok >= 0:
+            for ui in cell_units[pos]:
+                unit_used[ui] |= 1 << tok
     full = (1 << side) - 1
-    blanks = [int(p) for p in np.flatnonzero(tokens < 0)]
+    blanks = [pos for pos, tok in enumerate(tokens) if tok < 0]
     out: list[np.ndarray] = []
-
-    def cell_options(pos):
-        used = 0
-        for ui in evaluator.cell_units[:, pos]:
-            used |= unit_used[ui]
-        return full & ~used
 
     def recurse():
         if len(out) >= limit:
@@ -181,8 +196,9 @@ def completions(board: SudokuBoard, limit: int = SOLUTION_CAP) -> list[np.ndarra
         for pos in blanks:
             if tokens[pos] >= 0:
                 continue
-            opts = cell_options(pos)
-            count = bin(opts).count("1")
+            r, c, b = cell_units[pos]
+            opts = full & ~(unit_used[r] | unit_used[c] | unit_used[b])
+            count = opts.bit_count()
             if count == 0:
                 return
             if count < best_count:
@@ -190,18 +206,22 @@ def completions(board: SudokuBoard, limit: int = SOLUTION_CAP) -> list[np.ndarra
                 if count == 1:
                     break
         if best_pos < 0:
-            out.append(tokens.copy())
+            out.append(np.array(tokens, dtype=np.int64))
             return
+        r, c, b = cell_units[best_pos]
         for tok in range(side):
-            if not best_opts & (1 << tok):
+            bit = 1 << tok
+            if not best_opts & bit:
                 continue
             tokens[best_pos] = tok
-            for ui in evaluator.cell_units[:, best_pos]:
-                unit_used[ui] |= 1 << tok
+            unit_used[r] |= bit
+            unit_used[c] |= bit
+            unit_used[b] |= bit
             recurse()
             tokens[best_pos] = -1
-            for ui in evaluator.cell_units[:, best_pos]:
-                unit_used[ui] &= ~(1 << tok)
+            unit_used[r] &= ~bit
+            unit_used[c] &= ~bit
+            unit_used[b] &= ~bit
             if len(out) >= limit:
                 return
 
@@ -210,37 +230,46 @@ def completions(board: SudokuBoard, limit: int = SOLUTION_CAP) -> list[np.ndarra
 
 
 def random_solution(box: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniform-ish random complete grid (digits), by randomized backtracking."""
+    """A uniform-ish random complete grid (digits), by randomized backtracking.
+
+    Cells are filled in row-major order. Each takes the tokens its three
+    units leave free, as a list in ascending order shuffled by
+    ``rng.shuffle``, and tries them in that order. The tokens and the digits
+    used in each unit are held as plain Python ints (a token list and one
+    bitmask per unit). Returns an int64 (side, side) digit grid.
+    """
+    _check_box(box)
     side = box * box
-    evaluator = UnitDuplicates(box)
-    tokens = np.full(side * side, -1, dtype=np.int64)
-    unit_used = np.zeros(len(evaluator.units), dtype=np.int64)
-    full = (1 << side) - 1
+    cells = side * side
+    cell_units = unit_tables(box)[2]
+    tokens = [-1] * cells
+    unit_used = [0] * (3 * side)
 
     def fill(index):
-        if index == side * side:
+        if index == cells:
             return True
-        used = 0
-        for ui in evaluator.cell_units[:, index]:
-            used |= unit_used[ui]
-        options = [tok for tok in range(side) if not used & (1 << tok)]
+        r, c, b = cell_units[index]
+        used = unit_used[r] | unit_used[c] | unit_used[b]
+        options = [tok for tok in range(side) if not used >> tok & 1]
         if not options:
             return False
         rng.shuffle(options)
         for tok in options:
+            bit = 1 << tok
             tokens[index] = tok
-            for ui in evaluator.cell_units[:, index]:
-                unit_used[ui] |= 1 << tok
+            unit_used[r] |= bit
+            unit_used[c] |= bit
+            unit_used[b] |= bit
             if fill(index + 1):
                 return True
-            tokens[index] = -1
-            for ui in evaluator.cell_units[:, index]:
-                unit_used[ui] &= ~(1 << tok)
+            unit_used[r] &= ~bit
+            unit_used[c] &= ~bit
+            unit_used[b] &= ~bit
         return False
 
     if not fill(0):
         raise RuntimeError("backtracking failed to build a full grid")
-    return (tokens + 1).reshape(side, side)
+    return np.array(tokens, dtype=np.int64).reshape(side, side) + 1
 
 
 def random_puzzle(box: int, blanks: int, rng: np.random.Generator) -> SudokuBoard:
@@ -249,9 +278,10 @@ def random_puzzle(box: int, blanks: int, rng: np.random.Generator) -> SudokuBoar
     The seed solution guarantees at least one completion; uniqueness is not
     enforced.
     """
+    _check_box(box)
     side = box * box
-    if not 0 <= blanks < side * side:
-        raise ConfigError(f"blank count must be in [0, {side * side})")
+    if not is_integer(blanks) or not 0 <= blanks < side * side:
+        raise ConfigError(f"blank count must be an integer in [0, {side * side}), got {blanks!r}")
     grid = random_solution(box, rng).ravel()
     holes = rng.choice(side * side, size=blanks, replace=False)
     grid[holes] = 0

@@ -91,8 +91,8 @@ class DataDistribution:
             weights = np.array(weights, dtype=np.float64)
             if weights.shape != (support.shape[0],):
                 raise ConfigError("weights must align with the support")
-            if np.any(weights <= 0):
-                raise ConfigError("weights must be positive")
+            if not (np.isfinite(weights).all() and (weights > 0).all()):
+                raise ConfigError("weights must be finite and positive")
             weights = weights / weights.sum()
         support.setflags(write=False)
         weights.setflags(write=False)

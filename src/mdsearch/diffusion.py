@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, is_integer
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class NoiseSchedule:
 
 def linear_schedule(steps: int) -> NoiseSchedule:
     """Schedule with survival falling linearly from 1 to 0 over ``steps``."""
-    if steps < 1:
-        raise ConfigError("step count must be at least 1")
+    if not is_integer(steps) or steps < 1:
+        raise ConfigError(f"step count must be an integer of at least 1, got {steps!r}")
     return NoiseSchedule(tuple(1.0 - t / steps for t in range(steps + 1)))
 
 

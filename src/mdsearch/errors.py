@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer rule shared across the package."""
+
+import numpy as np
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer, and False for a bool, which would
+    read as 0 or 1; every count, size and index check applies this rule."""
+    return type(value) is not bool and isinstance(value, (int, np.integer))
 
 
 class ConfigError(ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, fields, replace
 
-from ..errors import ConfigError
+from ..errors import ConfigError, is_integer
 from ..search import SearchConfig
 
 DENOISER_CHOICES = ("exact", "noisy", "uniform")
@@ -45,6 +45,10 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not is_integer(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if not 0.0 <= self.epsilon <= 1.0:

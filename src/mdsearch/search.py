@@ -22,7 +22,7 @@ from .constraints.base import Constraint, ViolationReport
 from .denoise import Denoiser, check_rows
 from .diffusion import (NoiseSchedule, first_hitting_steps, guided_reverse_step,
                         sample_rows, vanilla_reverse_step)
-from .errors import ConfigError, ContractError, SampleError
+from .errors import ConfigError, ContractError, SampleError, is_integer
 from .tasks import Instance
 from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
 
@@ -49,8 +49,7 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("candidates", "max_rounds"):
             value = getattr(self, name)
-            # not isinstance(value, int): a bool would read as 0 or 1
-            if not (type(value) is int or isinstance(value, np.integer)):
+            if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.candidates < 1:
             raise ConfigError("candidate pool must hold at least one draw")

@@ -89,7 +89,10 @@ class EditableRegion:
 
     @classmethod
     def with_frozen(cls, length: int, frozen: set[int] | frozenset[int]) -> "EditableRegion":
-        return cls(length, frozenset(range(length)) - frozenset(frozen))
+        everything = frozenset(range(length))
+        if not everything.issuperset(frozen):
+            raise ConfigError("frozen positions must lie inside the sequence")
+        return cls(length, everything - frozenset(frozen))
 
     @cached_property
     def positions(self) -> tuple[int, ...]:

@@ -341,3 +341,115 @@ def sample_by_step(instance, denoiser, schedule, config, rng, collect_masks=Fals
                  if collect_masks else None)
         records.append(StepRecord(t, first, pool, refined, rounds, committed, masks))
     return x, tuple(records)
+
+
+def sudoku_cell_units(box) -> np.ndarray:
+    """(3, cells) ids of each cell's row, column and box unit, from the
+    definition: rows are units ``0..side-1``, columns the next ``side`` and
+    boxes the last ``side``, in row-major box order."""
+    side = box * box
+    out = np.empty((3, side * side), dtype=np.int64)
+    for cell in range(side * side):
+        r, c = divmod(cell, side)
+        out[:, cell] = (r, side + c, 2 * side + (r // box) * box + c // box)
+    return out
+
+
+def random_solution_by_backtracking(box, rng) -> np.ndarray:
+    """Randomized row-major backtracking over numpy unit masks.
+
+    Shuffles each cell's free tokens, listed in ascending order, with
+    ``rng.shuffle``; reference for ``sudoku.random_solution``'s grids and
+    for the generator state it leaves behind.
+    """
+    side = box * box
+    cell_units = sudoku_cell_units(box)
+    tokens = np.full(side * side, -1, dtype=np.int64)
+    unit_used = np.zeros(3 * side, dtype=np.int64)
+
+    def fill(index):
+        if index == side * side:
+            return True
+        used = 0
+        for ui in cell_units[:, index]:
+            used |= unit_used[ui]
+        options = [tok for tok in range(side) if not used & (1 << tok)]
+        if not options:
+            return False
+        rng.shuffle(options)
+        for tok in options:
+            tokens[index] = tok
+            for ui in cell_units[:, index]:
+                unit_used[ui] |= 1 << tok
+            if fill(index + 1):
+                return True
+            tokens[index] = -1
+            for ui in cell_units[:, index]:
+                unit_used[ui] &= ~(1 << tok)
+        return False
+
+    if not fill(0):
+        raise RuntimeError("backtracking failed to build a full grid")
+    return (tokens + 1).reshape(side, side)
+
+
+def completions_by_backtracking(box, grid, limit) -> list:
+    """Completions of a digit grid (0 blank) by most-constrained-cell
+    backtracking over numpy unit masks, options counted with ``bin``.
+
+    Scans blanks in ascending order, stops a branch at the first with no
+    option, takes the first with one, else the first with the fewest, and
+    tries its tokens in ascending order; reference for the order of
+    ``sudoku.completions``.
+    """
+    side = box * box
+    cell_units = sudoku_cell_units(box)
+    tokens = np.asarray(grid, dtype=np.int64).ravel() - 1
+    unit_used = np.zeros(3 * side, dtype=np.int64)
+    for cell in range(side * side):
+        if tokens[cell] >= 0:
+            for ui in cell_units[:, cell]:
+                unit_used[ui] |= 1 << int(tokens[cell])
+    full = (1 << side) - 1
+    blanks = [int(p) for p in np.flatnonzero(tokens < 0)]
+    out = []
+
+    def cell_options(pos):
+        used = 0
+        for ui in cell_units[:, pos]:
+            used |= unit_used[ui]
+        return full & ~used
+
+    def recurse():
+        if len(out) >= limit:
+            return
+        best_pos, best_opts, best_count = -1, 0, side + 1
+        for pos in blanks:
+            if tokens[pos] >= 0:
+                continue
+            opts = cell_options(pos)
+            count = bin(opts).count("1")
+            if count == 0:
+                return
+            if count < best_count:
+                best_pos, best_opts, best_count = pos, opts, count
+                if count == 1:
+                    break
+        if best_pos < 0:
+            out.append(tokens.copy())
+            return
+        for tok in range(side):
+            if not best_opts & (1 << tok):
+                continue
+            tokens[best_pos] = tok
+            for ui in cell_units[:, best_pos]:
+                unit_used[ui] |= 1 << tok
+            recurse()
+            tokens[best_pos] = -1
+            for ui in cell_units[:, best_pos]:
+                unit_used[ui] &= ~(1 << tok)
+            if len(out) >= limit:
+                return
+
+    recurse()
+    return out

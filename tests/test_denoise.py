@@ -56,6 +56,13 @@ def test_data_distribution_validation():
         dist.support[0, 0] = 1  # read-only after construction
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_data_distribution_rejects_non_finite_weights(bad):
+    # they normalised to NaN, and the error surfaced only at sample time
+    with pytest.raises(ConfigError, match="finite"):
+        DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([1.0, bad]))
+
+
 def test_exact_posterior_unique_completion():
     # support {AB, BA}, observing A at position 0 forces B at position 1
     dist = DataDistribution(np.array([[0, 1], [1, 0]]))

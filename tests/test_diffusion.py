@@ -29,6 +29,14 @@ def test_linear_schedule_values():
         linear_schedule(0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, None])
+def test_linear_schedule_rejects_step_counts_that_are_not_integers(bad):
+    # 2.5 raised TypeError from range(), and True built one step
+    with pytest.raises(ConfigError, match="step count"):
+        linear_schedule(bad)
+    assert linear_schedule(np.int64(2)) == linear_schedule(2)
+
+
 def test_schedule_validation():
     with pytest.raises(ConfigError):
         NoiseSchedule((1.0, 0.5, 0.5, 0.0))  # not strictly decreasing

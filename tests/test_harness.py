@@ -98,6 +98,18 @@ def test_config_validation():
             RunConfig(**bad)
 
 
+@pytest.mark.parametrize("field", ["steps", "candidates", "rounds", "num_samples", "seed",
+                                   "sat_vars", "sat_clauses", "sudoku_box",
+                                   "sudoku_blanks", "peptide_slots"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, None, "4"])
+def test_run_config_rejects_counts_that_are_not_integers(field, bad):
+    # steps=2.5 built and then failed in run_experiment with TypeError, and
+    # steps=True ran one step
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(**{field: bad})
+    assert RunConfig(**{field: np.int64(3)}) == RunConfig(**{field: 3})
+
+
 def test_config_file_parsing_and_overlay(tmp_path):
     text = "[run]\ntask = sudoku\nsteps = 5\n\n[sudoku]\nbox = 2\nblanks = 4\n"
     cfg = parse_config(text)

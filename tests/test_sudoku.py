@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdsearch.constraints.sudoku import (
+    SOLUTION_CAP,
     SudokuBoard,
     UnitDuplicates,
     completions,
@@ -15,7 +16,11 @@ from mdsearch.constraints.sudoku import (
 )
 from mdsearch.errors import ConfigError, ContractError, ParseError
 
-from oracles import naive_sudoku_violation
+from oracles import (
+    completions_by_backtracking,
+    naive_sudoku_violation,
+    random_solution_by_backtracking,
+)
 
 VALID_4X4 = np.array([
     [1, 2, 3, 4],
@@ -174,6 +179,74 @@ def test_completion_cap():
     empty = SudokuBoard(2, np.zeros((4, 4), dtype=int))
     assert len(completions(empty)) == 288
     assert len(completions(empty, limit=10)) == 10
+
+
+@pytest.mark.parametrize("box", [2, 3])
+def test_random_solution_matches_the_backtracking_oracle(box):
+    # the same grids, and the same generator state afterwards, so the holes
+    # random_puzzle draws next fall in the same cells
+    side = box * box
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        grid = random_solution(box, rng)
+        expected = random_solution_by_backtracking(box, ref)
+        assert grid.dtype == np.int64 and np.array_equal(grid, expected)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.choice(side * side, size=side, replace=False),
+                              ref.choice(side * side, size=side, replace=False))
+
+
+def assert_same_completions(got, expected):
+    assert len(got) == len(expected)
+    for sol, ref in zip(got, expected):
+        assert sol.dtype == np.int64 and np.array_equal(sol, ref)
+
+
+@pytest.mark.parametrize("box, blanks", [(2, 0), (2, 8), (3, 0), (3, 8), (3, 40)])
+def test_completions_match_the_backtracking_oracle_in_order(box, blanks):
+    # the exact posterior sums support rows in this order, and a limit keeps
+    # a prefix of it
+    rng = np.random.default_rng(100 + blanks)
+    for _ in range(5):
+        board = random_puzzle(box, blanks, rng)
+        for limit in (SOLUTION_CAP, 2):
+            assert_same_completions(completions(board, limit),
+                                    completions_by_backtracking(box, board.grid, limit))
+
+
+def test_completions_of_the_empty_4x4_match_the_oracle():
+    empty = SudokuBoard(2, np.zeros((4, 4), dtype=int))
+    expected = completions_by_backtracking(2, empty.grid, SOLUTION_CAP)
+    assert len(expected) == 288
+    assert_same_completions(completions(empty), expected)
+    assert_same_completions(completions(empty, limit=10), expected[:10])
+
+
+def test_givens_without_a_completion_give_none():
+    # the first row leaves its last cell only the 4, which its column holds
+    grid = np.zeros((4, 4), dtype=int)
+    grid[0, :3] = [1, 2, 3]
+    grid[1, 3] = 4
+    board = SudokuBoard(2, grid)
+    assert completions(board) == []
+    assert completions_by_backtracking(2, board.grid, SOLUTION_CAP) == []
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, None, "2"])
+def test_sudoku_sizes_must_be_integers(bad):
+    # 2.5 gave a "6.25x6.25" grid message, True a numpy TypeError
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError, match="box size"):
+        SudokuBoard(bad, VALID_4X4)
+    with pytest.raises(ConfigError, match="box size"):
+        UnitDuplicates(bad)
+    with pytest.raises(ConfigError, match="box size"):
+        random_puzzle(bad, 3, rng)
+    with pytest.raises(ConfigError, match="blank count"):
+        random_puzzle(2, bad, rng)
+    assert SudokuBoard(np.int64(2), VALID_4X4) == SudokuBoard(2, VALID_4X4)
+    assert random_puzzle(np.int64(2), np.int64(3), np.random.default_rng(1)) == \
+        random_puzzle(2, 3, np.random.default_rng(1))
 
 
 def test_generator_blank_count_bounds():

@@ -55,6 +55,13 @@ def test_region_helpers():
         EditableRegion(0, frozenset())
 
 
+@pytest.mark.parametrize("frozen", [{5}, {3}, {-1}, {0, 7}])
+def test_region_rejects_frozen_positions_outside_the_sequence(frozen):
+    # a frozen position past the end was dropped without a word
+    with pytest.raises(ConfigError, match="frozen"):
+        EditableRegion.with_frozen(3, frozen)
+
+
 def test_fully_masked_all_editable():
     region = EditableRegion.all_editable(3)
     out = fully_masked(region, AB.mask_id)
