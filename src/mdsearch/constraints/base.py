@@ -6,11 +6,13 @@ candidate and scores every single edit at once with :meth:`ViolationTracker.peek
 
 A constraint states its ``alphabet`` (tokens per position) and candidate
 ``length`` once, as attributes; ``None``, as on a black box, leaves that
-bound open. This module alone checks every input against them: each batch
-of candidates, each tracked candidate, each edit block and each committed
-edit. Then it calls the unchecked hooks a built-in constraint defines:
-``_violations`` on the constraint, ``_rebuild`` and ``_peek_block`` on its
-tracker. A black box may define only ``violation`` instead.
+bound open. This module checks every input against them, by the rules of
+:mod:`mdsearch.errors`: each batch of candidates, each tracked candidate,
+each edit block and each committed edit; it also checks the violations
+each batch returns. Then it calls the unchecked hooks a built-in
+constraint defines: ``_violations`` on the constraint, ``_rebuild`` and
+``_peek_block`` on its tracker. A black box may define only ``violation``
+instead.
 """
 
 from __future__ import annotations
@@ -19,29 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError, is_integer
-
-
-def _integers(values, bound: int | None, what: str) -> np.ndarray:
-    """``values`` as int64; :class:`ContractError` unless integers in ``range(bound)``.
-
-    An empty array passes whatever its dtype: numpy reads ``[]`` as float.
-    """
-    values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
-        raise ContractError(f"{what} must be integers, got {values.dtype}")
-    values = values.astype(np.int64, copy=False)
-    # one reduction: read as unsigned, negative integers exceed every bound
-    if bound is not None and values.size and values.view(np.uint64).max() >= bound:
-        raise ContractError(f"{what} outside range({bound})")
-    return values
-
-
-def _check_index(index, bound: int | None, what: str) -> None:
-    """:class:`ContractError` unless ``index`` is one integer in ``range(bound)``,
-    and not a bool, which numpy reads as a mask."""
-    if not is_integer(index) or (bound is not None and not 0 <= index < bound):
-        raise ContractError(f"{what} {index!r} is not an integer in range({bound})")
+from ..errors import ContractError, check_count, check_integers
 
 
 def token_rows(values, alphabet: int | None, length: int | None = None) -> np.ndarray:
@@ -54,7 +34,7 @@ def token_rows(values, alphabet: int | None, length: int | None = None) -> np.nd
     if values.ndim != 2 or (length is not None and values.shape[1] != length):
         want = "L" if length is None else length
         raise ContractError(f"expected (M, {want}) candidates, got shape {values.shape}")
-    return _integers(values, alphabet, "tokens")
+    return check_integers(values, "tokens", alphabet)
 
 
 class ViolationTracker:
@@ -92,7 +72,7 @@ class ViolationTracker:
         alphabet = self.constraint.alphabet
         if alphabet is not None and num_tokens != alphabet:
             raise ContractError(f"{num_tokens} tokens for an alphabet of {alphabet}")
-        return self._peek_block(_integers(positions, len(self.values), "positions"),
+        return self._peek_block(check_integers(positions, "positions", len(self.values)),
                                 num_tokens)
 
     def _peek_block(self, positions: np.ndarray, num_tokens: int) -> np.ndarray:
@@ -106,8 +86,8 @@ class ViolationTracker:
         that is not an integer in range) raises :class:`ContractError` and
         leaves the tracker unchanged.
         """
-        _check_index(pos, len(self.values), "position")
-        _check_index(token, self.constraint.alphabet, "token")
+        check_count(pos, "position", 0, len(self.values), ContractError)
+        check_count(token, "token", 0, self.constraint.alphabet, ContractError)
         values = self.values.copy()
         values[pos] = token
         self._value = self._rebuild(values)
@@ -118,15 +98,14 @@ class FullRecomputeTracker(ViolationTracker):
     """Fallback tracker for evaluators without an incremental variant."""
 
     def _rebuild(self, values):
-        return float(self.constraint.violation(values))
+        return float(self.constraint.violations(values[None])[0])
 
     def _peek_block(self, positions, num_tokens):
         """One ``violations`` call over every single edit of the candidate."""
         edits = np.tile(self.values, (positions.size * num_tokens, 1))
         edits[np.arange(len(edits)), np.repeat(positions, num_tokens)] = np.tile(
             np.arange(num_tokens), positions.size)
-        scores = np.asarray(self.constraint.violations(edits), dtype=np.float64)
-        return scores.reshape(positions.size, num_tokens)
+        return self.constraint.violations(edits).reshape(positions.size, num_tokens)
 
 
 class Constraint:
@@ -147,8 +126,18 @@ class Constraint:
         return float(self.violations(np.asarray(values)[None, :])[0])
 
     def violations(self, values: np.ndarray) -> np.ndarray:
-        """Violations of every row of ``values`` (M, L), checked, as an (M,) array."""
-        return self._violations(token_rows(values, self.alphabet, self.length))
+        """Violations of every row of ``values`` (M, L) as an (M,) float array.
+
+        Both sides are checked: the rows by :func:`token_rows`, and the output
+        (:class:`ContractError` unless of shape (M,) and ``>= 0``, which NaN
+        is not).
+        """
+        values = token_rows(values, self.alphabet, self.length)
+        nu = np.asarray(self._violations(values), dtype=np.float64)
+        if nu.shape != (len(values),) or not nu.min(initial=0.0) >= 0:  # NaN fails too
+            raise ContractError(f"{self.name}: violations must be {len(values)} non-negative "
+                                f"numbers (NaN is not), got shape {nu.shape}")
+        return nu
 
     def _violations(self, values: np.ndarray) -> np.ndarray:
         """:meth:`violations` of checked rows; by default one ``violation`` per row."""

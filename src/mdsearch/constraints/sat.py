@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..errors import ConfigError, GenerationError, ParseError, is_integer
+from ..errors import ConfigError, GenerationError, ParseError, check_count
 from ..vocab import Vocab
 from .base import Constraint, ViolationTracker
 
@@ -32,10 +32,7 @@ class CnfFormula:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not is_integer(self.num_vars):
-            raise ConfigError(f"variable count must be an integer, got {self.num_vars!r}")
-        if self.num_vars < 1:
-            raise ConfigError("formula needs at least one variable")
+        check_count(self.num_vars, "variable count", 1)
         if not self.clauses:
             raise ConfigError("formula needs at least one clause")
         if not all(self.clauses):
@@ -287,11 +284,9 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
     per instance. The check caches the accepted formula's satisfying codes on
     it, so :func:`satisfying_assignments` on the result evaluates no clause.
     """
-    if num_vars < 3:
-        raise ConfigError("3-CNF needs at least 3 variables")
-    if require_satisfiable and num_vars > ENUM_VAR_CAP:
-        raise ConfigError(
-            f"satisfiability check supports at most {ENUM_VAR_CAP} variables")
+    check_count(num_vars, "variable count", 3,  # 3-CNF, and the check enumerates
+                ENUM_VAR_CAP + 1 if require_satisfiable else None)
+    check_count(num_clauses, "clause count", 1)
     for _ in range(REJECTION_CAP):
         formula = _block_draw(num_vars, num_clauses, rng)
         if formula is None:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DenoiserContractError, ParseError
+from .errors import (ConfigError, ContractError, DenoiserContractError, ParseError,
+                     check_integers)
 from .vocab import Vocab
 
 ROW_TOL = 1e-9
@@ -47,9 +48,11 @@ def _uniform_rows(values: np.ndarray, vocab: Vocab) -> np.ndarray:
 
 def _clamp_observed(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
     observed = np.flatnonzero(np.asarray(values) != vocab.mask_id)
-    if observed.size:
+    try:
         rows[observed] = 0.0
         rows[observed, np.asarray(values)[observed]] = 1.0
+    except IndexError as exc:  # no range reduction: a negative token wraps
+        raise ContractError(f"observed tokens: {exc}") from None
     return rows
 
 
@@ -82,7 +85,7 @@ class DataDistribution:
     """
 
     def __init__(self, support: np.ndarray, weights: np.ndarray | None = None):
-        support = np.array(support, dtype=np.int64)
+        support = check_integers(support, "support", error=ConfigError).copy()
         if support.ndim != 2 or support.shape[0] == 0:
             raise ConfigError("support must be a non-empty (S, L) array")
         if weights is None:
@@ -91,9 +94,11 @@ class DataDistribution:
             weights = np.array(weights, dtype=np.float64)
             if weights.shape != (support.shape[0],):
                 raise ConfigError("weights must align with the support")
-            if not (np.isfinite(weights).all() and (weights > 0).all()):
-                raise ConfigError("weights must be finite and positive")
-            weights = weights / weights.sum()
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, -inf or overflow
+                total = weights.sum()  # a non-finite sum would normalise to NaN or zeros
+            if not (np.isfinite(total) and (weights > 0).all()):
+                raise ConfigError("weights must be positive with a finite sum")
+            weights = weights / total
         support.setflags(write=False)
         weights.setflags(write=False)
         self.support = support
@@ -137,10 +142,9 @@ def exact_posterior(dist: DataDistribution, values: np.ndarray,
     The consistent rows of :meth:`DataDistribution.bin_tables` feed one
     ``bincount``, which sums each cell in support-row order.
     """
-    values = np.asarray(values)
-    if len(values) != dist.length:
-        raise ContractError(
-            f"sequence length {len(values)} != support length {dist.length}")
+    values = check_integers(values, "values")
+    if values.shape != (dist.length,):
+        raise ContractError(f"values of shape {values.shape} for support length {dist.length}")
     observed = np.flatnonzero(values != vocab.mask_id)
     consistent = (dist.support[:, observed] == values[observed]).all(axis=1)
     if not consistent.any():
@@ -159,8 +163,7 @@ class ExactPosteriorDenoiser(Denoiser):
 
     def __init__(self, dist: DataDistribution, vocab: Vocab):
         super().__init__(vocab)
-        if np.any(dist.support >= vocab.size) or np.any(dist.support < 0):
-            raise ConfigError("support contains values outside the alphabet")
+        check_integers(dist.support, "support", vocab.size, ConfigError)
         dist.bin_tables(vocab.size)  # built here, at set-up, not while sampling
         self.dist = dist
 

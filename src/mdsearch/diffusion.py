@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, is_integer
+from .errors import ConfigError, ContractError, check_count, check_integers
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,12 @@ class NoiseSchedule:
         return len(self.alphas) - 1
 
     def alpha(self, t: int) -> float:
-        if not 0 <= t <= self.steps:
-            raise ContractError(f"step {t} outside schedule range 0..{self.steps}")
-        return self.alphas[t]
+        return self.alphas[check_count(t, "step", 0, self.steps + 1, ContractError)]
 
 
 def linear_schedule(steps: int) -> NoiseSchedule:
     """Schedule with survival falling linearly from 1 to 0 over ``steps``."""
-    if not is_integer(steps) or steps < 1:
-        raise ConfigError(f"step count must be an integer of at least 1, got {steps!r}")
+    check_count(steps, "step count", 1)
     return NoiseSchedule(tuple(1.0 - t / steps for t in range(steps + 1)))
 
 
@@ -67,8 +64,7 @@ def reverse_coeffs(t: int, schedule: NoiseSchedule) -> ReverseCoeffs:
     ``commit_prob = (alpha_{t-1} - alpha_t) / (1 - alpha_t)``; they sum to
     one, and the final step (t=1) always commits because ``alpha_0 = 1``.
     """
-    if not 1 <= t <= schedule.steps:
-        raise ContractError(f"step {t} outside reverse range 1..{schedule.steps}")
+    check_count(t, "reverse step", 1, schedule.steps + 1, ContractError)
     a_prev = schedule.alpha(t - 1)
     a_t = schedule.alpha(t)
     denom = 1.0 - a_t
@@ -106,6 +102,7 @@ def first_hitting_steps(schedule: NoiseSchedule, count: int,
     ``P(t) = alpha_{t-1} - alpha_t``; one uniform per position is inverted
     through the schedule, so ``u`` in ``[alpha_t, alpha_{t-1})`` gives ``t``.
     """
+    check_count(count, "position count", 0, error=ContractError)
     rising = np.asarray(schedule.alphas[::-1])
     return schedule.steps + 1 - np.searchsorted(rising, rng.random(count), side="right")
 
@@ -116,8 +113,11 @@ def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarr
     :func:`first_hitting_steps`) draws a token from its row; the rest carry
     over. ``rows`` must already satisfy :func:`~mdsearch.denoise.check_rows`.
     """
-    out = np.array(x_t, dtype=np.int64)
-    out[committing] = sample_rows(rows[committing], rng)
+    out = check_integers(x_t, "x_t").copy()
+    try:
+        out[committing] = sample_rows(rows[committing], rng)
+    except (IndexError, ValueError) as exc:  # no range reduction: a negative position wraps
+        raise ContractError(f"reverse step: {exc}") from None
     return out
 
 
@@ -130,9 +130,11 @@ def guided_reverse_step(refined: np.ndarray, remaining: np.ndarray,
     step from :func:`first_hitting_steps` is still to come, which keep the
     mask. Draws no random numbers.
     """
-    refined = np.asarray(refined)
-    if np.any(refined == mask_id):
+    out = check_integers(refined, "refined candidate").copy()
+    if np.any(out == mask_id):
         raise ContractError("refined candidate must be fully specified")
-    out = np.array(refined, dtype=np.int64)
-    out[remaining] = mask_id
+    try:
+        out[remaining] = mask_id
+    except IndexError as exc:  # no range reduction: a negative position wraps
+        raise ContractError(f"remaining positions: {exc}") from None
     return out

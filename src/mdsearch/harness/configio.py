@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, fields, replace
 
-from ..errors import ConfigError, is_integer
+from ..errors import ConfigError, check_count
 from ..search import SearchConfig
 
 DENOISER_CHOICES = ("exact", "noisy", "uniform")
@@ -45,18 +45,12 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}")
+        # every int field is a count; search_config checks candidates and rounds
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not is_integer(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
+            if f.type == "int" and f.name not in ("candidates", "rounds"):
+                check_count(getattr(self, f.name), f.name, 1 if f.name == "steps" else 0)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigError("epsilon must lie in [0, 1]")
-        if self.num_samples < 0:
-            raise ConfigError("sample count must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         if not (self.denoiser in DENOISER_CHOICES
                 or self.denoiser.startswith("table:")):
             raise ConfigError(
@@ -103,7 +97,7 @@ def _coerce(field, raw: str):
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Config from file text, overlaid on ``base`` (or the defaults)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -23,7 +23,7 @@ import numpy as np
 from ..constraints import sat, sudoku
 from ..constraints.sat import random_formula
 from ..constraints.sudoku import random_puzzle
-from ..errors import ConfigError, ContractError
+from ..errors import ConfigError, ContractError, check_count
 from ..diffusion import linear_schedule
 from ..search import aggregate_violation, resolve_weights, sample
 from ..tasks import Instance, build_denoiser, peptide_instance, sat_instance, sudoku_instance
@@ -34,12 +34,17 @@ _GEN_DOMAIN = 101
 _SAMPLE_DOMAIN = 202
 
 
+def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
+    words = [check_count(seed, "seed"), domain, check_count(index, "index")]
+    return np.random.default_rng(np.random.SeedSequence(words))
+
+
 def instance_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, _GEN_DOMAIN, index]))
+    return _rng(seed, _GEN_DOMAIN, index)
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, _SAMPLE_DOMAIN, index]))
+    return _rng(seed, _SAMPLE_DOMAIN, index)
 
 
 def presets() -> dict[str, RunConfig]:
@@ -101,7 +106,6 @@ class SampleRecord:
     rounds: int
     value: str
     error: str | None = None
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,6 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     for i, instance in enumerate(instances):
         if not names:
             names = tuple(c.name for c in instance.constraints)
-        started = time.perf_counter()
         try:
             denoiser = build_denoiser(instance, cfg.denoiser, cfg.epsilon)
             final, trace = sample(instance, denoiser, schedule, scfg,
@@ -148,13 +151,12 @@ def run_experiment(cfg: RunConfig) -> RunResult:
                 total=report.total,
                 rounds=sum(r.rounds for r in trace),
                 value=instance.render(final),
-                wall_time=time.perf_counter() - started,
             ))
         except Exception as exc:
             records.append(SampleRecord(
                 index=i, instance=instance.name, feasible=False,
                 violations=(), total=float("inf"), rounds=0, value="",
-                error=str(exc), wall_time=time.perf_counter() - started))
+                error=str(exc)))
     result = RunResult(cfg, names, tuple(records),
                        time.perf_counter() - run_start)
     if cfg.out:
@@ -166,7 +168,6 @@ def run_experiment(cfg: RunConfig) -> RunResult:
 
 def _record_payload(record: SampleRecord) -> dict:
     payload = asdict(record)
-    del payload["wall_time"]  # keeps result files byte-identical across runs
     payload["violations"] = list(record.violations)
     return payload
 

@@ -22,7 +22,7 @@ from .constraints.base import Constraint, ViolationReport
 from .denoise import Denoiser, check_rows
 from .diffusion import (NoiseSchedule, first_hitting_steps, guided_reverse_step,
                         sample_rows, vanilla_reverse_step)
-from .errors import ConfigError, ContractError, SampleError, is_integer
+from .errors import ConfigError, ContractError, SampleError, check_count, check_integers
 from .tasks import Instance
 from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
 
@@ -47,14 +47,8 @@ class SearchConfig:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("candidates", "max_rounds"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.candidates < 1:
-            raise ConfigError("candidate pool must hold at least one draw")
-        if self.max_rounds < 0:
-            raise ConfigError("refinement rounds must be non-negative")
+        check_count(self.candidates, "candidates", 1)
+        check_count(self.max_rounds, "max_rounds")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}")
         if self.weights is not None and not all(
@@ -82,11 +76,7 @@ def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
     constraint order, and the resolved weights (K,).
     """
     w = resolve_weights(weights, constraints)
-    nu = np.array([c.violations(values) for c in constraints], dtype=np.float64)
-    if nu.shape != (len(constraints), len(values)):
-        raise ContractError(f"violations of shape {nu.shape} for {len(values)} rows")
-    if (nu < 0).any():
-        raise ContractError("violations must be non-negative")
+    nu = np.array([c.violations(values) for c in constraints]).reshape(len(w), len(values))
     totals = np.zeros(len(values))
     for wk, vk in zip(w, nu):
         totals += wk * vk
@@ -100,7 +90,7 @@ def _report(nu: np.ndarray, w: np.ndarray) -> ViolationReport:
 def aggregate_violation(values: np.ndarray, constraints: tuple[Constraint, ...],
                         weights=None) -> ViolationReport:
     """Evaluate every constraint and fold the results into one report."""
-    nu, _, w = score_rows(np.asarray(values)[None, :], constraints, weights)
+    nu, _, w = score_rows(np.asarray(values)[None], constraints, weights)
     return _report(nu[:, 0], w)
 
 
@@ -111,12 +101,14 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     Masked positions draw from the denoiser rows; unmasked positions are
     clamped to their current values.
     """
-    if count < 1:
-        raise ConfigError("need at least one draw")
-    x_t = np.asarray(x_t)
+    check_count(count, "draw count", 1)
+    x_t = check_integers(x_t, "x_t")
+    rows = np.asarray(rows, dtype=np.float64)
+    if x_t.ndim != 1 or rows.ndim != 2 or len(rows) != len(x_t):
+        raise ContractError(f"rows of shape {rows.shape} for x_t of shape {x_t.shape}")
     draws = np.repeat(x_t[None], count, 0)
     masked = masked_positions(x_t, mask_id)
-    draws[:, masked] = sample_rows(np.asarray(rows)[masked], rng, count)
+    draws[:, masked] = sample_rows(rows[masked], rng, count)
     return draws
 
 
@@ -176,7 +168,9 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     move.
     """
     w = resolve_weights(weights, constraints)
-    current = np.array(start, dtype=np.int64)
+    if max_rounds is not None:
+        check_count(max_rounds, "max_rounds")
+    current = check_integers(start, "start candidate").copy()
     positions = edit_positions(region, vocab.mask_id, allow_unmask_edits, x_t)
     trackers = [c.tracker(current) for c in constraints]
 

@@ -23,7 +23,7 @@ from .denoise import (
     corrupt,
     load_table,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .vocab import EditableRegion, Vocab
 
 
@@ -89,8 +89,7 @@ def peptide_instance(spec: peptide.PeptideSpec | None = None, slots: int = 50,
     """Unconditional peptide slots; evaluators read up to the terminator."""
     spec = spec or peptide.PeptideSpec()
     vocab = peptide.residue_vocab()
-    if slots < 1:
-        raise ConfigError("peptide needs at least one slot")
+    check_count(slots, "slot count", 1)
     return Instance(
         name=name,
         vocab=vocab,

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_count, check_integers
 
 MASK_CHAR = "?"
 
@@ -48,15 +48,11 @@ class Vocab:
 
     def render(self, values: np.ndarray) -> str:
         """Sequence as a symbol string, masked positions shown as ``?``."""
-        out = []
-        for v in np.asarray(values):
-            if v == self.mask_id:
-                out.append(MASK_CHAR)
-            elif 0 <= v < self.size:
-                out.append(self.symbols[v])
-            else:
-                raise ContractError(f"value {v} outside alphabet of size {self.size}")
-        return "".join(out)
+        values = check_integers(values, "values", self.mask_id + 1)
+        if values.ndim != 1:
+            raise ContractError(f"expected one sequence, got shape {values.shape}")
+        symbols = self.symbols + (MASK_CHAR,)
+        return "".join(symbols[v] for v in values.tolist())
 
     def parse(self, text: str) -> np.ndarray:
         """Inverse of :meth:`render` for single-character alphabets."""
@@ -78,18 +74,17 @@ class EditableRegion:
     editable: frozenset[int]
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ConfigError("region length must be positive")
+        check_count(self.length, "region length", 1)
         if self.editable and not all(0 <= p < self.length for p in self.editable):
             raise ConfigError("editable positions must lie inside the sequence")
 
     @classmethod
     def all_editable(cls, length: int) -> "EditableRegion":
-        return cls(length, frozenset(range(length)))
+        return cls.with_frozen(length, frozenset())
 
     @classmethod
     def with_frozen(cls, length: int, frozen: set[int] | frozenset[int]) -> "EditableRegion":
-        everything = frozenset(range(length))
+        everything = frozenset(range(check_count(length, "region length", 1)))
         if not everything.issuperset(frozen):
             raise ConfigError("frozen positions must lie inside the sequence")
         return cls(length, everything - frozenset(frozen))
@@ -112,7 +107,7 @@ def fully_masked(region: EditableRegion, mask_id: int,
     if region.frozen:
         if frozen_values is None:
             raise ConfigError("frozen positions present but no frozen values given")
-        frozen_values = np.asarray(frozen_values)
+        frozen_values = check_integers(frozen_values, "frozen values", error=ConfigError)
         if frozen_values.shape != (length,):
             raise ConfigError(
                 f"frozen values have shape {frozen_values.shape}, expected ({length},)")

@@ -63,6 +63,20 @@ def test_data_distribution_rejects_non_finite_weights(bad):
         DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([1.0, bad]))
 
 
+def test_data_distribution_rejects_weights_whose_sum_overflows():
+    # they normalised to all zeros, with only numpy's overflow warning
+    with pytest.raises(ConfigError, match="finite"):
+        DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([1e308, 1e308]))
+    big = DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([1e307, 3e307]))
+    assert big.weights.tolist() == [0.25, 0.75]
+
+
+def test_data_distribution_rejects_opposite_infinite_weights_without_a_warning():
+    # their sum is NaN, which numpy reports with an "invalid value" warning
+    with pytest.raises(ConfigError, match="finite"):
+        DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([np.inf, -np.inf]))
+
+
 def test_exact_posterior_unique_completion():
     # support {AB, BA}, observing A at position 0 forces B at position 1
     dist = DataDistribution(np.array([[0, 1], [1, 0]]))

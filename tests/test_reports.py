@@ -7,7 +7,8 @@ from mdsearch.constraints.base import (
     ViolationReport,
 )
 from mdsearch.errors import ContractError
-from mdsearch.search import aggregate_violation
+from mdsearch.search import aggregate_violation, refine
+from mdsearch.vocab import EditableRegion, Vocab
 
 
 class Fixed(Constraint):
@@ -68,3 +69,46 @@ def test_full_recompute_tracker_consistency():
     assert tracker.value() == 2.0  # peek_block must not mutate
     tracker.commit(0, 1)
     assert tracker.value() == 3.0
+
+
+class BadOnOneEdit(Constraint):
+    """Three bits scored by their zeros, except ``bad`` on ``1 1 0``."""
+
+    name = "bad-on-one-edit"
+    alphabet = 2
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def violation(self, values):
+        return self.bad if values.tolist() == [1, 1, 0] else float((values == 0).sum())
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_nan_or_negative_output_is_refused_at_every_entry(bad):
+    # NaN passed score_rows, whose (nu < 0).any() is False for NaN, and the
+    # full-recompute tracker checked no output at all
+    zeros = np.zeros(3, dtype=np.int64)
+    with pytest.raises(ContractError, match="non-negative"):
+        aggregate_violation(zeros, (Fixed("a", bad),))
+    with pytest.raises(ContractError, match="non-negative"):
+        Fixed("a", bad).tracker(zeros)
+    start = np.array([1, 0, 0])
+    tracker = BadOnOneEdit(bad).tracker(start)
+    assert tracker.value() == 2.0
+    with pytest.raises(ContractError, match="non-negative"):
+        tracker.peek_block([1], 2)
+    # with NaN in its block, argmin picked the NaN cell and refinement
+    # stopped at once, although setting bit 2 improves
+    with pytest.raises(ContractError, match="non-negative"):
+        refine(start, (BadOnOneEdit(bad),), None, Vocab(("0", "1")),
+               EditableRegion.all_editable(3), None)
+
+
+def test_violations_of_the_wrong_shape_are_refused():
+    class OneTooMany(Constraint):
+        def _violations(self, values):
+            return np.zeros(len(values) + 1)
+
+    with pytest.raises(ContractError, match="shape"):
+        OneTooMany().violations(np.zeros((2, 3), dtype=np.int64))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from mdsearch.constraints.sudoku import (
     render_sudoku_line,
     unit_indices,
 )
-from mdsearch.errors import ConfigError, ContractError, ParseError
+from mdsearch.errors import ConfigError, ContractError, GenerationError, ParseError
 
 from oracles import (
     completions_by_backtracking,
@@ -247,6 +249,25 @@ def test_sudoku_sizes_must_be_integers(bad):
     assert SudokuBoard(np.int64(2), VALID_4X4) == SudokuBoard(2, VALID_4X4)
     assert random_puzzle(np.int64(2), np.int64(3), np.random.default_rng(1)) == \
         random_puzzle(2, 3, np.random.default_rng(1))
+
+
+def test_random_solution_gives_up_on_box_5_within_its_budget():
+    # row-major backtracking was still running after 20 s at box 5
+    started = time.perf_counter()
+    with pytest.raises(GenerationError):
+        random_solution(5, np.random.default_rng(0))
+    with pytest.raises(GenerationError):
+        random_puzzle(5, 10, np.random.default_rng(1))
+    assert time.perf_counter() - started < 20
+
+
+@pytest.mark.parametrize("seed", [4, 31, 44])
+def test_random_solution_restarts_box_4_streams_past_the_budget(seed):
+    # each of these streams tries more than FILL_NODE_CAP cells in its first
+    # attempt (seed 44 ran for over 10 s without a budget)
+    grid = random_solution(4, np.random.default_rng(seed))
+    assert grid.shape == (16, 16)
+    assert UnitDuplicates(4).violations(grid.reshape(1, -1) - 1)[0] == 0
 
 
 def test_generator_blank_count_bounds():
