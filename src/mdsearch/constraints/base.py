@@ -123,7 +123,7 @@ class Constraint:
         """Violation of one candidate: :meth:`violations` on a batch of one."""
         if type(self)._violations is Constraint._violations:
             raise NotImplementedError("define violation or _violations")
-        return float(self.violations(np.asarray(values)[None, :])[0])
+        return float(self.violations(np.asarray(values)[None])[0])
 
     def violations(self, values: np.ndarray) -> np.ndarray:
         """Violations of every row of ``values`` (M, L) as an (M,) float array.
@@ -161,7 +161,8 @@ class ViolationReport:
 
     @property
     def total(self) -> float:
-        return float(sum(w * v for w, v in zip(self.weights, self.values)))
+        """Weighted sum; a constraint of weight 0 adds nothing, even if infinite."""
+        return float(sum(w * v for w, v in zip(self.weights, self.values) if w != 0))
 
     @property
     def feasible(self) -> bool:

@@ -41,7 +41,15 @@ def check_rows(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray
     return rows
 
 
+def _one_sequence(values) -> np.ndarray:
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ContractError(f"expected one sequence, got shape {values.shape}")
+    return values
+
+
 def _uniform_rows(values: np.ndarray, vocab: Vocab) -> np.ndarray:
+    values = _one_sequence(values)
     rows = np.full((len(values), vocab.size), 1.0 / vocab.size)
     return _clamp_observed(rows, values, vocab)
 
@@ -208,6 +216,7 @@ class TableDenoiser(Denoiser):
         self.table = table
 
     def denoise(self, values, t):
+        values = _one_sequence(values)
         rows = np.full((len(values), self.vocab.size), 1.0 / self.vocab.size)
         for pos, row in self.table.get(self.vocab.render(values), {}).items():
             rows[pos] = row

@@ -12,21 +12,16 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from ..diffusion import linear_schedule
 from ..errors import ConfigError, ParseError
-from ..search import aggregate_violation, sample
-from ..tasks import build_denoiser
-from .configio import RunConfig, load_config
+from .configio import TASKS, RunConfig, load_config
 from .runner import (
     ablate,
-    build_instance,
-    load_instances,
     load_results,
     presets,
     render_summary_csv,
     run_experiment,
-    sample_rng,
-    search_config,
+    run_instances,
+    run_sample,
     write_summary_csv,
 )
 
@@ -47,7 +42,7 @@ def _comma_list(convert):
 
 def _add_run_flags(parser: argparse.ArgumentParser, lists: bool = False):
     kind = _comma_list if lists else (lambda convert: convert)
-    parser.add_argument("--task", choices=("sat", "sudoku", "peptide"))
+    parser.add_argument("--task", choices=TASKS)
     parser.add_argument("--steps", type=kind(int), help="denoising steps T")
     parser.add_argument("--css", type=kind(int), dest="candidates",
                         help="proposal pool size per step")
@@ -75,13 +70,9 @@ def _merge_config(args: argparse.Namespace, skip=()) -> RunConfig:
 
 
 def _cmd_sample(args) -> int:
-    cfg = _merge_config(args)
-    instances = load_instances(replace(cfg, num_samples=max(cfg.num_samples, 1))) \
-        if cfg.instances else [build_instance(cfg, 0)]
-    instance = instances[0]
-    denoiser = build_denoiser(instance, cfg.denoiser, cfg.epsilon)
-    final, trace = sample(instance, denoiser, linear_schedule(cfg.steps),
-                          search_config(cfg), sample_rng(cfg.seed, 0))
+    cfg = replace(_merge_config(args), num_samples=1)
+    instance = run_instances(cfg)[0]
+    final, trace, report = run_sample(cfg, instance, 0)
     print(f"# instance {instance.name} T={cfg.steps}")
     for record in trace:
         if record.first_violation is None:
@@ -91,7 +82,6 @@ def _cmd_sample(args) -> int:
                   f"pool={record.pool_violation:g} "
                   f"refined={record.refined_violation:g} "
                   f"rounds={record.rounds} committed={record.committed}")
-    report = aggregate_violation(final, instance.constraints, cfg.weights)
     names = ", ".join(f"{c.name}={v:g}"
                       for c, v in zip(instance.constraints, report.values))
     print(f"result {instance.render(final)}")
@@ -99,10 +89,18 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _print_summary(results, out=None) -> int:
+    """Print the summary CSV of ``results``; write it to ``out`` as well when set."""
+    text = render_summary_csv(results)
+    sys.stdout.write(text)
+    if out:
+        write_summary_csv(text, out)
+    return 0
+
+
 def _cmd_bench(args) -> int:
     cfg = _merge_config(args)
-    result = run_experiment(cfg)
-    sys.stdout.write(render_summary_csv([result]))
+    _print_summary([run_experiment(cfg)])  # run_experiment writes the files
     if cfg.out:
         print(f"# wrote {cfg.out}", file=sys.stderr)
     return 0
@@ -114,20 +112,11 @@ def _cmd_ablate(args) -> int:
                                     "out"))
     results = ablate(cfg, placements=args.placement, candidate_counts=args.candidates,
                      step_counts=args.steps, epsilons=args.epsilon, out_dir=args.out)
-    text = render_summary_csv(results)
-    sys.stdout.write(text)
-    if args.out:
-        write_summary_csv(text, Path(args.out) / "summary.csv")
-    return 0
+    return _print_summary(results, Path(args.out) / "summary.csv" if args.out else None)
 
 
 def _cmd_summarize(args) -> int:
-    results = [load_results(path) for path in args.results]
-    text = render_summary_csv(results)
-    sys.stdout.write(text)
-    if args.out:
-        write_summary_csv(text, args.out)
-    return 0
+    return _print_summary([load_results(path) for path in args.results], args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,11 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from ..constraints import sat, sudoku
+from ..constraints.base import ViolationReport
 from ..constraints.sat import random_formula
 from ..constraints.sudoku import random_puzzle
 from ..errors import ConfigError, ContractError, check_count
 from ..diffusion import linear_schedule
-from ..search import aggregate_violation, resolve_weights, sample
+from ..search import SampleTrace, aggregate_violation, resolve_weights, sample
 from ..tasks import Instance, build_denoiser, peptide_instance, sat_instance, sudoku_instance
 from .configio import RunConfig, search_config
 
@@ -76,16 +77,11 @@ def build_instance(cfg: RunConfig, index: int) -> Instance:
 
 
 def load_instances(cfg: RunConfig) -> list[Instance]:
-    """Instances from ``cfg.instances``: a DIMACS file/directory or a
-    Sudoku lines file, capped at ``num_samples``."""
+    """Instances from ``cfg.instances``: a DIMACS file/directory or a Sudoku
+    lines file, capped at ``num_samples``; a path with none is a ConfigError."""
     path = Path(cfg.instances)
     if cfg.task == "sat":
-        if path.is_dir():
-            files = sorted(path.glob("*.cnf"))
-            if not files:
-                raise ConfigError(f"no .cnf files under {path}")
-        else:
-            files = [path]
+        files = sorted(path.glob("*.cnf")) if path.is_dir() else [path]
         out = [sat_instance(sat.load_dimacs(f), name=f.stem) for f in files]
     elif cfg.task == "sudoku":
         boards = sudoku.read_puzzles(path)
@@ -93,7 +89,32 @@ def load_instances(cfg: RunConfig) -> list[Instance]:
                for i, b in enumerate(boards)]
     else:
         raise ConfigError("peptide generation is unconditional; drop --instances")
+    if not out:
+        raise ConfigError(f"no instances in {path}")
     return out[:cfg.num_samples]
+
+
+def run_instances(cfg: RunConfig) -> list[Instance]:
+    """The run's instances, loaded or generated, at most ``num_samples``;
+    weights that do not fit their constraints are a :class:`ConfigError`."""
+    instances = load_instances(cfg) if cfg.instances else [
+        build_instance(cfg, i) for i in range(cfg.num_samples)]
+    if instances:
+        try:
+            resolve_weights(cfg.weights, instances[0].constraints)
+        except ContractError as exc:
+            raise ConfigError(f"weights: {exc}") from None
+    return instances
+
+
+def run_sample(cfg: RunConfig, instance: Instance, index: int
+               ) -> tuple[np.ndarray, SampleTrace, ViolationReport]:
+    """Sample ``index`` of a run on ``instance``: the final sequence, its
+    trace, and its violation report under ``cfg.weights``."""
+    denoiser = build_denoiser(instance, cfg.denoiser, cfg.epsilon)
+    final, trace = sample(instance, denoiser, linear_schedule(cfg.steps),
+                          search_config(cfg), sample_rng(cfg.seed, index))
+    return final, trace, aggregate_violation(final, instance.constraints, cfg.weights)
 
 
 @dataclass(frozen=True)
@@ -119,30 +140,17 @@ class RunResult:
 def run_experiment(cfg: RunConfig) -> RunResult:
     """Run every sample of a config; write result files when ``out`` is set.
 
-    Weights that do not match the task's constraints fail the run before
-    its first sample; other per-sample errors are recorded (with zeroed
-    metrics) rather than aborting the whole run.
+    A bad setting (see :func:`run_instances`) fails the run before its
+    first sample; per-sample errors are recorded (with zeroed metrics)
+    rather than aborting the whole run.
     """
-    schedule = linear_schedule(cfg.steps)
-    scfg = search_config(cfg)
-    instances = load_instances(cfg) if cfg.instances else [
-        build_instance(cfg, i) for i in range(cfg.num_samples)]
-    if instances:
-        try:
-            resolve_weights(cfg.weights, instances[0].constraints)
-        except ContractError as exc:
-            raise ConfigError(f"weights: {exc}") from None
-    names: tuple[str, ...] = ()
+    instances = run_instances(cfg)
+    names = tuple(c.name for c in instances[0].constraints) if instances else ()
     records = []
     run_start = time.perf_counter()
     for i, instance in enumerate(instances):
-        if not names:
-            names = tuple(c.name for c in instance.constraints)
         try:
-            denoiser = build_denoiser(instance, cfg.denoiser, cfg.epsilon)
-            final, trace = sample(instance, denoiser, schedule, scfg,
-                                  sample_rng(cfg.seed, i))
-            report = aggregate_violation(final, instance.constraints, cfg.weights)
+            final, trace, report = run_sample(cfg, instance, i)
             records.append(SampleRecord(
                 index=i,
                 instance=instance.name,

@@ -73,13 +73,15 @@ def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
     """Score every row of ``values`` (M, L) with one call per constraint.
 
     Returns the violations (K, M), the weighted totals (M,) summed in
-    constraint order, and the resolved weights (K,).
+    constraint order, and the resolved weights (K,). A constraint of weight
+    0 adds nothing to the totals, even where its violation is infinite.
     """
     w = resolve_weights(weights, constraints)
     nu = np.array([c.violations(values) for c in constraints]).reshape(len(w), len(values))
     totals = np.zeros(len(values))
     for wk, vk in zip(w, nu):
-        totals += wk * vk
+        if wk != 0.0:
+            totals += wk * vk
     return nu, totals, w
 
 
@@ -99,7 +101,8 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     """``count`` independent proposal samples consistent with ``x_t``.
 
     Masked positions draw from the denoiser rows; unmasked positions are
-    clamped to their current values.
+    clamped to their current values. The rows at masked positions must be
+    finite and non-negative with a positive sum, else :class:`ContractError`.
     """
     check_count(count, "draw count", 1)
     x_t = check_integers(x_t, "x_t")
@@ -108,7 +111,14 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
         raise ContractError(f"rows of shape {rows.shape} for x_t of shape {x_t.shape}")
     draws = np.repeat(x_t[None], count, 0)
     masked = masked_positions(x_t, mask_id)
-    draws[:, masked] = sample_rows(rows[masked], rng, count)
+    proposal = rows[masked]
+    totals = proposal.sum(axis=1)
+    # NaN fails every comparison; an infinite entry makes its row's total infinite
+    if not (proposal.min(initial=0.0) >= 0 and totals.min(initial=1.0) > 0
+            and totals.max(initial=1.0) < np.inf):
+        raise ContractError("rows at masked positions must be finite and non-negative "
+                            "with a positive sum")
+    draws[:, masked] = sample_rows(proposal, rng, count)
     return draws
 
 
@@ -175,7 +185,7 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     trackers = [c.tracker(current) for c in constraints]
 
     def current_total():
-        return float(sum(wk * tr.value() for wk, tr in zip(w, trackers)))
+        return float(sum(wk * tr.value() for wk, tr in zip(w, trackers) if wk != 0.0))
 
     total = current_total()
     history = [total]

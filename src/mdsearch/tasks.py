@@ -68,11 +68,6 @@ def sudoku_instance(board: sudoku.SudokuBoard, name: str = "sudoku") -> Instance
     frozen_positions = board.given_positions()
     frozen_values = np.where(tokens >= 0, tokens, 0)
     region = EditableRegion.with_frozen(board.side ** 2, set(map(int, frozen_positions)))
-
-    def render(values):
-        grid = np.asarray(values).reshape(board.side, board.side) + 1
-        return sudoku.render_sudoku_line(sudoku.SudokuBoard(board.box, grid))
-
     return Instance(
         name=name,
         vocab=vocab,
@@ -80,7 +75,6 @@ def sudoku_instance(board: sudoku.SudokuBoard, name: str = "sudoku") -> Instance
         constraints=(sudoku.UnitDuplicates(board.box),),
         frozen_values=frozen_values,
         data=board,
-        renderer=render,
     )
 
 

@@ -150,16 +150,29 @@ def test_ablate_checks_every_arm_before_the_first_runs(tmp_path, capsys):
     assert list(out_dir.glob("*")) == []
 
 
-def test_weight_arity_fails_the_run_not_each_sample(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["bench", "sample"])
+def test_weight_arity_fails_the_run_not_each_sample(tmp_path, capsys, command):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\nweights = 1.0,2.0\n", encoding="utf-8")
     out = tmp_path / "bench.jsonl"
-    code = run_cli("bench", "--task", "sat", "--steps", "4", "--css", "4",
+    code = run_cli(command, "--task", "sat", "--steps", "4", "--css", "4",
                    "--rounds", "2", "--n-samples", "3", "--config", str(cfg),
                    "--out", str(out))
     assert code == 2
     assert "weights" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "sample"])
+def test_instances_file_without_instances_is_usage_error(tmp_path, capsys, command):
+    puzzles = tmp_path / "puzzles.txt"
+    puzzles.write_text("# no boards\n", encoding="utf-8")
+    out = tmp_path / "bench.jsonl"
+    code = run_cli(command, "--task", "sudoku", "--instances", str(puzzles),
+                   "--out", str(out))
+    assert code == 2
+    assert "no instances" in capsys.readouterr().err
+    assert list(tmp_path.glob("bench*")) == []
 
 
 @pytest.mark.parametrize("case", ["missing key", "unknown key"])

@@ -2,14 +2,16 @@
 
 Every name in ``mdsearch.__all__`` and each harness entry point is called
 with counts that are negative, fractional, bool, None, text or non-finite,
-with token arrays of another dtype or shape (one or two dimensions), and
+with token arrays of another dtype or shape (zero to two dimensions), and
 with non-finite floats, next to well-formed values. A call may succeed;
 when it raises, the error is one of the classes in ``mdsearch.errors``,
 never a numpy or Python error from inside the package.
 """
 
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from mdsearch.errors import (ConfigError, ContractError, GenerationError, ParseE
                              SampleError)
 from mdsearch.harness import (RunConfig, ablate, build_instance, instance_rng,
                               parse_config, random_formula, random_puzzle, sample_rng)
-from mdsearch.harness.configio import TASKS, _FILE_FIELDS
+from mdsearch.harness.cli import main
+from mdsearch.harness.configio import DENOISER_CHOICES, TASKS, _FILE_FIELDS
 
 PACKAGE_ERRORS = (ConfigError, ContractError, GenerationError, ParseError, SampleError)
 FUZZ = settings(max_examples=40, deadline=None,
@@ -40,7 +43,7 @@ CONSTRAINTS = SAT.constraints
 COUNTS = st.one_of(st.integers(-3, 4), st.sampled_from(
     [2.5, 3.0, np.float64(2.0), True, False, np.True_, None, "3", math.nan, math.inf]))
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
-SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, max_side=4)
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, max_side=4)
 DTYPES = st.sampled_from([np.int64, np.int32, np.uint8, np.float64, np.bool_])
 
 
@@ -176,6 +179,18 @@ HARNESS = {
 }
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: m.UniformDenoiser(BITS).denoise(x, 1),
+    lambda x: m.corrupt(m.UniformDenoiser(BITS), 0.5).denoise(x, 1),
+    lambda x: m.TableDenoiser(BITS, {}).denoise(x, 1),
+    lambda x: CONSTRAINTS[0].violation(x),
+], ids=["uniform", "corrupt", "table", "violation"])
+def test_zero_dimensional_sequence_is_a_contract_error(call):
+    # a numpy scalar has no len() and takes no [None, :]
+    with pytest.raises(ContractError):
+        call(np.int64(0))
+
+
 def test_every_public_name_is_fuzzed_or_takes_nothing_to_malform():
     assert set(m.__all__) == set(ENTRIES) | NO_MALFORMED_ARGUMENT
 
@@ -215,3 +230,34 @@ def test_parse_config_returns_a_config_or_raises_config_error(text):
         assert isinstance(parse_config(text), RunConfig)
     except ConfigError:
         pass
+
+
+# small values only: an accepted file must not ask for a long run
+RUN_VALUES = st.one_of(
+    st.integers(-1, 4).map(str), st.floats(-1, 2).map(str),
+    st.sampled_from([*TASKS, *DENOISER_CHOICES, "off", "all_steps", "1,2", "0,1,1"]),
+    st.text(max_size=6))
+RUN_SECTIONS = st.fixed_dictionaries({}, optional={
+    section: st.dictionaries(
+        st.sampled_from(sorted(key for name, key in _FILE_FIELDS if name == section)),
+        RUN_VALUES, max_size=4)
+    for section in sorted({name for name, _ in _FILE_FIELDS})})
+
+
+@FUZZ
+@given(sections=RUN_SECTIONS)
+def test_bench_on_a_config_file_exits_with_a_code(sections):
+    text = _render(sections)
+    try:
+        parse_config(text)
+        refused = False
+    except ConfigError:
+        refused = True
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "bench.jsonl"
+        config.write_text(text, encoding="utf-8")
+        code = main(["bench", "--config", str(config), "--n-samples", "1",
+                     "--out", str(out)])
+        assert code in (0, 1, 2)
+        if refused:
+            assert code == 2 and not out.exists()

@@ -22,6 +22,7 @@ from mdsearch.search import (
     proposal_draws,
     refine,
     sample,
+    score_rows,
     search_step,
 )
 from mdsearch.tasks import Instance, sat_instance, sudoku_instance
@@ -74,6 +75,43 @@ def test_non_finite_or_negative_weights_are_rejected_before_scoring(bad):
     constraints = _sat_searchable().constraints
     with pytest.raises(ContractError):
         aggregate_violation(np.zeros(3, dtype=np.int64), constraints, (bad,))
+
+
+class InfiniteBox(Constraint):
+    """A black box that scores every candidate as infinitely violating."""
+
+    name = "infinite"
+
+    def violation(self, values):
+        return math.inf
+
+
+def test_zero_weight_constraint_counts_for_nothing():
+    # 0 * inf is NaN, with a RuntimeWarning the suite raises: a zero weight is skipped
+    constraints = (ClauseViolations(PAIR_FORMULA), InfiniteBox())
+    weights = (1.0, 0.0)
+    report = aggregate_violation(np.array([0, 0]), constraints, weights)
+    assert report.values == (1.0, math.inf) and report.total == 1.0
+    nu, totals, _ = score_rows(np.array([[0, 0], [0, 1]]), constraints, weights)
+    assert totals.tolist() == [1.0, 0.0]
+    result = refine(np.array([0, 0]), constraints, weights, BIN,
+                    EditableRegion.all_editable(2), max_rounds=8)
+    assert result.history == (1.0, 0.0) and result.report.total == 0.0
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0.5], [math.inf, 1.0], [-0.5, 1.5], [0.0, 0.0]])
+def test_proposal_draws_refuses_bad_rows_at_masked_positions(bad):
+    # the inverse CDF draws a token from each of these rows without complaint
+    rows = np.array([[0.5, 0.5], bad, [0.5, 0.5]])
+    x_t = np.full(3, BIN.mask_id)
+    constraints = (ClauseViolations(CnfFormula(3, ((1, 2, 3),))),)
+    with pytest.raises(ContractError, match="masked positions"):
+        proposal_draws(rows, x_t, 4, np.random.default_rng(0), BIN.mask_id)
+    with pytest.raises(ContractError, match="masked positions"):
+        best_of_pool(rows, x_t, 4, constraints, None, np.random.default_rng(0), BIN.mask_id)
+    x_t[1] = 0  # the row at an unmasked position is not read
+    draws = proposal_draws(rows, x_t, 4, np.random.default_rng(0), BIN.mask_id)
+    assert draws[:, 1].tolist() == [0, 0, 0, 0]
 
 
 def test_proposal_draws_clamp_observed():

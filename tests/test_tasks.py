@@ -12,6 +12,7 @@ from mdsearch.tasks import (
     sat_instance,
     sudoku_instance,
 )
+from mdsearch.vocab import fully_masked
 
 
 def test_sat_instance_shape():
@@ -35,6 +36,8 @@ def test_sudoku_instance_freezes_givens():
     solved = exact_distribution(inst).support[0]
     line = inst.render(solved)
     assert len(line) == 16 and "." not in line
+    masked = inst.render(fully_masked(inst.region, inst.vocab.mask_id, inst.frozen_values))
+    assert [i for i, ch in enumerate(masked) if ch == "?"] == list(inst.region.positions)
 
 
 def test_peptide_instance_shape():
