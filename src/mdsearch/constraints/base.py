@@ -37,6 +37,11 @@ def token_rows(values, alphabet: int | None, length: int | None = None) -> np.nd
     return check_integers(values, "tokens", alphabet)
 
 
+def weighted_total(weights, parts, start=0.0):
+    """``start`` plus each ``w * part`` in order; a part of weight 0 adds nothing, even inf."""
+    return sum((w * part for w, part in zip(weights, parts) if w != 0), start)
+
+
 class ViolationTracker:
     """Tracks one constraint's violation under single-token edits.
 
@@ -161,8 +166,8 @@ class ViolationReport:
 
     @property
     def total(self) -> float:
-        """Weighted sum; a constraint of weight 0 adds nothing, even if infinite."""
-        return float(sum(w * v for w, v in zip(self.weights, self.values) if w != 0))
+        """Weighted sum by :func:`weighted_total`."""
+        return float(weighted_total(self.weights, self.values))
 
     @property
     def feasible(self) -> bool:

@@ -13,28 +13,32 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (ConfigError, ContractError, DenoiserContractError, ParseError,
-                     check_integers)
+                     check_integers, check_reals)
 from .vocab import Vocab
 
 ROW_TOL = 1e-9
 
 
+def probability_rows(rows: np.ndarray) -> bool:
+    """True when every entry of the 2-D float array ``rows`` is ``>= -ROW_TOL``
+    and every row sums to 1 within ``ROW_TOL``; NaN and inf fail both tests."""
+    return bool((rows >= -ROW_TOL).all()
+                and (np.abs(rows.sum(axis=1) - 1.0) <= ROW_TOL).all())
+
+
 def check_rows(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
     """Validate denoiser output against its contract; returns the array.
 
-    Checks shape, non-negativity and row normalization within ``ROW_TOL``
-    (both tests fail on NaN and infinite entries), and one-hot consistency
-    with the observed tokens.
+    Checks shape, :func:`probability_rows` and one-hot consistency with the
+    observed tokens.
     """
     rows = np.asarray(rows, dtype=np.float64)
     values = np.asarray(values)
     if rows.shape != (len(values), vocab.size):
         raise DenoiserContractError(
             f"rows have shape {rows.shape}, expected ({len(values)}, {vocab.size})")
-    if not (rows >= -ROW_TOL).all():
-        raise DenoiserContractError("rows contain negative or NaN entries")
-    if not (np.abs(rows.sum(axis=1) - 1.0) <= ROW_TOL).all():
-        raise DenoiserContractError("rows are not normalized")
+    if not probability_rows(rows):
+        raise DenoiserContractError("rows are negative, non-finite or not normalized")
     observed = np.flatnonzero(values != vocab.mask_id)
     if observed.size and (rows[observed, values[observed]] < 1.0 - ROW_TOL).any():
         raise DenoiserContractError("rows at unmasked positions must be one-hot")
@@ -99,11 +103,11 @@ class DataDistribution:
         if weights is None:
             weights = np.full(support.shape[0], 1.0 / support.shape[0])
         else:
-            weights = np.array(weights, dtype=np.float64)
+            weights = check_reals(weights, "weights")
             if weights.shape != (support.shape[0],):
                 raise ConfigError("weights must align with the support")
-            with np.errstate(over="ignore", invalid="ignore"):  # inf, -inf or overflow
-                total = weights.sum()  # a non-finite sum would normalise to NaN or zeros
+            with np.errstate(over="ignore"):
+                total = weights.sum()  # an overflowing sum would normalise to zeros
             if not (np.isfinite(total) and (weights > 0).all()):
                 raise ConfigError("weights must be positive with a finite sum")
             weights = weights / total
@@ -187,11 +191,12 @@ class CorruptedDenoiser(Denoiser):
     """
 
     def __init__(self, base: Denoiser, epsilon: float):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ConfigError(f"mixing weight {epsilon} outside [0, 1]")
+        epsilon = check_reals(epsilon, "mixing weight", 0, 1)
+        if epsilon.ndim:
+            raise ConfigError(f"mixing weight must be one number, got shape {epsilon.shape}")
         super().__init__(base.vocab)
         self.base = base
-        self.epsilon = epsilon
+        self.epsilon = float(epsilon)
 
     def denoise(self, values, t):
         rows = np.asarray(self.base.denoise(values, t), dtype=np.float64)
@@ -228,7 +233,7 @@ def load_table(path, vocab: Vocab) -> TableDenoiser:
 
     One record per line: ``pattern<TAB>pos<TAB>p_0,p_1,...`` where the
     pattern uses vocabulary symbols with ``?`` for masks. ``#`` starts a
-    comment. Rows must be stochastic; duplicate keys are rejected.
+    comment. Rows must pass :func:`probability_rows`; duplicate keys are rejected.
     """
     if any(len(s) != 1 for s in vocab.symbols):
         raise ConfigError("table patterns require single-character symbols")
@@ -259,7 +264,7 @@ def load_table(path, vocab: Vocab) -> TableDenoiser:
             if row.shape != (vocab.size,):
                 raise ParseError(
                     f"expected {vocab.size} probabilities, got {row.size}", line_no)
-            if np.any(row < 0) or abs(row.sum() - 1.0) > ROW_TOL:
+            if not probability_rows(row[None]):
                 raise ParseError("row is not a probability distribution", line_no)
             if pos in table.get(pattern, {}):
                 raise ParseError(f"duplicate entry for {pattern!r} position {pos}", line_no)

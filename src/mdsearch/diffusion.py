@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_count, check_integers
+from .errors import ConfigError, ContractError, check_count, check_integers, check_reals
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,12 @@ class NoiseSchedule:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
-        a = self.alphas
-        if len(a) < 2:
+        a = check_reals(self.alphas, "survival probabilities", 0, 1)
+        if a.ndim != 1 or len(a) < 2:
             raise ConfigError("schedule needs at least one step")
         if a[0] != 1.0 or a[-1] != 0.0:
             raise ConfigError("schedule must start at 1 and end at 0")
-        if any(not (0.0 <= x <= 1.0) for x in a):
-            raise ConfigError("survival probabilities must lie in [0, 1]")
-        if any(a[i + 1] >= a[i] for i in range(len(a) - 1)):
+        if not (np.diff(a) < 0).all():
             raise ConfigError("schedule must be strictly decreasing")
 
     @property
@@ -82,8 +80,8 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator,
     CDF so that every comparison runs over contiguous memory. For rows
     without negative entries (every built-in denoiser's) this is the
     smallest token whose cumulative sum exceeds the uniform, capped at the
-    last token; a row with negative entries inside ``ROW_TOL`` could give
-    another token.
+    last token; a row with entries down to ``-ROW_TOL``, which
+    :func:`~mdsearch.denoise.probability_rows` admits, could give another token.
     """
     rows = np.asarray(rows, dtype=np.float64)
     cdf_t = np.cumsum(rows, axis=1).T.copy()
@@ -114,9 +112,9 @@ def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarr
     over. ``rows`` must already satisfy :func:`~mdsearch.denoise.check_rows`.
     """
     out = check_integers(x_t, "x_t").copy()
-    try:
+    try:  # no range reduction: a negative position wraps
         out[committing] = sample_rows(rows[committing], rng)
-    except (IndexError, ValueError) as exc:  # no range reduction: a negative position wraps
+    except (IndexError, TypeError, ValueError) as exc:
         raise ContractError(f"reverse step: {exc}") from None
     return out
 

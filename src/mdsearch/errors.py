@@ -62,3 +62,20 @@ def check_integers(values, what: str, bound: int | None = None,
     if bound is not None and values.size and values.view(np.uint64).max() >= bound:
         raise error(f"{what} outside range({bound})")
     return values
+
+
+def check_reals(values, what: str, low: float | None = None, high: float | None = None,
+                error: type[ValueError] = ConfigError) -> np.ndarray:
+    """``values`` as float64, unless they are not finite numbers in ``[low, high]``
+    (``None`` leaves that side open): then ``error`` naming ``what``. Only integer and
+    float dtypes pass: a bool, text, None, a complex number or ragged nesting does not."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise error(f"{what} must be real numbers, got a ragged sequence") from None
+    if values.dtype.kind not in "iuf":
+        raise error(f"{what} must be real numbers, got {values.dtype}")
+    low, high = -np.inf if low is None else low, np.inf if high is None else high
+    if not (np.isfinite(values).all() and (values >= low).all() and (values <= high).all()):
+        raise error(f"{what} not finite or outside [{low}, {high}]: {values}")
+    return values.astype(np.float64, copy=False)

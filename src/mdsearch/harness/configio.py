@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, fields, replace
 
-from ..errors import ConfigError, check_count
+from ..errors import ConfigError, check_count, check_reals
 from ..search import SearchConfig
 
 DENOISER_CHOICES = ("exact", "noisy", "uniform")
@@ -49,10 +49,10 @@ class RunConfig:
         for f in fields(self):
             if f.type == "int" and f.name not in ("candidates", "rounds"):
                 check_count(getattr(self, f.name), f.name, 1 if f.name == "steps" else 0)
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("epsilon must lie in [0, 1]")
+        if check_reals(self.epsilon, "epsilon", 0, 1).ndim:
+            raise ConfigError("epsilon must be one number")
         if not (self.denoiser in DENOISER_CHOICES
-                or self.denoiser.startswith("table:")):
+                or isinstance(self.denoiser, str) and self.denoiser.startswith("table:")):
             raise ConfigError(
                 f"denoiser must be one of {DENOISER_CHOICES} or table:PATH")
         search_config(self)  # checks the search fields

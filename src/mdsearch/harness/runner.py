@@ -79,16 +79,18 @@ def build_instance(cfg: RunConfig, index: int) -> Instance:
 def load_instances(cfg: RunConfig) -> list[Instance]:
     """Instances from ``cfg.instances``: a DIMACS file/directory or a Sudoku
     lines file, capped at ``num_samples``; a path with none is a ConfigError."""
-    path = Path(cfg.instances)
-    if cfg.task == "sat":
-        files = sorted(path.glob("*.cnf")) if path.is_dir() else [path]
-        out = [sat_instance(sat.load_dimacs(f), name=f.stem) for f in files]
-    elif cfg.task == "sudoku":
-        boards = sudoku.read_puzzles(path)
-        out = [sudoku_instance(b, name=f"{path.stem}-{i:04d}")
-               for i, b in enumerate(boards)]
-    else:
+    if cfg.task == "peptide":
         raise ConfigError("peptide generation is unconditional; drop --instances")
+    path = Path(cfg.instances)
+    try:
+        if cfg.task == "sat":
+            files = sorted(path.glob("*.cnf")) if path.is_dir() else [path]
+            out = [sat_instance(sat.load_dimacs(f), name=f.stem) for f in files]
+        else:
+            out = [sudoku_instance(b, name=f"{path.stem}-{i:04d}")
+                   for i, b in enumerate(sudoku.read_puzzles(path))]
+    except OSError as exc:  # a missing path, or a directory given for Sudoku
+        raise ConfigError(f"cannot read instances: {exc}") from None
     if not out:
         raise ConfigError(f"no instances in {path}")
     return out[:cfg.num_samples]
@@ -174,12 +176,6 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     return result
 
 
-def _record_payload(record: SampleRecord) -> dict:
-    payload = asdict(record)
-    payload["violations"] = list(record.violations)
-    return payload
-
-
 def write_results(result: RunResult, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -195,7 +191,7 @@ def write_results(result: RunResult, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for record in result.records:
-            handle.write(json.dumps(_record_payload(record), sort_keys=True) + "\n")
+            handle.write(json.dumps(asdict(record), sort_keys=True) + "\n")
 
 
 def load_results(path) -> RunResult:

@@ -11,18 +11,18 @@ the plain reverse step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .constraints.base import Constraint, ViolationReport
-from .denoise import Denoiser, check_rows
+from .constraints.base import Constraint, ViolationReport, weighted_total
+from .denoise import Denoiser, check_rows, probability_rows
 from .diffusion import (NoiseSchedule, first_hitting_steps, guided_reverse_step,
                         sample_rows, vanilla_reverse_step)
-from .errors import ConfigError, ContractError, SampleError, check_count, check_integers
+from .errors import (ConfigError, ContractError, SampleError, check_count, check_integers,
+                     check_reals)
 from .tasks import Instance
 from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
 
@@ -51,20 +51,19 @@ class SearchConfig:
         check_count(self.max_rounds, "max_rounds")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"placement must be one of {PLACEMENTS}")
-        if self.weights is not None and not all(
-                math.isfinite(w) and w >= 0 for w in self.weights):
-            raise ConfigError("constraint weights must be finite and non-negative")
+        if not isinstance(self.allow_unmask_edits, (bool, np.bool_)):
+            raise ConfigError(f"allow_unmask_edits {self.allow_unmask_edits!r} is not a bool")
+        if self.weights is not None:
+            check_reals(self.weights, "constraint weights", low=0)
 
 
 def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> np.ndarray:
     if weights is None:
         return np.ones(len(constraints))
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = check_reals(weights, "weights", low=0, error=ContractError)
     if weights.shape != (len(constraints),):
         raise ContractError(
             f"{weights.size} weights for {len(constraints)} constraints")
-    if not (np.isfinite(weights).all() and (weights >= 0).all()):
-        raise ContractError("weights must be finite and non-negative")
     return weights
 
 
@@ -78,11 +77,7 @@ def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
     """
     w = resolve_weights(weights, constraints)
     nu = np.array([c.violations(values) for c in constraints]).reshape(len(w), len(values))
-    totals = np.zeros(len(values))
-    for wk, vk in zip(w, nu):
-        if wk != 0.0:
-            totals += wk * vk
-    return nu, totals, w
+    return nu, weighted_total(w, nu, np.zeros(len(values))), w
 
 
 def _report(nu: np.ndarray, w: np.ndarray) -> ViolationReport:
@@ -101,8 +96,8 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     """``count`` independent proposal samples consistent with ``x_t``.
 
     Masked positions draw from the denoiser rows; unmasked positions are
-    clamped to their current values. The rows at masked positions must be
-    finite and non-negative with a positive sum, else :class:`ContractError`.
+    clamped to their current values. The rows at masked positions must pass
+    :func:`~mdsearch.denoise.probability_rows`, else :class:`ContractError`.
     """
     check_count(count, "draw count", 1)
     x_t = check_integers(x_t, "x_t")
@@ -112,12 +107,8 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     draws = np.repeat(x_t[None], count, 0)
     masked = masked_positions(x_t, mask_id)
     proposal = rows[masked]
-    totals = proposal.sum(axis=1)
-    # NaN fails every comparison; an infinite entry makes its row's total infinite
-    if not (proposal.min(initial=0.0) >= 0 and totals.min(initial=1.0) > 0
-            and totals.max(initial=1.0) < np.inf):
-        raise ContractError("rows at masked positions must be finite and non-negative "
-                            "with a positive sum")
+    if not probability_rows(proposal):
+        raise ContractError("rows at masked positions must be probability rows")
     draws[:, masked] = sample_rows(proposal, rng, count)
     return draws
 
@@ -183,11 +174,7 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     current = check_integers(start, "start candidate").copy()
     positions = edit_positions(region, vocab.mask_id, allow_unmask_edits, x_t)
     trackers = [c.tracker(current) for c in constraints]
-
-    def current_total():
-        return float(sum(wk * tr.value() for wk, tr in zip(w, trackers) if wk != 0.0))
-
-    total = current_total()
+    total = float(weighted_total(w, [tr.value() for tr in trackers]))
     history = [total]
     rounds = 0
     pos_arr = np.array(positions, dtype=np.int64)
@@ -207,7 +194,7 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
         for tracker in trackers:
             tracker.commit(pos, token)
         current[pos] = token
-        total = current_total()
+        total = float(weighted_total(w, [tr.value() for tr in trackers]))
         history.append(total)
         rounds += 1
     nu = tuple(float(tr.value()) for tr in trackers)

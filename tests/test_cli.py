@@ -173,6 +173,13 @@ def test_instances_file_without_instances_is_usage_error(tmp_path, capsys, comma
     assert code == 2
     assert "no instances" in capsys.readouterr().err
     assert list(tmp_path.glob("bench*")) == []
+    # a missing path, and a directory given for Sudoku, were runtime errors (exit 1)
+    for task, path in [("sat", tmp_path / "missing.cnf"), ("sudoku", tmp_path / "missing"),
+                       ("sudoku", tmp_path)]:
+        code = run_cli(command, "--task", task, "--instances", str(path), "--out", str(out))
+        assert code == 2
+        assert "cannot read instances" in capsys.readouterr().err
+        assert list(tmp_path.glob("bench*")) == []
 
 
 @pytest.mark.parametrize("case", ["missing key", "unknown key"])

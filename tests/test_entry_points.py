@@ -3,9 +3,10 @@
 Every name in ``mdsearch.__all__`` and each harness entry point is called
 with counts that are negative, fractional, bool, None, text or non-finite,
 with token arrays of another dtype or shape (zero to two dimensions), and
-with non-finite floats, next to well-formed values. A call may succeed;
-when it raises, the error is one of the classes in ``mdsearch.errors``,
-never a numpy or Python error from inside the package.
+with real-valued arguments that are non-finite, text, None, bool, complex or
+ragged, next to well-formed values. A call may succeed; when it raises, the
+error is one of the classes in ``mdsearch.errors``, never a numpy or Python
+error from inside the package.
 """
 
 import math
@@ -43,6 +44,9 @@ CONSTRAINTS = SAT.constraints
 COUNTS = st.one_of(st.integers(-3, 4), st.sampled_from(
     [2.5, 3.0, np.float64(2.0), True, False, np.True_, None, "3", math.nan, math.inf]))
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+# numpy reads none of these but FLOATS as real numbers; a bool would pass for 0 or 1
+REALS = st.one_of(FLOATS, st.text(max_size=2), st.none(), st.booleans(),
+                  st.complex_numbers(), st.just([0.5, [0.5]]))
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, max_side=4)
 DTYPES = st.sampled_from([np.int64, np.int32, np.uint8, np.float64, np.bool_])
 
@@ -60,7 +64,13 @@ def rows(length=3):
 
 
 def weights():
-    return st.none() | st.lists(FLOATS, max_size=2).map(tuple)
+    return st.none() | REALS | st.lists(REALS, max_size=2).map(tuple)
+
+
+def schedules():
+    """Survival probabilities, some with the endpoints 1 and 0 in place."""
+    return (st.lists(REALS, max_size=4).map(tuple)
+            | st.lists(REALS, max_size=2).map(lambda inner: (1.0, *inner, 0.0)))
 
 
 def rng():
@@ -83,7 +93,7 @@ def _denoisers(draw):
     den = {"uniform": lambda: m.UniformDenoiser(BITS),
            "exact": lambda: m.ExactPosteriorDenoiser(DIST, BITS),
            "table": lambda: m.TableDenoiser(BITS, {}),
-           "corrupt": lambda: m.corrupt(m.UniformDenoiser(BITS), draw(FLOATS))}[kind]()
+           "corrupt": lambda: m.corrupt(m.UniformDenoiser(BITS), draw(REALS))}[kind]()
     den.denoise(draw(tokens()), draw(COUNTS))
 
 
@@ -119,14 +129,15 @@ def _fully_masked(draw):
 
 ENTRIES = {
     "DataDistribution": lambda draw: m.DataDistribution(
-        draw(hnp.arrays(DTYPES, SHAPES)), draw(st.none() | hnp.arrays(np.float64, SHAPES))),
+        draw(st.just(DIST.support) | hnp.arrays(DTYPES, SHAPES)),
+        draw(st.none() | hnp.arrays(np.float64, SHAPES) | st.lists(REALS, max_size=3))),
     "Denoiser": _denoisers,
     "ExactPosteriorDenoiser": _denoisers,
     "TableDenoiser": _denoisers,
     "UniformDenoiser": _denoisers,
     "corrupt": _denoisers,
     "exact_posterior": lambda draw: m.exact_posterior(DIST, draw(tokens()), BITS),
-    "NoiseSchedule": lambda draw: m.NoiseSchedule(tuple(draw(st.lists(FLOATS, max_size=4)))),
+    "NoiseSchedule": lambda draw: m.NoiseSchedule(draw(schedules())),
     "first_hitting_steps": lambda draw: m.first_hitting_steps(SCHEDULE, draw(COUNTS), rng()),
     "guided_reverse_step": lambda draw: m.guided_reverse_step(
         draw(tokens()), draw(tokens()), BITS.mask_id),
@@ -135,7 +146,8 @@ ENTRIES = {
     "vanilla_reverse_step": lambda draw: m.vanilla_reverse_step(
         draw(tokens()), draw(rows()), draw(tokens()), rng()),
     "SearchConfig": lambda draw: m.SearchConfig(
-        candidates=draw(COUNTS), max_rounds=draw(COUNTS), weights=draw(weights())),
+        candidates=draw(COUNTS), max_rounds=draw(COUNTS), weights=draw(weights()),
+        allow_unmask_edits=draw(st.booleans() | REALS)),
     "aggregate_violation": lambda draw: m.aggregate_violation(
         draw(tokens()), CONSTRAINTS, draw(weights())),
     "best_of_pool": lambda draw: m.best_of_pool(
@@ -148,7 +160,7 @@ ENTRIES = {
     "search_step": lambda draw: m.search_step(
         draw(rows()), draw(tokens()), m.SearchConfig(candidates=2, max_rounds=2), SAT, rng()),
     "build_denoiser": lambda draw: m.build_denoiser(
-        SAT, draw(st.sampled_from(["exact", "noisy", "uniform"])), draw(FLOATS)),
+        SAT, draw(st.sampled_from(["exact", "noisy", "uniform"])), draw(REALS)),
     "peptide_instance": lambda draw: m.peptide_instance(slots=draw(COUNTS)),
     "sat_instance": lambda draw: m.sat_instance(CnfFormula(draw(COUNTS), ((1, -2),))),
     "sudoku_instance": lambda draw: m.sudoku_instance(SudokuBoard(
@@ -163,9 +175,18 @@ ENTRIES = {
 NO_MALFORMED_ARGUMENT = {"ReverseCoeffs", "StepRecord", "Instance", "exact_distribution",
                          "load_table"}
 
+RUN_FIELDS = {**{f.name: COUNTS for f in fields(RunConfig) if f.type == "int"},
+              "epsilon": REALS, "weights": weights(), "denoiser": REALS | COUNTS,
+              "allow_unmask_edits": st.booleans() | REALS}
+
+
+def _run_config(draw):
+    name = draw(st.sampled_from(sorted(RUN_FIELDS)))
+    RunConfig(**{name: draw(RUN_FIELDS[name])})
+
+
 HARNESS = {
-    "RunConfig": lambda draw: RunConfig(**{draw(st.sampled_from(
-        [f.name for f in fields(RunConfig) if f.type == "int"])): draw(COUNTS)}),
+    "RunConfig": _run_config,
     "build_instance": lambda draw: build_instance(
         RunConfig(task=draw(st.sampled_from(TASKS)), num_samples=1), draw(COUNTS)),
     "instance_rng": lambda draw: instance_rng(draw(COUNTS), draw(COUNTS)),
@@ -175,7 +196,7 @@ HARNESS = {
     "completions": lambda draw: completions(
         SudokuBoard(2, np.zeros((4, 4), dtype=np.int64)), limit=draw(COUNTS)),
     "ablate": lambda draw: ablate(RunConfig(num_samples=0), candidate_counts=[draw(COUNTS)],
-                                  step_counts=[draw(COUNTS)], epsilons=[draw(FLOATS)]),
+                                  step_counts=[draw(COUNTS)], epsilons=[draw(REALS)]),
 }
 
 
@@ -189,6 +210,36 @@ def test_zero_dimensional_sequence_is_a_contract_error(call):
     # a numpy scalar has no len() and takes no [None, :]
     with pytest.raises(ContractError):
         call(np.int64(0))
+
+
+BASE = m.UniformDenoiser(BITS)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: m.SearchConfig(weights=("a",)), ConfigError),
+    (lambda: m.SearchConfig(allow_unmask_edits="no"), ConfigError),
+    (lambda: RunConfig(weights="ab"), ConfigError),
+    (lambda: RunConfig(epsilon="a"), ConfigError),
+    (lambda: RunConfig(epsilon=(0.5, 0.5)), ConfigError),
+    (lambda: RunConfig(denoiser=5), ConfigError),
+    (lambda: m.aggregate_violation(np.zeros(3, np.int64), CONSTRAINTS, ("a",)), ContractError),
+    (lambda: m.corrupt(BASE, None), ConfigError),
+    (lambda: m.corrupt(BASE, True), ConfigError),
+    (lambda: m.corrupt(BASE, [0.5]), ConfigError),
+    (lambda: m.NoiseSchedule((1.0, "a", 0.0)), ConfigError),
+    (lambda: m.NoiseSchedule((True, False)), ConfigError),
+    (lambda: m.NoiseSchedule(((1.0,), (0.0,))), ConfigError),
+    (lambda: m.DataDistribution(DIST.support, weights=["a"] * len(DIST.support)), ConfigError),
+], ids=["search-weights-text", "search-flag-text", "run-weights-text", "run-epsilon-text",
+        "run-epsilon-pair", "run-denoiser-int", "aggregate-weights-text", "corrupt-none",
+        "corrupt-bool", "corrupt-list", "schedule-text", "schedule-bools", "schedule-nested",
+        "distribution-weights-text"])
+def test_arguments_of_another_type_raise_package_errors(call, error):
+    # bools were read as 0 or 1, "no" as True, a nested schedule passed by luck
+    # (its 1-element rows compared equal to the endpoints); the rest raised
+    # TypeError, AttributeError or numpy's ValueError
+    with pytest.raises(error):
+        call()
 
 
 def test_every_public_name_is_fuzzed_or_takes_nothing_to_malform():

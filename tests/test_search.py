@@ -9,7 +9,7 @@ import mdsearch as m
 from mdsearch.constraints.base import Constraint
 from mdsearch.constraints.peptide import PeptideSpec
 from mdsearch.constraints.sat import ClauseViolations, CnfFormula
-from mdsearch.denoise import (DataDistribution, Denoiser, ExactPosteriorDenoiser,
+from mdsearch.denoise import (ROW_TOL, DataDistribution, Denoiser, ExactPosteriorDenoiser,
                               UniformDenoiser)
 from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, SampleError
 from mdsearch.harness.runner import build_instance, presets, sample_rng, search_config
@@ -465,6 +465,24 @@ def test_sample_off_rejects_bad_denoiser_rows():
         sample(instance, Unnormalized(instance.vocab), m.linear_schedule(3),
                SearchConfig(placement="off"), np.random.default_rng(0))
     assert isinstance(err.value.__cause__, DenoiserContractError)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_rows_with_entries_inside_the_row_tolerance_sample_under_every_placement(placement):
+    # check_rows admits entries down to -ROW_TOL; the pool once refused any negative entry
+    class SlightlyNegative(UniformDenoiser):
+        def denoise(self, values, t):
+            rows = super().denoise(values, t)
+            masked = values == self.vocab.mask_id
+            rows[masked] = [-0.5 * ROW_TOL, 1.0 + 0.5 * ROW_TOL]
+            return rows
+
+    instance = _sat_searchable()
+    # one step: every position is still masked when search runs under last_step
+    final, trace = sample(instance, SlightlyNegative(instance.vocab), m.linear_schedule(1),
+                          SearchConfig(candidates=2, placement=placement),
+                          np.random.default_rng(0))
+    assert not np.any(final == instance.vocab.mask_id) and len(trace) == 1
 
 
 class CountingDenoiser(Denoiser):
