@@ -8,13 +8,12 @@ checkable at desk scale.
 """
 
 from .denoise import (
+    CorruptedDenoiser,
     DataDistribution,
     Denoiser,
     ExactPosteriorDenoiser,
     TableDenoiser,
     UniformDenoiser,
-    corrupt,
-    exact_posterior,
     load_table,
 )
 from .diffusion import (
@@ -49,13 +48,12 @@ from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
 __version__ = "0.1.0"
 
 __all__ = [
+    "CorruptedDenoiser",
     "DataDistribution",
     "Denoiser",
     "ExactPosteriorDenoiser",
     "TableDenoiser",
     "UniformDenoiser",
-    "corrupt",
-    "exact_posterior",
     "load_table",
     "NoiseSchedule",
     "ReverseCoeffs",

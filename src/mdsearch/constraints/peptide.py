@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ConfigError, check_count, check_reals, is_integer
 from ..vocab import Vocab
 from .base import Constraint, ViolationTracker
 
@@ -39,6 +40,17 @@ class PeptideSpec:
     hydrophobic: frozenset = HYDROPHOBIC
     positive: frozenset = POSITIVE
     negative: frozenset = NEGATIVE
+
+    def __post_init__(self):
+        check_count(self.min_length, "min_length")
+        check_count(self.max_length, "max_length")
+        if not (is_integer(self.charge_min) and is_integer(self.charge_max)):
+            raise ConfigError(f"charge bounds must be integers, got "
+                              f"{self.charge_min!r} and {self.charge_max!r}")
+        if check_reals(self.hydro_min, "hydro_min", 0, 1).ndim:
+            raise ConfigError("hydro_min must be one number")
+        if self.min_length > self.max_length or self.charge_min > self.charge_max:
+            raise ConfigError("length and charge windows need low <= high")
 
 
 def _membership_weights(vocab: Vocab, residues) -> np.ndarray:

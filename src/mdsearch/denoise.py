@@ -20,9 +20,10 @@ ROW_TOL = 1e-9
 
 
 def probability_rows(rows: np.ndarray) -> bool:
-    """True when every entry of the 2-D float array ``rows`` is ``>= -ROW_TOL``
-    and every row sums to 1 within ``ROW_TOL``; NaN and inf fail both tests."""
-    return bool((rows >= -ROW_TOL).all()
+    """True when every entry of the 2-D float array ``rows`` lies in ``[0, 1]``
+    and every row sums to 1, each within ``ROW_TOL``; NaN and inf fail both
+    tests. Entries are bounded first, so the sum cannot overflow."""
+    return bool((np.abs(rows - 0.5) <= 0.5 + ROW_TOL).all()
                 and (np.abs(rows.sum(axis=1) - 1.0) <= ROW_TOL).all())
 
 
@@ -115,72 +116,48 @@ class DataDistribution:
         weights.setflags(write=False)
         self.support = support
         self.weights = weights
-        self._bin_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def length(self) -> int:
-        return self.support.shape[1]
-
-    def bin_tables(self, num_tokens: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (S, L) posterior bin table and the matching (S, L) weights, read-only.
-
-        Entry ``[s, i]`` of the bin table is ``support[s, i] + i * num_tokens``,
-        the flat ``(L, num_tokens)`` cell that support row ``s`` adds its
-        weight to at position ``i``; the weights repeat ``weights[s]`` along
-        the row. Built on first use per alphabet size and kept: 16 bytes
-        per support cell.
-        """
-        tables = self._bin_tables.get(num_tokens)
-        if tables is None:
-            bins = self.support + np.arange(self.length) * num_tokens
-            spread = np.repeat(self.weights, self.length).reshape(self.support.shape)
-            bins.setflags(write=False)
-            spread.setflags(write=False)
-            tables = self._bin_tables[num_tokens] = (bins, spread)
-        return tables
 
 
-def exact_posterior(dist: DataDistribution, values: np.ndarray,
-                    vocab: Vocab) -> np.ndarray:
-    """Exact per-position marginals conditioned on the observed tokens.
+class ExactPosteriorDenoiser(Denoiser):
+    """Denoiser backed by exact enumeration over a finite support.
 
     Row ``i`` is the marginal of the support at position ``i`` restricted to
     elements agreeing with every unmasked position of ``values``. When no
     support element is consistent (search edits can leave the support), the
-    masked rows fall back to uniform so sampling can proceed. The support
-    must lie inside the alphabet, as :class:`ExactPosteriorDenoiser`
-    checks once when it is built.
+    masked rows fall back to uniform so sampling can proceed.
 
-    The consistent rows of :meth:`DataDistribution.bin_tables` feed one
+    Two read-only ``(S, L)`` tables are built once, here: entry ``[s, i]`` of
+    ``bins`` is ``support[s, i] + i * |V|``, the flat ``(L, |V|)`` cell that
+    support row ``s`` adds its weight to at position ``i``, and ``spread``
+    repeats ``weights[s]`` along the row. Their consistent rows feed one
     ``bincount``, which sums each cell in support-row order.
     """
-    values = check_integers(values, "values")
-    if values.shape != (dist.length,):
-        raise ContractError(f"values of shape {values.shape} for support length {dist.length}")
-    observed = np.flatnonzero(values != vocab.mask_id)
-    consistent = (dist.support[:, observed] == values[observed]).all(axis=1)
-    if not consistent.any():
-        return _uniform_rows(values, vocab)
-    bins, spread = dist.bin_tables(vocab.size)
-    rows = np.bincount(bins.compress(consistent, axis=0).ravel(),
-                       spread.compress(consistent, axis=0).ravel(),
-                       dist.length * vocab.size)
-    rows = rows.reshape(dist.length, vocab.size)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return rows  # observed rows are one-hot: every consistent row agrees there
-
-
-class ExactPosteriorDenoiser(Denoiser):
-    """Denoiser backed by exact enumeration over a finite support."""
 
     def __init__(self, dist: DataDistribution, vocab: Vocab):
         super().__init__(vocab)
         check_integers(dist.support, "support", vocab.size, ConfigError)
-        dist.bin_tables(vocab.size)  # built here, at set-up, not while sampling
         self.dist = dist
+        length = dist.support.shape[1]
+        self.bins = dist.support + np.arange(length) * vocab.size
+        self.spread = np.repeat(dist.weights, length).reshape(dist.support.shape)
+        self.bins.setflags(write=False)
+        self.spread.setflags(write=False)
 
     def denoise(self, values, t):
-        return exact_posterior(self.dist, values, self.vocab)
+        values = check_integers(values, "values")
+        support, vocab = self.dist.support, self.vocab
+        if values.shape != support.shape[1:]:
+            raise ContractError(f"values of shape {values.shape} for support {support.shape}")
+        observed = np.flatnonzero(values != vocab.mask_id)
+        consistent = (support[:, observed] == values[observed]).all(axis=1)
+        if not consistent.any():
+            return _uniform_rows(values, vocab)
+        rows = np.bincount(self.bins.compress(consistent, axis=0).ravel(),
+                           self.spread.compress(consistent, axis=0).ravel(),
+                           values.size * vocab.size)
+        rows = rows.reshape(values.size, vocab.size)
+        rows /= rows.sum(axis=1, keepdims=True)
+        return rows  # observed rows are one-hot: every consistent row agrees there
 
 
 class CorruptedDenoiser(Denoiser):
@@ -202,11 +179,6 @@ class CorruptedDenoiser(Denoiser):
         rows = np.asarray(self.base.denoise(values, t), dtype=np.float64)
         rows = (1.0 - self.epsilon) * rows + self.epsilon / self.vocab.size
         return _clamp_observed(rows, values, self.vocab)
-
-
-def corrupt(base: Denoiser, epsilon: float) -> Denoiser:
-    """Blend ``base`` with uniform noise: ``(1-eps) * base + eps * uniform``."""
-    return CorruptedDenoiser(base, epsilon)
 
 
 class TableDenoiser(Denoiser):

@@ -47,8 +47,11 @@ class RunConfig:
             raise ConfigError(f"task must be one of {TASKS}")
         # every int field is a count; search_config checks candidates and rounds
         for f in fields(self):
+            value = getattr(self, f.name)
             if f.type == "int" and f.name not in ("candidates", "rounds"):
-                check_count(getattr(self, f.name), f.name, 1 if f.name == "steps" else 0)
+                check_count(value, f.name, 1 if f.name == "steps" else 0)
+            elif f.type == "str | None" and not (value is None or isinstance(value, str)):
+                raise ConfigError(f"{f.name} must be a path or None, got {value!r}")
         if check_reals(self.epsilon, "epsilon", 0, 1).ndim:
             raise ConfigError("epsilon must be one number")
         if not (self.denoiser in DENOISER_CHOICES

@@ -16,11 +16,11 @@ import numpy as np
 from .constraints import peptide, sat, sudoku
 from .constraints.base import Constraint
 from .denoise import (
+    CorruptedDenoiser,
     DataDistribution,
     Denoiser,
     ExactPosteriorDenoiser,
     UniformDenoiser,
-    corrupt,
     load_table,
 )
 from .errors import ConfigError, check_count
@@ -125,9 +125,7 @@ def build_denoiser(instance: Instance, kind: str, epsilon: float = 0.5) -> Denoi
         return load_table(kind.split(":", 1)[1], instance.vocab)
     if kind == "uniform":
         return UniformDenoiser(instance.vocab)
-    if kind == "exact":
-        return ExactPosteriorDenoiser(exact_distribution(instance), instance.vocab)
-    if kind == "noisy":
-        base = ExactPosteriorDenoiser(exact_distribution(instance), instance.vocab)
-        return corrupt(base, epsilon)
+    if kind in ("exact", "noisy"):
+        exact = ExactPosteriorDenoiser(exact_distribution(instance), instance.vocab)
+        return exact if kind == "exact" else CorruptedDenoiser(exact, epsilon)
     raise ConfigError(f"unknown denoiser kind {kind!r}")

@@ -101,7 +101,9 @@ class EditableRegion:
 
 def fully_masked(region: EditableRegion, mask_id: int,
                  frozen_values: np.ndarray | None = None) -> np.ndarray:
-    """Initial latent state: mask everywhere editable, frozen values elsewhere."""
+    """Initial latent state: mask everywhere editable, frozen values elsewhere.
+
+    Frozen values must be tokens, in ``range(mask_id)``, else :class:`ConfigError`."""
     length = region.length
     out = np.full(length, mask_id, dtype=np.int64)
     if region.frozen:
@@ -112,9 +114,7 @@ def fully_masked(region: EditableRegion, mask_id: int,
             raise ConfigError(
                 f"frozen values have shape {frozen_values.shape}, expected ({length},)")
         idx = np.array(region.frozen)
-        if np.any(frozen_values[idx] == mask_id):
-            raise ConfigError("frozen positions may not hold the mask id")
-        out[idx] = frozen_values[idx]
+        out[idx] = check_integers(frozen_values[idx], "frozen values", mask_id, ConfigError)
     return out
 
 

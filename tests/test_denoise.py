@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,10 @@ from mdsearch.denoise import (
     ExactPosteriorDenoiser,
     UniformDenoiser,
     check_rows,
-    corrupt,
-    exact_posterior,
     load_table,
 )
-from mdsearch.errors import ConfigError, DenoiserContractError, ParseError
+from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, ParseError
+from mdsearch.search import proposal_draws
 from mdsearch.vocab import Vocab
 
 from oracles import enumerate_posterior, posterior_by_position
@@ -80,26 +81,26 @@ def test_data_distribution_rejects_opposite_infinite_weights_without_a_warning()
 def test_exact_posterior_unique_completion():
     # support {AB, BA}, observing A at position 0 forces B at position 1
     dist = DataDistribution(np.array([[0, 1], [1, 0]]))
-    rows = exact_posterior(dist, np.array([0, M]), AB)
+    rows = ExactPosteriorDenoiser(dist, AB).denoise(np.array([0, M]), 0)
     assert np.array_equal(rows[0], [1.0, 0.0])
     assert np.array_equal(rows[1], [0.0, 1.0])
 
 
 def test_exact_posterior_symmetry_and_fallback():
     dist = DataDistribution(np.array([[0, 1], [1, 0]]))
-    rows = exact_posterior(dist, np.array([M, M]), AB)
+    rows = ExactPosteriorDenoiser(dist, AB).denoise(np.array([M, M]), 0)
     assert np.allclose(rows, 0.5)
     # inconsistent evidence: AA is outside the support
-    rows = exact_posterior(dist, np.array([0, 0]), AB)
+    rows = ExactPosteriorDenoiser(dist, AB).denoise(np.array([0, 0]), 0)
     assert np.array_equal(rows[0], [1.0, 0.0])
     assert np.array_equal(rows[1], [1.0, 0.0])
-    rows = exact_posterior(dist, np.array([M, M, M][:2]), AB)
+    rows = ExactPosteriorDenoiser(dist, AB).denoise(np.array([M, M, M][:2]), 0)
     check_rows(rows, np.array([M, M]), AB)
 
 
 def test_exact_posterior_inconsistent_masked_rows_uniform():
     dist = DataDistribution(np.array([[0, 1, 0]]))
-    rows = exact_posterior(dist, np.array([1, M, M]), AB)
+    rows = ExactPosteriorDenoiser(dist, AB).denoise(np.array([1, M, M]), 0)
     assert np.array_equal(rows[0], [0.0, 1.0])  # clamped to the observation
     assert np.allclose(rows[1:], 0.5)
 
@@ -107,7 +108,7 @@ def test_exact_posterior_inconsistent_masked_rows_uniform():
 def test_exact_posterior_disjunction_marginal():
     # satisfying assignments of (x1 or x2): {01, 10, 11} -> P(x1=1) = 2/3
     dist = DataDistribution(np.array([[0, 1], [1, 0], [1, 1]]))
-    rows = exact_posterior(dist, np.array([M, M]), AB)
+    rows = ExactPosteriorDenoiser(dist, AB).denoise(np.array([M, M]), 0)
     assert abs(rows[0, 1] - 2 / 3) < 1e-12
 
 
@@ -123,7 +124,7 @@ def test_exact_posterior_matches_enumeration_oracle():
         x = rng.integers(0, 4, size=length)  # 3 == mask
         observed = {i: int(v) for i, v in enumerate(x) if v != 3}
         expected = enumerate_posterior(support, dist.weights, observed, 3)
-        rows = exact_posterior(dist, x, vocab)
+        rows = ExactPosteriorDenoiser(dist, vocab).denoise(x, 0)
         if expected is None:
             masked = [i for i in range(length) if i not in observed]
             assert np.allclose(rows[masked], 1 / 3)
@@ -143,7 +144,7 @@ def test_exact_posterior_matches_enumeration_on_large_support():
         x = rng.integers(0, 5, size=6)  # 4 == mask
         observed = {i: int(v) for i, v in enumerate(x) if v != 4}
         expected = enumerate_posterior(support, dist.weights, observed, 4)
-        rows = exact_posterior(dist, x, vocab)
+        rows = ExactPosteriorDenoiser(dist, vocab).denoise(x, 0)
         masked = [i for i in range(6) if i not in observed]
         if expected is None:
             assert np.allclose(rows[masked], 0.25)
@@ -162,22 +163,20 @@ def test_corrupt_mixture():
     dist = DataDistribution(np.array([[0, 0]]))
     base = ExactPosteriorDenoiser(dist, AB)
     x = np.array([M, M])
-    assert np.array_equal(corrupt(base, 0.0).denoise(x, 1), base.denoise(x, 1))
-    assert np.allclose(corrupt(base, 1.0).denoise(x, 1), 0.5)
-    rows = corrupt(base, 0.5).denoise(x, 1)  # one-hot base mixed halfway
+    assert np.array_equal(CorruptedDenoiser(base, 0.0).denoise(x, 1), base.denoise(x, 1))
+    assert np.allclose(CorruptedDenoiser(base, 1.0).denoise(x, 1), 0.5)
+    rows = CorruptedDenoiser(base, 0.5).denoise(x, 1)  # one-hot base mixed halfway
     assert np.allclose(rows, [[0.75, 0.25], [0.75, 0.25]])
     with pytest.raises(ConfigError):
-        corrupt(base, 1.5)
+        CorruptedDenoiser(base, 1.5)
 
 
 @pytest.mark.parametrize("bad", [2.0, -0.1, float("nan")])
 def test_corrupted_denoiser_rejects_a_mixing_weight_outside_the_unit_interval(bad):
-    # built directly, without corrupt(), a weight of 2 would give negative rows
+    # a weight of 2 would give negative rows
     base = UniformDenoiser(AB)
     with pytest.raises(ConfigError, match="outside"):
         CorruptedDenoiser(base, bad)
-    with pytest.raises(ConfigError, match="outside"):
-        corrupt(base, bad)
 
 
 def test_corrupt_stays_stochastic_and_clamped():
@@ -185,7 +184,7 @@ def test_corrupt_stays_stochastic_and_clamped():
     base = ExactPosteriorDenoiser(dist, AB)
     x = np.array([0, M])
     for eps in (0.0, 0.1, 0.5, 0.9, 1.0):
-        rows = corrupt(base, eps).denoise(x, 2)
+        rows = CorruptedDenoiser(base, eps).denoise(x, 2)
         check_rows(rows, x, AB)
 
 
@@ -240,7 +239,7 @@ def test_exact_posterior_bitwise_matches_per_position_oracle():
         source = (support[rng.integers(len(support))] if case % 3
                   else rng.integers(0, num_tokens, size=length))
         values = np.where(rng.random(length) < 0.4, source, vocab.mask_id)
-        rows = exact_posterior(dist, values, vocab)
+        rows = ExactPosteriorDenoiser(dist, vocab).denoise(values, 0)
         oracle = posterior_by_position(dist.support, dist.weights, values,
                                        num_tokens, vocab.mask_id)
         assert rows.tobytes() == oracle.tobytes()
@@ -250,13 +249,35 @@ def test_posterior_tables_are_built_with_the_denoiser_and_read_only():
     vocab = Vocab(tuple("ABC"))
     support = np.array([[0, 1], [2, 2], [1, 0]])
     dist = DataDistribution(support, [1.0, 2.0, 3.0])
-    ExactPosteriorDenoiser(dist, vocab)
-    assert list(dist._bin_tables) == [vocab.size]
-    bins, spread = dist.bin_tables(vocab.size)
-    assert dist.bin_tables(vocab.size)[0] is bins
-    assert np.array_equal(bins, [[0, 4], [2, 5], [1, 3]])
-    assert np.array_equal(spread, np.repeat(dist.weights, 2).reshape(3, 2))
-    for table in (bins, spread):
+    den = ExactPosteriorDenoiser(dist, vocab)
+    assert np.array_equal(den.bins, [[0, 4], [2, 5], [1, 3]])
+    assert np.array_equal(den.spread, np.repeat(dist.weights, 2).reshape(3, 2))
+    for table in (den.bins, den.spread):
         with pytest.raises(ValueError):
             table[0, 0] = 0
-    assert np.array_equal(dist.bin_tables(4)[0], [[0, 5], [2, 6], [1, 4]])
+    assert np.array_equal(ExactPosteriorDenoiser(dist, Vocab(tuple("ABCD"))).bins,
+                          [[0, 5], [2, 6], [1, 4]])
+
+
+def test_denoisers_over_one_distribution_leave_it_unchanged():
+    # each denoiser owns the tables for its alphabet; the shared record stays as built
+    dist = DataDistribution(np.array([[0, 1], [1, 0]]))
+    before = pickle.dumps(vars(dist))
+    for vocab in (AB, Vocab(tuple("ABC"))):
+        rows = ExactPosteriorDenoiser(dist, vocab).denoise(np.full(2, vocab.mask_id), 0)
+        assert np.allclose(rows[:, :2], 0.5) and not rows[:, 2:].any()
+    assert pickle.dumps(vars(dist)) == before
+
+
+def test_rows_whose_sum_overflows_are_refused_with_each_callers_error(tmp_path):
+    # the entries were summed before they were bounded: 1e308 + 1e308 warned of overflow
+    huge = np.array([[1e308, 1e308]])
+    with pytest.raises(DenoiserContractError):
+        check_rows(huge, np.array([M]), AB)
+    with pytest.raises(ContractError) as err:
+        proposal_draws(huge, np.array([M]), 1, np.random.default_rng(0), M)
+    assert err.type is ContractError
+    path = tmp_path / "huge.tsv"
+    path.write_text("?\t0\t1e308,1e308\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 1"):
+        load_table(path, AB)

@@ -93,7 +93,7 @@ def _denoisers(draw):
     den = {"uniform": lambda: m.UniformDenoiser(BITS),
            "exact": lambda: m.ExactPosteriorDenoiser(DIST, BITS),
            "table": lambda: m.TableDenoiser(BITS, {}),
-           "corrupt": lambda: m.corrupt(m.UniformDenoiser(BITS), draw(REALS))}[kind]()
+           "corrupt": lambda: m.CorruptedDenoiser(m.UniformDenoiser(BITS), draw(REALS))}[kind]()
     den.denoise(draw(tokens()), draw(COUNTS))
 
 
@@ -128,6 +128,7 @@ def _fully_masked(draw):
 
 
 ENTRIES = {
+    "CorruptedDenoiser": _denoisers,
     "DataDistribution": lambda draw: m.DataDistribution(
         draw(st.just(DIST.support) | hnp.arrays(DTYPES, SHAPES)),
         draw(st.none() | hnp.arrays(np.float64, SHAPES) | st.lists(REALS, max_size=3))),
@@ -135,8 +136,6 @@ ENTRIES = {
     "ExactPosteriorDenoiser": _denoisers,
     "TableDenoiser": _denoisers,
     "UniformDenoiser": _denoisers,
-    "corrupt": _denoisers,
-    "exact_posterior": lambda draw: m.exact_posterior(DIST, draw(tokens()), BITS),
     "NoiseSchedule": lambda draw: m.NoiseSchedule(draw(schedules())),
     "first_hitting_steps": lambda draw: m.first_hitting_steps(SCHEDULE, draw(COUNTS), rng()),
     "guided_reverse_step": lambda draw: m.guided_reverse_step(
@@ -177,7 +176,8 @@ NO_MALFORMED_ARGUMENT = {"ReverseCoeffs", "StepRecord", "Instance", "exact_distr
 
 RUN_FIELDS = {**{f.name: COUNTS for f in fields(RunConfig) if f.type == "int"},
               "epsilon": REALS, "weights": weights(), "denoiser": REALS | COUNTS,
-              "allow_unmask_edits": st.booleans() | REALS}
+              "allow_unmask_edits": st.booleans() | REALS,
+              "instances": COUNTS | REALS, "out": COUNTS | REALS}
 
 
 def _run_config(draw):
@@ -202,7 +202,7 @@ HARNESS = {
 
 @pytest.mark.parametrize("call", [
     lambda x: m.UniformDenoiser(BITS).denoise(x, 1),
-    lambda x: m.corrupt(m.UniformDenoiser(BITS), 0.5).denoise(x, 1),
+    lambda x: m.CorruptedDenoiser(m.UniformDenoiser(BITS), 0.5).denoise(x, 1),
     lambda x: m.TableDenoiser(BITS, {}).denoise(x, 1),
     lambda x: CONSTRAINTS[0].violation(x),
 ], ids=["uniform", "corrupt", "table", "violation"])
@@ -222,22 +222,25 @@ BASE = m.UniformDenoiser(BITS)
     (lambda: RunConfig(epsilon="a"), ConfigError),
     (lambda: RunConfig(epsilon=(0.5, 0.5)), ConfigError),
     (lambda: RunConfig(denoiser=5), ConfigError),
+    (lambda: RunConfig(instances=5), ConfigError),
+    (lambda: RunConfig(out=5), ConfigError),
     (lambda: m.aggregate_violation(np.zeros(3, np.int64), CONSTRAINTS, ("a",)), ContractError),
-    (lambda: m.corrupt(BASE, None), ConfigError),
-    (lambda: m.corrupt(BASE, True), ConfigError),
-    (lambda: m.corrupt(BASE, [0.5]), ConfigError),
+    (lambda: m.CorruptedDenoiser(BASE, None), ConfigError),
+    (lambda: m.CorruptedDenoiser(BASE, True), ConfigError),
+    (lambda: m.CorruptedDenoiser(BASE, [0.5]), ConfigError),
     (lambda: m.NoiseSchedule((1.0, "a", 0.0)), ConfigError),
     (lambda: m.NoiseSchedule((True, False)), ConfigError),
     (lambda: m.NoiseSchedule(((1.0,), (0.0,))), ConfigError),
     (lambda: m.DataDistribution(DIST.support, weights=["a"] * len(DIST.support)), ConfigError),
 ], ids=["search-weights-text", "search-flag-text", "run-weights-text", "run-epsilon-text",
-        "run-epsilon-pair", "run-denoiser-int", "aggregate-weights-text", "corrupt-none",
-        "corrupt-bool", "corrupt-list", "schedule-text", "schedule-bools", "schedule-nested",
-        "distribution-weights-text"])
+        "run-epsilon-pair", "run-denoiser-int", "run-instances-int", "run-out-int",
+        "aggregate-weights-text", "corrupt-none", "corrupt-bool", "corrupt-list", "schedule-text",
+        "schedule-bools", "schedule-nested", "distribution-weights-text"])
 def test_arguments_of_another_type_raise_package_errors(call, error):
     # bools were read as 0 or 1, "no" as True, a nested schedule passed by luck
-    # (its 1-element rows compared equal to the endpoints); the rest raised
-    # TypeError, AttributeError or numpy's ValueError
+    # (its 1-element rows compared equal to the endpoints), an int path failed
+    # only when the run opened it; the rest raised TypeError, AttributeError or
+    # numpy's ValueError
     with pytest.raises(error):
         call()
 

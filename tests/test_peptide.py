@@ -9,7 +9,7 @@ from mdsearch.constraints.peptide import (
     peptide_string,
     residue_vocab,
 )
-from mdsearch.errors import ContractError
+from mdsearch.errors import ConfigError, ContractError
 from mdsearch.search import aggregate_violation
 
 from oracles import naive_peptide_report
@@ -170,3 +170,23 @@ def test_empty_peptide():
     report = peptide_report("")
     assert report.values[0] == 10.0
     assert report.values[2] == pytest.approx(0.30)
+
+
+@pytest.mark.parametrize("fields", [
+    {"hydro_min": "a"}, {"hydro_min": float("nan")}, {"hydro_min": 1.5},
+    {"charge_min": None}, {"charge_max": 2.5}, {"charge_min": 5, "charge_max": 4},
+    {"min_length": 60, "max_length": 5}, {"min_length": -1}, {"max_length": True},
+], ids=["hydro-text", "hydro-nan", "hydro-above-one", "charge-none", "charge-fraction",
+        "charge-window", "length-window", "length-negative", "length-bool"])
+def test_peptide_spec_rejects_malformed_thresholds(fields):
+    # text and None failed only at scoring, NaN as a NaN violation, and an
+    # empty window was accepted
+    with pytest.raises(ConfigError):
+        PeptideSpec(**fields)
+
+
+def test_peptide_spec_accepts_negative_charge_bounds():
+    spec = PeptideSpec(charge_min=-3, charge_max=-1, hydro_min=0)
+    report = aggregate_violation(VOCAB.parse("DE" + TERMINATOR),
+                                 peptide_constraints(spec, VOCAB))
+    assert report.values[1] == 0.0  # net charge -2 lies inside [-3, -1]

@@ -88,8 +88,10 @@ def test_fully_masked_errors():
         fully_masked(region, AB.mask_id)  # missing frozen values
     with pytest.raises(ConfigError):
         fully_masked(region, AB.mask_id, np.array([0, 0]))
-    with pytest.raises(ConfigError):
-        fully_masked(region, AB.mask_id, np.array([AB.mask_id, 0, 0]))
+    # a frozen value is a token: -1 and mask_id + 1 were copied into the state
+    for bad in (AB.mask_id, -1, AB.mask_id + 1):
+        with pytest.raises(ConfigError):
+            fully_masked(region, AB.mask_id, np.array([bad, 0, 0]))
 
 
 def test_masked_positions():
