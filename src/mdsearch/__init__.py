@@ -33,7 +33,6 @@ from .search import (
     proposal_draws,
     refine,
     sample,
-    search_step,
 )
 from .tasks import (
     Instance,
@@ -69,7 +68,6 @@ __all__ = [
     "proposal_draws",
     "refine",
     "sample",
-    "search_step",
     "Instance",
     "build_denoiser",
     "exact_distribution",

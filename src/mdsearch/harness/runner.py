@@ -125,7 +125,7 @@ class SampleRecord:
     instance: str
     feasible: bool
     violations: tuple[float, ...]
-    total: float
+    total: float | None  # None when the sample failed
     rounds: int
     value: str
     error: str | None = None
@@ -143,8 +143,8 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     """Run every sample of a config; write result files when ``out`` is set.
 
     A bad setting (see :func:`run_instances`) fails the run before its
-    first sample; per-sample errors are recorded (with zeroed metrics)
-    rather than aborting the whole run.
+    first sample; per-sample errors are recorded (total ``None``, other
+    metrics zeroed) rather than aborting the whole run.
     """
     instances = run_instances(cfg)
     names = tuple(c.name for c in instances[0].constraints) if instances else ()
@@ -165,7 +165,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
         except Exception as exc:
             records.append(SampleRecord(
                 index=i, instance=instance.name, feasible=False,
-                violations=(), total=float("inf"), rounds=0, value="",
+                violations=(), total=None, rounds=0, value="",
                 error=str(exc)))
     result = RunResult(cfg, names, tuple(records),
                        time.perf_counter() - run_start)

@@ -102,7 +102,7 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     check_count(count, "draw count", 1)
     x_t = check_integers(x_t, "x_t")
     rows = np.asarray(rows, dtype=np.float64)
-    if x_t.ndim != 1 or rows.ndim != 2 or len(rows) != len(x_t):
+    if x_t.ndim != 1 or rows.shape != (len(x_t), mask_id):
         raise ContractError(f"rows of shape {rows.shape} for x_t of shape {x_t.shape}")
     draws = np.repeat(x_t[None], count, 0)
     masked = masked_positions(x_t, mask_id)
@@ -135,18 +135,6 @@ def best_of_pool(rows: np.ndarray, x_t: np.ndarray, count: int,
     return PoolPick(draws[best], _report(nu[:, best], w), float(totals[0]))
 
 
-def edit_positions(region: EditableRegion, mask_id: int, allow_unmask_edits: bool,
-                   x_t: np.ndarray | None) -> tuple[int, ...]:
-    """Editable positions, or only those still masked in ``x_t`` when
-    ``allow_unmask_edits`` is off."""
-    if allow_unmask_edits:
-        return region.positions
-    if x_t is None:
-        raise ContractError("restricting edits to masked positions needs x_t")
-    still_masked = set(masked_positions(x_t, mask_id).tolist())
-    return tuple(p for p in region.positions if p in still_masked)
-
-
 class RefineResult(NamedTuple):
     candidate: np.ndarray
     report: ViolationReport
@@ -166,13 +154,19 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     (position, token) pair. Stops on the round cap (``None`` means
     unbounded), on local optimality, or as soon as the violation hits zero.
     ``history`` records the aggregate after the start and each accepted
-    move.
+    move. Edits go to the region's positions or, with ``allow_unmask_edits``
+    off, to those still masked in ``x_t``, which must then span the region.
     """
     w = resolve_weights(weights, constraints)
     if max_rounds is not None:
         check_count(max_rounds, "max_rounds")
     current = check_integers(start, "start candidate").copy()
-    positions = edit_positions(region, vocab.mask_id, allow_unmask_edits, x_t)
+    positions = region.positions
+    if not allow_unmask_edits:
+        if x_t is None or np.shape(x_t) != (region.length,):
+            raise ContractError(f"restricted edits need x_t of length {region.length}")
+        still_masked = np.asarray(x_t) == vocab.mask_id
+        positions = tuple(p for p in positions if still_masked[p])
     trackers = [c.tracker(current) for c in constraints]
     total = float(weighted_total(w, [tr.value() for tr in trackers]))
     history = [total]
@@ -200,38 +194,6 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     nu = tuple(float(tr.value()) for tr in trackers)
     report = ViolationReport(nu, tuple(float(x) for x in w))
     return RefineResult(current, report, rounds, tuple(history))
-
-
-class SearchOutcome(NamedTuple):
-    candidate: np.ndarray
-    report: ViolationReport
-    first_total: float
-    pool_total: float
-    rounds: int
-
-
-def search_active(placement: str, t: int) -> bool:
-    return placement == "all_steps" or (placement == "last_step" and t == 1)
-
-
-def search_step(rows: np.ndarray, x_t: np.ndarray, config: SearchConfig,
-                instance: Instance, rng: np.random.Generator) -> SearchOutcome:
-    """The per-step search operator, run where :func:`search_active` holds.
-
-    Pool selection followed by greedy refinement, which a pick with zero
-    aggregate violation skips. Refinement is unbounded under ``last_step``.
-    """
-    pick = best_of_pool(rows, x_t, config.candidates, instance.constraints,
-                        config.weights, rng, instance.vocab.mask_id)
-    if pick.report.total == 0:
-        return SearchOutcome(pick.candidate, pick.report, pick.first_total,
-                             pick.report.total, 0)
-    cap = None if config.placement == "last_step" else config.max_rounds
-    refined = refine(pick.candidate, instance.constraints, config.weights,
-                     instance.vocab, instance.region, cap,
-                     allow_unmask_edits=config.allow_unmask_edits, x_t=x_t)
-    return SearchOutcome(refined.candidate, refined.report, pick.first_total,
-                         pick.report.total, refined.rounds)
 
 
 class StepRecord(NamedTuple):
@@ -264,14 +226,14 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     """Run the full reverse chain and return the clean sequence plus trace.
 
     Each masked position unmasks at a step drawn up front
-    (:func:`first_hitting_steps`), whatever the placement. Steps where the
-    placement activates search run the search operator and commit through
-    the guided kernel, which keeps masked only the positions whose step is
-    still to come; search never reads the drawn steps. Elsewhere the
-    denoiser is queried only at steps where a position unmasks: the rows of
-    other steps go unused, even from a ``t``-dependent model. Rows are
-    checked once per call. The final step always commits every remaining
-    masked position, so the result has no masks.
+    (:func:`first_hitting_steps`), whatever the placement. Search runs at
+    steps ``t <= S``, S being 0, 1 or T for ``off``, ``last_step`` and
+    ``all_steps``: the :func:`best_of_pool` pick, refined unless its violation
+    is 0 (uncapped under ``last_step``), commits through the guided kernel,
+    which keeps masked only the positions whose step is still to come; search
+    never reads the drawn steps. Elsewhere the denoiser is queried only at
+    steps where a position unmasks, even from a ``t``-dependent model. Rows
+    are checked once per call. The final step commits every remaining mask.
 
     The chain jumps between those event steps: a step without search or
     commit does no work and gets a shared empty record (with
@@ -283,6 +245,8 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     if config.weights is not None:
         resolve_weights(config.weights, instance.constraints)
     vocab = instance.vocab
+    search_to = {"off": 0, "last_step": 1, "all_steps": schedule.steps}[config.placement]
+    cap = None if config.placement == "last_step" else config.max_rounds
     x = fully_masked(instance.region, vocab.mask_id, instance.frozen_values)
     masked = masked_positions(x, vocab.mask_id)
     hits = first_hitting_steps(schedule, masked.size, rng)
@@ -294,8 +258,7 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     records = []
     for t in range(schedule.steps, 0, -1):
         committed = counts[t]
-        active = search_active(config.placement, t)
-        if not (active or committed):
+        if not (t <= search_to or committed):
             records.append(empty[t] if masks is None
                            else empty[t]._replace(masked_after=masks))
             continue
@@ -303,12 +266,18 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
         rounds = 0
         try:
             rows = check_rows(denoiser.denoise(x, t), x, vocab)
-            if active:
-                outcome = search_step(rows, x, config, instance, rng)
-                x = guided_reverse_step(outcome.candidate, order[done + committed:],
-                                        vocab.mask_id)
-                first, pool = outcome.first_total, outcome.pool_total
-                refined, rounds = outcome.report.total, outcome.rounds
+            if t <= search_to:
+                pick = best_of_pool(rows, x, config.candidates, instance.constraints,
+                                    config.weights, rng, vocab.mask_id)
+                candidate, first = pick.candidate, pick.first_total
+                pool = refined = pick.report.total
+                if pool != 0:
+                    result = refine(candidate, instance.constraints, config.weights, vocab,
+                                    instance.region, cap,
+                                    allow_unmask_edits=config.allow_unmask_edits, x_t=x)
+                    candidate, refined, rounds = (result.candidate, result.report.total,
+                                                  result.rounds)
+                x = guided_reverse_step(candidate, order[done + committed:], vocab.mask_id)
             else:
                 x = vanilla_reverse_step(x, rows, order[done:done + committed], rng)
         except Exception as exc:

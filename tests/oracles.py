@@ -92,12 +92,16 @@ def neighborhood(candidate, vocab, region, allow_unmask_edits=True, x_t=None):
     the neighborhood that ``refine`` scores through ``peek_block``.
     """
     from mdsearch.errors import ContractError
-    from mdsearch.search import edit_positions
 
     candidate = np.asarray(candidate)
     if np.any(candidate == vocab.mask_id):
         raise ContractError("neighborhood requires a fully specified candidate")
-    for pos in edit_positions(region, vocab.mask_id, allow_unmask_edits, x_t):
+    positions = sorted(region.editable)
+    if not allow_unmask_edits:
+        if x_t is None:
+            raise ContractError("restricting edits to masked positions needs x_t")
+        positions = [p for p in positions if x_t[p] == vocab.mask_id]
+    for pos in positions:
         for token in range(vocab.size):
             if token == candidate[pos]:
                 continue
@@ -251,6 +255,28 @@ def bernoulli_chain(denoiser, alphas, values, mask_id, rng):
     return x, tuple(counts)
 
 
+def search_by_definition(rows, x_t, config, instance, rng):
+    """One search step as the README defines it: the pool's pick, then
+    greedy refinement unless the pick's total is 0, capped at
+    ``config.max_rounds`` except under ``last_step``.
+
+    Returns (candidate, first draw's total, pick's total, refined total,
+    rounds). Reference for the steps of ``sample`` where search runs.
+    """
+    from mdsearch.search import best_of_pool, refine
+
+    pick = best_of_pool(rows, x_t, config.candidates, instance.constraints,
+                        config.weights, rng, instance.vocab.mask_id)
+    pool = pick.report.total
+    if pool == 0:
+        return pick.candidate, pick.first_total, pool, pool, 0
+    cap = None if config.placement == "last_step" else config.max_rounds
+    result = refine(pick.candidate, instance.constraints, config.weights, instance.vocab,
+                    instance.region, cap, allow_unmask_edits=config.allow_unmask_edits,
+                    x_t=x_t)
+    return result.candidate, pick.first_total, pool, result.report.total, result.rounds
+
+
 def guided_chain(instance, denoiser, schedule, config, rng):
     """The search-every-step chain run one step at a time with a per-step coin.
 
@@ -264,14 +290,13 @@ def guided_chain(instance, denoiser, schedule, config, rng):
     """
     from mdsearch.denoise import check_rows
     from mdsearch.diffusion import reverse_coeffs
-    from mdsearch.search import search_step
 
     mask_id = instance.vocab.mask_id
     x = np.full(instance.length, mask_id, dtype=np.int64)
     counts = []
     for t in range(schedule.steps, 0, -1):
         rows = check_rows(denoiser.denoise(x, t), x, instance.vocab)
-        refined = search_step(rows, x, config, instance, rng).candidate
+        refined = search_by_definition(rows, x, config, instance, rng)[0]
         commit = reverse_coeffs(t, schedule).commit_prob
         chosen = 0
         for p in range(instance.length):
@@ -303,13 +328,15 @@ def sample_by_step(instance, denoiser, schedule, config, rng, collect_masks=Fals
     """``sample`` walked through every step, building a fresh record at each.
 
     Queries the denoiser, searches and commits at the same steps and in
-    the same order as ``sample``, and commits plain steps through
+    the same order as ``sample``: searches through
+    :func:`search_by_definition` at every step under ``all_steps`` and at
+    t=1 under ``last_step``, and commits plain steps through
     :func:`sample_rows_by_sum`. Reference for ``sample``, which jumps
     between the steps where something happens.
     """
     from mdsearch.denoise import check_rows
     from mdsearch.diffusion import first_hitting_steps, guided_reverse_step
-    from mdsearch.search import StepRecord, search_active, search_step
+    from mdsearch.search import StepRecord
     from mdsearch.vocab import fully_masked, masked_positions
 
     vocab = instance.vocab
@@ -321,17 +348,16 @@ def sample_by_step(instance, denoiser, schedule, config, rng, collect_masks=Fals
     done = 0
     records = []
     for t in range(schedule.steps, 0, -1):
-        active = search_active(config.placement, t)
+        active = (config.placement == "all_steps"
+                  or (config.placement == "last_step" and t == 1))
         first = pool = refined = None
         rounds, committed = 0, counts[t]
         if active or committed:
             rows = check_rows(denoiser.denoise(x, t), x, vocab)
         if active:
-            outcome = search_step(rows, x, config, instance, rng)
-            x = guided_reverse_step(outcome.candidate, order[done + committed:],
-                                    vocab.mask_id)
-            first, pool = outcome.first_total, outcome.pool_total
-            refined, rounds = outcome.report.total, outcome.rounds
+            candidate, first, pool, refined, rounds = search_by_definition(
+                rows, x, config, instance, rng)
+            x = guided_reverse_step(candidate, order[done + committed:], vocab.mask_id)
         elif committed:
             x = np.array(x, dtype=np.int64)
             committing = order[done:done + committed]

@@ -156,8 +156,6 @@ ENTRIES = {
         draw(rows()), draw(tokens()), draw(COUNTS), rng(), BITS.mask_id),
     "refine": _refine,
     "sample": _sample,
-    "search_step": lambda draw: m.search_step(
-        draw(rows()), draw(tokens()), m.SearchConfig(candidates=2, max_rounds=2), SAT, rng()),
     "build_denoiser": lambda draw: m.build_denoiser(
         SAT, draw(st.sampled_from(["exact", "noisy", "uniform"])), draw(REALS)),
     "peptide_instance": lambda draw: m.peptide_instance(slots=draw(COUNTS)),

@@ -302,6 +302,31 @@ def test_sample_errors_recorded_not_fatal(tmp_path):
     assert not result.records[0].feasible
 
 
+def test_failed_sample_writes_strict_json(tmp_path):
+    # a failed record holds "total": null; RFC 8259 parsers refuse Infinity
+    from mdsearch.constraints.sat import render_dimacs, CnfFormula
+
+    cnf_dir = tmp_path / "cnf"
+    cnf_dir.mkdir()
+    (cnf_dir / "bad.cnf").write_text(render_dimacs(CnfFormula(2, ((1,), (-1,)))),
+                                     encoding="utf-8")
+    out = tmp_path / "run.jsonl"
+    run_experiment(small_config(instances=str(cnf_dir), num_samples=1, out=str(out)))
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = out.read_text(encoding="utf-8")
+    header, record = [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
+    assert record["total"] is None and record["error"]
+    loaded = load_results(out)
+    assert loaded.records[0].total is None
+    assert summarize_records(loaded)["errors"] == 1
+    # older files, with Infinity there, still load
+    out.write_text(text.replace('"total": null', '"total": Infinity'), encoding="utf-8")
+    assert load_results(out).records[0].total == float("inf")
+
+
 def test_load_instances_dimacs_and_sudoku(tmp_path):
     from mdsearch.constraints.sat import render_dimacs
     from mdsearch.harness.runner import load_instances

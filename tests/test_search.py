@@ -23,7 +23,6 @@ from mdsearch.search import (
     refine,
     sample,
     score_rows,
-    search_step,
 )
 from mdsearch.tasks import Instance, sat_instance, sudoku_instance
 from mdsearch.vocab import EditableRegion, Vocab, fully_masked, masked_positions
@@ -112,6 +111,14 @@ def test_proposal_draws_refuses_bad_rows_at_masked_positions(bad):
     x_t[1] = 0  # the row at an unmasked position is not read
     draws = proposal_draws(rows, x_t, 4, np.random.default_rng(0), BIN.mask_id)
     assert draws[:, 1].tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("rows", [np.full((3, 3), 1 / 3), np.ones((3, 1))])
+def test_proposal_draws_refuses_rows_off_the_alphabet(rows):
+    # a third column would draw the mask id into "fully specified" draws
+    x_t = np.full(3, BIN.mask_id)
+    with pytest.raises(ContractError, match="shape"):
+        proposal_draws(rows, x_t, 4, np.random.default_rng(0), BIN.mask_id)
 
 
 def test_proposal_draws_clamp_observed():
@@ -364,29 +371,46 @@ def _sat_searchable(num_vars=3):
     return sat_instance(formula, name="unit")
 
 
-def test_search_step_placements():
+def test_one_step_sample_records_search_by_placement():
     instance = _sat_searchable()
-    rows = np.full((3, 2), 0.5)
-    x_t = np.full(3, BIN.mask_id)
+    den = UniformDenoiser(instance.vocab)
+    one_step = m.linear_schedule(1)
     last = SearchConfig(placement="last_step", candidates=16, max_rounds=8)
-    outcome = search_step(rows, x_t, last, instance, np.random.default_rng(0))
-    assert outcome.report.total == 0.0  # refined until convergence
+    _, (record,) = sample(instance, den, one_step, last, np.random.default_rng(0))
+    assert record.refined_violation == 0.0  # refined until convergence
 
     allsteps = SearchConfig(placement="all_steps", candidates=16, max_rounds=8)
-    outcome = search_step(rows, x_t, allsteps, instance, np.random.default_rng(0))
-    assert outcome.report.total <= outcome.pool_total
-    assert outcome.pool_total <= outcome.first_total
+    _, (record,) = sample(instance, den, one_step, allsteps, np.random.default_rng(0))
+    assert record.refined_violation <= record.pool_violation
+    assert record.pool_violation <= record.first_violation
+
+    off = SearchConfig(placement="off")
+    _, (record,) = sample(instance, den, one_step, off, np.random.default_rng(0))
+    assert record.first_violation is record.refined_violation is None
 
 
-def test_search_step_restricted_edits_keep_committed_values():
+def test_pool_then_restricted_refine_keeps_committed_values():
     instance = _sat_searchable()
     rows = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
     x_t = np.array([0, BIN.mask_id, BIN.mask_id])
-    cfg = SearchConfig(placement="all_steps", candidates=8, max_rounds=8,
-                       allow_unmask_edits=False)
     for seed in range(20):
-        outcome = search_step(rows, x_t, cfg, instance, np.random.default_rng(seed))
-        assert outcome.candidate[0] == 0  # committed positions never revised
+        pick = best_of_pool(rows, x_t, 8, instance.constraints, None,
+                            np.random.default_rng(seed), BIN.mask_id)
+        result = refine(pick.candidate, instance.constraints, None, BIN, instance.region, 8,
+                        allow_unmask_edits=False, x_t=x_t)
+        assert result.candidate[0] == 0  # committed positions never revised
+
+
+def test_restricted_refine_refuses_x_t_off_the_region():
+    # the masked set is read from x_t, so x_t must span the region
+    instance = _sat_searchable()
+    start = np.zeros(3, dtype=np.int64)
+    for x_t in (None, [BIN.mask_id], [BIN.mask_id] * 4, [[BIN.mask_id] * 3]):
+        with pytest.raises(ContractError, match="x_t"):
+            refine(start, instance.constraints, None, BIN, instance.region, 3,
+                   allow_unmask_edits=False, x_t=x_t)
+        # edits anywhere in the region do not read x_t
+        refine(start, instance.constraints, None, BIN, instance.region, 3, x_t=x_t)
 
 
 def test_sample_single_step_commits_refined_candidate():
