@@ -2,7 +2,6 @@
 
 from .base import (
     Constraint,
-    FullRecomputeTracker,
     ViolationReport,
     ViolationTracker,
 )
@@ -36,7 +35,6 @@ from .sudoku import (
 
 __all__ = [
     "Constraint",
-    "FullRecomputeTracker",
     "ViolationReport",
     "ViolationTracker",
     "PeptideSpec",

@@ -1,4 +1,4 @@
-"""Violation evaluators, incremental trackers, and aggregation reports.
+"""Violation evaluators, the edit tracker, and aggregation reports.
 
 A constraint scores a batch of candidates, one per row, with
 :meth:`Constraint.violations`; for refinement, its tracker caches one
@@ -10,9 +10,9 @@ bound open. This module checks every input against them, by the rules of
 :mod:`mdsearch.errors`: each batch of candidates, each tracked candidate,
 each edit block and each committed edit; it also checks the violations
 each batch returns. Then it calls the unchecked hooks a built-in
-constraint defines: ``_violations`` on the constraint, ``_rebuild`` and
-``_peek_block`` on its tracker. A black box may define only ``violation``
-instead.
+constraint defines: ``_violations``, and ``_rebuild`` and ``_peek_block``
+for its tracker. A black box may define only ``violation`` instead, and
+its tracker then recomputes through ``violations``.
 """
 
 from __future__ import annotations
@@ -45,24 +45,16 @@ def weighted_total(weights, parts, start=0.0):
 class ViolationTracker:
     """Tracks one constraint's violation under single-token edits.
 
-    The tracker owns a private copy of the candidate; callers must mirror
-    every ``commit`` on their own copy to stay in sync. Subclasses define
-    :meth:`_rebuild` and :meth:`_peek_block` only, and see checked input.
+    The tracker checks every input and holds a private copy of the
+    candidate, the constraint's ``_rebuild`` cache of it and its violation;
+    callers must mirror every ``commit`` on their own copy to stay in sync.
     """
 
     def __init__(self, constraint: "Constraint", values: np.ndarray):
         self.constraint = constraint
         row = token_rows(np.asarray(values)[None], constraint.alphabet, constraint.length)
         self.values = row[0].copy()
-        self._value = self._rebuild(self.values)
-
-    def _rebuild(self, values: np.ndarray):
-        """Recompute the cache from ``values`` and return its violation.
-
-        Without an ``alphabet``, raise :class:`ContractError` on a bad token
-        before touching the cache.
-        """
-        raise NotImplementedError
+        self._cache, self._value = constraint._rebuild(self.values)
 
     def value(self) -> float:
         """Violation of the tracked candidate."""
@@ -77,47 +69,31 @@ class ViolationTracker:
         alphabet = self.constraint.alphabet
         if alphabet is not None and num_tokens != alphabet:
             raise ContractError(f"{num_tokens} tokens for an alphabet of {alphabet}")
-        return self._peek_block(check_integers(positions, "positions", len(self.values)),
-                                num_tokens)
-
-    def _peek_block(self, positions: np.ndarray, num_tokens: int) -> np.ndarray:
-        """:meth:`peek_block` on checked positions."""
-        raise NotImplementedError
+        positions = check_integers(positions, "positions", len(self.values))
+        return self.constraint._peek_block(self._cache, self.values, self._value,
+                                           positions, num_tokens)
 
     def commit(self, pos: int, token: int) -> None:
         """Apply the edit to the tracked candidate.
 
         The edit is rebuilt on a copy, so a rejected one (a position or token
-        that is not an integer in range) raises :class:`ContractError` and
-        leaves the tracker unchanged.
+        that is not an integer in range, or one the constraint refuses)
+        raises :class:`ContractError` and leaves the tracker unchanged.
         """
         check_count(pos, "position", 0, len(self.values), ContractError)
         check_count(token, "token", 0, self.constraint.alphabet, ContractError)
         values = self.values.copy()
         values[pos] = token
-        self._value = self._rebuild(values)
+        self._cache, self._value = self.constraint._rebuild(values)
         self.values = values
-
-
-class FullRecomputeTracker(ViolationTracker):
-    """Fallback tracker for evaluators without an incremental variant."""
-
-    def _rebuild(self, values):
-        return float(self.constraint.violations(values[None])[0])
-
-    def _peek_block(self, positions, num_tokens):
-        """One ``violations`` call over every single edit of the candidate."""
-        edits = np.tile(self.values, (positions.size * num_tokens, 1))
-        edits[np.arange(len(edits)), np.repeat(positions, num_tokens)] = np.tile(
-            np.arange(num_tokens), positions.size)
-        return self.constraint.violations(edits).reshape(positions.size, num_tokens)
 
 
 class Constraint:
     """A black-box, non-negative violation over fully specified candidates.
 
     Subclasses define :meth:`_violations` (the built-in constraints do) or
-    only :meth:`violation`; each form is derived from the other.
+    only :meth:`violation`; each form is derived from the other. The
+    tracker hooks :meth:`_rebuild` and :meth:`_peek_block` recompute by default.
     """
 
     name = "constraint"
@@ -149,8 +125,23 @@ class Constraint:
         return np.array([float(self.violation(row)) for row in values], dtype=np.float64)
 
     def tracker(self, values: np.ndarray) -> ViolationTracker:
-        """Incremental edit tracker; defaults to full recomputation."""
-        return FullRecomputeTracker(self, values)
+        """Incremental edit tracker of ``values``, scored by this constraint's hooks."""
+        return ViolationTracker(self, values)
+
+    def _rebuild(self, values: np.ndarray):
+        """(cache, violation) of one checked candidate; by default no cache
+        and one :meth:`violations` call on a batch of one."""
+        return None, float(self.violations(values[None])[0])
+
+    def _peek_block(self, cache, values: np.ndarray, value, positions: np.ndarray,
+                    num_tokens: int) -> np.ndarray:
+        """:meth:`ViolationTracker.peek_block` of checked positions from the
+        candidate, its :meth:`_rebuild` cache and its violation; by default
+        one :meth:`violations` call over every single edit."""
+        edits = np.tile(values, (positions.size * num_tokens, 1))
+        edits[np.arange(len(edits)), np.repeat(positions, num_tokens)] = np.tile(
+            np.arange(num_tokens), positions.size)
+        return self.violations(edits).reshape(positions.size, num_tokens)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError, check_count, check_reals, is_integer
 from ..vocab import Vocab
-from .base import Constraint, ViolationTracker
+from .base import Constraint
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 TERMINATOR = "-"
@@ -79,7 +79,7 @@ class _PrefixWindow(Constraint):
     """A hinge on the logical prefix: its length and a weighted token count.
 
     Subclasses pass one weight per token and define ``_nu(length, count)``
-    elementwise, so one body serves batches, trackers and their blocks.
+    elementwise, so one body serves batches, rebuilds and edit blocks.
     """
 
     def __init__(self, spec: PeptideSpec, vocab: Vocab, weights: np.ndarray):
@@ -96,43 +96,33 @@ class _PrefixWindow(Constraint):
         inside = np.cumsum(values == self.term_id, axis=1) == 0
         return self._nu(inside.sum(axis=1), (self.weights[values] * inside).sum(axis=1))
 
-    def tracker(self, values):
-        return _PrefixTracker(self, values)
+    def _rebuild(self, values):
+        """The first and second terminator slots plus a per-token weight
+        cumsum, so every edit's new prefix statistics come out in O(1)."""
+        terms = np.flatnonzero(values == self.term_id)
+        slots = len(values)
+        first = int(terms[0]) if terms.size else slots
+        second = int(terms[1]) if terms.size > 1 else slots
+        cum = np.concatenate(([0], np.cumsum(self.weights[values])))
+        return (first, second, cum), self._nu(first, cum[first])
+
+    def _peek_block(self, cache, values, value, positions, num_tokens):
+        """(logical length, weighted count) of every edit, then the hinge."""
+        first, second, cum = cache
+        old = values[positions]
+        tokens = np.arange(num_tokens)
+        new_first = np.full((len(positions), num_tokens), first)
+        new_first[:, self.term_id] = np.minimum(first, positions)
+        at_first = positions == first
+        new_first[at_first] = np.where(tokens == self.term_id, first, second)
+        counts = cum[new_first]
+        inside = positions[:, None] < new_first
+        counts = counts + inside * (self.weights[tokens][None, :] - self.weights[old][:, None])
+        return self._nu(new_first, counts)
 
 
 def _hinge(x, lo, hi) -> np.ndarray:
     return (np.maximum(0, lo - x) + np.maximum(0, x - hi)).astype(np.float64)
-
-
-class _PrefixTracker(ViolationTracker):
-    """Cumulative weighted counts over the logical prefix.
-
-    Keeps the first and second terminator slots plus a per-token weight
-    cumsum, so every edit's new prefix statistics come out in O(1).
-    """
-
-    def _rebuild(self, values):
-        weights, term_id = self.constraint.weights, self.constraint.term_id
-        terms = np.flatnonzero(values == term_id)
-        slots = len(values)
-        self.first = int(terms[0]) if terms.size else slots
-        self.second = int(terms[1]) if terms.size > 1 else slots
-        self.cum = np.concatenate(([0], np.cumsum(weights[values])))
-        return self.constraint._nu(self.first, self.cum[self.first])
-
-    def _peek_block(self, positions, num_tokens):
-        """(logical length, weighted count) of every edit, then the hinge."""
-        weights, term_id = self.constraint.weights, self.constraint.term_id
-        old = self.values[positions]
-        tokens = np.arange(num_tokens)
-        new_first = np.full((len(positions), num_tokens), self.first)
-        new_first[:, term_id] = np.minimum(self.first, positions)
-        at_first = positions == self.first
-        new_first[at_first] = np.where(tokens == term_id, self.first, self.second)
-        counts = self.cum[new_first]
-        inside = positions[:, None] < new_first
-        counts = counts + inside * (weights[tokens][None, :] - weights[old][:, None])
-        return self.constraint._nu(new_first, counts)
 
 
 class LengthWindow(_PrefixWindow):

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import ConfigError, GenerationError, ParseError, check_count
 from ..vocab import Vocab
-from .base import Constraint, ViolationTracker
+from .base import Constraint
 
 ENUM_VAR_CAP = 20
 REJECTION_CAP = 1000
@@ -110,29 +110,22 @@ class ClauseViolations(Constraint):
     def _violations(self, values):
         return (self.true_literal_counts(values) == 0).sum(axis=1).astype(np.float64)
 
-    def tracker(self, values):
-        return ClauseTracker(self, values)
-
-
-class ClauseTracker(ViolationTracker):
-    """Caches per-clause true-literal counts; ``peek_block`` derives every
-    variable's flip delta from them at once."""
-
     def _rebuild(self, values):
-        self.counts = self.constraint.true_literal_counts(values)
-        return int((self.counts == 0).sum())
+        """Per-clause true-literal counts, from which :meth:`_peek_block`
+        derives every variable's flip delta at once."""
+        counts = self.true_literal_counts(values)
+        return counts, int((counts == 0).sum())
 
-    def _peek_block(self, positions, num_tokens):
+    def _peek_block(self, counts, values, value, positions, num_tokens):
         """Flip deltas of all variables from one bincount over literal deltas."""
-        ev = self.constraint
-        pair_of_lit, pair_var, pair_clause = ev._pairs
-        lit_delta = np.where(self.values[ev._var_pos] == ev._polarity, -1, 1).ravel()
+        pair_of_lit, pair_var, pair_clause = self._pairs
+        lit_delta = np.where(values[self._var_pos] == self._polarity, -1, 1).ravel()
         pair_delta = np.bincount(pair_of_lit, weights=lit_delta, minlength=len(pair_var))
-        before = self.counts[pair_clause]
+        before = counts[pair_clause]
         change = (before + pair_delta == 0).astype(np.int64) - (before == 0)
-        flip = np.bincount(pair_var, weights=change, minlength=len(self.values))
-        out = np.full((positions.size, 2), float(self._value))
-        out[np.arange(positions.size), 1 - self.values[positions]] += flip[positions]
+        flip = np.bincount(pair_var, weights=change, minlength=len(values))
+        out = np.full((positions.size, 2), float(value))
+        out[np.arange(positions.size), 1 - values[positions]] += flip[positions]
         return out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigError, GenerationError, ParseError, check_count, check_integers
 from ..vocab import Vocab
-from .base import Constraint, ViolationTracker
+from .base import Constraint
 
 SOLUTION_CAP = 10_000
 # Cells per :func:`random_solution` attempt, and attempts: box 3 took at most
@@ -139,26 +139,20 @@ class UnitDuplicates(Constraint):
         return np.subtract(self._unit_cells.size, np.count_nonzero(hist, axis=(1, 2)),
                            dtype=np.float64)
 
-    def tracker(self, values):
-        return UnitTracker(self, values)
-
-
-class UnitTracker(ViolationTracker):
-    """Per-unit digit histograms; an edit touches exactly three units."""
-
     def _rebuild(self, values):
-        self.hist = self.constraint._unit_histograms(values[None])[0]
-        return int(self.hist.size - np.count_nonzero(self.hist))
+        """Per-unit digit histograms; an edit touches exactly three units."""
+        hist = self._unit_histograms(values[None])[0]
+        return hist, int(hist.size - np.count_nonzero(hist))
 
-    def _peek_block(self, positions, num_tokens):
+    def _peek_block(self, hist, values, value, positions, num_tokens):
         """Leaving ``old`` and entering ``token`` over each cell's three units, by ``take``."""
-        units = self.constraint.cell_units.take(positions, axis=1)
-        old = self.values[positions]
-        enter = (self.hist >= 1).view(np.int8).take(units, axis=0)
-        leave = (self.hist >= 2).view(np.int8).take(units * num_tokens + old)
+        units = self.cell_units.take(positions, axis=1)
+        old = values[positions]
+        enter = (hist >= 1).view(np.int8).take(units, axis=0)
+        leave = (hist >= 2).view(np.int8).take(units * num_tokens + old)
         delta = enter[0] + enter[1] + enter[2] - (leave[0] + leave[1] + leave[2])[:, None]
-        out = np.add(delta, self._value, dtype=np.float64)
-        out[np.arange(positions.size), old] = self._value
+        out = np.add(delta, value, dtype=np.float64)
+        out[np.arange(positions.size), old] = value
         return out
 
 

@@ -210,35 +210,39 @@ def load_table(path, vocab: Vocab) -> TableDenoiser:
     if any(len(s) != 1 for s in vocab.symbols):
         raise ConfigError("table patterns require single-character symbols")
     table: dict[str, dict[int, np.ndarray]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError("expected pattern<TAB>pos<TAB>probs", line_no)
-            pattern, pos_text, probs_text = parts
-            try:
-                vocab.parse(pattern)
-            except (ContractError, ConfigError) as exc:
-                raise ParseError(str(exc), line_no) from None
-            try:
-                pos = int(pos_text)
-            except ValueError:
-                raise ParseError(f"bad position {pos_text!r}", line_no) from None
-            if pos < 0 or pos >= len(pattern):
-                raise ParseError(f"position {pos} outside pattern", line_no)
-            try:
-                row = np.array([float(x) for x in probs_text.split(",")])
-            except ValueError:
-                raise ParseError("bad probability value", line_no) from None
-            if row.shape != (vocab.size,):
-                raise ParseError(
-                    f"expected {vocab.size} probabilities, got {row.size}", line_no)
-            if not probability_rows(row[None]):
-                raise ParseError("row is not a probability distribution", line_no)
-            if pos in table.get(pattern, {}):
-                raise ParseError(f"duplicate entry for {pattern!r} position {pos}", line_no)
-            table.setdefault(pattern, {})[pos] = row
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read table {path}: {exc}") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError("expected pattern<TAB>pos<TAB>probs", line_no)
+        pattern, pos_text, probs_text = parts
+        try:
+            vocab.parse(pattern)
+        except (ContractError, ConfigError) as exc:
+            raise ParseError(str(exc), line_no) from None
+        try:
+            pos = int(pos_text)
+        except ValueError:
+            raise ParseError(f"bad position {pos_text!r}", line_no) from None
+        if pos < 0 or pos >= len(pattern):
+            raise ParseError(f"position {pos} outside pattern", line_no)
+        try:
+            row = np.array([float(x) for x in probs_text.split(",")])
+        except ValueError:
+            raise ParseError("bad probability value", line_no) from None
+        if row.shape != (vocab.size,):
+            raise ParseError(
+                f"expected {vocab.size} probabilities, got {row.size}", line_no)
+        if not probability_rows(row[None]):
+            raise ParseError("row is not a probability distribution", line_no)
+        if pos in table.get(pattern, {}):
+            raise ParseError(f"duplicate entry for {pattern!r} position {pos}", line_no)
+        table.setdefault(pattern, {})[pos] = row
     return TableDenoiser(vocab, table)

@@ -126,5 +126,5 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_config(handle.read(), base)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

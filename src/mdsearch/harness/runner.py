@@ -89,7 +89,7 @@ def load_instances(cfg: RunConfig) -> list[Instance]:
         else:
             out = [sudoku_instance(b, name=f"{path.stem}-{i:04d}")
                    for i, b in enumerate(sudoku.read_puzzles(path))]
-    except OSError as exc:  # a missing path, or a directory given for Sudoku
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise ConfigError(f"cannot read instances: {exc}") from None
     if not out:
         raise ConfigError(f"no instances in {path}")
@@ -97,11 +97,19 @@ def load_instances(cfg: RunConfig) -> list[Instance]:
 
 
 def run_instances(cfg: RunConfig) -> list[Instance]:
-    """The run's instances, loaded or generated, at most ``num_samples``;
-    weights that do not fit their constraints are a :class:`ConfigError`."""
+    """The run's instances, loaded or generated, at most ``num_samples``.
+
+    An exact posterior for peptides, a ``table:`` file that does not load,
+    and weights that do not fit their constraints are a :class:`ConfigError`.
+    """
+    if cfg.task == "peptide" and cfg.denoiser in ("exact", "noisy"):
+        raise ConfigError(f"the {cfg.denoiser} denoiser needs an enumerable task, "
+                          "and peptides have none")
     instances = load_instances(cfg) if cfg.instances else [
         build_instance(cfg, i) for i in range(cfg.num_samples)]
     if instances:
+        if cfg.denoiser.startswith("table:"):
+            build_denoiser(instances[0], cfg.denoiser)
         try:
             resolve_weights(cfg.weights, instances[0].constraints)
         except ContractError as exc:
@@ -196,8 +204,11 @@ def write_results(result: RunResult, path) -> None:
 
 def load_results(path) -> RunResult:
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        lines = [line for line in handle.read().splitlines() if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = [line for line in handle.read().splitlines() if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read results {path}: {exc}") from None
     if not lines:
         raise ConfigError(f"{path}: empty result file")
     try:

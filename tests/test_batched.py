@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdsearch.constraints.base import Constraint, FullRecomputeTracker
+from mdsearch.constraints.base import Constraint
 from mdsearch.constraints.peptide import (
     TERMINATOR,
     PeptideSpec,
@@ -20,7 +20,8 @@ from mdsearch.constraints.peptide import (
 from mdsearch.constraints.sat import ClauseViolations, CnfFormula
 from mdsearch.constraints.sudoku import UnitDuplicates, random_solution
 from mdsearch.errors import ContractError
-from mdsearch.search import best_of_pool, proposal_draws
+from mdsearch.search import best_of_pool, proposal_draws, refine
+from mdsearch.vocab import EditableRegion, Vocab
 
 from oracles import (
     naive_peptide_report,
@@ -70,6 +71,12 @@ class BlackBox(Constraint):
 
     def violation(self, values):
         return self.inner.violation(values)
+
+
+def recomputes(constraint):
+    """Whether the constraint's tracker scores through ``Constraint``'s default hooks."""
+    return (type(constraint)._rebuild is Constraint._rebuild
+            and type(constraint)._peek_block is Constraint._peek_block)
 
 
 # --- violations against the naive recounts ----------------------------------
@@ -204,12 +211,39 @@ def test_full_recompute_block_matches_naive_recount(seed):
     f = random_cnf(rng, 6, int(rng.integers(1, 30)), repeats=True)
     tracker = walk(rng, BlackBox(ClauseViolations(f)), rng.integers(0, 2, size=6), 2,
                    lambda a: naive_sat_violation(f.clauses, a))
-    assert isinstance(tracker, FullRecomputeTracker)
+    assert recomputes(tracker.constraint)
     walk(rng, BlackBox(UnitDuplicates(2)), noisy_solutions(rng, 2, 1)[0], 4,
          lambda a: naive_sudoku_tokens(a, 4))
     charge = peptide_constraints(PeptideSpec(), VOCAB)[1]
     walk(rng, BlackBox(charge), rng.integers(0, VOCAB.size, size=12), VOCAB.size,
          lambda a: naive_peptide_tokens(a)[1])
+
+
+class EqualNeighbours(Constraint):
+    """Defines only the batched ``_violations`` and states no alphabet."""
+
+    name = "equal-neighbours"
+
+    def _violations(self, values):
+        return (values[:, 1:] == values[:, :-1]).sum(axis=1).astype(np.float64)
+
+
+def naive_equal_neighbours(values):
+    return float(sum(a == b for a, b in zip(values[:-1], values[1:])))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=SEEDS)
+def test_batched_only_black_box_refines_through_the_defaults(seed):
+    rng = np.random.default_rng(seed)
+    constraint = EqualNeighbours()
+    assert recomputes(constraint) and constraint.alphabet is None
+    values = rng.integers(0, 3, size=int(rng.integers(2, 10)))
+    walk(rng, constraint, values, 3, naive_equal_neighbours)
+    result = refine(values, (constraint,), None, Vocab(("a", "b", "c")),
+                    EditableRegion.all_editable(len(values)), None)
+    assert result.history[0] == naive_equal_neighbours(values)
+    assert result.report.total == naive_equal_neighbours(result.candidate) == 0.0
 
 
 # --- rejected commits --------------------------------------------------------
@@ -236,7 +270,7 @@ def test_rejected_commit_leaves_the_tracker_unchanged(kind):
     rng = np.random.default_rng(7)
     constraint, values, size, naive = tracker_case(kind, rng)
     tracker = constraint.tracker(values)
-    assert isinstance(tracker, FullRecomputeTracker) == (kind == "full")
+    assert recomputes(constraint) == (kind == "full")
     everywhere = np.arange(len(values))
     block, value = tracker.peek_block(everywhere, size), tracker.value()
     for pos, token in ((-1, 0), (len(values), 0), (0, -1), (0, size), (1, size + 7),
@@ -251,6 +285,27 @@ def test_rejected_commit_leaves_the_tracker_unchanged(kind):
     tracker.commit(0, int(work[0]))
     assert tracker.value() == naive(work)
     assert_block_matches_naive(tracker, work, everywhere, size, naive)
+
+
+def test_commit_the_constraint_refuses_leaves_the_tracker_unchanged():
+    class RefusesFive(Constraint):
+        """A black box with no alphabet whose ``violation`` refuses token 5."""
+
+        def violation(self, values):
+            if 5 in values:
+                raise ContractError("token 5 is not allowed")
+            return float(values.sum())
+
+    values = np.array([1, 0, 2])
+    tracker = RefusesFive().tracker(values)
+    block = tracker.peek_block([0, 2], 3)
+    with pytest.raises(ContractError, match="token 5"):
+        tracker.commit(1, 5)
+    assert tracker.values.tolist() == values.tolist()
+    assert tracker.value() == 3.0
+    assert np.array_equal(tracker.peek_block([0, 2], 3), block)
+    tracker.commit(1, 4)
+    assert tracker.value() == 7.0
 
 
 @pytest.mark.parametrize("kind", ["clause", "unit", "prefix", "full"])

@@ -97,8 +97,13 @@ def test_unknown_placement_is_usage_error(capsys):
     assert run_cli("sample", "--task", "sat", "--search", "never") == 2
 
 
-def test_missing_result_file_is_runtime_error(tmp_path, capsys):
-    assert run_cli("summarize", str(tmp_path / "nope.jsonl")) == 1
+@pytest.mark.parametrize("case", ["missing", "not utf-8"])
+def test_unreadable_result_file_is_usage_error(tmp_path, capsys, case):
+    path = tmp_path / "nope.jsonl"
+    if case == "not utf-8":
+        path.write_bytes(b"\xff\xfe{}\n")
+    assert run_cli("summarize", str(path)) == 2
+    assert "cannot read results" in capsys.readouterr().err
 
 
 def test_bad_flag_exits_2():
@@ -182,6 +187,16 @@ def test_instances_file_without_instances_is_usage_error(tmp_path, capsys, comma
         assert list(tmp_path.glob("bench*")) == []
 
 
+@pytest.mark.parametrize("command", ["bench", "sample"])
+@pytest.mark.parametrize("flag", ["--config", "--instances"])
+def test_non_utf8_config_or_instances_is_usage_error(tmp_path, capsys, command, flag):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff[run]\n")
+    out = tmp_path / "bench.jsonl"
+    assert run_cli(command, "--task", "sat", flag, str(path), "--out", str(out)) == 2
+    assert "cannot read" in capsys.readouterr().err
+    assert not out.exists()
+
 @pytest.mark.parametrize("case", ["missing key", "unknown key"])
 def test_summarize_malformed_record_is_usage_error(tmp_path, capsys, case):
     path = tmp_path / "bench.jsonl"
@@ -221,3 +236,31 @@ def test_summarize_non_json_file_is_usage_error(tmp_path, capsys):
     path.write_text("{oops\n", encoding="utf-8")
     assert run_cli("summarize", str(path)) == 2
     assert "not a result file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "ablate", "sample"])
+@pytest.mark.parametrize("case", ["missing", "not utf-8", "malformed"])
+def test_unusable_table_fails_the_run_not_each_sample(tmp_path, capsys, command, case):
+    table = tmp_path / "table.tsv"
+    if case == "not utf-8":
+        table.write_bytes(b"\xff??\t0\t0.5,0.5\n")
+    elif case == "malformed":
+        table.write_text("??\t0\n", encoding="utf-8")
+    out = tmp_path / "runs"
+    code = run_cli(command, "--task", "sat", "--steps", "2", "--n-samples", "3",
+                   "--seed", "0", "--denoiser", f"table:{table}", "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("line 1" if case == "malformed" else "cannot read table") in err
+    assert list(tmp_path.glob("runs*")) == []
+
+
+@pytest.mark.parametrize("command", ["bench", "ablate", "sample"])
+@pytest.mark.parametrize("denoiser", ["exact", "noisy"])
+def test_exact_denoiser_for_peptides_is_usage_error(tmp_path, capsys, command, denoiser):
+    out = tmp_path / "runs"
+    code = run_cli(command, "--task", "peptide", "--steps", "2", "--n-samples", "2",
+                   "--denoiser", denoiser, "--out", str(out))
+    assert code == 2
+    assert "enumerable" in capsys.readouterr().err
+    assert list(tmp_path.glob("runs*")) == []

@@ -3,7 +3,6 @@ import pytest
 
 from mdsearch.constraints.base import (
     Constraint,
-    FullRecomputeTracker,
     ViolationReport,
 )
 from mdsearch.errors import ContractError
@@ -63,7 +62,8 @@ def test_full_recompute_tracker_consistency():
 
     values = np.array([0, 1, 1, 0])
     tracker = CountOnes().tracker(values)
-    assert isinstance(tracker, FullRecomputeTracker)
+    assert CountOnes._rebuild is Constraint._rebuild
+    assert CountOnes._peek_block is Constraint._peek_block
     assert tracker.value() == 2.0
     assert tracker.peek_block([0], 2).tolist() == [[2.0, 3.0]]
     assert tracker.value() == 2.0  # peek_block must not mutate

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from mdsearch.constraints import sat
 from mdsearch.constraints.sat import (
     ENUM_VAR_CAP,
-    ClauseTracker,
     ClauseViolations,
     CnfFormula,
     assignment_vocab,
@@ -160,7 +159,7 @@ def test_tracker_rejects_bad_input():
     f = CnfFormula(2, ((1, 2),))
     evaluator = ClauseViolations(f)
     with pytest.raises(ContractError):
-        ClauseTracker(evaluator, np.array([0, 2]))
+        evaluator.tracker(np.array([0, 2]))
     tracker = evaluator.tracker(np.array([0, 1]))
     with pytest.raises(ContractError):
         tracker.commit(0, 5)
