@@ -58,20 +58,13 @@ class CnfFormula:
     def _codes(self) -> np.ndarray:
         """Read-only ascending codes of the satisfying assignments, evaluated
         once per formula for :func:`is_satisfiable` and
-        :func:`satisfying_assignments`.
+        :func:`satisfying_assignments`: the formula's truth table is
+        :func:`_satisfying_words` over a stack of one formula.
 
-        Only the words of :func:`_satisfying_words` that hold a satisfying
-        code are unpacked. The formula keeps the K codes rather than the
-        2^n / 8 bytes of words, which at 20 variables are 128 KiB.
+        The formula keeps the K codes rather than the 2^n / 8 bytes of words,
+        which at 20 variables are 128 KiB.
         """
-        words = _satisfying_words(self)
-        hit = np.flatnonzero(words)
-        bits = np.unpackbits(words[hit].astype("<u8", copy=False).view(np.uint8),
-                             bitorder="little")
-        word, bit = np.nonzero(bits.reshape(-1, 64))
-        codes = hit[word] << _WORD_BITS | bit
-        codes.flags.writeable = False
-        return codes
+        return _codes_of(_satisfying_words(self.num_vars, self._literals[None])[0])
 
 
 class ClauseViolations(Constraint):
@@ -138,22 +131,30 @@ _IN_WORD = np.array([sum(1 << c for c in range(64) if c >> v & 1)
 # one clause at 20, so a block stays in cache and an unsatisfiable formula
 # stops after few blocks.
 _BLOCK_WORDS = 1 << 15
+# Rejection draws that random_formula decodes and truth-tables together,
+# fewer where their truth tables would exceed one block of _BLOCK_WORDS.
+_BATCH_DRAWS = 6
+_NO_CODES = np.empty(0, dtype=np.int64)
+_NO_CODES.flags.writeable = False
 
 
-def _satisfying_words(formula: CnfFormula) -> np.ndarray:
-    """Truth table of the formula over all 2^n codes, packed into uint64 words.
+def _satisfying_words(num_vars: int, literals: np.ndarray) -> np.ndarray:
+    """Truth tables of a stack of formulas over all 2^n codes, packed into
+    uint64 words: a single formula is a stack of one.
 
-    Bit ``c % 64`` of word ``c // 64`` is set when assignment ``c`` (bit ``v``
-    of ``c`` is variable ``v + 1``) satisfies every clause; bits at and above
-    ``2^n`` are clear.
+    ``literals`` is a (B, clauses, width) stack of padded literal tables
+    over ``num_vars`` variables. In row ``b`` of the (B, 2^n / 64) result,
+    bit ``c % 64`` of word ``c // 64`` is set when assignment ``c`` (bit
+    ``v`` of ``c`` is variable ``v + 1``) satisfies every clause of formula
+    ``b``; bits at and above ``2^n`` are clear.
 
-    Clauses are evaluated in blocks of about ``_BLOCK_WORDS`` gathered words:
-    each clause, a row of the formula's padded literal table, gathers its
-    variables' rows of the (n, words) variable table, flips the negated
-    ones, ORs them, and the block's clauses are ANDed into the result. The
-    evaluation stops after the first block that leaves no code satisfying.
+    Clauses are evaluated in blocks of about ``_BLOCK_WORDS`` gathered words
+    over the whole stack: each clause gathers its variables' rows of the
+    (n, words) variable table, flips the negated ones, ORs them, and the
+    block's clauses are ANDed into their formula's row. The evaluation stops
+    after the first block that leaves no formula a satisfying code.
     """
-    n = formula.num_vars
+    n = num_vars
     if n > ENUM_VAR_CAP:
         raise ConfigError(f"enumeration capped at {ENUM_VAR_CAP} variables, got {n}")
     num_words = 1 << max(n - _WORD_BITS, 0)
@@ -166,20 +167,34 @@ def _satisfying_words(formula: CnfFormula) -> np.ndarray:
                    np.arange(len(high), dtype=np.uint64)[:, None], out=high)
     high &= np.uint64(1)
     np.negative(high, out=high)
-    literals = formula._literals
-    width = literals.shape[1]
+    count, num_clauses, width = literals.shape
     variables = np.abs(literals) - 1
     flips = np.negative((literals < 0).astype(np.uint64))[..., None]
     # below 6 variables the one word is partial: only its low 2^n bits are codes
-    ok = np.full(num_words, np.uint64((1 << min(1 << n, 64)) - 1))
-    step = max(_BLOCK_WORDS // (width * num_words), 1)
-    for start in range(0, len(literals), step):
-        rows = table[variables[start:start + step]]
-        rows ^= flips[start:start + step]
-        ok &= np.bitwise_and.reduce(np.bitwise_or.reduce(rows, axis=1), axis=0)
+    ok = np.full((count, num_words), np.uint64((1 << min(1 << n, 64)) - 1))
+    step = max(_BLOCK_WORDS // max(count * width * num_words, 1), 1)
+    for start in range(0, num_clauses, step):
+        rows = table[variables[:, start:start + step]]
+        rows ^= flips[:, start:start + step]
+        ok &= np.bitwise_and.reduce(np.bitwise_or.reduce(rows, axis=2), axis=1)
         if not ok.any():
             break
     return ok
+
+
+def _codes_of(words: np.ndarray) -> np.ndarray:
+    """Read-only ascending codes of the set bits of one truth table from
+    :func:`_satisfying_words`; only the words that hold a code are unpacked.
+    The codes are a new array, sharing no memory with ``words``."""
+    if not words.any():  # most rejection draws: skip the unpacking
+        return _NO_CODES
+    hit = np.flatnonzero(words)
+    bits = np.unpackbits(words[hit].astype("<u8", copy=False).view(np.uint8),
+                         bitorder="little")
+    word, bit = np.nonzero(bits.reshape(-1, 64))
+    codes = hit[word] << _WORD_BITS | bit
+    codes.flags.writeable = False
+    return codes
 
 
 def satisfying_assignments(formula: CnfFormula) -> np.ndarray:
@@ -205,8 +220,8 @@ def is_satisfiable(formula: CnfFormula) -> bool:
 def _loop_draw(num_vars: int, num_clauses: int, rng: np.random.Generator) -> CnfFormula:
     """One random 3-CNF, drawn clause by clause with ``choice`` and ``integers``.
 
-    The draw :func:`random_formula` makes where :func:`_block_draw` returns
-    ``None``, and the reference the tests hold the block draw to.
+    The draw :func:`random_formula` makes where :func:`_block_draw` stops
+    before a draw, and the reference the tests hold the block draw to.
     """
     clauses = []
     for _ in range(num_clauses):
@@ -216,31 +231,53 @@ def _loop_draw(num_vars: int, num_clauses: int, rng: np.random.Generator) -> Cnf
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def _block_draw(num_vars: int, num_clauses: int,
-                rng: np.random.Generator) -> CnfFormula | None:
-    """:func:`_loop_draw` from one block of 32-bit generator output.
+def _clause_bounds(num_vars: int) -> np.ndarray:
+    """Bounds of the 32-bit draws one clause of :func:`_loop_draw` reads, in
+    its order: Floyd's algorithm (the first draw is skipped at n=3), the
+    shuffle of the three picks, and one word per sign."""
+    floyd = [num_vars - 1, num_vars] if num_vars == 3 else [
+        num_vars - 2, num_vars - 1, num_vars]
+    return np.array(floyd + [3, 2, 2, 2, 2], dtype=np.uint64)
+
+
+def _replay(rng: np.random.Generator, state: dict, words: int) -> None:
+    """Restore the generator to ``state`` and read ``words`` 32-bit words,
+    as the draws that used them did."""
+    rng.bit_generator.state = state
+    rng.integers(0, 1 << 32, size=words, dtype=np.uint32)
+
+
+def _block_draw(num_vars: int, num_clauses: int, rng: np.random.Generator,
+                count: int = 1) -> np.ndarray:
+    """Up to ``count`` consecutive :func:`_loop_draw` draws, from one block of
+    32-bit generator output.
 
     ``choice(n, 3, replace=False)`` is Floyd's algorithm over Lemire-bounded
     32-bit draws with bounds n-2, n-1 and n (the first draws nothing at
     n=3), then a shuffle of the three picks with bounds 3 and 2; each sign is
     the top bit of one more 32-bit draw. A clause thus reads 8 words, or 7 at
-    n=3, in the loop's order. Where the loop would read other words, ``None``
-    is returned with the generator as it was: where Lemire's method might
-    reject a draw (the low half of ``word * bound`` below the bound), and
-    from 2^32 variables on, where ``choice`` draws 64-bit words.
+    n=3, in the loop's order (:func:`_clause_bounds`), and one vectorized
+    decode turns the words of all ``count`` draws into literals.
+
+    Returns the (k, clauses, 3) int64 literal tables of the draws before the
+    first one where the loop would read other words: where Lemire's method
+    might reject a draw (the low half of ``word * bound`` below the bound),
+    and from 2^32 variables on, where ``choice`` draws 64-bit words (k=0).
+    The generator is left where the loop leaves it after those k draws: when
+    k < count it is restored and re-reads only their words.
     """
     if num_vars >= 1 << 32:
-        return None
-    floyd_bounds = [num_vars - 1, num_vars] if num_vars == 3 else [
-        num_vars - 2, num_vars - 1, num_vars]
-    bounds = np.array(floyd_bounds + [3, 2, 2, 2, 2], dtype=np.uint64)
+        return np.empty((0, num_clauses, 3), dtype=np.int64)
+    bounds = _clause_bounds(num_vars)
     state = rng.bit_generator.state
-    words = rng.integers(0, 1 << 32, size=(max(num_clauses, 0), len(bounds)),
+    words = rng.integers(0, 1 << 32, size=(count * num_clauses, len(bounds)),
                          dtype=np.uint32)
     scaled = words * bounds
-    if ((scaled & np.uint64(0xFFFFFFFF)) < bounds).any():
-        rng.bit_generator.state = state
-        return None
+    risky = ((scaled & np.uint64(0xFFFFFFFF)) < bounds).reshape(count, -1).any(axis=1)
+    if risky.any():
+        usable = int(risky.argmax())
+        _replay(rng, state, usable * num_clauses * len(bounds))
+        words, scaled = words[:usable * num_clauses], scaled[:usable * num_clauses]
     *picks, swap2, swap1 = (scaled[:, :-3] >> np.uint64(32)).astype(np.int64).T
     if num_vars == 3:
         picks.insert(0, 0)
@@ -256,36 +293,77 @@ def _block_draw(num_vars: int, num_clauses: int,
                      np.where(swap1 == 0, first, second))
     signs = 2 * (words[:, -3:] >> np.uint32(31)).astype(np.int64) - 1
     literals = (np.stack([first, second, third], axis=1) + 1) * signs
-    return CnfFormula(num_vars, tuple(map(tuple, literals.tolist())))
+    return literals.reshape(-1, num_clauses, 3)
+
+
+def _drawn_formula(num_vars: int, literals: np.ndarray,
+                   words: np.ndarray | None) -> CnfFormula:
+    """The formula of one row of a :func:`_block_draw` batch, validated as any
+    other. Its literal table and, given its row of the batch's
+    :func:`_satisfying_words`, its satisfying codes are cached from
+    read-only copies, so the formula keeps no batch array alive."""
+    formula = CnfFormula(num_vars, tuple(map(tuple, literals.tolist())))
+    table = literals.copy()
+    table.flags.writeable = False
+    formula.__dict__["_literals"] = table
+    if words is not None:
+        formula.__dict__["_codes"] = _codes_of(words)
+    return formula
 
 
 def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
                    require_satisfiable: bool = True) -> CnfFormula:
     """Uniform random 3-CNF with distinct variables per clause.
 
-    Each draw takes all its clauses from one block of 32-bit generator output
-    (:func:`_block_draw`). As the tests check on the installed numpy, that
-    gives the same formula, and leaves the generator in the same state, as
-    the per-clause ``choice``/``integers`` loop (:func:`_loop_draw`), which
-    runs only where the block draw returns ``None``: where a bounded draw
-    might be rejected, and from 2^32 variables on.
-
     With ``require_satisfiable`` the draw is rejection-sampled against an
     exhaustive satisfiability check over packed truth tables (hence the
-    variable cap), which evaluates the clauses in blocks; at 45 clauses over
-    7 variables most draws are unsatisfiable, so expect several rejections
-    per instance. The check caches the accepted formula's satisfying codes on
-    it, so :func:`satisfying_assignments` on the result evaluates no clause.
+    variable cap); at 45 clauses over 7 variables most draws are
+    unsatisfiable, so expect several rejections per instance.
+
+    The rejection draws are made in batches of up to ``_BATCH_DRAWS``, fewer
+    where their truth tables would exceed one block of ``_BLOCK_WORDS``
+    (one draw at 20 variables, and one without ``require_satisfiable``): one
+    generator call and one decode give a batch's literal tables
+    (:func:`_block_draw`), and one pass of :func:`_satisfying_words`, the
+    function that evaluates a single formula as a stack of one, gives their
+    truth tables. The draws are then taken in order, each a validated
+    formula passed to :func:`is_satisfiable`. Once one is accepted, the
+    generator is restored to its state before the batch and re-reads only
+    the words of the draws used. Where the block draw stops early, the next
+    draw is made by the per-clause ``choice``/``integers`` loop
+    (:func:`_loop_draw`). So, as the tests check on the installed numpy,
+    the formula and the generator state after the call are those of that
+    loop run once per rejection draw. The accepted formula's satisfying
+    codes are cached on it, so :func:`satisfying_assignments` on the result
+    evaluates no clause.
     """
     check_count(num_vars, "variable count", 3,  # 3-CNF, and the check enumerates
                 ENUM_VAR_CAP + 1 if require_satisfiable else None)
     check_count(num_clauses, "clause count", 1)
-    for _ in range(REJECTION_CAP):
-        formula = _block_draw(num_vars, num_clauses, rng)
-        if formula is None:
+    batch = 1
+    if require_satisfiable:
+        clause_words = 3 << max(num_vars - _WORD_BITS, 0)
+        batch = min(_BATCH_DRAWS, max(_BLOCK_WORDS // (num_clauses * clause_words), 1))
+    draws = 0
+    while draws < REJECTION_CAP:
+        count = min(batch, REJECTION_CAP - draws)
+        state = rng.bit_generator.state
+        literals = _block_draw(num_vars, num_clauses, rng, count)
+        words = _satisfying_words(num_vars, literals) if require_satisfiable else None
+        for k in range(len(literals)):
+            formula = _drawn_formula(num_vars, literals[k],
+                                     None if words is None else words[k])
+            draws += 1
+            if not require_satisfiable or is_satisfiable(formula):
+                if k + 1 < len(literals):
+                    _replay(rng, state,
+                            (k + 1) * num_clauses * len(_clause_bounds(num_vars)))
+                return formula
+        if len(literals) < count:
             formula = _loop_draw(num_vars, num_clauses, rng)
-        if not require_satisfiable or is_satisfiable(formula):
-            return formula
+            draws += 1
+            if not require_satisfiable or is_satisfiable(formula):
+                return formula
     raise GenerationError(
         f"no satisfiable formula after {REJECTION_CAP} draws "
         f"(clause/variable ratio {num_clauses / num_vars:.1f})")

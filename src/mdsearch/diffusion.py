@@ -109,9 +109,14 @@ def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarr
                          rng: np.random.Generator) -> np.ndarray:
     """Plain reverse commit: each position in ``committing`` (from
     :func:`first_hitting_steps`) draws a token from its row; the rest carry
-    over. ``rows`` must already satisfy :func:`~mdsearch.denoise.check_rows`.
+    over. ``rows`` must already satisfy :func:`~mdsearch.denoise.check_rows`,
+    and ``x_t`` holds tokens of their alphabet or its mask id.
     """
-    out = check_integers(x_t, "x_t").copy()
+    try:
+        num_tokens = rows.shape[1]
+    except (AttributeError, IndexError):  # not an array, or one dimension
+        raise ContractError("reverse step: rows are not a (positions, tokens) array") from None
+    out = check_integers(x_t, "x_t", num_tokens + 1).copy()
     try:  # no range reduction: a negative position wraps
         out[committing] = sample_rows(rows[committing], rng)
     except (IndexError, TypeError, ValueError) as exc:
@@ -126,11 +131,10 @@ def guided_reverse_step(refined: np.ndarray, remaining: np.ndarray,
     Every position takes the refined candidate's value (search may have
     revised unmasked ones) except ``remaining``, the positions whose unmask
     step from :func:`first_hitting_steps` is still to come, which keep the
-    mask. Draws no random numbers.
+    mask. The candidate must be fully specified: tokens in ``range(mask_id)``.
+    Draws no random numbers.
     """
-    out = check_integers(refined, "refined candidate").copy()
-    if np.any(out == mask_id):
-        raise ContractError("refined candidate must be fully specified")
+    out = check_integers(refined, "refined candidate", mask_id).copy()
     try:
         out[remaining] = mask_id
     except IndexError as exc:  # no range reduction: a negative position wraps

@@ -71,8 +71,9 @@ def _merge_config(args: argparse.Namespace, skip=()) -> RunConfig:
 
 def _cmd_sample(args) -> int:
     cfg = replace(_merge_config(args), num_samples=1)
-    instance = run_instances(cfg)[0]
-    final, trace, report = run_sample(cfg, instance, 0)
+    instances, tables = run_instances(cfg)
+    instance = instances[0]
+    final, trace, report = run_sample(cfg, instance, 0, tables)
     print(f"# instance {instance.name} T={cfg.steps}")
     for record in trace:
         if record.first_violation is None:

@@ -24,10 +24,12 @@ from ..constraints import sat, sudoku
 from ..constraints.base import ViolationReport
 from ..constraints.sat import random_formula
 from ..constraints.sudoku import random_puzzle
+from ..denoise import Denoiser
 from ..errors import ConfigError, ContractError, check_count
 from ..diffusion import linear_schedule
 from ..search import SampleTrace, aggregate_violation, resolve_weights, sample
 from ..tasks import Instance, build_denoiser, peptide_instance, sat_instance, sudoku_instance
+from ..vocab import Vocab
 from .configio import RunConfig, search_config
 
 RESULT_FORMAT = "mdsearch-results"
@@ -96,8 +98,12 @@ def load_instances(cfg: RunConfig) -> list[Instance]:
     return out[:cfg.num_samples]
 
 
-def run_instances(cfg: RunConfig) -> list[Instance]:
-    """The run's instances, loaded or generated, at most ``num_samples``.
+def run_instances(cfg: RunConfig) -> tuple[list[Instance], dict[Vocab, Denoiser]]:
+    """The run's instances, loaded or generated, at most ``num_samples``, and
+    the denoisers its samples share: a ``table:`` file depends only on the
+    alphabet, so it is loaded once per alphabet among the instances (one,
+    but for a puzzle file that mixes box sizes). Other denoisers are built
+    per sample (:func:`run_sample`), and the map is empty.
 
     An exact posterior for peptides, a ``table:`` file that does not load,
     and weights that do not fit their constraints are a :class:`ConfigError`.
@@ -107,21 +113,26 @@ def run_instances(cfg: RunConfig) -> list[Instance]:
                           "and peptides have none")
     instances = load_instances(cfg) if cfg.instances else [
         build_instance(cfg, i) for i in range(cfg.num_samples)]
+    tables = {}
+    if cfg.denoiser.startswith("table:"):
+        for instance in instances:
+            if instance.vocab not in tables:
+                tables[instance.vocab] = build_denoiser(instance, cfg.denoiser)
     if instances:
-        if cfg.denoiser.startswith("table:"):
-            build_denoiser(instances[0], cfg.denoiser)
         try:
             resolve_weights(cfg.weights, instances[0].constraints)
         except ContractError as exc:
             raise ConfigError(f"weights: {exc}") from None
-    return instances
+    return instances, tables
 
 
-def run_sample(cfg: RunConfig, instance: Instance, index: int
-               ) -> tuple[np.ndarray, SampleTrace, ViolationReport]:
-    """Sample ``index`` of a run on ``instance``: the final sequence, its
-    trace, and its violation report under ``cfg.weights``."""
-    denoiser = build_denoiser(instance, cfg.denoiser, cfg.epsilon)
+def run_sample(cfg: RunConfig, instance: Instance, index: int,
+               tables: dict[Vocab, Denoiser]) -> tuple[np.ndarray, SampleTrace, ViolationReport]:
+    """Sample ``index`` of a run on ``instance``, with the run's shared denoiser
+    for its alphabet from :func:`run_instances`, else one built for it: the
+    final sequence, its trace, and its violation report under ``cfg.weights``."""
+    denoiser = tables.get(instance.vocab) or build_denoiser(instance, cfg.denoiser,
+                                                            cfg.epsilon)
     final, trace = sample(instance, denoiser, linear_schedule(cfg.steps),
                           search_config(cfg), sample_rng(cfg.seed, index))
     return final, trace, aggregate_violation(final, instance.constraints, cfg.weights)
@@ -154,13 +165,13 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     first sample; per-sample errors are recorded (total ``None``, other
     metrics zeroed) rather than aborting the whole run.
     """
-    instances = run_instances(cfg)
+    instances, tables = run_instances(cfg)
     names = tuple(c.name for c in instances[0].constraints) if instances else ()
     records = []
     run_start = time.perf_counter()
     for i, instance in enumerate(instances):
         try:
-            final, trace, report = run_sample(cfg, instance, i)
+            final, trace, report = run_sample(cfg, instance, i, tables)
             records.append(SampleRecord(
                 index=i,
                 instance=instance.name,

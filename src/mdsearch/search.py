@@ -96,11 +96,12 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     """``count`` independent proposal samples consistent with ``x_t``.
 
     Masked positions draw from the denoiser rows; unmasked positions are
-    clamped to their current values. The rows at masked positions must pass
-    :func:`~mdsearch.denoise.probability_rows`, else :class:`ContractError`.
+    clamped to their current values, tokens in ``range(mask_id)``. The rows
+    at masked positions must pass :func:`~mdsearch.denoise.probability_rows`,
+    else :class:`ContractError`.
     """
     check_count(count, "draw count", 1)
-    x_t = check_integers(x_t, "x_t")
+    x_t = check_integers(x_t, "x_t", mask_id + 1)
     rows = np.asarray(rows, dtype=np.float64)
     if x_t.ndim != 1 or rows.shape != (len(x_t), mask_id):
         raise ContractError(f"rows of shape {rows.shape} for x_t of shape {x_t.shape}")

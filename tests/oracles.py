@@ -479,3 +479,27 @@ def completions_by_backtracking(box, grid, limit) -> list:
 
     recurse()
     return out
+
+
+def random_formula_by_draw(num_vars, num_clauses, rng, require_satisfiable=True):
+    """``sat.random_formula`` one rejection draw at a time, each drawn clause
+    by clause with ``choice`` and ``integers``: the reference for its batched
+    draws, formulas and generator state alike.
+
+    Satisfiability is the package's single-formula check, which the
+    enumeration tests hold to :func:`satisfying_assignments_by_chunks`; that
+    oracle takes about half a second per formula at 20 variables.
+    """
+    from mdsearch.constraints.sat import REJECTION_CAP, CnfFormula, is_satisfiable
+    from mdsearch.errors import GenerationError
+
+    for _ in range(REJECTION_CAP):
+        clauses = []
+        for _ in range(num_clauses):
+            chosen = rng.choice(num_vars, size=3, replace=False) + 1
+            signs = rng.integers(0, 2, size=3) * 2 - 1
+            clauses.append(tuple(int(v * s) for v, s in zip(chosen, signs)))
+        formula = CnfFormula(num_vars, tuple(clauses))
+        if not require_satisfiable or is_satisfiable(formula):
+            return formula
+    raise GenerationError(f"no satisfiable formula after {REJECTION_CAP} draws")

@@ -204,6 +204,21 @@ def test_guided_rejects_masked_candidate():
         guided_reverse_step(np.array([0, AB.mask_id]), np.array([1]), AB.mask_id)
 
 
+@pytest.mark.parametrize("refined", [[5, 1], [0, -1]])
+def test_guided_rejects_tokens_off_the_alphabet(refined):
+    # they were committed as they were
+    with pytest.raises(ContractError, match="outside range"):
+        guided_reverse_step(np.array(refined), np.array([], dtype=np.int64), AB.mask_id)
+
+
+@pytest.mark.parametrize("x_t", [[7, AB.mask_id], [-1, AB.mask_id]])
+def test_vanilla_rejects_tokens_off_the_alphabet(x_t):
+    # the carried-over token came out unchanged
+    with pytest.raises(ContractError, match="outside range"):
+        vanilla_reverse_step(np.array(x_t), np.full((2, 2), 0.5), np.array([1]),
+                             np.random.default_rng(0))
+
+
 def test_monotone_unmasking_vanilla():
     sched = linear_schedule(8)
     rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mdsearch import tasks
 from mdsearch.constraints.sat import is_satisfiable
 from mdsearch.constraints.sudoku import UnitDuplicates
 from mdsearch.errors import ConfigError, GenerationError
@@ -20,9 +21,13 @@ from mdsearch.harness import (
     random_puzzle,
     render_summary_csv,
     run_experiment,
+    sample_rng,
+    search_config,
     summarize_records,
 )
+from mdsearch.diffusion import linear_schedule
 from mdsearch.harness.configio import load_config
+from mdsearch.search import sample
 from mdsearch.tasks import exact_distribution
 
 from oracles import naive_sat_violation
@@ -196,6 +201,39 @@ def test_build_instance_is_placement_independent():
         a = build_instance(cfg_a, i)
         b = build_instance(cfg_b, i)
         assert a.data == b.data
+
+
+def test_table_denoiser_is_loaded_once_per_run(tmp_path, monkeypatch):
+    # it was loaded once per sample, plus once by the set-up check
+    table = tmp_path / "t.tsv"
+    table.write_text("????\t0\t0.9,0.1\n0???\t1\t0.2,0.8\n", encoding="utf-8")
+    cfg = small_config(num_samples=5, denoiser=f"table:{table}")
+    loads = []
+    real = tasks.load_table
+    monkeypatch.setattr(tasks, "load_table", lambda *args: loads.append(args) or real(*args))
+    result = run_experiment(cfg)
+    assert len(loads) == 1
+    # each sample is the one a denoiser loaded for it alone gives
+    for record, instance in zip(result.records, [build_instance(cfg, i) for i in range(5)]):
+        final, _ = sample(instance, real(table, instance.vocab), linear_schedule(cfg.steps),
+                          search_config(cfg), sample_rng(cfg.seed, record.index))
+        assert record.error is None and record.value == instance.render(final)
+
+
+def test_table_denoiser_is_loaded_once_per_alphabet_of_a_puzzle_file(tmp_path, monkeypatch):
+    puzzles = tmp_path / "mixed.txt"
+    puzzles.write_text("1.3.341.21..43.1\n" + "." * 81 + "\n1.3.341.21..43.1\n",
+                       encoding="utf-8")
+    table = tmp_path / "t.tsv"
+    table.write_text("# no rows: every query falls back to uniform\n", encoding="utf-8")
+    cfg = RunConfig(task="sudoku", steps=2, candidates=2, rounds=1, denoiser=f"table:{table}",
+                    num_samples=3, seed=0, instances=str(puzzles))
+    loads = []
+    real = tasks.load_table
+    monkeypatch.setattr(tasks, "load_table", lambda *args: loads.append(args) or real(*args))
+    result = run_experiment(cfg)
+    assert sorted(vocab.size for _, vocab in loads) == [4, 9]
+    assert [r.error for r in result.records] == [None] * 3
 
 
 def test_run_experiment_records_and_summary():

@@ -18,7 +18,8 @@ from mdsearch.constraints.sat import (
 from mdsearch.errors import ConfigError, ContractError, GenerationError, ParseError
 from mdsearch.harness.runner import build_instance, instance_rng, presets
 
-from oracles import naive_sat_violation, satisfying_assignments_by_chunks
+from oracles import (naive_sat_violation, random_formula_by_draw,
+                     satisfying_assignments_by_chunks)
 
 
 def random_formula(rng, num_vars=7, num_clauses=45):
@@ -326,7 +327,8 @@ def test_enumeration_stopped_after_the_first_block_matches_the_chunked_oracle():
 def test_a_formula_is_evaluated_once_and_its_codes_are_read_only(monkeypatch):
     calls = []
     real = sat._satisfying_words
-    monkeypatch.setattr(sat, "_satisfying_words", lambda f: calls.append(f) or real(f))
+    monkeypatch.setattr(sat, "_satisfying_words",
+                        lambda *args: calls.append(args) or real(*args))
     formula = mixed_width_formula(9, 20, seed=6)
     assert is_satisfiable(formula)
     support = satisfying_assignments(formula)
@@ -392,26 +394,22 @@ def pre_drawn(bit_generator, seed, pre_draws):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(3, 20),
-       num_clauses=st.integers(0, 80), pre_draws=st.integers(0, 2),
+       num_clauses=st.integers(1, 80), count=st.integers(1, 3), pre_draws=st.integers(0, 2),
        bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]))
-@example(seed=0, num_vars=3, num_clauses=45, pre_draws=1, bit_generator=np.random.PCG64)
-@example(seed=0, num_vars=7, num_clauses=0, pre_draws=0, bit_generator=np.random.PCG64)
-def test_block_draw_matches_the_clause_loop(seed, num_vars, num_clauses, pre_draws,
+@example(seed=0, num_vars=3, num_clauses=45, count=3, pre_draws=1,
+         bit_generator=np.random.PCG64)
+def test_block_draw_matches_the_clause_loop(seed, num_vars, num_clauses, count, pre_draws,
                                             bit_generator):
     block_rng = pre_drawn(bit_generator, seed, pre_draws)
     loop_rng = pre_drawn(bit_generator, seed, pre_draws)
-    if num_clauses == 0:
-        with pytest.raises(ConfigError) as block_error:
-            sat._block_draw(num_vars, num_clauses, block_rng)
-        with pytest.raises(ConfigError) as loop_error:
-            sat._loop_draw(num_vars, num_clauses, loop_rng)
-        assert str(block_error.value) == str(loop_error.value)
-    else:
-        formula = sat._block_draw(num_vars, num_clauses, block_rng)
-        if formula is None:  # a possible Lemire rejection restores the state
-            formula = sat._loop_draw(num_vars, num_clauses, block_rng)
-        expected = sat._loop_draw(num_vars, num_clauses, loop_rng)
-        assert formula.clauses == expected.clauses
+    literals = sat._block_draw(num_vars, num_clauses, block_rng, count)
+    assert literals.shape[1:] == (num_clauses, 3) and len(literals) <= count
+    for table in literals:
+        assert tuple(map(tuple, table.tolist())) == sat._loop_draw(
+            num_vars, num_clauses, loop_rng).clauses
+    if len(literals) < count:  # a possible Lemire rejection: the loop makes the next draw
+        formula = sat._loop_draw(num_vars, num_clauses, block_rng)
+        assert formula.clauses == sat._loop_draw(num_vars, num_clauses, loop_rng).clauses
     assert_same_stream(block_rng, loop_rng)
 
 
@@ -428,14 +426,129 @@ def test_random_formula_falls_back_to_the_loop_on_a_lemire_rejection():
     # at n=7 Floyd's first bound is 5: the word 0 leaves a low half of 0,
     # below 2^32 mod 5 = 1, so the loop rejects it and reads another word
     probe = forced_rejection_rng(3)
-    assert sat._block_draw(7, 45, probe) is None
+    assert len(sat._block_draw(7, 45, probe)) == 0
     assert probe.bit_generator.state == forced_rejection_rng(3).bit_generator.state
     rng, loop_rng = forced_rejection_rng(3), forced_rejection_rng(3)
     formula = sat.random_formula(7, 45, rng, require_satisfiable=False)
     assert formula == sat._loop_draw(7, 45, loop_rng)
     assert rng.bit_generator.state == loop_rng.bit_generator.state
     # without the forced word the same seed takes the block draw
-    assert sat._block_draw(7, 45, np.random.default_rng(3)) is not None
+    assert len(sat._block_draw(7, 45, np.random.default_rng(3))) == 1
+
+
+# --- random formulas: the batched rejection draws against the per-draw loop --
+
+@st.composite
+def formula_shapes(draw):
+    """(variables, clauses), at most 4.4 clauses per variable at 20 variables,
+    where a draw's truth table takes about 10 ms and most draws are satisfiable."""
+    num_vars = draw(st.integers(3, 20))
+    return num_vars, draw(st.integers(1, 4 * num_vars + 8))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=formula_shapes(), pre_draws=st.integers(0, 2),
+       bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]),
+       require_satisfiable=st.booleans())
+@example(seed=7, shape=(7, 45), pre_draws=1, bit_generator=np.random.PCG64,
+         require_satisfiable=True)
+@example(seed=2, shape=(3, 20), pre_draws=1, bit_generator=np.random.MT19937,
+         require_satisfiable=True)
+@example(seed=5, shape=(20, 88), pre_draws=2, bit_generator=np.random.PCG64,
+         require_satisfiable=True)
+def test_random_formula_matches_the_per_draw_loop(seed, shape, pre_draws, bit_generator,
+                                                  require_satisfiable):
+    rng = pre_drawn(bit_generator, seed, pre_draws)
+    loop_rng = pre_drawn(bit_generator, seed, pre_draws)
+    formula = sat.random_formula(*shape, rng, require_satisfiable)
+    assert formula == random_formula_by_draw(*shape, loop_rng, require_satisfiable)
+    assert_same_stream(rng, loop_rng)
+
+
+def mt_rng_with_zero_word(seed, index):
+    """An MT19937 generator whose 32-bit output ``index`` (< 624) is 0: with
+    its position reset, output ``i`` is key word ``i`` tempered, and tempering
+    maps 0 to 0."""
+    rng = np.random.Generator(np.random.MT19937(seed))
+    state = rng.bit_generator.state
+    key = state["state"]["key"].copy()
+    key[index] = 0
+    state["state"] = {"key": key, "pos": 0}
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_mt_rng_with_zero_word_sets_that_output():
+    words = mt_rng_with_zero_word(4, 9).integers(0, 2**32, size=10, dtype=np.uint32)
+    assert words[9] == 0 and words[:9].all()
+
+
+def test_a_lemire_risky_draw_inside_a_batch_falls_back_alone(monkeypatch):
+    # at n=7 a draw reads 45 * 8 words, so word 440 is the first word of
+    # clause 10 of draw 1; the word 0 is below Floyd's first bound, 5
+    draws_per_batch = sat._BLOCK_WORDS // (45 * 3 * 2)
+    assert min(sat._BATCH_DRAWS, draws_per_batch) > 2
+    probe = mt_rng_with_zero_word(0, 440)
+    assert len(sat._block_draw(7, 45, probe, 3)) == 1
+    loop_rng = mt_rng_with_zero_word(0, 440)
+    expected = random_formula_by_draw(7, 45, loop_rng)
+    loop_draws, checks = [], []
+    real_loop, real_check = sat._loop_draw, sat.is_satisfiable
+    monkeypatch.setattr(sat, "_loop_draw",
+                        lambda *args: loop_draws.append(args) or real_loop(*args))
+    monkeypatch.setattr(sat, "is_satisfiable",
+                        lambda formula: checks.append(formula) or real_check(formula))
+    rng = mt_rng_with_zero_word(0, 440)
+    assert sat.random_formula(7, 45, rng) == expected
+    assert_same_stream(rng, loop_rng)
+    # draw 0 came from the batch and was rejected; only draw 1 took the loop
+    assert len(checks) > 2 and not real_check(checks[0])
+    assert len(loop_draws) == 1
+
+
+def test_random_formula_gives_up_after_exactly_the_cap(monkeypatch):
+    # 200 clauses over 3 variables leave a sign pattern uncovered with
+    # probability below 1e-10, so every draw is unsatisfiable
+    checks = []
+    real_check = sat.is_satisfiable
+    monkeypatch.setattr(sat, "is_satisfiable",
+                        lambda formula: checks.append(formula) or real_check(formula))
+    with pytest.raises(GenerationError, match=f"after {sat.REJECTION_CAP} draws"):
+        sat.random_formula(3, 200, np.random.default_rng(2))
+    assert len(checks) == sat.REJECTION_CAP
+    # at a cap of 21 the last batch is part full; the generator ends where
+    # the per-draw loop's does (its 1000 draws take seconds)
+    monkeypatch.setattr(sat, "REJECTION_CAP", 21)
+    loop_rng = np.random.default_rng(2)
+    with pytest.raises(GenerationError):
+        random_formula_by_draw(3, 200, loop_rng)
+    checks.clear()
+    rng = np.random.default_rng(2)
+    with pytest.raises(GenerationError, match="after 21 draws"):
+        sat.random_formula(3, 200, rng)
+    assert len(checks) == 21 and 21 % min(sat._BATCH_DRAWS, 21) != 0
+    assert_same_stream(rng, loop_rng)
+
+
+def test_drawn_formula_caches_read_only_copies_of_its_batch_rows(monkeypatch):
+    batches = []
+    real_draw, real_words = sat._block_draw, sat._satisfying_words
+    monkeypatch.setattr(sat, "_block_draw",
+                        lambda *args: batches.append(real_draw(*args)) or batches[-1])
+    monkeypatch.setattr(sat, "_satisfying_words",
+                        lambda *args: batches.append(real_words(*args)) or batches[-1])
+    formula = sat.random_formula(7, 45, np.random.default_rng(7))
+    assert len(batches) >= 2 and len(batches[0]) > 1
+    fresh = CnfFormula(formula.num_vars, formula.clauses)
+    for name in ("_literals", "_codes"):
+        cached = formula.__dict__[name]
+        assert not cached.flags.writeable and cached.base is None
+        assert not any(np.shares_memory(cached, batch) for batch in batches)
+        assert cached.tobytes() == getattr(fresh, name).tobytes()
+    # the caches hold: checking and enumerating the result evaluate no clause
+    calls = len(batches)
+    assert is_satisfiable(formula) and satisfying_assignments(formula).shape[0] > 0
+    assert len(batches) == calls
 
 
 def test_build_instance_matches_the_clause_loop_on_the_sat_preset():

@@ -121,6 +121,14 @@ def test_proposal_draws_refuses_rows_off_the_alphabet(rows):
         proposal_draws(rows, x_t, 4, np.random.default_rng(0), BIN.mask_id)
 
 
+@pytest.mark.parametrize("x_t", [[7, BIN.mask_id], [-1, BIN.mask_id]])
+def test_proposal_draws_refuse_tokens_off_the_alphabet(x_t):
+    # the clamped token was copied into every draw
+    with pytest.raises(ContractError, match="outside range"):
+        proposal_draws(np.full((2, 2), 0.5), np.array(x_t), 3, np.random.default_rng(0),
+                       BIN.mask_id)
+
+
 def test_proposal_draws_clamp_observed():
     rows = np.array([[0.0, 1.0], [0.5, 0.5]])
     x_t = np.array([0, BIN.mask_id])
