@@ -12,7 +12,10 @@ each edit block and each committed edit; it also checks the violations
 each batch returns. Then it calls the unchecked hooks a built-in
 constraint defines: ``_violations``, and ``_rebuild`` and ``_peek_block``
 for its tracker. A black box may define only ``violation`` instead, and
-its tracker then recomputes through ``violations``.
+its tracker then recomputes through ``violations``. The proposal pool
+(:func:`~mdsearch.search.best_of_pool`) alone skips the batch check, on
+draws it built itself where the check would pass them; their violations
+are checked all the same.
 """
 
 from __future__ import annotations
@@ -113,7 +116,11 @@ class Constraint:
         (:class:`ContractError` unless of shape (M,) and ``>= 0``, which NaN
         is not).
         """
-        values = token_rows(values, self.alphabet, self.length)
+        return self._checked_violations(token_rows(values, self.alphabet, self.length))
+
+    def _checked_violations(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`violations` of rows that :func:`token_rows` has passed:
+        :meth:`_violations`, with its output checked."""
         nu = np.asarray(self._violations(values), dtype=np.float64)
         if nu.shape != (len(values),) or not nu.min(initial=0.0) >= 0:  # NaN fails too
             raise ContractError(f"{self.name}: violations must be {len(values)} non-negative "

@@ -92,9 +92,21 @@ class _PrefixWindow(Constraint):
     def _nu(self, length, count) -> np.ndarray:
         raise NotImplementedError
 
+    def _lengths(self, values) -> np.ndarray:
+        """Logical length of each row of checked ``values``: its first
+        terminator slot, found once by ``argmax``, or the slot count. A
+        terminator column past the last slot stands for "none", and keeps
+        ``argmax`` off an empty axis at 0 slots."""
+        is_term = np.concatenate((values == self.term_id,
+                                  np.ones((len(values), 1), dtype=bool)), axis=1)
+        return is_term.argmax(axis=1)
+
     def _violations(self, values):
-        inside = np.cumsum(values == self.term_id, axis=1) == 0
-        return self._nu(inside.sum(axis=1), (self.weights[values] * inside).sum(axis=1))
+        """The hinge of each row's logical length and of the weighted count
+        of its tokens before that length."""
+        length = self._lengths(values)
+        inside = np.arange(values.shape[1]) < length[:, None]
+        return self._nu(length, (self.weights[values] * inside).sum(axis=1))
 
     def _rebuild(self, values):
         """The first and second terminator slots plus a per-token weight
@@ -122,7 +134,9 @@ class _PrefixWindow(Constraint):
 
 
 def _hinge(x, lo, hi) -> np.ndarray:
-    return (np.maximum(0, lo - x) + np.maximum(0, x - hi)).astype(np.float64)
+    """``max(0, lo - x) + max(0, x - hi)`` as float64: with ``lo <= hi`` at
+    most one side is positive, so it is the larger side, floored at 0."""
+    return np.maximum(np.maximum(lo - x, x - hi), 0.0)
 
 
 class LengthWindow(_PrefixWindow):
@@ -132,6 +146,10 @@ class LengthWindow(_PrefixWindow):
 
     def __init__(self, spec: PeptideSpec, vocab: Vocab):
         super().__init__(spec, vocab, np.zeros(vocab.size, dtype=np.int64))
+
+    def _violations(self, values):
+        """The hinge of the logical length alone: no token counts are read."""
+        return self._nu(self._lengths(values), None)
 
     def _nu(self, length, count):
         return _hinge(length, self.spec.min_length, self.spec.max_length)
@@ -158,8 +176,8 @@ class HydrophobicFraction(_PrefixWindow):
         super().__init__(spec, vocab, _membership_weights(vocab, spec.hydrophobic))
 
     def _nu(self, length, count):
-        fraction = np.where(length > 0, count / np.maximum(length, 1), 0.0)
-        return np.maximum(0.0, self.spec.hydro_min - fraction)
+        # an empty prefix counts no residue: its fraction 0 / 1 is 0
+        return np.maximum(0.0, self.spec.hydro_min - count / np.maximum(length, 1))
 
 
 def peptide_constraints(spec: PeptideSpec, vocab: Vocab):

@@ -95,13 +95,22 @@ class ClauseViolations(Constraint):
 
         Counted over the padded table, so a pad counts its clause's first
         literal again. A count is zero exactly when its clause is false, and
-        flip deltas are taken over the same padded literals, so violations,
-        tracker values and tracker deltas are those of the unpadded clauses.
+        flip deltas are taken over the same padded literals, so tracker
+        values and tracker deltas are those of the unpadded clauses.
         """
         return (values[..., self._var_pos] == self._polarity).sum(axis=-1)
 
     def _violations(self, values):
-        return (self.true_literal_counts(values) == 0).sum(axis=1).astype(np.float64)
+        """Clauses whose literals are all false, which a pad (a repeat of its
+        clause's first literal) does not change. One gather through the
+        transposed literal table, a view, gives each literal slot's
+        (M, clauses) falsities; ANDs across the slots mark the violated
+        clauses."""
+        false = values[:, self._var_pos.T] != self._polarity.T
+        violated = false[:, 0]
+        for slot in range(1, false.shape[1]):
+            violated = violated & false[:, slot]
+        return violated.sum(axis=1, dtype=np.float64)
 
     def _rebuild(self, values):
         """Per-clause true-literal counts, from which :meth:`_peek_block`

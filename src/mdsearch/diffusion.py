@@ -82,6 +82,11 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator,
     smallest token whose cumulative sum exceeds the uniform, capped at the
     last token; a row with entries down to ``-ROW_TOL``, which
     :func:`~mdsearch.denoise.probability_rows` admits, could give another token.
+
+    With ``count``, the hits are counted in the narrowest unsigned type
+    that holds ``|V| - 1`` (``np.min_scalar_type``): one byte up to 256
+    tokens, widening past that, so no count can wrap. A single draw per row
+    counts in the default integer, which is faster for one row of hits.
     """
     rows = np.asarray(rows, dtype=np.float64)
     cdf_t = np.cumsum(rows, axis=1).T.copy()
@@ -89,7 +94,8 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator,
         u = rng.random(rows.shape[0]) * cdf_t[-1]
         return (cdf_t[:-1] <= u).sum(axis=0)
     u = rng.random((count, rows.shape[0])) * cdf_t[-1]
-    return (cdf_t[:-1, None, :] <= u).sum(axis=0)
+    hits = np.min_scalar_type(rows.shape[1] - 1)
+    return (cdf_t[:-1, None, :] <= u).sum(axis=0, dtype=hits).astype(np.int64)
 
 
 def first_hitting_steps(schedule: NoiseSchedule, count: int,

@@ -22,6 +22,7 @@ from .runner import (
     run_experiment,
     run_instances,
     run_sample,
+    summarize_records,
     write_summary_csv,
 )
 
@@ -91,9 +92,19 @@ def _cmd_sample(args) -> int:
 
 
 def _print_summary(results, out=None) -> int:
-    """Print the summary CSV of ``results``; write it to ``out`` as well when set."""
+    """Print the summary CSV of ``results``; write it to ``out`` as well when set.
+
+    A run with failed samples adds ``# N of M samples failed`` to stderr,
+    naming the run's label when there are several.
+    """
     text = render_summary_csv(results)
     sys.stdout.write(text)
+    for result in results:
+        summary = summarize_records(result)
+        if summary["errors"]:
+            label = f" ({summary['label']})" if len(results) > 1 else ""
+            print(f"# {summary['errors']} of {summary['samples']} samples failed{label}",
+                  file=sys.stderr)
     if out:
         write_summary_csv(text, out)
     return 0

@@ -249,7 +249,12 @@ def load_results(path) -> RunResult:
 
 
 def summarize_records(result: RunResult) -> dict:
-    """Aggregate metrics recomputable from the raw records alone."""
+    """Aggregate metrics recomputable from the raw records alone.
+
+    ``mean_violation`` and ``mean_rounds`` are means over the samples that
+    finished, and None when none did: a run whose samples all failed has
+    no mean, not a perfect one.
+    """
     records = result.records
     n = len(records)
     feasible = sum(1 for r in records if r.feasible)
@@ -263,9 +268,9 @@ def summarize_records(result: RunResult) -> dict:
         "feasible": feasible,
         "feasibility": feasible / n if n else 0.0,
         "mean_violation": (sum(r.total for r in finite) / len(finite)
-                           if finite else 0.0),
+                           if finite else None),
         "mean_rounds": (sum(r.rounds for r in finite) / len(finite)
-                        if finite else 0.0),
+                        if finite else None),
         "errors": n - len(finite),
     }
     for k, name in enumerate(result.constraint_names):
@@ -275,7 +280,8 @@ def summarize_records(result: RunResult) -> dict:
 
 
 def render_summary_csv(results: list[RunResult]) -> str:
-    """One CSV row per run, plus a feasibility delta against the first row."""
+    """One CSV row per run, plus a feasibility delta against the first row;
+    a metric with no value (see :func:`summarize_records`) is an empty cell."""
     if not results:
         raise ConfigError("nothing to summarize")
     tasks = {r.config.task for r in results}
@@ -296,6 +302,8 @@ def render_summary_csv(results: list[RunResult]) -> str:
 
 
 def _csv_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)

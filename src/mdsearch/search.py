@@ -76,8 +76,15 @@ def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
     0 adds nothing to the totals, even where its violation is infinite.
     """
     w = resolve_weights(weights, constraints)
-    nu = np.array([c.violations(values) for c in constraints]).reshape(len(w), len(values))
-    return nu, weighted_total(w, nu, np.zeros(len(values))), w
+    nu, totals = _totals([c.violations(values) for c in constraints], w, len(values))
+    return nu, totals, w
+
+
+def _totals(parts, w: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The violations (K, count) and weighted totals of :func:`score_rows`,
+    from each constraint's violations of the ``count`` rows."""
+    nu = np.array(parts).reshape(len(w), count)
+    return nu, weighted_total(w, nu, np.zeros(count))
 
 
 def _report(nu: np.ndarray, w: np.ndarray) -> ViolationReport:
@@ -114,6 +121,19 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     return draws
 
 
+def _drawn_violations(constraint: Constraint, draws: np.ndarray,
+                      num_tokens: int) -> np.ndarray:
+    """``constraint.violations(draws)`` of :func:`proposal_draws` draws over
+    ``num_tokens`` tokens, skipping
+    :func:`~mdsearch.constraints.base.token_rows` where it would pass them
+    (see :func:`best_of_pool`)."""
+    if (getattr(constraint.violations, "__func__", None) is Constraint.violations
+            and (constraint.alphabet is None or constraint.alphabet >= num_tokens)
+            and (constraint.length is None or constraint.length == draws.shape[1])):
+        return constraint._checked_violations(draws)
+    return constraint.violations(draws)
+
+
 class PoolPick(NamedTuple):
     candidate: np.ndarray
     report: ViolationReport
@@ -125,13 +145,25 @@ def best_of_pool(rows: np.ndarray, x_t: np.ndarray, count: int,
                  rng: np.random.Generator, mask_id: int) -> PoolPick:
     """Least-violating sample among ``count`` proposal draws.
 
-    All draws are scored in one :func:`score_rows` call and only the pick
-    gets a report. Ties break toward the earliest draw. ``first_total`` is
-    the violation of the first draw, i.e. what a pool of one would have
-    returned.
+    All draws are scored as :func:`score_rows` scores them, one call per
+    constraint, and only the pick gets a report. Ties break toward the
+    earliest draw. ``first_total`` is the violation of the first draw, i.e.
+    what a pool of one would have returned.
+
+    The draws skip one re-check. :func:`proposal_draws` built them from its
+    checked ``x_t`` and rows, so they are an int64 ``(count, L)`` array of
+    tokens in ``range(mask_id)``, and
+    :func:`~mdsearch.constraints.base.token_rows` would pass them for any
+    constraint whose ``alphabet`` is None or at least ``mask_id`` and whose
+    ``length`` is None or L. Such a constraint, unless it overrides
+    ``violations``, scores them without that check. Every other constraint
+    goes through its ``violations``, so a draw outside its alphabet still
+    raises. Each constraint's output check runs on every call.
     """
     draws = proposal_draws(rows, x_t, count, rng, mask_id)
-    nu, totals, w = score_rows(draws, constraints, weights)
+    w = resolve_weights(weights, constraints)
+    nu, totals = _totals([_drawn_violations(c, draws, mask_id) for c in constraints],
+                         w, count)
     best = int(np.argmin(totals))
     return PoolPick(draws[best], _report(nu[:, best], w), float(totals[0]))
 

@@ -126,6 +126,8 @@ def test_peptide_violations_match_naive_recount(seed, slots, rows):
         row[rng.random(slots) < rng.random()] = TERM
     if rows > 1 and slots:
         batch[1, 0] = TERM  # terminator at slot 0
+    if rows > 2:
+        batch[2] = TERM  # every slot a terminator
     constraints = peptide_constraints(PeptideSpec(), VOCAB)
     got = np.array([c.violations(batch) for c in constraints]).T
     for row, nu in zip(batch, got):
@@ -392,3 +394,73 @@ def test_best_of_pool_tie_goes_to_the_earliest_draw():
                                                None, seed, 2)
         totals = np.where(draws[:, 0] == 0, 2.0, 1.0)
         assert best == np.flatnonzero(totals == totals.min())[0]
+
+
+class Binary(Constraint):
+    """A constraint on two tokens: the pool's draws over more tokens can leave it."""
+
+    name = "binary"
+    alphabet = 2
+
+    def _violations(self, values):
+        return values.sum(axis=1).astype(np.float64)
+
+
+class Returns(Constraint):
+    """A black box that returns ``make(values)`` as its violations."""
+
+    name = "returns"
+
+    def __init__(self, make):
+        self.make = make
+
+    def _violations(self, values):
+        return self.make(values)
+
+
+def pool(constraints, num_tokens=3, length=4, count=8, seed=0):
+    rows = np.full((length, num_tokens), 1.0 / num_tokens)
+    return best_of_pool(rows, np.full(length, num_tokens), count, constraints, None,
+                        np.random.default_rng(seed), num_tokens)
+
+
+def test_pool_refuses_draws_outside_a_constraints_alphabet_or_length():
+    # the pool skips re-checking its draws only where the check would pass them
+    with pytest.raises(ContractError, match="outside range"):
+        pool((Binary(),))
+    assert pool((Binary(),), num_tokens=2).report.total >= 0
+    short = Binary()
+    short.length = 3
+    with pytest.raises(ContractError, match="shape"):
+        pool((short,), num_tokens=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: np.full(len(v), np.nan),
+    lambda v: np.full(len(v), -1.0),
+    lambda v: np.zeros(len(v) + 1),
+    lambda v: np.zeros((len(v), 1)),
+    lambda v: np.zeros(()),
+], ids=["nan", "negative", "one-too-many", "column", "scalar"])
+def test_pool_refuses_a_black_box_output_that_is_nan_or_misshapen(make):
+    with pytest.raises(ContractError, match="non-negative"):
+        pool((Returns(make),))
+    with pytest.raises(ContractError, match="non-negative"):
+        pool((UnitDuplicates(2), Returns(make)), num_tokens=4, length=16)
+
+
+def test_pool_scores_through_a_constraints_own_violations():
+    class Counted(Binary):
+        alphabet = None
+        calls = 0
+
+        def violations(self, values):
+            Counted.calls += 1
+            return super().violations(values)
+
+    plain, counted = (pool((c,), num_tokens=2, seed=5) for c in (Binary(), Counted()))
+    assert Counted.calls == 1 and counted.report == plain.report
+    assert counted.candidate.tolist() == plain.candidate.tolist()
+    override = Binary()
+    override.violations = lambda values: np.full(len(values), 7.0)
+    assert pool((override,), num_tokens=2).report.total == 7.0

@@ -264,3 +264,35 @@ def test_exact_denoiser_for_peptides_is_usage_error(tmp_path, capsys, command, d
     assert code == 2
     assert "enumerable" in capsys.readouterr().err
     assert list(tmp_path.glob("runs*")) == []
+
+
+def test_a_run_whose_samples_all_failed_reports_no_means(tmp_path, capsys):
+    # a run with no finished sample has no mean (0.0 would read as a perfect
+    # run), and stderr says how many samples failed; the exit code stays 0
+    puzzles = tmp_path / "clash.txt"
+    puzzles.write_text("11..............\n22..............\n", encoding="utf-8")
+    out = tmp_path / "clash.jsonl"
+    code = run_cli("bench", "--task", "sudoku", "--instances", str(puzzles),
+                   "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "# 2 of 2 samples failed\n" in captured.err
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [r["total"] for r in records] == [None, None]
+    assert all("no completion" in r["error"] for r in records)
+    for text in (captured.out, out.with_suffix(".summary.csv").read_text()):
+        header, row = text.strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["errors"] == "2"
+        assert cells["mean_violation"] == cells["mean_rounds"] == ""
+    assert run_cli("summarize", str(out), str(out)) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("# 2 of 2 samples failed (") == 2
+    assert captured.out.strip().splitlines()[1].split(",")[5:7] == ["", ""]
+
+
+def test_a_run_without_failures_reports_none_on_stderr(tmp_path, capsys):
+    out = tmp_path / "ok.jsonl"
+    assert run_cli("bench", "--task", "sat", "--steps", "3", "--css", "2",
+                   "--n-samples", "2", "--seed", "1", "--out", str(out)) == 0
+    assert "failed" not in capsys.readouterr().err

@@ -3,7 +3,9 @@ import pickle
 import numpy as np
 import pytest
 
+from mdsearch.constraints.base import Constraint
 from mdsearch.denoise import (
+    ROW_TOL,
     CorruptedDenoiser,
     DataDistribution,
     ExactPosteriorDenoiser,
@@ -12,7 +14,7 @@ from mdsearch.denoise import (
     load_table,
 )
 from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, ParseError
-from mdsearch.search import proposal_draws
+from mdsearch.search import best_of_pool, proposal_draws
 from mdsearch.vocab import Vocab
 
 from oracles import enumerate_posterior, posterior_by_position
@@ -281,3 +283,69 @@ def test_rows_whose_sum_overflows_are_refused_with_each_callers_error(tmp_path):
     path.write_text("?\t0\t1e308,1e308\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 1"):
         load_table(path, AB)
+
+
+# --- the row contract on both sides of ROW_TOL --------------------------------
+
+ABC = Vocab(("A", "B", "C"))
+
+
+class NoViolation(Constraint):
+    def _violations(self, values):
+        return np.zeros(len(values))
+
+
+def refusals(row, tmp_path):
+    """Which of the four row checks refuse ``row`` as the row of a masked position."""
+    rows = np.array([[1.0, 0.0, 0.0], row])
+    x_t = np.array([0, ABC.mask_id])
+    refused = []
+    calls = {
+        "check_rows": lambda: check_rows(rows, x_t, ABC),
+        "proposal_draws": lambda: proposal_draws(rows, x_t, 3, np.random.default_rng(0),
+                                                 ABC.mask_id),
+        "best_of_pool": lambda: best_of_pool(rows, x_t, 3, (NoViolation(),), None,
+                                             np.random.default_rng(0), ABC.mask_id),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except ContractError:  # DenoiserContractError for check_rows
+            refused.append(name)
+    path = tmp_path / "row.tsv"
+    path.write_text("A?\t1\t" + ",".join(map(repr, row)) + "\n", encoding="utf-8")
+    try:
+        load_table(path, ABC)
+    except ParseError:
+        refused.append("load_table")
+    return refused
+
+
+EVERY_ROW_CHECK = ["check_rows", "proposal_draws", "best_of_pool", "load_table"]
+
+
+@pytest.mark.parametrize("scale, refused", [(2.0, EVERY_ROW_CHECK), (0.5, [])],
+                         ids=["outside", "inside"])
+@pytest.mark.parametrize("shape", ["sum-high", "sum-low", "negative-entry"])
+def test_rows_just_outside_the_row_tolerance_are_refused_by_every_check(
+        tmp_path, shape, scale, refused):
+    # loosening the row-sum tolerance to 1e-6, or the entry bound to
+    # 0.5 + 1e-6, fails the outside cases; tightening either fails the inside ones
+    off = scale * ROW_TOL
+    row = {"sum-high": [0.25, 0.25, 0.5 + off],
+           "sum-low": [0.25, 0.25, 0.5 - off],
+           "negative-entry": [-off, 0.5, 0.5 + off]}[shape]
+    assert refusals(row, tmp_path) == refused
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5], ids=["outside", "inside"])
+def test_observed_rows_just_off_one_hot_are_refused(scale):
+    # a one-hot tolerance of 1e-3 fails the outside case
+    off = scale * ROW_TOL
+    rows = np.array([[1.0 - off, off, 0.0], [0.25, 0.25, 0.5]])
+    x_t = np.array([0, ABC.mask_id])
+    if scale > 1:
+        with pytest.raises(DenoiserContractError, match="one-hot"):
+            check_rows(rows, x_t, ABC)
+    else:
+        assert np.array_equal(check_rows(rows, x_t, ABC), rows)

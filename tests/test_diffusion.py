@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdsearch.denoise import ROW_TOL, probability_rows
 from mdsearch.diffusion import (
     NoiseSchedule,
     first_hitting_steps,
@@ -140,6 +141,30 @@ def test_sample_rows_matches_the_inverse_cdf_oracle(num_tokens):
             top = sample_rows(rows, LargestUniform(), count)
             assert top.tobytes() == sample_rows_by_sum(rows, LargestUniform(),
                                                        count).tobytes()
+
+
+@pytest.mark.parametrize("num_tokens", [2, 9, 21, 256, 257])
+def test_sample_rows_counts_every_hit_at_alphabet_sizes_around_one_byte(num_tokens):
+    # hits are counted in the narrowest unsigned type that holds |V| - 1: past
+    # 256 tokens a one-byte count would wrap the last token's draw to 0
+    rng = np.random.default_rng(num_tokens)
+    rows = rng.random((40, num_tokens)) ** 4
+    rows[:, -1] += rows.sum(axis=1)  # the largest uniform draws the last token
+    rows /= rows.sum(axis=1, keepdims=True)
+    for row in rows[::2]:  # entries down to -ROW_TOL, which the row contract admits
+        low = rng.choice(num_tokens - 1, size=min(3, num_tokens - 1), replace=False)
+        row[low] = -ROW_TOL * rng.random(low.size)
+        # at two tokens the other entry would pass 1 + ROW_TOL
+        row[low[0]] = -ROW_TOL if num_tokens > 2 else -0.5 * ROW_TOL
+        row[-1] += 1.0 - row.sum()
+    assert probability_rows(rows) and (rows < 0).any()
+    for count in (None, 32):
+        got = sample_rows(rows, np.random.default_rng(1), count)
+        want = sample_rows_by_sum(rows, np.random.default_rng(1), count)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        top = sample_rows(rows, LargestUniform(), count)
+        assert top.dtype == np.int64 and (top == num_tokens - 1).all()
+        assert top.tobytes() == sample_rows_by_sum(rows, LargestUniform(), count).tobytes()
 
 
 def test_first_hitting_steps_marginals():

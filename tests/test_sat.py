@@ -22,25 +22,6 @@ from oracles import (naive_sat_violation, random_formula_by_draw,
                      satisfying_assignments_by_chunks)
 
 
-def random_formula(rng, num_vars=7, num_clauses=45):
-    clauses = []
-    for _ in range(num_clauses):
-        chosen = rng.choice(num_vars, size=3, replace=False) + 1
-        signs = rng.integers(0, 2, size=3) * 2 - 1
-        clauses.append(tuple(int(v * s) for v, s in zip(chosen, signs)))
-    return CnfFormula(num_vars, tuple(clauses))
-
-
-def random_formula_by_clause(num_vars, num_clauses, rng):
-    """``sat.random_formula`` as it was before the block draw: the clause loop
-    above, rejection-sampled until satisfiable."""
-    for _ in range(sat.REJECTION_CAP):
-        formula = random_formula(rng, num_vars, num_clauses)
-        if is_satisfiable(formula):
-            return formula
-    raise GenerationError("no satisfiable formula")
-
-
 def sat_delta(formula, values, pos):
     """Change in unsatisfied-clause count from flipping ``pos``, by ``peek_block``."""
     tracker = ClauseViolations(formula).tracker(values)
@@ -91,7 +72,7 @@ def test_sat_violation_examples():
 
 def test_sat_violation_matches_naive_oracle():
     rng = np.random.default_rng(1)
-    f = random_formula(rng)
+    f = random_formula_by_draw(7, 45, rng, require_satisfiable=False)
     evaluator = ClauseViolations(f)
     for _ in range(1000):
         a = rng.integers(0, 2, size=7)
@@ -100,7 +81,7 @@ def test_sat_violation_matches_naive_oracle():
 
 def test_sat_violation_invariant_under_reordering():
     rng = np.random.default_rng(2)
-    f = random_formula(rng, num_vars=6, num_clauses=20)
+    f = random_formula_by_draw(6, 20, rng, require_satisfiable=False)
     shuffled_clauses = list(f.clauses)
     rng.shuffle(shuffled_clauses)
     shuffled_clauses = [tuple(int(x) for x in rng.permutation(c)) for c in shuffled_clauses]
@@ -125,8 +106,8 @@ def test_sat_delta_examples():
 def test_tracker_matches_recomputation():
     rng = np.random.default_rng(3)
     for _ in range(30):
-        f = random_formula(rng, num_vars=int(rng.integers(3, 10)),
-                           num_clauses=int(rng.integers(1, 40)))
+        f = random_formula_by_draw(int(rng.integers(3, 10)), int(rng.integers(1, 40)), rng,
+                                   require_satisfiable=False)
         evaluator = ClauseViolations(f)
         a = rng.integers(0, 2, size=f.num_vars)
         tracker = evaluator.tracker(a)
@@ -147,7 +128,7 @@ def test_tracker_matches_recomputation():
 @given(st.data())
 def test_tracker_delta_property(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    f = random_formula(rng, num_vars=5, num_clauses=12)
+    f = random_formula_by_draw(5, 12, rng, require_satisfiable=False)
     a = rng.integers(0, 2, size=5)
     pos = data.draw(st.integers(0, 4))
     flipped = a.copy()
@@ -556,6 +537,6 @@ def test_build_instance_matches_the_clause_loop_on_the_sat_preset():
     for seed in (1, 7, 99):
         cfg = replace(base, seed=seed)
         for index in range(100):
-            expected = random_formula_by_clause(cfg.sat_vars, cfg.sat_clauses,
-                                                instance_rng(seed, index))
+            expected = random_formula_by_draw(cfg.sat_vars, cfg.sat_clauses,
+                                              instance_rng(seed, index))
             assert render_dimacs(build_instance(cfg, index).data) == render_dimacs(expected)
