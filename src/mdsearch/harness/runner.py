@@ -161,11 +161,17 @@ class RunResult:
 def run_experiment(cfg: RunConfig) -> RunResult:
     """Run every sample of a config; write result files when ``out`` is set.
 
-    A bad setting (see :func:`run_instances`) fails the run before its
-    first sample; per-sample errors are recorded (total ``None``, other
-    metrics zeroed) rather than aborting the whole run.
+    A bad setting (see :func:`run_instances`) or an ``out`` whose directory
+    cannot be made fails the run before its first sample; per-sample errors
+    are recorded (total ``None``, other metrics zeroed) rather than aborting
+    the whole run.
     """
     instances, tables = run_instances(cfg)
+    if cfg.out:
+        try:
+            Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory for {cfg.out}: {exc}") from None
     names = tuple(c.name for c in instances[0].constraints) if instances else ()
     records = []
     run_start = time.perf_counter()

@@ -35,9 +35,9 @@ class SearchConfig:
 
     ``candidates`` is the proposal pool size per step, ``max_rounds`` caps
     greedy refinement (ignored for ``last_step`` placement, which refines
-    until no improving neighbor remains), and ``allow_unmask_edits``
-    widens refinement edits from currently-masked positions to the whole
-    editable region.
+    until no improving neighbor remains), and ``allow_unmask_edits`` lets
+    refinement edit the whole editable region; off, the sampler narrows
+    the region it refines to the positions still masked.
     """
 
     candidates: int = 32
@@ -177,36 +177,28 @@ class RefineResult(NamedTuple):
 
 def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
            vocab: Vocab, region: EditableRegion,
-           max_rounds: int | None,
-           allow_unmask_edits: bool = True,
-           x_t: np.ndarray | None = None) -> RefineResult:
-    """Greedy best-neighbor descent on the aggregate violation.
+           max_rounds: int | None) -> RefineResult:
+    """Greedy best-neighbor descent on the aggregate violation, editing only
+    the region's positions.
 
     Each round scans the full single-edit neighborhood and takes the best
     strictly improving move; equal-valued moves resolve to the lowest
     (position, token) pair. Stops on the round cap (``None`` means
     unbounded), on local optimality, or as soon as the violation hits zero.
     ``history`` records the aggregate after the start and each accepted
-    move. Edits go to the region's positions or, with ``allow_unmask_edits``
-    off, to those still masked in ``x_t``, which must then span the region.
+    move.
     """
     w = resolve_weights(weights, constraints)
     if max_rounds is not None:
         check_count(max_rounds, "max_rounds")
     current = check_integers(start, "start candidate").copy()
-    positions = region.positions
-    if not allow_unmask_edits:
-        if x_t is None or np.shape(x_t) != (region.length,):
-            raise ContractError(f"restricted edits need x_t of length {region.length}")
-        still_masked = np.asarray(x_t) == vocab.mask_id
-        positions = tuple(p for p in positions if still_masked[p])
     trackers = [c.tracker(current) for c in constraints]
     total = float(weighted_total(w, [tr.value() for tr in trackers]))
     history = [total]
     rounds = 0
-    pos_arr = np.array(positions, dtype=np.int64)
-    rows = np.arange(len(positions))
-    while total > 0 and positions and (max_rounds is None or rounds < max_rounds):
+    pos_arr = np.array(region.positions, dtype=np.int64)
+    rows = np.arange(pos_arr.size)
+    while total > 0 and pos_arr.size and (max_rounds is None or rounds < max_rounds):
         # in constraint order from the first weighted block (total > 0: one exists)
         blocks = (wk * tracker.peek_block(pos_arr, vocab.size)
                   for wk, tracker in zip(w, trackers) if wk != 0.0)
@@ -224,9 +216,8 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
         total = float(weighted_total(w, [tr.value() for tr in trackers]))
         history.append(total)
         rounds += 1
-    nu = tuple(float(tr.value()) for tr in trackers)
-    report = ViolationReport(nu, tuple(float(x) for x in w))
-    return RefineResult(current, report, rounds, tuple(history))
+    nu = np.array([tr.value() for tr in trackers], dtype=np.float64)
+    return RefineResult(current, _report(nu, w), rounds, tuple(history))
 
 
 class StepRecord(NamedTuple):
@@ -305,9 +296,10 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
                 candidate, first = pick.candidate, pick.first_total
                 pool = refined = pick.report.total
                 if pool != 0:
+                    region = instance.region if config.allow_unmask_edits else EditableRegion(
+                        x.size, frozenset(masked_positions(x, vocab.mask_id).tolist()))
                     result = refine(candidate, instance.constraints, config.weights, vocab,
-                                    instance.region, cap,
-                                    allow_unmask_edits=config.allow_unmask_edits, x_t=x)
+                                    region, cap)
                     candidate, refined, rounds = (result.candidate, result.report.total,
                                                   result.rounds)
                 x = guided_reverse_step(candidate, order[done + committed:], vocab.mask_id)

@@ -75,8 +75,8 @@ class EditableRegion:
 
     def __post_init__(self):
         check_count(self.length, "region length", 1)
-        if self.editable and not all(0 <= p < self.length for p in self.editable):
-            raise ConfigError("editable positions must lie inside the sequence")
+        for p in self.editable:
+            check_count(p, "editable position", 0, self.length)
 
     @classmethod
     def all_editable(cls, length: int) -> "EditableRegion":
@@ -84,10 +84,10 @@ class EditableRegion:
 
     @classmethod
     def with_frozen(cls, length: int, frozen: set[int] | frozenset[int]) -> "EditableRegion":
-        everything = frozenset(range(check_count(length, "region length", 1)))
-        if not everything.issuperset(frozen):
-            raise ConfigError("frozen positions must lie inside the sequence")
-        return cls(length, everything - frozenset(frozen))
+        check_count(length, "region length", 1)
+        for p in frozen:
+            check_count(p, "frozen position", 0, length)
+        return cls(length, frozenset(range(length)) - frozenset(frozen))
 
     @cached_property
     def positions(self) -> tuple[int, ...]:

@@ -83,25 +83,20 @@ def forward_corrupt(values, t, schedule, region, rng, mask_id) -> np.ndarray:
     return out
 
 
-def neighborhood(candidate, vocab, region, allow_unmask_edits=True, x_t=None):
-    """Every admissible single-token replacement of ``candidate``.
+def neighborhood(candidate, vocab, region):
+    """Every single-token replacement of ``candidate`` at a position of
+    ``region``.
 
     Yields ``(pos, token, edited)`` in ascending (pos, token) order,
-    skipping no-ops. With ``allow_unmask_edits`` disabled the editable set
-    shrinks to positions still masked in ``x_t``. Brute-force reference for
-    the neighborhood that ``refine`` scores through ``peek_block``.
+    skipping no-ops. Brute-force reference for the neighborhood that
+    ``refine`` scores through ``peek_block``.
     """
     from mdsearch.errors import ContractError
 
     candidate = np.asarray(candidate)
     if np.any(candidate == vocab.mask_id):
         raise ContractError("neighborhood requires a fully specified candidate")
-    positions = sorted(region.editable)
-    if not allow_unmask_edits:
-        if x_t is None:
-            raise ContractError("restricting edits to masked positions needs x_t")
-        positions = [p for p in positions if x_t[p] == vocab.mask_id]
-    for pos in positions:
+    for pos in sorted(region.editable):
         for token in range(vocab.size):
             if token == candidate[pos]:
                 continue
@@ -258,12 +253,15 @@ def bernoulli_chain(denoiser, alphas, values, mask_id, rng):
 def search_by_definition(rows, x_t, config, instance, rng):
     """One search step as the README defines it: the pool's pick, then
     greedy refinement unless the pick's total is 0, capped at
-    ``config.max_rounds`` except under ``last_step``.
+    ``config.max_rounds`` except under ``last_step``. Refinement edits the
+    instance's region or, with ``config.allow_unmask_edits`` off, its
+    positions still masked in ``x_t``.
 
     Returns (candidate, first draw's total, pick's total, refined total,
     rounds). Reference for the steps of ``sample`` where search runs.
     """
     from mdsearch.search import best_of_pool, refine
+    from mdsearch.vocab import EditableRegion
 
     pick = best_of_pool(rows, x_t, config.candidates, instance.constraints,
                         config.weights, rng, instance.vocab.mask_id)
@@ -271,9 +269,12 @@ def search_by_definition(rows, x_t, config, instance, rng):
     if pool == 0:
         return pick.candidate, pick.first_total, pool, pool, 0
     cap = None if config.placement == "last_step" else config.max_rounds
+    region = instance.region
+    if not config.allow_unmask_edits:
+        region = EditableRegion(region.length, frozenset(
+            p for p in region.editable if x_t[p] == instance.vocab.mask_id))
     result = refine(pick.candidate, instance.constraints, config.weights, instance.vocab,
-                    instance.region, cap, allow_unmask_edits=config.allow_unmask_edits,
-                    x_t=x_t)
+                    region, cap)
     return result.candidate, pick.first_total, pool, result.report.total, result.rounds
 
 

@@ -296,3 +296,20 @@ def test_a_run_without_failures_reports_none_on_stderr(tmp_path, capsys):
     assert run_cli("bench", "--task", "sat", "--steps", "3", "--css", "2",
                    "--n-samples", "2", "--seed", "1", "--out", str(out)) == 0
     assert "failed" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "ablate"])
+def test_an_output_path_that_cannot_be_made_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # a file where the output directory should go failed only after every sample
+    import mdsearch.harness.runner as runner
+
+    calls = []
+    monkeypatch.setattr(runner, "run_sample", lambda *args: calls.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "x.jsonl" if command == "bench" else blocker / "sweep"
+    code = run_cli(command, "--task", "sat", "--n-samples", "3", "--out", str(out))
+    assert code == 2
+    assert "cannot make output directory" in capsys.readouterr().err
+    assert calls == []

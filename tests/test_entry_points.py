@@ -105,16 +105,19 @@ def _sample(draw):
 
 def _refine(draw):
     m.refine(draw(tokens()), CONSTRAINTS, draw(weights()), BITS, SAT.region,
-             draw(COUNTS | st.none()), allow_unmask_edits=draw(st.booleans()),
-             x_t=draw(tokens()))
+             draw(COUNTS | st.none()))
 
 
 def _region(draw):
     length = draw(COUNTS)
-    if draw(st.booleans()):
+    positions = st.sets(st.integers(-2, 5) | st.floats(-2, 5) | st.booleans(), max_size=3)
+    build = draw(st.sampled_from(["all", "frozen", "raw"]))
+    if build == "all":
         m.EditableRegion.all_editable(length)
+    elif build == "frozen":
+        m.EditableRegion.with_frozen(length, draw(positions))
     else:
-        m.EditableRegion.with_frozen(length, draw(st.sets(st.integers(-2, 5), max_size=3)))
+        m.EditableRegion(length, frozenset(draw(positions)))
 
 
 def _vocab(draw):

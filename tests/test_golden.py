@@ -24,6 +24,13 @@ unmask steps (same distribution, different generator order):
 The three placements without search every step stayed byte-identical: under
 ``last_step`` the coin at t=1 was the last draw of a sample and always
 committed.
+
+``sudoku-masked-edits`` and ``sudoku9-masked-edits`` pin refinement with
+``allow_unmask_edits`` off, where edits go only to the positions still
+masked (168 and 617 refinement rounds). They were computed before the
+sampler, rather than ``refine``, took over narrowing the region. A SAT
+entry would pin nothing new: its samples make 2 rounds, and its digest
+equals the ``sat`` one.
 """
 
 import hashlib
@@ -47,6 +54,11 @@ CONFIGS = {
     "sat-off": replace(presets()["sat"], seed=SEED, num_samples=60, placement="off"),
     "sudoku-off": replace(presets()["sudoku"], seed=SEED, num_samples=60,
                           placement="off"),
+    "sudoku-masked-edits": replace(presets()["sudoku"], seed=SEED, num_samples=60,
+                                   allow_unmask_edits=False),
+    "sudoku9-masked-edits": replace(presets()["sudoku"], seed=SEED, num_samples=6,
+                                    sudoku_box=3, sudoku_blanks=40,
+                                    allow_unmask_edits=False),
 }
 
 DIGESTS = {
@@ -57,6 +69,10 @@ DIGESTS = {
     "sat-last-step": "4bc031db62d5d4ee3be10ffd0b621dd9a6daf8b2b24aa0435d18f30616205c08",
     "sat-off": "7061bdf57d85a256b2ed01272945290a87f1b41c601e7f989b482561b46b3d47",
     "sudoku-off": "0a58a136a9834c0dc792f166f813ba2e8df3fa7b23c0b2e8649a507e45169286",
+    "sudoku-masked-edits":
+        "02a175a43447e324ef127730a09908dce00cabd0bbfae0569aeff715fef4dd44",
+    "sudoku9-masked-edits":
+        "df6c908647c4f21479418257dea3d60600fba962e485597742a23466cc9889c1",
 }
 
 

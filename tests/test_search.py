@@ -194,15 +194,13 @@ def test_neighborhood_counts():
 
 
 def test_neighborhood_masked_restriction():
+    # edits go to the region's positions only; a masked candidate has no neighbors
     c = np.array([0, 1, 0])
     x_t = np.array([0, BIN.mask_id, BIN.mask_id])
-    region = EditableRegion.all_editable(3)
-    moves = list(neighborhood(c, BIN, region, allow_unmask_edits=False, x_t=x_t))
+    moves = list(neighborhood(c, BIN, EditableRegion(3, frozenset({1, 2}))))
     assert {pos for pos, _, _ in moves} == {1, 2}
     with pytest.raises(ContractError):
-        list(neighborhood(c, BIN, region, allow_unmask_edits=False))
-    with pytest.raises(ContractError):
-        list(neighborhood(x_t, BIN, region))
+        list(neighborhood(x_t, BIN, EditableRegion.all_editable(3)))
 
 
 def test_neighborhood_order_and_contents():
@@ -224,6 +222,8 @@ def test_refine_early_exit_and_zero_rounds():
                     max_rounds=0)
     assert np.array_equal(result.candidate, start)
     assert result.rounds == 0
+    # the clause tracker counts in ints; the report holds floats
+    assert [type(v) for v in result.report.values] == [float]
 
 
 def test_refine_flips_into_feasibility():
@@ -398,27 +398,16 @@ def test_one_step_sample_records_search_by_placement():
 
 
 def test_pool_then_restricted_refine_keeps_committed_values():
+    # the region narrowed to the positions still masked, as ``sample`` narrows it
     instance = _sat_searchable()
     rows = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
     x_t = np.array([0, BIN.mask_id, BIN.mask_id])
+    region = EditableRegion(3, frozenset(masked_positions(x_t, BIN.mask_id).tolist()))
     for seed in range(20):
         pick = best_of_pool(rows, x_t, 8, instance.constraints, None,
                             np.random.default_rng(seed), BIN.mask_id)
-        result = refine(pick.candidate, instance.constraints, None, BIN, instance.region, 8,
-                        allow_unmask_edits=False, x_t=x_t)
+        result = refine(pick.candidate, instance.constraints, None, BIN, region, 8)
         assert result.candidate[0] == 0  # committed positions never revised
-
-
-def test_restricted_refine_refuses_x_t_off_the_region():
-    # the masked set is read from x_t, so x_t must span the region
-    instance = _sat_searchable()
-    start = np.zeros(3, dtype=np.int64)
-    for x_t in (None, [BIN.mask_id], [BIN.mask_id] * 4, [[BIN.mask_id] * 3]):
-        with pytest.raises(ContractError, match="x_t"):
-            refine(start, instance.constraints, None, BIN, instance.region, 3,
-                   allow_unmask_edits=False, x_t=x_t)
-        # edits anywhere in the region do not read x_t
-        refine(start, instance.constraints, None, BIN, instance.region, 3, x_t=x_t)
 
 
 def test_sample_single_step_commits_refined_candidate():
@@ -646,21 +635,23 @@ class StepTilted:
 @pytest.mark.parametrize("task", ["sat", "sudoku", "peptide", "t-dependent"])
 def test_sample_matches_the_per_step_oracle(task, placement, collect_masks):
     # byte for byte, outputs and traces, at the preset step count and at a
-    # long chain where most steps neither search nor commit
+    # long chain where most steps neither search nor commit, with edits to the
+    # whole region and to the positions still masked
     cfg = replace(presets()["sat" if task == "t-dependent" else task],
                   placement=placement)
-    scfg = search_config(cfg)
     for i in range(4):
         schedule = m.linear_schedule((cfg.steps, 64)[i % 2])
         instance = build_instance(cfg, i)
         denoiser = (StepTilted(instance.vocab) if task == "t-dependent"
                     else m.build_denoiser(instance, cfg.denoiser, cfg.epsilon))
-        final, trace = sample(instance, denoiser, schedule, scfg,
-                              sample_rng(cfg.seed, i), collect_masks)
-        want, want_trace = sample_by_step(instance, denoiser, schedule, scfg,
-                                          sample_rng(cfg.seed, i), collect_masks)
-        assert final.dtype == want.dtype and final.tobytes() == want.tobytes()
-        assert trace == want_trace
+        for unmask_edits in (True, False):
+            scfg = search_config(replace(cfg, allow_unmask_edits=unmask_edits))
+            final, trace = sample(instance, denoiser, schedule, scfg,
+                                  sample_rng(cfg.seed, i), collect_masks)
+            want, want_trace = sample_by_step(instance, denoiser, schedule, scfg,
+                                              sample_rng(cfg.seed, i), collect_masks)
+            assert final.dtype == want.dtype and final.tobytes() == want.tobytes()
+            assert trace == want_trace
 
 
 def test_empty_step_records_are_shared():

@@ -49,6 +49,8 @@ def test_region_helpers():
     assert region.positions == (1, 3)
     assert region.frozen == (0, 2)
     assert EditableRegion.all_editable(3).positions == (0, 1, 2)
+    assert EditableRegion(3, frozenset({np.int64(1), np.uint8(2)})).frozen == (0,)
+    assert EditableRegion.with_frozen(3, {np.int32(0)}).positions == (1, 2)
     with pytest.raises(ConfigError):
         EditableRegion(3, frozenset({5}))
     with pytest.raises(ConfigError):
@@ -60,6 +62,16 @@ def test_region_rejects_frozen_positions_outside_the_sequence(frozen):
     # a frozen position past the end was dropped without a word
     with pytest.raises(ConfigError, match="frozen"):
         EditableRegion.with_frozen(3, frozen)
+
+
+@pytest.mark.parametrize("position", [1.5, 1.0, True, "1", None])
+def test_region_refuses_positions_that_are_not_integers(position):
+    # a position of 1.5 was kept as editable while position 1 counted as
+    # frozen, so search overwrote the frozen value there
+    with pytest.raises(ConfigError, match="editable position"):
+        EditableRegion(3, frozenset({0, position}))
+    with pytest.raises(ConfigError, match="frozen position"):
+        EditableRegion.with_frozen(3, {position})
 
 
 def test_fully_masked_all_editable():
