@@ -122,7 +122,8 @@ class Constraint:
         """:meth:`violations` of rows that :func:`token_rows` has passed:
         :meth:`_violations`, with its output checked."""
         nu = np.asarray(self._violations(values), dtype=np.float64)
-        if nu.shape != (len(values),) or not nu.min(initial=0.0) >= 0:  # NaN fails too
+        # NaN fails the bound too
+        if nu.shape != (len(values),) or not np.minimum.reduce(nu, axis=None, initial=0.0) >= 0:
             raise ContractError(f"{self.name}: violations must be {len(values)} non-negative "
                                 f"numbers (NaN is not), got shape {nu.shape}")
         return nu

@@ -97,8 +97,9 @@ class _PrefixWindow(Constraint):
         terminator slot, found once by ``argmax``, or the slot count. A
         terminator column past the last slot stands for "none", and keeps
         ``argmax`` off an empty axis at 0 slots."""
-        is_term = np.concatenate((values == self.term_id,
-                                  np.ones((len(values), 1), dtype=bool)), axis=1)
+        is_term = np.empty((len(values), values.shape[1] + 1), dtype=bool)
+        is_term[:, -1] = True
+        np.equal(values, self.term_id, out=is_term[:, :-1])
         return is_term.argmax(axis=1)
 
     def _violations(self, values):
@@ -106,16 +107,16 @@ class _PrefixWindow(Constraint):
         of its tokens before that length."""
         length = self._lengths(values)
         inside = np.arange(values.shape[1]) < length[:, None]
-        return self._nu(length, (self.weights[values] * inside).sum(axis=1))
+        return self._nu(length, np.add.reduce(self.weights[values] * inside, axis=1))
 
     def _rebuild(self, values):
         """The first and second terminator slots plus a per-token weight
         cumsum, so every edit's new prefix statistics come out in O(1)."""
-        terms = np.flatnonzero(values == self.term_id)
+        terms = (values == self.term_id).ravel().nonzero()[0]
         slots = len(values)
         first = int(terms[0]) if terms.size else slots
         second = int(terms[1]) if terms.size > 1 else slots
-        cum = np.concatenate(([0], np.cumsum(self.weights[values])))
+        cum = np.concatenate(([0], self.weights[values].cumsum()))
         return (first, second, cum), self._nu(first, cum[first])
 
     def _peek_block(self, cache, values, value, positions, num_tokens):
@@ -123,7 +124,8 @@ class _PrefixWindow(Constraint):
         first, second, cum = cache
         old = values[positions]
         tokens = np.arange(num_tokens)
-        new_first = np.full((len(positions), num_tokens), first)
+        new_first = np.empty((len(positions), num_tokens), dtype=np.int_)
+        new_first.fill(first)
         new_first[:, self.term_id] = np.minimum(first, positions)
         at_first = positions == first
         new_first[at_first] = np.where(tokens == self.term_id, first, second)

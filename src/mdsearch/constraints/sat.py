@@ -98,7 +98,7 @@ class ClauseViolations(Constraint):
         flip deltas are taken over the same padded literals, so tracker
         values and tracker deltas are those of the unpadded clauses.
         """
-        return (values[..., self._var_pos] == self._polarity).sum(axis=-1)
+        return np.add.reduce(values[..., self._var_pos] == self._polarity, axis=-1)
 
     def _violations(self, values):
         """Clauses whose literals are all false, which a pad (a repeat of its
@@ -110,13 +110,13 @@ class ClauseViolations(Constraint):
         violated = false[:, 0]
         for slot in range(1, false.shape[1]):
             violated = violated & false[:, slot]
-        return violated.sum(axis=1, dtype=np.float64)
+        return np.add.reduce(violated, axis=1, dtype=np.float64)
 
     def _rebuild(self, values):
         """Per-clause true-literal counts, from which :meth:`_peek_block`
         derives every variable's flip delta at once."""
         counts = self.true_literal_counts(values)
-        return counts, int((counts == 0).sum())
+        return counts, int(np.add.reduce(counts == 0, axis=None))
 
     def _peek_block(self, counts, values, value, positions, num_tokens):
         """Flip deltas of all variables from one bincount over literal deltas."""
@@ -126,7 +126,8 @@ class ClauseViolations(Constraint):
         before = counts[pair_clause]
         change = (before + pair_delta == 0).astype(np.int64) - (before == 0)
         flip = np.bincount(pair_var, weights=change, minlength=len(values))
-        out = np.full((positions.size, 2), float(value))
+        out = np.empty((positions.size, 2))
+        out.fill(float(value))
         out[np.arange(positions.size), 1 - values[positions]] += flip[positions]
         return out
 

@@ -136,13 +136,13 @@ class UnitDuplicates(Constraint):
         # sum(max(0, count - 1)) over the units, read off as the unit slots
         # minus the digits present
         hist = self._unit_histograms(values)
-        return np.subtract(self._unit_cells.size, np.count_nonzero(hist, axis=(1, 2)),
-                           dtype=np.float64)
+        present = np.add.reduce(hist.astype(bool), axis=(1, 2), dtype=np.intp)
+        return np.subtract(self._unit_cells.size, present, dtype=np.float64)
 
     def _rebuild(self, values):
         """Per-unit digit histograms; an edit touches exactly three units."""
         hist = self._unit_histograms(values[None])[0]
-        return hist, int(hist.size - np.count_nonzero(hist))
+        return hist, int(hist.size - np.add.reduce(hist.astype(bool), axis=None, dtype=np.intp))
 
     def _peek_block(self, hist, values, value, positions, num_tokens):
         """Leaving ``old`` and entering ``token`` over each cell's three units, by ``take``."""

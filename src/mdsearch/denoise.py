@@ -23,8 +23,9 @@ def probability_rows(rows: np.ndarray) -> bool:
     """True when every entry of the 2-D float array ``rows`` lies in ``[0, 1]``
     and every row sums to 1, each within ``ROW_TOL``; NaN and inf fail both
     tests. Entries are bounded first, so the sum cannot overflow."""
-    return bool((np.abs(rows - 0.5) <= 0.5 + ROW_TOL).all()
-                and (np.abs(rows.sum(axis=1) - 1.0) <= ROW_TOL).all())
+    return bool(np.logical_and.reduce(np.abs(rows - 0.5) <= 0.5 + ROW_TOL, axis=None)
+                and np.logical_and.reduce(
+                    np.abs(np.add.reduce(rows, axis=1) - 1.0) <= ROW_TOL, axis=None))
 
 
 def check_rows(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
@@ -40,8 +41,9 @@ def check_rows(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray
             f"rows have shape {rows.shape}, expected ({len(values)}, {vocab.size})")
     if not probability_rows(rows):
         raise DenoiserContractError("rows are negative, non-finite or not normalized")
-    observed = np.flatnonzero(values != vocab.mask_id)
-    if observed.size and (rows[observed, values[observed]] < 1.0 - ROW_TOL).any():
+    observed = (values != vocab.mask_id).ravel().nonzero()[0]
+    if observed.size and np.logical_or.reduce(rows[observed, values[observed]] < 1.0 - ROW_TOL,
+                                              axis=None):
         raise DenoiserContractError("rows at unmasked positions must be one-hot")
     return rows
 
@@ -55,12 +57,13 @@ def _one_sequence(values) -> np.ndarray:
 
 def _uniform_rows(values: np.ndarray, vocab: Vocab) -> np.ndarray:
     values = _one_sequence(values)
-    rows = np.full((len(values), vocab.size), 1.0 / vocab.size)
+    rows = np.empty((len(values), vocab.size))
+    rows.fill(1.0 / vocab.size)
     return _clamp_observed(rows, values, vocab)
 
 
 def _clamp_observed(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
-    observed = np.flatnonzero(np.asarray(values) != vocab.mask_id)
+    observed = (np.asarray(values) != vocab.mask_id).ravel().nonzero()[0]
     try:
         rows[observed] = 0.0
         rows[observed, np.asarray(values)[observed]] = 1.0
@@ -148,15 +151,15 @@ class ExactPosteriorDenoiser(Denoiser):
         support, vocab = self.dist.support, self.vocab
         if values.shape != support.shape[1:]:
             raise ContractError(f"values of shape {values.shape} for support {support.shape}")
-        observed = np.flatnonzero(values != vocab.mask_id)
-        consistent = (support[:, observed] == values[observed]).all(axis=1)
-        if not consistent.any():
+        observed = (values != vocab.mask_id).ravel().nonzero()[0]
+        consistent = np.logical_and.reduce(support[:, observed] == values[observed], axis=1)
+        if not np.logical_or.reduce(consistent, axis=None):
             return _uniform_rows(values, vocab)
         rows = np.bincount(self.bins.compress(consistent, axis=0).ravel(),
                            self.spread.compress(consistent, axis=0).ravel(),
                            values.size * vocab.size)
         rows = rows.reshape(values.size, vocab.size)
-        rows /= rows.sum(axis=1, keepdims=True)
+        rows /= np.add.reduce(rows, axis=1, keepdims=True)
         return rows  # observed rows are one-hot: every consistent row agrees there
 
 
@@ -194,7 +197,8 @@ class TableDenoiser(Denoiser):
 
     def denoise(self, values, t):
         values = _one_sequence(values)
-        rows = np.full((len(values), self.vocab.size), 1.0 / self.vocab.size)
+        rows = np.empty((len(values), self.vocab.size))
+        rows.fill(1.0 / self.vocab.size)
         for pos, row in self.table.get(self.vocab.render(values), {}).items():
             rows[pos] = row
         return _clamp_observed(rows, values, self.vocab)

@@ -76,8 +76,9 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator,
     Returns one draw per row, or with ``count`` an array of shape
     ``(count, len(rows))`` holding ``count`` independent draws per row, as
     int64. A draw is the number of a row's first ``|V| - 1`` cumulative sums
-    at or below its uniform times the row total, read from the transposed
-    CDF so that every comparison runs over contiguous memory. For rows
+    at or below its uniform times the row total. A single draw per row reads
+    each row's CDF in place; ``count`` draws read the transposed CDF, so that
+    every comparison runs over contiguous memory. For rows
     without negative entries (every built-in denoiser's) this is the
     smallest token whose cumulative sum exceeds the uniform, capped at the
     last token; a row with entries down to ``-ROW_TOL``, which
@@ -89,13 +90,14 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator,
     counts in the default integer, which is faster for one row of hits.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    cdf_t = np.cumsum(rows, axis=1).T.copy()
+    cdf = rows.cumsum(axis=1)
     if count is None:
-        u = rng.random(rows.shape[0]) * cdf_t[-1]
-        return (cdf_t[:-1] <= u).sum(axis=0)
+        u = rng.random(rows.shape[0]) * cdf[:, -1]
+        return np.add.reduce(cdf[:, :-1] <= u[:, None], axis=1)
+    cdf_t = cdf.T.copy()
     u = rng.random((count, rows.shape[0])) * cdf_t[-1]
     hits = np.min_scalar_type(rows.shape[1] - 1)
-    return (cdf_t[:-1, None, :] <= u).sum(axis=0, dtype=hits).astype(np.int64)
+    return np.add.reduce(cdf_t[:-1, None, :] <= u, axis=0, dtype=hits).astype(np.int64)
 
 
 def first_hitting_steps(schedule: NoiseSchedule, count: int,
@@ -108,7 +110,7 @@ def first_hitting_steps(schedule: NoiseSchedule, count: int,
     """
     check_count(count, "position count", 0, error=ContractError)
     rising = np.asarray(schedule.alphas[::-1])
-    return schedule.steps + 1 - np.searchsorted(rising, rng.random(count), side="right")
+    return schedule.steps + 1 - rising.searchsorted(rng.random(count), side="right")
 
 
 def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarray,

@@ -49,6 +49,20 @@ def check_count(value, what: str, low: int = 0, high: int | None = None,
     return value
 
 
+def check_counts(values, what: str, low: int = 0, high: int | None = None,
+                 error: type[ValueError] = ConfigError):
+    """``values``, a collection, unless one of them fails :func:`check_count`:
+    then that call's ``error``, for the first such value in iteration order. A
+    valid collection costs one pass over its types and one ``min`` and ``max``,
+    not a call per value."""
+    if values and not (all(kind is not bool and issubclass(kind, (int, np.integer))
+                           for kind in set(map(type, values)))
+                       and min(values) >= low and (high is None or max(values) < high)):
+        for value in values:
+            check_count(value, what, low, high, error)
+    return values
+
+
 def check_integers(values, what: str, bound: int | None = None,
                    error: type[ValueError] = ContractError) -> np.ndarray:
     """``values`` as int64, unless they are not integers in ``range(bound)``
@@ -59,7 +73,8 @@ def check_integers(values, what: str, bound: int | None = None,
         raise error(f"{what} must be integers, got {values.dtype}")
     values = values.astype(np.int64, copy=False)
     # one reduction: read as unsigned, negative integers exceed every bound
-    if bound is not None and values.size and values.view(np.uint64).max() >= bound:
+    if (bound is not None and values.size
+            and np.maximum.reduce(values.view(np.uint64), axis=None) >= bound):
         raise error(f"{what} outside range({bound})")
     return values
 
@@ -76,6 +91,8 @@ def check_reals(values, what: str, low: float | None = None, high: float | None 
     if values.dtype.kind not in "iuf":
         raise error(f"{what} must be real numbers, got {values.dtype}")
     low, high = -np.inf if low is None else low, np.inf if high is None else high
-    if not (np.isfinite(values).all() and (values >= low).all() and (values <= high).all()):
+    if not (np.logical_and.reduce(np.isfinite(values), axis=None)
+            and np.logical_and.reduce(values >= low, axis=None)
+            and np.logical_and.reduce(values <= high, axis=None)):
         raise error(f"{what} not finite or outside [{low}, {high}]: {values}")
     return values.astype(np.float64, copy=False)

@@ -161,13 +161,15 @@ class RunResult:
 def run_experiment(cfg: RunConfig) -> RunResult:
     """Run every sample of a config; write result files when ``out`` is set.
 
-    A bad setting (see :func:`run_instances`) or an ``out`` whose directory
-    cannot be made fails the run before its first sample; per-sample errors
-    are recorded (total ``None``, other metrics zeroed) rather than aborting
-    the whole run.
+    A bad setting (see :func:`run_instances`), an ``out`` that names a
+    directory or one whose directory cannot be made fails the run before its
+    first sample; per-sample errors are recorded (total ``None``, other
+    metrics zeroed) rather than aborting the whole run.
     """
     instances, tables = run_instances(cfg)
     if cfg.out:
+        if Path(cfg.out).is_dir():
+            raise ConfigError(f"output {cfg.out} is a directory, not a results file")
         try:
             Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -59,7 +59,7 @@ class SearchConfig:
 
 def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> np.ndarray:
     if weights is None:
-        return np.ones(len(constraints))
+        return np.array([1.0] * len(constraints))
     weights = check_reals(weights, "weights", low=0, error=ContractError)
     if weights.shape != (len(constraints),):
         raise ContractError(
@@ -112,7 +112,7 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     rows = np.asarray(rows, dtype=np.float64)
     if x_t.ndim != 1 or rows.shape != (len(x_t), mask_id):
         raise ContractError(f"rows of shape {rows.shape} for x_t of shape {x_t.shape}")
-    draws = np.repeat(x_t[None], count, 0)
+    draws = x_t[None].repeat(count, 0)
     masked = masked_positions(x_t, mask_id)
     proposal = rows[masked]
     if not probability_rows(proposal):
@@ -164,7 +164,7 @@ def best_of_pool(rows: np.ndarray, x_t: np.ndarray, count: int,
     w = resolve_weights(weights, constraints)
     nu, totals = _totals([_drawn_violations(c, draws, mask_id) for c in constraints],
                          w, count)
-    best = int(np.argmin(totals))
+    best = int(totals.argmin())
     return PoolPick(draws[best], _report(nu[:, best], w), float(totals[0]))
 
 
@@ -274,7 +274,7 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     x = fully_masked(instance.region, vocab.mask_id, instance.frozen_values)
     masked = masked_positions(x, vocab.mask_id)
     hits = first_hitting_steps(schedule, masked.size, rng)
-    order = masked[np.argsort(-hits, kind="stable")]
+    order = masked[(-hits).argsort(kind="stable")]
     counts = np.bincount(hits, minlength=schedule.steps + 1).tolist()
     empty = _empty_records(schedule.steps)
     masks = tuple(masked.tolist()) if collect_masks else None

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_count, check_integers
+from .errors import ConfigError, ContractError, check_count, check_counts, check_integers
 
 MASK_CHAR = "?"
 
@@ -31,11 +31,11 @@ class Vocab:
         if MASK_CHAR in self.symbols:
             raise ConfigError(f"{MASK_CHAR!r} is reserved for masked positions")
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
+    @cached_property
     def mask_id(self) -> int:
         """Reserved id one past the generable range; never a sample value."""
         return len(self.symbols)
@@ -75,8 +75,7 @@ class EditableRegion:
 
     def __post_init__(self):
         check_count(self.length, "region length", 1)
-        for p in self.editable:
-            check_count(p, "editable position", 0, self.length)
+        check_counts(self.editable, "editable position", 0, self.length)
 
     @classmethod
     def all_editable(cls, length: int) -> "EditableRegion":
@@ -85,8 +84,7 @@ class EditableRegion:
     @classmethod
     def with_frozen(cls, length: int, frozen: set[int] | frozenset[int]) -> "EditableRegion":
         check_count(length, "region length", 1)
-        for p in frozen:
-            check_count(p, "frozen position", 0, length)
+        check_counts(frozen, "frozen position", 0, length)
         return cls(length, frozenset(range(length)) - frozenset(frozen))
 
     @cached_property
@@ -105,7 +103,8 @@ def fully_masked(region: EditableRegion, mask_id: int,
 
     Frozen values must be tokens, in ``range(mask_id)``, else :class:`ConfigError`."""
     length = region.length
-    out = np.full(length, mask_id, dtype=np.int64)
+    out = np.empty(length, dtype=np.int64)
+    out.fill(mask_id)
     if region.frozen:
         if frozen_values is None:
             raise ConfigError("frozen positions present but no frozen values given")
@@ -120,5 +119,5 @@ def fully_masked(region: EditableRegion, mask_id: int,
 
 def masked_positions(values: np.ndarray, mask_id: int) -> np.ndarray:
     """Indices currently holding the mask id, in ascending order."""
-    return np.flatnonzero(np.asarray(values) == mask_id)
+    return (np.asarray(values) == mask_id).ravel().nonzero()[0]
 

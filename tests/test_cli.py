@@ -298,18 +298,22 @@ def test_a_run_without_failures_reports_none_on_stderr(tmp_path, capsys):
     assert "failed" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["bench", "ablate"])
+@pytest.mark.parametrize("command, out, message", [
+    ("bench", "file/x.jsonl", "cannot make output directory"),
+    ("ablate", "file/sweep", "cannot make output directory"),
+    ("bench", "dir", "is a directory"),
+], ids=["bench", "ablate", "bench-directory"])
 def test_an_output_path_that_cannot_be_made_is_usage_error(tmp_path, capsys, monkeypatch,
-                                                           command):
-    # a file where the output directory should go failed only after every sample
+                                                           command, out, message):
+    # a file where the output directory should go, or a directory where the
+    # results file should go, failed only after every sample
     import mdsearch.harness.runner as runner
 
     calls = []
     monkeypatch.setattr(runner, "run_sample", lambda *args: calls.append(args))
-    blocker = tmp_path / "file"
-    blocker.write_text("", encoding="utf-8")
-    out = blocker / "x.jsonl" if command == "bench" else blocker / "sweep"
-    code = run_cli(command, "--task", "sat", "--n-samples", "3", "--out", str(out))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "dir").mkdir()
+    code = run_cli(command, "--task", "sat", "--n-samples", "3", "--out", str(tmp_path / out))
     assert code == 2
-    assert "cannot make output directory" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert calls == []

@@ -340,10 +340,11 @@ def test_rows_just_outside_the_row_tolerance_are_refused_by_every_check(
 
 @pytest.mark.parametrize("scale", [2.0, 0.5], ids=["outside", "inside"])
 def test_observed_rows_just_off_one_hot_are_refused(scale):
-    # a one-hot tolerance of 1e-3 fails the outside case
+    # a one-hot tolerance of 1e-3 fails the outside case; the exact one-hot
+    # row beside it fails a check that refuses only when every observed row is off
     off = scale * ROW_TOL
-    rows = np.array([[1.0 - off, off, 0.0], [0.25, 0.25, 0.5]])
-    x_t = np.array([0, ABC.mask_id])
+    rows = np.array([[1.0 - off, off, 0.0], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]])
+    x_t = np.array([0, 1, ABC.mask_id])
     if scale > 1:
         with pytest.raises(DenoiserContractError, match="one-hot"):
             check_rows(rows, x_t, ABC)

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -12,6 +14,7 @@ from mdsearch.constraints.sat import ClauseViolations, CnfFormula
 from mdsearch.denoise import (ROW_TOL, DataDistribution, Denoiser, ExactPosteriorDenoiser,
                               UniformDenoiser)
 from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, SampleError
+from mdsearch.harness.configio import RunConfig
 from mdsearch.harness.runner import build_instance, presets, sample_rng, search_config
 from mdsearch.search import (
     PLACEMENTS,
@@ -757,3 +760,54 @@ def test_sudoku_search_repairs_corrupted_proposals():
     frozen = np.array(instance.region.frozen, dtype=np.int64)
     if frozen.size:
         assert np.array_equal(final[frozen], instance.frozen_values[frozen])
+
+
+NUMPY_WRAPPER_FILES = {"_methods.py", "fromnumeric.py", "numeric.py"}
+HOT_PATH_SHAPES = {
+    **{task: presets()[task] for task in ("sat", "sudoku", "peptide")},
+    "sudoku9": replace(presets()["sudoku"], steps=4, sudoku_box=3, sudoku_blanks=40),
+    "sat20": RunConfig(task="sat", steps=8, placement="off", denoiser="exact",
+                       sat_vars=20, sat_clauses=70),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(HOT_PATH_SHAPES))
+def test_the_sampler_calls_no_numpy_python_wrapper(shape):
+    """``sample`` and ``aggregate_violation`` call numpy's C entry points: no
+    call enters numpy's ``_methods.py``, ``fromnumeric.py`` or ``numeric.py``
+    (matched by file name inside the numpy package, so numpy 1.x and 2.x
+    paths both count).
+
+    Why: ``x.sum()``, ``x.all()``, ``np.flatnonzero``, ``np.count_nonzero``,
+    ``np.argmin`` and ``np.full`` each run Python frames before their C call,
+    and on the 7-81 positions of these tasks those frames cost more than
+    the work; the reverse loop pays them at every step of every sample and
+    every refinement round. Call the ufunc reduction (``np.add.reduce`` and
+    its kin), the array method, or ``np.empty`` plus ``fill`` instead.
+
+    One unprofiled run of the same sample first warms the caches built on
+    first use: ``ClauseViolations._pairs`` (``np.unique``, at the first
+    refinement on a formula) and Sudoku's ``_bin_offsets`` (``np.repeat``,
+    once per batch size).
+    """
+    cfg = HOT_PATH_SHAPES[shape]
+    instance = build_instance(cfg, 0)
+    denoiser = m.build_denoiser(instance, cfg.denoiser, cfg.epsilon)
+    schedule, config = m.linear_schedule(cfg.steps), search_config(cfg)
+    numpy_dir = os.path.dirname(np.__file__)
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(numpy_dir)
+                and os.path.basename(code.co_filename) in NUMPY_WRAPPER_FILES):
+            entered[f"{os.path.basename(code.co_filename)}:{code.co_name}"] += 1
+
+    for profiled in (False, True):
+        sys.setprofile(profile if profiled else None)
+        try:
+            final, _ = sample(instance, denoiser, schedule, config, sample_rng(cfg.seed, 0))
+            aggregate_violation(final, instance.constraints)
+        finally:
+            sys.setprofile(None)
+    assert not entered, dict(entered)
