@@ -49,20 +49,6 @@ def check_count(value, what: str, low: int = 0, high: int | None = None,
     return value
 
 
-def check_counts(values, what: str, low: int = 0, high: int | None = None,
-                 error: type[ValueError] = ConfigError):
-    """``values``, a collection, unless one of them fails :func:`check_count`:
-    then that call's ``error``, for the first such value in iteration order. A
-    valid collection costs one pass over its types and one ``min`` and ``max``,
-    not a call per value."""
-    if values and not (all(kind is not bool and issubclass(kind, (int, np.integer))
-                           for kind in set(map(type, values)))
-                       and min(values) >= low and (high is None or max(values) < high)):
-        for value in values:
-            check_count(value, what, low, high, error)
-    return values
-
-
 def check_integers(values, what: str, bound: int | None = None,
                    error: type[ValueError] = ContractError) -> np.ndarray:
     """``values`` as int64, unless they are not integers in ``range(bound)``

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_count, check_counts, check_integers
+from .errors import ConfigError, ContractError, check_count, check_integers
 
 MASK_CHAR = "?"
 
@@ -75,7 +75,8 @@ class EditableRegion:
 
     def __post_init__(self):
         check_count(self.length, "region length", 1)
-        check_counts(self.editable, "editable position", 0, self.length)
+        for p in self.editable:
+            check_count(p, "editable position", 0, self.length)
 
     @classmethod
     def all_editable(cls, length: int) -> "EditableRegion":
@@ -84,7 +85,8 @@ class EditableRegion:
     @classmethod
     def with_frozen(cls, length: int, frozen: set[int] | frozenset[int]) -> "EditableRegion":
         check_count(length, "region length", 1)
-        check_counts(frozen, "frozen position", 0, length)
+        for p in frozen:
+            check_count(p, "frozen position", 0, length)
         return cls(length, frozenset(range(length)) - frozenset(frozen))
 
     @cached_property

@@ -51,6 +51,10 @@ def test_region_helpers():
     assert EditableRegion.all_editable(3).positions == (0, 1, 2)
     assert EditableRegion(3, frozenset({np.int64(1), np.uint8(2)})).frozen == (0,)
     assert EditableRegion.with_frozen(3, {np.int32(0)}).positions == (1, 2)
+    assert EditableRegion.with_frozen(5, np.array([1, 2])).positions == (0, 3, 4)
+    for frozen in (np.array([1, 5]), np.array([1.0, 2.0])):
+        with pytest.raises(ConfigError, match="frozen position"):
+            EditableRegion.with_frozen(5, frozen)
     with pytest.raises(ConfigError):
         EditableRegion(3, frozenset({5}))
     with pytest.raises(ConfigError):
