@@ -230,8 +230,8 @@ def is_satisfiable(formula: CnfFormula) -> bool:
 def _loop_draw(num_vars: int, num_clauses: int, rng: np.random.Generator) -> CnfFormula:
     """One random 3-CNF, drawn clause by clause with ``choice`` and ``integers``.
 
-    The draw :func:`random_formula` makes where :func:`_block_draw` stops
-    before a draw, and the reference the tests hold the block draw to.
+    The draw :func:`random_formula` makes where :func:`_decode_draws` stops
+    before a draw, and the reference the tests hold the decode to.
     """
     clauses = []
     for _ in range(num_clauses):
@@ -250,44 +250,33 @@ def _clause_bounds(num_vars: int) -> np.ndarray:
     return np.array(floyd + [3, 2, 2, 2, 2], dtype=np.uint64)
 
 
-def _replay(rng: np.random.Generator, state: dict, words: int) -> None:
-    """Restore the generator to ``state`` and read ``words`` 32-bit words,
-    as the draws that used them did."""
-    rng.bit_generator.state = state
-    rng.integers(0, 1 << 32, size=words, dtype=np.uint32)
-
-
-def _block_draw(num_vars: int, num_clauses: int, rng: np.random.Generator,
-                count: int = 1) -> np.ndarray:
-    """Up to ``count`` consecutive :func:`_loop_draw` draws, from one block of
-    32-bit generator output.
+def _decode_draws(num_vars: int, num_clauses: int, words: np.ndarray) -> np.ndarray:
+    """Consecutive :func:`_loop_draw` draws, decoded from the 32-bit words the
+    loop reads for them: a (k * clauses, 8) uint32 array (7 columns at n=3),
+    a clause per row, in the loop's order (:func:`_clause_bounds`).
 
     ``choice(n, 3, replace=False)`` is Floyd's algorithm over Lemire-bounded
     32-bit draws with bounds n-2, n-1 and n (the first draws nothing at
     n=3), then a shuffle of the three picks with bounds 3 and 2; each sign is
-    the top bit of one more 32-bit draw. A clause thus reads 8 words, or 7 at
-    n=3, in the loop's order (:func:`_clause_bounds`), and one vectorized
-    decode turns the words of all ``count`` draws into literals.
+    the top bit of one more 32-bit draw. One vectorized decode turns the
+    words of all k draws into literals.
 
-    Returns the (k, clauses, 3) int64 literal tables of the draws before the
+    Returns the (k', clauses, 3) int64 literal tables of the draws before the
     first one where the loop would read other words: where Lemire's method
     might reject a draw (the low half of ``word * bound`` below the bound),
-    and from 2^32 variables on, where ``choice`` draws 64-bit words (k=0).
-    The generator is left where the loop leaves it after those k draws: when
-    k < count it is restored and re-reads only their words.
+    and from 2^32 variables on, where ``choice`` draws 64-bit words (k'=0).
+    It reads no generator: :func:`random_formula` reads the words and
+    rewinds its generator to the draws used.
     """
     if num_vars >= 1 << 32:
         return np.empty((0, num_clauses, 3), dtype=np.int64)
     bounds = _clause_bounds(num_vars)
-    state = rng.bit_generator.state
-    words = rng.integers(0, 1 << 32, size=(count * num_clauses, len(bounds)),
-                         dtype=np.uint32)
     scaled = words * bounds
-    risky = ((scaled & np.uint64(0xFFFFFFFF)) < bounds).reshape(count, -1).any(axis=1)
+    risky = ((scaled & np.uint64(0xFFFFFFFF)) < bounds).reshape(
+        -1, num_clauses * len(bounds)).any(axis=1)
     if risky.any():
-        usable = int(risky.argmax())
-        _replay(rng, state, usable * num_clauses * len(bounds))
-        words, scaled = words[:usable * num_clauses], scaled[:usable * num_clauses]
+        usable = int(risky.argmax()) * num_clauses
+        words, scaled = words[:usable], scaled[:usable]
     *picks, swap2, swap1 = (scaled[:, :-3] >> np.uint64(32)).astype(np.int64).T
     if num_vars == 3:
         picks.insert(0, 0)
@@ -308,7 +297,7 @@ def _block_draw(num_vars: int, num_clauses: int, rng: np.random.Generator,
 
 def _drawn_formula(num_vars: int, literals: np.ndarray,
                    words: np.ndarray | None) -> CnfFormula:
-    """The formula of one row of a :func:`_block_draw` batch, validated as any
+    """The formula of one row of a :func:`_decode_draws` batch, validated as any
     other. Its literal table and, given its row of the batch's
     :func:`_satisfying_words`, its satisfying codes are cached from
     read-only copies, so the formula keeps no batch array alive."""
@@ -332,20 +321,21 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
 
     The rejection draws are made in batches of up to ``_BATCH_DRAWS``, fewer
     where their truth tables would exceed one block of ``_BLOCK_WORDS``
-    (one draw at 20 variables, and one without ``require_satisfiable``): one
-    generator call and one decode give a batch's literal tables
-    (:func:`_block_draw`), and one pass of :func:`_satisfying_words`, the
-    function that evaluates a single formula as a stack of one, gives their
-    truth tables. The draws are then taken in order, each a validated
-    formula passed to :func:`is_satisfiable`. Once one is accepted, the
-    generator is restored to its state before the batch and re-reads only
-    the words of the draws used. Where the block draw stops early, the next
-    draw is made by the per-clause ``choice``/``integers`` loop
-    (:func:`_loop_draw`). So, as the tests check on the installed numpy,
-    the formula and the generator state after the call are those of that
-    loop run once per rejection draw. The accepted formula's satisfying
-    codes are cached on it, so :func:`satisfying_assignments` on the result
-    evaluates no clause.
+    (one draw at 20 variables, and one without ``require_satisfiable``).
+    This is the one function here that handles the generator's state. Per
+    batch it saves the state, reads the batch's 32-bit words in one call,
+    decodes them into literal tables (:func:`_decode_draws`) and truth-tables
+    those in one pass of :func:`_satisfying_words`, the function that
+    evaluates a single formula as a stack of one. The draws are then taken
+    in order, each a validated formula passed to :func:`is_satisfiable`. If
+    fewer draws were used than read, because one was accepted or the decode
+    stopped early, the state is restored once and only the used draws'
+    words are read again. Where the decode stopped early, the next draw is
+    made by the per-clause ``choice``/``integers`` loop (:func:`_loop_draw`).
+    So, as the tests check on the installed numpy, the formula and the
+    generator state after the call are those of that loop run once per
+    rejection draw. The accepted formula's satisfying codes are cached on
+    it, so :func:`satisfying_assignments` on the result evaluates no clause.
     """
     check_count(num_vars, "variable count", 3,  # 3-CNF, and the check enumerates
                 ENUM_VAR_CAP + 1 if require_satisfiable else None)
@@ -354,22 +344,29 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
     if require_satisfiable:
         clause_words = 3 << max(num_vars - _WORD_BITS, 0)
         batch = min(_BATCH_DRAWS, max(_BLOCK_WORDS // (num_clauses * clause_words), 1))
+    width = len(_clause_bounds(num_vars))
     draws = 0
     while draws < REJECTION_CAP:
         count = min(batch, REJECTION_CAP - draws)
         state = rng.bit_generator.state
-        literals = _block_draw(num_vars, num_clauses, rng, count)
-        words = _satisfying_words(num_vars, literals) if require_satisfiable else None
-        for k in range(len(literals)):
-            formula = _drawn_formula(num_vars, literals[k],
-                                     None if words is None else words[k])
-            draws += 1
+        literals = _decode_draws(num_vars, num_clauses, rng.integers(
+            0, 1 << 32, size=(count * num_clauses, width), dtype=np.uint32))
+        truth = _satisfying_words(num_vars, literals) if require_satisfiable else None
+        used = 0
+        for table in literals:
+            formula = _drawn_formula(num_vars, table, None if truth is None else truth[used])
+            used += 1
             if not require_satisfiable or is_satisfiable(formula):
-                if k + 1 < len(literals):
-                    _replay(rng, state,
-                            (k + 1) * num_clauses * len(_clause_bounds(num_vars)))
-                return formula
-        if len(literals) < count:
+                break
+        else:
+            formula = None
+        draws += used
+        if used < count:
+            rng.bit_generator.state = state
+            rng.integers(0, 1 << 32, size=used * num_clauses * width, dtype=np.uint32)
+        if formula is not None:
+            return formula
+        if used < count:  # the decode stopped before a risky draw
             formula = _loop_draw(num_vars, num_clauses, rng)
             draws += 1
             if not require_satisfiable or is_satisfiable(formula):

@@ -63,11 +63,19 @@ def _uniform_rows(values: np.ndarray, vocab: Vocab) -> np.ndarray:
 
 
 def _clamp_observed(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
-    observed = (np.asarray(values) != vocab.mask_id).ravel().nonzero()[0]
+    """One-hot ``rows`` at the observed positions of ``values``. A token past
+    the last column fails the indexing; a negative one, which indexing would
+    wrap to a column from the end, fails one reduction over the observed
+    tokens. Either is a :class:`ContractError`."""
+    values = np.asarray(values)
+    observed = (values != vocab.mask_id).ravel().nonzero()[0]
+    tokens = values[observed]
+    if tokens.size and np.minimum.reduce(tokens, axis=None) < 0:
+        raise ContractError(f"observed tokens must be non-negative, got {tokens.min()}")
     try:
         rows[observed] = 0.0
-        rows[observed, np.asarray(values)[observed]] = 1.0
-    except IndexError as exc:  # no range reduction: a negative token wraps
+        rows[observed, tokens] = 1.0
+    except IndexError as exc:
         raise ContractError(f"observed tokens: {exc}") from None
     return rows
 

@@ -17,6 +17,7 @@ from .configio import TASKS, RunConfig, load_config
 from .runner import (
     ablate,
     load_results,
+    make_output_directory,
     presets,
     render_summary_csv,
     run_experiment,
@@ -128,6 +129,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    if args.out:
+        make_output_directory(args.out)
     return _print_summary([load_results(path) for path in args.results], args.out)
 
 

@@ -138,6 +138,19 @@ def run_sample(cfg: RunConfig, instance: Instance, index: int,
     return final, trace, aggregate_violation(final, instance.constraints, cfg.weights)
 
 
+def make_output_directory(path) -> None:
+    """Make the directory that the output file ``path`` goes in. A ``path``
+    that names a directory, or whose directory cannot be made, is a
+    :class:`ConfigError`: commands check their output here before any work."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"output {path} is a directory, not a file")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory for {path}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SampleRecord:
     index: int
@@ -168,12 +181,7 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     """
     instances, tables = run_instances(cfg)
     if cfg.out:
-        if Path(cfg.out).is_dir():
-            raise ConfigError(f"output {cfg.out} is a directory, not a results file")
-        try:
-            Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot make output directory for {cfg.out}: {exc}") from None
+        make_output_directory(cfg.out)
     names = tuple(c.name for c in instances[0].constraints) if instances else ()
     records = []
     run_start = time.perf_counter()
@@ -231,7 +239,7 @@ def load_results(path) -> RunResult:
     if not lines:
         raise ConfigError(f"{path}: empty result file")
     try:
-        header, *rows = [json.loads(line) for line in lines]
+        header = json.loads(lines[0])
     except json.JSONDecodeError:
         header = None
     if not isinstance(header, dict) or header.get("format") != RESULT_FORMAT:
@@ -248,10 +256,11 @@ def load_results(path) -> RunResult:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed header: {exc!r}") from None
     records = []
-    for number, row in enumerate(rows, start=1):
+    for number, line in enumerate(lines[1:], start=1):
         try:
+            row = json.loads(line)
             records.append(SampleRecord(**{**row, "violations": tuple(row["violations"])}))
-        except (KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed record {number}: {exc!r}") from None
     return RunResult(config, constraint_names, tuple(records), 0.0)
 

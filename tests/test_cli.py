@@ -197,16 +197,17 @@ def test_non_utf8_config_or_instances_is_usage_error(tmp_path, capsys, command, 
     assert "cannot read" in capsys.readouterr().err
     assert not out.exists()
 
-@pytest.mark.parametrize("case", ["missing key", "unknown key"])
+@pytest.mark.parametrize("case", ["missing key", "unknown key", "truncated"])
 def test_summarize_malformed_record_is_usage_error(tmp_path, capsys, case):
+    # a record line that is not JSON once blamed the header: "not a result file"
     path = tmp_path / "bench.jsonl"
     assert run_cli("bench", "--task", "sat", "--steps", "2", "--css", "2",
                    "--rounds", "2", "--n-samples", "2", "--out", str(path)) == 0
     header, first, second = path.read_text(encoding="utf-8").splitlines()
-    bad = ({"index": 0} if case == "missing key"
-           else {**json.loads(second), "colour": "blue"})
-    path.write_text("\n".join([header, first, json.dumps(bad)]) + "\n",
-                    encoding="utf-8")
+    bad = {"missing key": json.dumps({"index": 0}),
+           "unknown key": json.dumps({**json.loads(second), "colour": "blue"}),
+           "truncated": second[:len(second) // 2]}[case]
+    path.write_text("\n".join([header, first, bad]) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert run_cli("summarize", str(path)) == 2
     assert "malformed record 2" in capsys.readouterr().err
@@ -298,22 +299,40 @@ def test_a_run_without_failures_reports_none_on_stderr(tmp_path, capsys):
     assert "failed" not in capsys.readouterr().err
 
 
+def test_a_runtime_error_exits_1(monkeypatch, capsys):
+    import mdsearch.harness.cli as cli
+
+    def fail(cfg):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    assert run_cli("bench", "--task", "sat", "--n-samples", "1") == 1
+    assert "error: disk on fire" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, out, message", [
     ("bench", "file/x.jsonl", "cannot make output directory"),
     ("ablate", "file/sweep", "cannot make output directory"),
     ("bench", "dir", "is a directory"),
-], ids=["bench", "ablate", "bench-directory"])
+    ("summarize", "file/x.csv", "cannot make output directory"),
+    ("summarize", "dir", "is a directory"),
+], ids=["bench", "ablate", "bench-directory", "summarize", "summarize-directory"])
 def test_an_output_path_that_cannot_be_made_is_usage_error(tmp_path, capsys, monkeypatch,
                                                            command, out, message):
     # a file where the output directory should go, or a directory where the
-    # results file should go, failed only after every sample
+    # output file should go, failed only after every sample or result file
+    import mdsearch.harness.cli as cli
     import mdsearch.harness.runner as runner
 
     calls = []
     monkeypatch.setattr(runner, "run_sample", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "load_results", lambda *args: calls.append(args))
     (tmp_path / "file").write_text("", encoding="utf-8")
     (tmp_path / "dir").mkdir()
-    code = run_cli(command, "--task", "sat", "--n-samples", "3", "--out", str(tmp_path / out))
+    inputs = ([str(tmp_path / "results.jsonl")] if command == "summarize"
+              else ["--task", "sat", "--n-samples", "3"])
+    code = run_cli(command, *inputs, "--out", str(tmp_path / out))
     assert code == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
     assert calls == []

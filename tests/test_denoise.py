@@ -14,7 +14,9 @@ from mdsearch.denoise import (
     load_table,
 )
 from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, ParseError
+from mdsearch.constraints.sat import CnfFormula
 from mdsearch.search import best_of_pool, proposal_draws
+from mdsearch.tasks import build_denoiser, sat_instance
 from mdsearch.vocab import Vocab
 
 from oracles import enumerate_posterior, posterior_by_position
@@ -31,6 +33,19 @@ def test_uniform_denoiser():
     assert np.array_equal(rows[0], [1.0, 0.0])
     assert np.allclose(rows[1], 0.5)
     check_rows(rows, np.array([0, M]), AB)
+
+
+@pytest.mark.parametrize("token", [-1, 5])
+@pytest.mark.parametrize("kind", ["uniform", "exact", "noisy", "table"])
+def test_every_built_in_denoiser_refuses_an_observed_token_outside_the_alphabet(
+        tmp_path, kind, token):
+    # indexing would read -1 as the last token
+    table = tmp_path / "table.tsv"
+    table.write_text("???\t0\t0.5,0.5\n", encoding="utf-8")
+    instance = sat_instance(CnfFormula(3, ((1, 2, 3),)))
+    den = build_denoiser(instance, f"table:{table}" if kind == "table" else kind)
+    with pytest.raises(ContractError):
+        den.denoise(np.array([token, 2, 2]), 1)
 
 
 def test_check_rows_rejections():
@@ -225,6 +240,25 @@ def test_load_table_errors(tmp_path):
         with pytest.raises(ParseError) as err:
             load_table(path, AB)
         assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("??\tx\t0.5,0.5\n", "bad position"),
+    ("??\t0\t0.5,half\n", "bad probability"),
+    ("??\t0\t0.2,0.3,0.5\n", "expected 2 probabilities"),
+], ids=["position", "probability", "count"])
+def test_load_table_names_the_field_it_cannot_read(tmp_path, text, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line 1: {message}"):
+        load_table(path, AB)
+
+
+def test_load_table_needs_single_character_symbols(tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ConfigError, match="single-character"):
+        load_table(path, Vocab(("AA", "B")))
 
 
 def test_exact_posterior_bitwise_matches_per_position_oracle():

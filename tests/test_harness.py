@@ -285,6 +285,40 @@ def test_results_load_a_header_with_the_linear_schedule(tmp_path):
     assert [r.total for r in loaded.records] == [r.total for r in result.records]
 
 
+def test_results_roundtrip_a_header_with_weights(tmp_path):
+    out = tmp_path / "run.jsonl"
+    result = run_experiment(small_config(num_samples=2, weights=(2.0,), out=str(out)))
+    loaded = load_results(out)
+    assert loaded.config == replace(result.config, out=None)
+    assert loaded.config.weights == (2.0,)
+
+
+def test_load_results_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n \n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="empty result file"):
+        load_results(path)
+
+
+def test_nothing_to_summarize_and_unpaired_runs_are_config_errors():
+    with pytest.raises(ConfigError, match="nothing to summarize"):
+        render_summary_csv([])
+    two, three = (run_experiment(small_config(num_samples=n)) for n in (2, 3))
+    with pytest.raises(ConfigError, match="equal sample counts"):
+        paired_feasibility(two, three)
+
+
+@pytest.mark.parametrize("raw, expected", [("on", True), ("Off", False)])
+def test_config_file_booleans(raw, expected):
+    cfg = parse_config(f"[run]\nallow_unmask_edits = {raw}\n")
+    assert cfg.allow_unmask_edits is expected
+
+
+def test_config_file_refuses_a_bad_boolean():
+    with pytest.raises(ConfigError, match="bad boolean 'maybe'"):
+        parse_config("[run]\nallow_unmask_edits = maybe\n")
+
+
 def test_result_files_byte_identical(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     run_experiment(small_config(out=str(a)))

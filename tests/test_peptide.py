@@ -174,10 +174,12 @@ def test_empty_peptide():
 
 @pytest.mark.parametrize("fields", [
     {"hydro_min": "a"}, {"hydro_min": float("nan")}, {"hydro_min": 1.5},
+    {"hydro_min": np.array([0.3, 0.4])},
     {"charge_min": None}, {"charge_max": 2.5}, {"charge_min": 5, "charge_max": 4},
     {"min_length": 60, "max_length": 5}, {"min_length": -1}, {"max_length": True},
-], ids=["hydro-text", "hydro-nan", "hydro-above-one", "charge-none", "charge-fraction",
-        "charge-window", "length-window", "length-negative", "length-bool"])
+], ids=["hydro-text", "hydro-nan", "hydro-above-one", "hydro-array", "charge-none",
+        "charge-fraction", "charge-window", "length-window", "length-negative",
+        "length-bool"])
 def test_peptide_spec_rejects_malformed_thresholds(fields):
     # text and None failed only at scoring, NaN as a NaN violation, and an
     # empty window was accepted

@@ -358,6 +358,20 @@ def test_dimacs_errors():
 
 # --- random formulas: the block draw against the per-clause loop -------------
 
+@pytest.mark.parametrize("text, message", [
+    ("p dnf 2 1\n1 2 0\n", "line 1: bad header 'p dnf"),
+    ("p cnf two 1\n1 2 0\n", "line 1: bad header counts"),
+    ("c only a comment\n", "missing 'p cnf' header"),
+], ids=["header", "header-counts", "no-header"])
+def test_dimacs_header_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_dimacs(text)
+
+
+def test_dimacs_skips_a_lone_zero_and_ends_an_unterminated_last_clause():
+    assert parse_dimacs("p cnf 3 2\n0\n1 -2 0\n2 3\n") == CnfFormula(3, ((1, -2), (2, 3)))
+
+
 def assert_same_stream(a, b):
     """The two generators give the same next 32-bit words and doubles."""
     words = [rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() for rng in (a, b)]
@@ -373,25 +387,33 @@ def pre_drawn(bit_generator, seed, pre_draws):
     return rng
 
 
+def batch_words(rng, num_vars, num_clauses, count):
+    """The 32-bit words ``count`` clause-loop draws read, as random_formula reads them."""
+    width = len(sat._clause_bounds(num_vars))
+    return rng.integers(0, 2**32, size=(count * num_clauses, width), dtype=np.uint32)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_vars=st.integers(3, 20),
        num_clauses=st.integers(1, 80), count=st.integers(1, 3), pre_draws=st.integers(0, 2),
        bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]))
 @example(seed=0, num_vars=3, num_clauses=45, count=3, pre_draws=1,
          bit_generator=np.random.PCG64)
-def test_block_draw_matches_the_clause_loop(seed, num_vars, num_clauses, count, pre_draws,
-                                            bit_generator):
-    block_rng = pre_drawn(bit_generator, seed, pre_draws)
-    loop_rng = pre_drawn(bit_generator, seed, pre_draws)
-    literals = sat._block_draw(num_vars, num_clauses, block_rng, count)
+def test_decode_draws_matches_the_clause_loop(seed, num_vars, num_clauses, count, pre_draws,
+                                              bit_generator):
+    words = batch_words(pre_drawn(bit_generator, seed, pre_draws), num_vars, num_clauses,
+                        count)
+    literals = sat._decode_draws(num_vars, num_clauses, words)
     assert literals.shape[1:] == (num_clauses, 3) and len(literals) <= count
+    loop_rng = pre_drawn(bit_generator, seed, pre_draws)
     for table in literals:
         assert tuple(map(tuple, table.tolist())) == sat._loop_draw(
             num_vars, num_clauses, loop_rng).clauses
-    if len(literals) < count:  # a possible Lemire rejection: the loop makes the next draw
-        formula = sat._loop_draw(num_vars, num_clauses, block_rng)
-        assert formula.clauses == sat._loop_draw(num_vars, num_clauses, loop_rng).clauses
-    assert_same_stream(block_rng, loop_rng)
+    # the decoded draws read exactly their own words, so the generator
+    # rewound to them stands where the loop does after those draws
+    used_rng = pre_drawn(bit_generator, seed, pre_draws)
+    batch_words(used_rng, num_vars, num_clauses, len(literals))
+    assert_same_stream(used_rng, loop_rng)
 
 
 def forced_rejection_rng(seed):
@@ -406,15 +428,43 @@ def forced_rejection_rng(seed):
 def test_random_formula_falls_back_to_the_loop_on_a_lemire_rejection():
     # at n=7 Floyd's first bound is 5: the word 0 leaves a low half of 0,
     # below 2^32 mod 5 = 1, so the loop rejects it and reads another word
-    probe = forced_rejection_rng(3)
-    assert len(sat._block_draw(7, 45, probe)) == 0
-    assert probe.bit_generator.state == forced_rejection_rng(3).bit_generator.state
+    assert len(sat._decode_draws(7, 45, batch_words(forced_rejection_rng(3), 7, 45, 1))) == 0
     rng, loop_rng = forced_rejection_rng(3), forced_rejection_rng(3)
     formula = sat.random_formula(7, 45, rng, require_satisfiable=False)
     assert formula == sat._loop_draw(7, 45, loop_rng)
     assert rng.bit_generator.state == loop_rng.bit_generator.state
-    # without the forced word the same seed takes the block draw
-    assert len(sat._block_draw(7, 45, np.random.default_rng(3))) == 1
+    # without the forced word the same seed's words decode
+    assert len(sat._decode_draws(7, 45, batch_words(np.random.default_rng(3), 7, 45, 1))) == 1
+
+
+@pytest.mark.parametrize("num_vars", [3, 7])
+def test_a_risky_word_stops_the_decode_at_its_draw(num_vars):
+    # the word 1 leaves a low half equal to its bound, which Lemire's method
+    # never rejects; the word 0 leaves 0, below every bound
+    width = len(sat._clause_bounds(num_vars))
+    clean = batch_words(np.random.default_rng(11), num_vars, 5, 3)
+    full = sat._decode_draws(num_vars, 5, clean)
+    assert len(full) == 3
+    for column in range(width):
+        words = clean.copy()
+        words[:, column] = 1
+        assert len(sat._decode_draws(num_vars, 5, words)) == 3
+        for clause in (0, 5, 9, 14):  # first and last clauses of the draws
+            words = clean.copy()
+            words[clause, column] = 0
+            stopped = sat._decode_draws(num_vars, 5, words)
+            assert stopped.tolist() == full[:clause // 5].tolist()
+
+
+def test_from_2_32_variables_every_draw_takes_the_loop():
+    # choice draws 64-bit words there, so no 32-bit word decodes
+    num_vars = 1 << 32
+    assert len(sat._decode_draws(num_vars, 4, batch_words(np.random.default_rng(5),
+                                                          num_vars, 4, 1))) == 0
+    rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+    formula = sat.random_formula(num_vars, 4, rng, require_satisfiable=False)
+    assert formula == sat._loop_draw(num_vars, 4, loop_rng)
+    assert_same_stream(rng, loop_rng)
 
 
 # --- random formulas: the batched rejection draws against the per-draw loop --
@@ -469,8 +519,8 @@ def test_a_lemire_risky_draw_inside_a_batch_falls_back_alone(monkeypatch):
     # clause 10 of draw 1; the word 0 is below Floyd's first bound, 5
     draws_per_batch = sat._BLOCK_WORDS // (45 * 3 * 2)
     assert min(sat._BATCH_DRAWS, draws_per_batch) > 2
-    probe = mt_rng_with_zero_word(0, 440)
-    assert len(sat._block_draw(7, 45, probe, 3)) == 1
+    assert len(sat._decode_draws(7, 45, batch_words(mt_rng_with_zero_word(0, 440), 7, 45,
+                                                    3))) == 1
     loop_rng = mt_rng_with_zero_word(0, 440)
     expected = random_formula_by_draw(7, 45, loop_rng)
     loop_draws, checks = [], []
@@ -485,6 +535,23 @@ def test_a_lemire_risky_draw_inside_a_batch_falls_back_alone(monkeypatch):
     # draw 0 came from the batch and was rejected; only draw 1 took the loop
     assert len(checks) > 2 and not real_check(checks[0])
     assert len(loop_draws) == 1
+
+
+@pytest.mark.parametrize("seed, position", [(0, 0), (2, 1), (3, 2), (4, 3), (8, 4), (18, 5)])
+def test_the_rewind_rereads_the_used_draws_at_every_batch_position(monkeypatch, seed,
+                                                                   position):
+    # at (7, 45) a batch holds _BATCH_DRAWS draws; each seed's accepted draw
+    # sits at ``position`` in its batch, the last one leaving no draw unused
+    checks = []
+    real_check = sat.is_satisfiable
+    monkeypatch.setattr(sat, "is_satisfiable",
+                        lambda formula: checks.append(formula) or real_check(formula))
+    rng = np.random.default_rng(seed)
+    formula = sat.random_formula(7, 45, rng)
+    assert (len(checks) - 1) % sat._BATCH_DRAWS == position
+    loop_rng = np.random.default_rng(seed)
+    assert formula == random_formula_by_draw(7, 45, loop_rng)
+    assert_same_stream(rng, loop_rng)
 
 
 def test_random_formula_gives_up_after_exactly_the_cap(monkeypatch):
@@ -513,13 +580,14 @@ def test_random_formula_gives_up_after_exactly_the_cap(monkeypatch):
 
 def test_drawn_formula_caches_read_only_copies_of_its_batch_rows(monkeypatch):
     batches = []
-    real_draw, real_words = sat._block_draw, sat._satisfying_words
-    monkeypatch.setattr(sat, "_block_draw",
-                        lambda *args: batches.append(real_draw(*args)) or batches[-1])
+    real_decode, real_words = sat._decode_draws, sat._satisfying_words
+    # the generator's words and the decoded literal tables of each batch
+    monkeypatch.setattr(sat, "_decode_draws", lambda *args: batches.extend(
+        [args[2], real_decode(*args)]) or batches[-1])
     monkeypatch.setattr(sat, "_satisfying_words",
                         lambda *args: batches.append(real_words(*args)) or batches[-1])
     formula = sat.random_formula(7, 45, np.random.default_rng(7))
-    assert len(batches) >= 2 and len(batches[0]) > 1
+    assert len(batches) >= 3 and len(batches[1]) > 1
     fresh = CnfFormula(formula.num_vars, formula.clauses)
     for name in ("_literals", "_codes"):
         cached = formula.__dict__[name]

@@ -281,3 +281,9 @@ def test_digit_vocab_hex_rendering():
     vocab16 = digit_vocab(4)
     assert vocab16.symbols[9] == "A"
     assert vocab16.size == 16
+
+
+def test_digit_vocab_refuses_a_box_too_large_to_render():
+    # 36 digits at box 6; the digit characters stop at 32
+    with pytest.raises(ConfigError, match="too large to render"):
+        digit_vocab(6)

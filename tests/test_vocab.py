@@ -44,6 +44,11 @@ def test_render_parse_roundtrip():
         AB.render(np.array([9]))
 
 
+def test_parse_needs_single_character_symbols():
+    with pytest.raises(ConfigError, match="single-character"):
+        Vocab(("AB", "C")).parse("AB")
+
+
 def test_region_helpers():
     region = EditableRegion.with_frozen(4, {0, 2})
     assert region.positions == (1, 3)
