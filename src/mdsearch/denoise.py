@@ -70,7 +70,7 @@ def _clamp_observed(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.nd
     values = np.asarray(values)
     observed = (values != vocab.mask_id).ravel().nonzero()[0]
     tokens = values[observed]
-    if tokens.size and np.minimum.reduce(tokens, axis=None) < 0:
+    if np.minimum.reduce(tokens, axis=None, initial=0) < 0:
         raise ContractError(f"observed tokens must be non-negative, got {tokens.min()}")
     try:
         rows[observed] = 0.0
