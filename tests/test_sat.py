@@ -356,8 +356,6 @@ def test_dimacs_errors():
         parse_dimacs("p cnf 1 1\n5 0\n")  # literal out of range
 
 
-# --- random formulas: the block draw against the per-clause loop -------------
-
 @pytest.mark.parametrize("text, message", [
     ("p dnf 2 1\n1 2 0\n", "line 1: bad header 'p dnf"),
     ("p cnf two 1\n1 2 0\n", "line 1: bad header counts"),
@@ -371,6 +369,8 @@ def test_dimacs_header_errors(text, message):
 def test_dimacs_skips_a_lone_zero_and_ends_an_unterminated_last_clause():
     assert parse_dimacs("p cnf 3 2\n0\n1 -2 0\n2 3\n") == CnfFormula(3, ((1, -2), (2, 3)))
 
+
+# --- random formulas: the decode against the per-clause loop -----------------
 
 def assert_same_stream(a, b):
     """The two generators give the same next 32-bit words and doubles."""
