@@ -1,4 +1,4 @@
-"""Violation evaluators, the edit tracker, and aggregation reports.
+"""Violation evaluators, the edit tracker, and the report record.
 
 A constraint scores a batch of candidates, one per row, with
 :meth:`Constraint.violations`; for refinement, its tracker caches one
@@ -12,10 +12,10 @@ each edit block and each committed edit; it also checks the violations
 each batch returns. Then it calls the unchecked hooks a built-in
 constraint defines: ``_violations``, and ``_rebuild`` and ``_peek_block``
 for its tracker. A black box may define only ``violation`` instead, and
-its tracker then recomputes through ``violations``. The proposal pool
-(:func:`~mdsearch.search.best_of_pool`) alone skips the batch check, on
-draws it built itself where the check would pass them; their violations
-are checked all the same.
+its tracker then recomputes through ``violations``. The proposal pool's
+draws alone may skip the batch check, where it would pass them; that
+decision is :func:`drawn_violations`, and their violations are checked
+all the same. Weights and totals belong to :mod:`mdsearch.search`.
 """
 
 from __future__ import annotations
@@ -40,9 +40,17 @@ def token_rows(values, alphabet: int | None, length: int | None = None) -> np.nd
     return check_integers(values, "tokens", alphabet)
 
 
-def weighted_total(weights, parts, start=0.0):
-    """``start`` plus each ``w * part`` in order; a part of weight 0 adds nothing, even inf."""
-    return sum((w * part for w, part in zip(weights, parts) if w != 0), start)
+def drawn_violations(constraint: "Constraint", draws: np.ndarray,
+                     num_tokens: int) -> np.ndarray:
+    """``constraint.violations(draws)`` of int64 draws over ``num_tokens``
+    tokens that :func:`~mdsearch.search.proposal_draws` built. Unless the
+    constraint overrides ``violations``, :func:`token_rows` is skipped where
+    it would pass them; the output check always runs."""
+    if (getattr(constraint.violations, "__func__", None) is Constraint.violations
+            and (constraint.alphabet is None or constraint.alphabet >= num_tokens)
+            and (constraint.length is None or constraint.length == draws.shape[1])):
+        return constraint._checked_violations(draws)
+    return constraint.violations(draws)
 
 
 class ViolationTracker:
@@ -154,19 +162,11 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Per-constraint violations with their aggregation weights."""
+    """Per-constraint violations and the weighted total its scorer summed
+    (see :mod:`mdsearch.search`)."""
 
     values: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.weights):
-            raise ContractError("violation vector and weights differ in arity")
-
-    @property
-    def total(self) -> float:
-        """Weighted sum by :func:`weighted_total`."""
-        return float(weighted_total(self.weights, self.values))
+    total: float
 
     @property
     def feasible(self) -> bool:

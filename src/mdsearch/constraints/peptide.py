@@ -63,6 +63,13 @@ def _charge_weights(vocab: Vocab, spec: "PeptideSpec") -> np.ndarray:
                      for sym in vocab.symbols], dtype=np.int64)
 
 
+def _terminator_id(vocab: Vocab) -> int:
+    """The terminator's token; :class:`ConfigError` if ``vocab`` has none."""
+    if TERMINATOR not in vocab.symbols:
+        raise ConfigError(f"peptide vocabulary {vocab.symbols} has no terminator {TERMINATOR!r}")
+    return vocab.index(TERMINATOR)
+
+
 def logical_length(values: np.ndarray, term_id: int) -> int:
     """Index of the first terminator, or the slot count if there is none."""
     hits = np.flatnonzero(np.asarray(values) == term_id)
@@ -71,7 +78,7 @@ def logical_length(values: np.ndarray, term_id: int) -> int:
 
 def peptide_string(values: np.ndarray, vocab: Vocab) -> str:
     """Residues before the first terminator, as single-letter codes."""
-    term = vocab.index(TERMINATOR)
+    term = _terminator_id(vocab)
     return vocab.render(np.asarray(values)[:logical_length(values, term)])
 
 
@@ -85,7 +92,7 @@ class _PrefixWindow(Constraint):
     def __init__(self, spec: PeptideSpec, vocab: Vocab, weights: np.ndarray):
         self.spec = spec
         self.vocab = vocab
-        self.term_id = vocab.index(TERMINATOR)
+        self.term_id = _terminator_id(vocab)
         self.weights = weights
         self.alphabet = len(weights)
 

@@ -32,7 +32,9 @@ def check_rows(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray
     """Validate denoiser output against its contract; returns the array.
 
     Checks shape, :func:`probability_rows` and one-hot consistency with the
-    observed tokens.
+    observed tokens. An observed token outside the alphabet is the caller's
+    fault, not the denoiser's: a :class:`ContractError`, as in
+    :func:`_clamp_observed`.
     """
     rows = np.asarray(rows, dtype=np.float64)
     values = np.asarray(values)
@@ -41,10 +43,14 @@ def check_rows(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray
             f"rows have shape {rows.shape}, expected ({len(values)}, {vocab.size})")
     if not probability_rows(rows):
         raise DenoiserContractError("rows are negative, non-finite or not normalized")
-    observed = (values != vocab.mask_id).ravel().nonzero()[0]
-    if observed.size and np.logical_or.reduce(rows[observed, values[observed]] < 1.0 - ROW_TOL,
-                                              axis=None):
-        raise DenoiserContractError("rows at unmasked positions must be one-hot")
+    observed, tokens = _observed_tokens(values, vocab)
+    if observed.size:
+        try:
+            hot = rows[observed, tokens]
+        except IndexError as exc:
+            raise ContractError(f"observed tokens: {exc}") from None
+        if np.logical_or.reduce(hot < 1.0 - ROW_TOL, axis=None):
+            raise DenoiserContractError("rows at unmasked positions must be one-hot")
     return rows
 
 
@@ -62,16 +68,22 @@ def _uniform_rows(values: np.ndarray, vocab: Vocab) -> np.ndarray:
     return _clamp_observed(rows, values, vocab)
 
 
-def _clamp_observed(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
-    """One-hot ``rows`` at the observed positions of ``values``. A token past
-    the last column fails the indexing; a negative one, which indexing would
-    wrap to a column from the end, fails one reduction over the observed
-    tokens. Either is a :class:`ContractError`."""
-    values = np.asarray(values)
+def _observed_tokens(values: np.ndarray, vocab: Vocab) -> tuple[np.ndarray, np.ndarray]:
+    """The observed positions of ``values`` and their tokens. A negative
+    token, which indexing would wrap to a column from the end, fails one
+    reduction over the observed tokens; a token past the last column is left
+    to fail the caller's indexing. Either is a :class:`ContractError`."""
     observed = (values != vocab.mask_id).ravel().nonzero()[0]
     tokens = values[observed]
     if np.minimum.reduce(tokens, axis=None, initial=0) < 0:
         raise ContractError(f"observed tokens must be non-negative, got {tokens.min()}")
+    return observed, tokens
+
+
+def _clamp_observed(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
+    """One-hot ``rows`` at the observed positions of ``values``, by the
+    rules of :func:`_observed_tokens`."""
+    observed, tokens = _observed_tokens(np.asarray(values), vocab)
     try:
         rows[observed] = 0.0
         rows[observed, tokens] = 1.0

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constraints.base import Constraint, ViolationReport, weighted_total
+from .constraints.base import Constraint, ViolationReport, drawn_violations
 from .denoise import Denoiser, check_rows, probability_rows
 from .diffusion import (NoiseSchedule, first_hitting_steps, guided_reverse_step,
                         sample_rows, vanilla_reverse_step)
@@ -67,17 +67,21 @@ def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> np.ndarray:
     return weights
 
 
+def weighted_total(weights, parts, start=0.0):
+    """``start`` plus each ``w * part`` in order; a part of weight 0 adds nothing, even inf."""
+    return sum((w * part for w, part in zip(weights, parts) if w != 0), start)
+
+
 def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Score every row of ``values`` (M, L) with one call per constraint.
 
-    Returns the violations (K, M), the weighted totals (M,) summed in
-    constraint order, and the resolved weights (K,). A constraint of weight
-    0 adds nothing to the totals, even where its violation is infinite.
+    Returns the violations (K, M) and the weighted totals (M,) summed by
+    :func:`weighted_total` in constraint order, so a constraint of weight 0
+    adds nothing to them, even where its violation is infinite.
     """
-    w = resolve_weights(weights, constraints)
-    nu, totals = _totals([c.violations(values) for c in constraints], w, len(values))
-    return nu, totals, w
+    return _totals([c.violations(values) for c in constraints],
+                   resolve_weights(weights, constraints), len(values))
 
 
 def _totals(parts, w: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,15 +91,11 @@ def _totals(parts, w: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return nu, weighted_total(w, nu, np.zeros(count))
 
 
-def _report(nu: np.ndarray, w: np.ndarray) -> ViolationReport:
-    return ViolationReport(tuple(nu.tolist()), tuple(w.tolist()))
-
-
 def aggregate_violation(values: np.ndarray, constraints: tuple[Constraint, ...],
                         weights=None) -> ViolationReport:
     """Evaluate every constraint and fold the results into one report."""
-    nu, _, w = score_rows(np.asarray(values)[None], constraints, weights)
-    return _report(nu[:, 0], w)
+    nu, totals = score_rows(np.asarray(values)[None], constraints, weights)
+    return ViolationReport(tuple(nu[:, 0].tolist()), float(totals[0]))
 
 
 def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
@@ -121,19 +121,6 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     return draws
 
 
-def _drawn_violations(constraint: Constraint, draws: np.ndarray,
-                      num_tokens: int) -> np.ndarray:
-    """``constraint.violations(draws)`` of :func:`proposal_draws` draws over
-    ``num_tokens`` tokens, skipping
-    :func:`~mdsearch.constraints.base.token_rows` where it would pass them
-    (see :func:`best_of_pool`)."""
-    if (getattr(constraint.violations, "__func__", None) is Constraint.violations
-            and (constraint.alphabet is None or constraint.alphabet >= num_tokens)
-            and (constraint.length is None or constraint.length == draws.shape[1])):
-        return constraint._checked_violations(draws)
-    return constraint.violations(draws)
-
-
 class PoolPick(NamedTuple):
     candidate: np.ndarray
     report: ViolationReport
@@ -148,24 +135,16 @@ def best_of_pool(rows: np.ndarray, x_t: np.ndarray, count: int,
     All draws are scored as :func:`score_rows` scores them, one call per
     constraint, and only the pick gets a report. Ties break toward the
     earliest draw. ``first_total`` is the violation of the first draw, i.e.
-    what a pool of one would have returned.
-
-    The draws skip one re-check. :func:`proposal_draws` built them from its
-    checked ``x_t`` and rows, so they are an int64 ``(count, L)`` array of
-    tokens in ``range(mask_id)``, and
-    :func:`~mdsearch.constraints.base.token_rows` would pass them for any
-    constraint whose ``alphabet`` is None or at least ``mask_id`` and whose
-    ``length`` is None or L. Such a constraint, unless it overrides
-    ``violations``, scores them without that check. Every other constraint
-    goes through its ``violations``, so a draw outside its alphabet still
-    raises. Each constraint's output check runs on every call.
+    what a pool of one would have returned. Each constraint scores the
+    draws through :func:`~mdsearch.constraints.base.drawn_violations`.
     """
     draws = proposal_draws(rows, x_t, count, rng, mask_id)
     w = resolve_weights(weights, constraints)
-    nu, totals = _totals([_drawn_violations(c, draws, mask_id) for c in constraints],
+    nu, totals = _totals([drawn_violations(c, draws, mask_id) for c in constraints],
                          w, count)
     best = int(totals.argmin())
-    return PoolPick(draws[best], _report(nu[:, best], w), float(totals[0]))
+    return PoolPick(draws[best], ViolationReport(tuple(nu[:, best].tolist()),
+                                                 float(totals[best])), float(totals[0]))
 
 
 class RefineResult(NamedTuple):
@@ -216,8 +195,8 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
         total = float(weighted_total(w, [tr.value() for tr in trackers]))
         history.append(total)
         rounds += 1
-    nu = np.array([tr.value() for tr in trackers], dtype=np.float64)
-    return RefineResult(current, _report(nu, w), rounds, tuple(history))
+    report = ViolationReport(tuple(float(tr.value()) for tr in trackers), total)
+    return RefineResult(current, report, rounds, tuple(history))
 
 
 class StepRecord(NamedTuple):

@@ -1,0 +1,134 @@
+"""Mutant table: one-line mutants of ``src/`` and the test file that catches each.
+
+    python3 tests/mutants.py            # every row
+    python3 tests/mutants.py NAME ...   # the named rows
+
+Tier-1 does not collect this file. For each row the script checks that the
+old text occurs exactly once in its file, copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, applies the mutant there and
+runs the row's test file. A failing run is ``caught``, a passing one
+``survived``; any other pytest exit (a collection error, say) is an
+``error``. A row with a reason in ``equivalent`` is not run: its mutant
+changes no output that a test could see, for the reason given. Exits 1 if
+an old text is missing or repeated, an expected catch survives, or a run
+errs; else 0.
+
+A change that adds or rewrites a fast path adds at least one row here.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    test: str  # the test file expected to catch it
+    equivalent: str = ""  # why no test can catch it; such a row is not run
+
+
+MUTANTS = (
+    # scoring: each report keeps the total its scorer summed
+    Mutant("pool-report-first-total", "src/mdsearch/search.py",
+           "float(totals[best])), float(totals[0]))",
+           "float(totals[0])), float(totals[0]))",
+           "tests/test_search.py"),
+    Mutant("pool-report-first-total-batched", "src/mdsearch/search.py",
+           "float(totals[best])), float(totals[0]))",
+           "float(totals[0])), float(totals[0]))",
+           "tests/test_batched.py"),
+    Mutant("refine-report-start-total", "src/mdsearch/search.py",
+           "for tr in trackers), total)",
+           "for tr in trackers), history[0])",
+           "tests/test_search.py"),
+    # the pool's token-check skip
+    Mutant("drawn-violations-alphabet-below", "src/mdsearch/constraints/base.py",
+           "constraint.alphabet >= num_tokens",
+           "constraint.alphabet <= num_tokens",
+           "tests/test_batched.py"),
+    Mutant("drawn-violations-any-override", "src/mdsearch/constraints/base.py",
+           'if (getattr(constraint.violations, "__func__", None) is Constraint.violations\n'
+           "            and (constraint.alphabet",
+           "if ((constraint.alphabet",
+           "tests/test_batched.py"),
+    # the row contract, each tolerance loosened
+    Mutant("row-sum-tolerance-1e-6", "src/mdsearch/denoise.py",
+           "np.abs(np.add.reduce(rows, axis=1) - 1.0) <= ROW_TOL",
+           "np.abs(np.add.reduce(rows, axis=1) - 1.0) <= 1e-6",
+           "tests/test_denoise.py"),
+    Mutant("row-entry-bound-1e-6", "src/mdsearch/denoise.py",
+           "<= 0.5 + ROW_TOL", "<= 0.5 + 1e-6",
+           "tests/test_denoise.py"),
+    Mutant("one-hot-tolerance-1e-3", "src/mdsearch/denoise.py",
+           "hot < 1.0 - ROW_TOL", "hot < 1.0 - 1e-3",
+           "tests/test_denoise.py"),
+    # random_formula's one rewind and the Lemire-risky word test
+    Mutant("rewind-rereads-one-draw-more", "src/mdsearch/constraints/sat.py",
+           "size=used * num_clauses * width",
+           "size=(used + 1) * num_clauses * width",
+           "tests/test_sat.py"),
+    Mutant("risky-word-at-its-bound", "src/mdsearch/constraints/sat.py",
+           "(scaled & np.uint64(0xFFFFFFFF)) < bounds",
+           "(scaled & np.uint64(0xFFFFFFFF)) <= bounds",
+           "tests/test_sat.py"),
+    Mutant("rewind-skipped-one-draw-short", "src/mdsearch/constraints/sat.py",
+           "        if used < count:\n            rng.bit_generator.state = state",
+           "        if used < count - 1:\n            rng.bit_generator.state = state",
+           "tests/test_sat.py"),
+    Mutant("first-hitting-left-side", "src/mdsearch/diffusion.py",
+           'side="right"', 'side="left"', "tests/test_diffusion.py",
+           equivalent="the sides differ only when a uniform equals an alpha exactly"),
+)
+
+
+def _run(mutant: Mutant) -> str:
+    """``caught``, ``survived`` or ``error (exit N)`` for one applied mutant."""
+    with tempfile.TemporaryDirectory(prefix="mdsearch-mutant-") as tmp:
+        tmp = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        target = tmp / mutant.file
+        target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                          encoding="utf-8")
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", mutant.test],
+            cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    return {0: "survived", 1: "caught"}.get(code, f"error (exit {code})")
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 1
+    failed = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        found = (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old)
+        if found != 1:
+            outcome = f"error (old text found {found} times)"
+        elif mutant.equivalent:
+            outcome = f"equivalent: {mutant.equivalent}"
+        else:
+            outcome = _run(mutant)
+        failed += not (outcome == "caught" or outcome.startswith("equivalent"))
+        print(f"{mutant.name:34} {mutant.test:24} {outcome}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

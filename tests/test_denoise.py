@@ -48,6 +48,15 @@ def test_every_built_in_denoiser_refuses_an_observed_token_outside_the_alphabet(
         den.denoise(np.array([token, 2, 2]), 1)
 
 
+@pytest.mark.parametrize("token", [-1, 5, 0.5])
+def test_check_rows_refuses_an_observed_token_outside_the_alphabet(token):
+    # row 0 is one-hot on the last token, which indexing would read for -1
+    rows = np.array([[0.0, 1.0], [0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ContractError, match="observed tokens"):
+        check_rows(rows, np.array([token, M, M]), AB)
+    check_rows(rows, np.array([1, M, M]), AB)
+
+
 def test_check_rows_rejections():
     seq = np.array([0, M])
     with pytest.raises(DenoiserContractError):

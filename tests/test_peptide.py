@@ -11,6 +11,7 @@ from mdsearch.constraints.peptide import (
 )
 from mdsearch.errors import ConfigError, ContractError
 from mdsearch.search import aggregate_violation
+from mdsearch.vocab import Vocab
 
 from oracles import naive_peptide_report
 
@@ -49,6 +50,15 @@ def test_logical_length_and_rendering():
     assert logical_length(values, TERM) == 4
     assert peptide_string(values, VOCAB) == "KKLL"
     assert logical_length(tokens("KKLL"), TERM) == 4  # no terminator present
+
+
+def test_a_vocabulary_without_the_terminator_is_a_config_error():
+    # Vocab.index raises KeyError for an unknown symbol; the peptide layer names the gap
+    no_terminator = Vocab(("A", "B"))
+    with pytest.raises(ConfigError, match="terminator '-'"):
+        peptide_constraints(SPEC, no_terminator)
+    with pytest.raises(ConfigError, match="terminator '-'"):
+        peptide_string(np.array([0, 1]), no_terminator)
 
 
 def test_feasible_example():

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from mdsearch.constraints.base import (
-    Constraint,
-    ViolationReport,
-)
+from mdsearch.constraints.base import Constraint
 from mdsearch.errors import ContractError
 from mdsearch.search import aggregate_violation, refine
 from mdsearch.vocab import EditableRegion, Vocab
@@ -38,8 +35,6 @@ def test_feasibility_is_zero_vector():
 def test_weight_arity_checked():
     with pytest.raises(ContractError):
         aggregate_violation(np.zeros(1), (Fixed("a", 1.0),), weights=(1.0, 2.0))
-    with pytest.raises(ContractError):
-        ViolationReport((1.0,), (1.0, 2.0))
 
 
 def test_negative_violation_rejected():

@@ -94,7 +94,7 @@ def test_zero_weight_constraint_counts_for_nothing():
     weights = (1.0, 0.0)
     report = aggregate_violation(np.array([0, 0]), constraints, weights)
     assert report.values == (1.0, math.inf) and report.total == 1.0
-    nu, totals, _ = score_rows(np.array([[0, 0], [0, 1]]), constraints, weights)
+    nu, totals = score_rows(np.array([[0, 0], [0, 1]]), constraints, weights)
     assert totals.tolist() == [1.0, 0.0]
     result = refine(np.array([0, 0]), constraints, weights, BIN,
                     EditableRegion.all_editable(2), max_rounds=8)
