@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (ConfigError, ContractError, DenoiserContractError, ParseError,
-                     check_integers, check_reals)
+                     check_integers, check_reals, check_sequence)
 from .vocab import Vocab
 
 ROW_TOL = 1e-9
@@ -22,73 +22,50 @@ ROW_TOL = 1e-9
 def probability_rows(rows: np.ndarray) -> bool:
     """True when every entry of the 2-D float array ``rows`` lies in ``[0, 1]``
     and every row sums to 1, each within ``ROW_TOL``; NaN and inf fail both
-    tests. Entries are bounded first, so the sum cannot overflow."""
-    return bool(np.logical_and.reduce(np.abs(rows - 0.5) <= 0.5 + ROW_TOL, axis=None)
-                and np.logical_and.reduce(
-                    np.abs(np.add.reduce(rows, axis=1) - 1.0) <= ROW_TOL, axis=None))
+    tests. Entries are bounded first, so the sum cannot overflow. Each test
+    bounds one maximum, which NaN propagates to."""
+    return bool(np.maximum.reduce(np.abs(rows - 0.5), axis=None, initial=0.0) <= 0.5 + ROW_TOL
+                and np.maximum.reduce(np.abs(np.add.reduce(rows, axis=1) - 1.0),
+                                      initial=0.0) <= ROW_TOL)
 
 
 def check_rows(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
     """Validate denoiser output against its contract; returns the array.
 
-    Checks shape, :func:`probability_rows` and one-hot consistency with the
-    observed tokens. An observed token outside the alphabet is the caller's
-    fault, not the denoiser's: a :class:`ContractError`, as in
-    :func:`_clamp_observed`.
+    The sequence ``values`` is the caller's: it must pass
+    :func:`~mdsearch.errors.check_sequence`, else a plain
+    :class:`ContractError`. The rows are the denoiser's:
+    :class:`DenoiserContractError` unless of shape ``(len(values), |V|)``,
+    :func:`probability_rows` and one-hot on the observed tokens.
     """
+    values = check_sequence(values, "observed tokens", vocab.mask_id + 1)
     rows = np.asarray(rows, dtype=np.float64)
-    values = np.asarray(values)
     if rows.shape != (len(values), vocab.size):
         raise DenoiserContractError(
             f"rows have shape {rows.shape}, expected ({len(values)}, {vocab.size})")
     if not probability_rows(rows):
         raise DenoiserContractError("rows are negative, non-finite or not normalized")
-    observed, tokens = _observed_tokens(values, vocab)
+    observed = (values != vocab.mask_id).nonzero()[0]
     if observed.size:
-        try:
-            hot = rows[observed, tokens]
-        except IndexError as exc:
-            raise ContractError(f"observed tokens: {exc}") from None
-        if np.logical_or.reduce(hot < 1.0 - ROW_TOL, axis=None):
+        hot = rows[observed, values[observed]]
+        if np.minimum.reduce(hot) < 1.0 - ROW_TOL:
             raise DenoiserContractError("rows at unmasked positions must be one-hot")
     return rows
 
 
-def _one_sequence(values) -> np.ndarray:
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ContractError(f"expected one sequence, got shape {values.shape}")
-    return values
-
-
 def _uniform_rows(values: np.ndarray, vocab: Vocab) -> np.ndarray:
-    values = _one_sequence(values)
+    values = check_sequence(values, "observed tokens", vocab.mask_id + 1)
     rows = np.empty((len(values), vocab.size))
     rows.fill(1.0 / vocab.size)
     return _clamp_observed(rows, values, vocab)
 
 
-def _observed_tokens(values: np.ndarray, vocab: Vocab) -> tuple[np.ndarray, np.ndarray]:
-    """The observed positions of ``values`` and their tokens. A negative
-    token, which indexing would wrap to a column from the end, fails one
-    reduction over the observed tokens; a token past the last column is left
-    to fail the caller's indexing. Either is a :class:`ContractError`."""
-    observed = (values != vocab.mask_id).ravel().nonzero()[0]
-    tokens = values[observed]
-    if np.minimum.reduce(tokens, axis=None, initial=0) < 0:
-        raise ContractError(f"observed tokens must be non-negative, got {tokens.min()}")
-    return observed, tokens
-
-
 def _clamp_observed(rows: np.ndarray, values: np.ndarray, vocab: Vocab) -> np.ndarray:
-    """One-hot ``rows`` at the observed positions of ``values``, by the
-    rules of :func:`_observed_tokens`."""
-    observed, tokens = _observed_tokens(np.asarray(values), vocab)
-    try:
-        rows[observed] = 0.0
-        rows[observed, tokens] = 1.0
-    except IndexError as exc:
-        raise ContractError(f"observed tokens: {exc}") from None
+    """One-hot ``rows`` at the observed positions of ``values``, a sequence
+    that :func:`~mdsearch.errors.check_sequence` has passed."""
+    observed = (values != vocab.mask_id).nonzero()[0]
+    rows[observed] = 0.0
+    rows[observed, values[observed]] = 1.0
     return rows
 
 
@@ -199,7 +176,10 @@ class CorruptedDenoiser(Denoiser):
         self.epsilon = float(epsilon)
 
     def denoise(self, values, t):
+        values = check_sequence(values, "observed tokens", self.vocab.mask_id + 1)
         rows = np.asarray(self.base.denoise(values, t), dtype=np.float64)
+        if rows.shape != (len(values), self.vocab.size):
+            raise DenoiserContractError(f"base rows have shape {rows.shape}")
         rows = (1.0 - self.epsilon) * rows + self.epsilon / self.vocab.size
         return _clamp_observed(rows, values, self.vocab)
 
@@ -216,7 +196,7 @@ class TableDenoiser(Denoiser):
         self.table = table
 
     def denoise(self, values, t):
-        values = _one_sequence(values)
+        values = check_sequence(values, "observed tokens", self.vocab.mask_id + 1)
         rows = np.empty((len(values), self.vocab.size))
         rows.fill(1.0 / self.vocab.size)
         for pos, row in self.table.get(self.vocab.render(values), {}).items():

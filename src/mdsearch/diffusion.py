@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_count, check_integers, check_reals
+from .errors import ConfigError, ContractError, check_count, check_reals, check_sequence
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,15 @@ def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarr
     """Plain reverse commit: each position in ``committing`` (from
     :func:`first_hitting_steps`) draws a token from its row; the rest carry
     over. ``rows`` must already satisfy :func:`~mdsearch.denoise.check_rows`,
-    and ``x_t`` holds tokens of their alphabet or its mask id.
+    one row per position of ``x_t``, a sequence of tokens of their alphabet
+    or its mask id (:func:`~mdsearch.errors.check_sequence`).
     """
-    try:
-        num_tokens = rows.shape[1]
-    except (AttributeError, IndexError):  # not an array, or one dimension
-        raise ContractError("reverse step: rows are not a (positions, tokens) array") from None
-    out = check_integers(x_t, "x_t", num_tokens + 1).copy()
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ContractError("reverse step: rows are not a (positions, tokens) array")
+    out = check_sequence(x_t, "x_t", rows.shape[1] + 1).copy()
+    if len(rows) != len(out):
+        raise ContractError(f"reverse step: {len(rows)} rows for {len(out)} positions")
     try:  # no range reduction: a negative position wraps
         out[committing] = sample_rows(rows[committing], rng)
     except (IndexError, TypeError, ValueError) as exc:
@@ -139,10 +141,11 @@ def guided_reverse_step(refined: np.ndarray, remaining: np.ndarray,
     Every position takes the refined candidate's value (search may have
     revised unmasked ones) except ``remaining``, the positions whose unmask
     step from :func:`first_hitting_steps` is still to come, which keep the
-    mask. The candidate must be fully specified: tokens in ``range(mask_id)``.
-    Draws no random numbers.
+    mask. The candidate must be one fully specified sequence, tokens in
+    ``range(mask_id)`` (:func:`~mdsearch.errors.check_sequence`). Draws no
+    random numbers.
     """
-    out = check_integers(refined, "refined candidate", mask_id).copy()
+    out = check_sequence(refined, "refined candidate", mask_id).copy()
     try:
         out[remaining] = mask_id
     except IndexError as exc:  # no range reduction: a negative position wraps

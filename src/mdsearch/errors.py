@@ -65,6 +65,18 @@ def check_integers(values, what: str, bound: int | None = None,
     return values
 
 
+def check_sequence(values, what: str, bound: int) -> np.ndarray:
+    """``values`` as one int64 sequence, unless it is not a 1-D array of
+    integers in ``range(bound)``: then :class:`ContractError` naming ``what``.
+    Every entry point that takes a token sequence calls it once, on entry:
+    ``bound`` is the mask id plus one for a partially masked sequence, and
+    the alphabet size for a fully specified candidate."""
+    values = check_integers(values, what, bound)
+    if values.ndim != 1:
+        raise ContractError(f"{what} must be one sequence, got shape {values.shape}")
+    return values
+
+
 def check_reals(values, what: str, low: float | None = None, high: float | None = None,
                 error: type[ValueError] = ConfigError) -> np.ndarray:
     """``values`` as float64, unless they are not finite numbers in ``[low, high]``

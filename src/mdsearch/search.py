@@ -21,8 +21,8 @@ from .constraints.base import Constraint, ViolationReport, drawn_violations
 from .denoise import Denoiser, check_rows, probability_rows
 from .diffusion import (NoiseSchedule, first_hitting_steps, guided_reverse_step,
                         sample_rows, vanilla_reverse_step)
-from .errors import (ConfigError, ContractError, SampleError, check_count, check_integers,
-                     check_reals)
+from .errors import (ConfigError, ContractError, SampleError, check_count, check_reals,
+                     check_sequence)
 from .tasks import Instance
 from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
 
@@ -102,15 +102,16 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
                    rng: np.random.Generator, mask_id: int) -> np.ndarray:
     """``count`` independent proposal samples consistent with ``x_t``.
 
-    Masked positions draw from the denoiser rows; unmasked positions are
-    clamped to their current values, tokens in ``range(mask_id)``. The rows
-    at masked positions must pass :func:`~mdsearch.denoise.probability_rows`,
-    else :class:`ContractError`.
+    ``x_t`` must pass :func:`~mdsearch.errors.check_sequence` with bound
+    ``mask_id + 1``. Masked positions draw from the denoiser rows, one row
+    per position, each ``mask_id`` tokens wide; unmasked positions are
+    clamped to their current values. The rows at masked positions must pass
+    :func:`~mdsearch.denoise.probability_rows`, else :class:`ContractError`.
     """
     check_count(count, "draw count", 1)
-    x_t = check_integers(x_t, "x_t", mask_id + 1)
+    x_t = check_sequence(x_t, "x_t", mask_id + 1)
     rows = np.asarray(rows, dtype=np.float64)
-    if x_t.ndim != 1 or rows.shape != (len(x_t), mask_id):
+    if rows.shape != (len(x_t), mask_id):
         raise ContractError(f"rows of shape {rows.shape} for x_t of shape {x_t.shape}")
     draws = x_t[None].repeat(count, 0)
     masked = masked_positions(x_t, mask_id)
@@ -165,12 +166,13 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     (position, token) pair. Stops on the round cap (``None`` means
     unbounded), on local optimality, or as soon as the violation hits zero.
     ``history`` records the aggregate after the start and each accepted
-    move.
+    move. ``start`` must be one fully specified sequence, tokens in
+    ``range(vocab.size)`` (:func:`~mdsearch.errors.check_sequence`).
     """
     w = resolve_weights(weights, constraints)
     if max_rounds is not None:
         check_count(max_rounds, "max_rounds")
-    current = check_integers(start, "start candidate").copy()
+    current = check_sequence(start, "start candidate", vocab.size).copy()
     trackers = [c.tracker(current) for c in constraints]
     total = float(weighted_total(w, [tr.value() for tr in trackers]))
     history = [total]

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_count, check_integers
+from .errors import ConfigError, ContractError, check_count, check_integers, check_sequence
 
 MASK_CHAR = "?"
 
@@ -48,9 +48,7 @@ class Vocab:
 
     def render(self, values: np.ndarray) -> str:
         """Sequence as a symbol string, masked positions shown as ``?``."""
-        values = check_integers(values, "values", self.mask_id + 1)
-        if values.ndim != 1:
-            raise ContractError(f"expected one sequence, got shape {values.shape}")
+        values = check_sequence(values, "values", self.mask_id + 1)
         symbols = self.symbols + (MASK_CHAR,)
         return "".join(symbols[v] for v in values.tolist())
 

@@ -3,15 +3,18 @@
     python3 tests/mutants.py            # every row
     python3 tests/mutants.py NAME ...   # the named rows
 
-Tier-1 does not collect this file. For each row the script checks that the
-old text occurs exactly once in its file, copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, applies the mutant there and
-runs the row's test file. A failing run is ``caught``, a passing one
-``survived``; any other pytest exit (a collection error, say) is an
-``error``. A row with a reason in ``equivalent`` is not run: its mutant
-changes no output that a test could see, for the reason given. Exits 1 if
-an old text is missing or repeated, an expected catch survives, or a run
-errs; else 0.
+Tier-1 does not collect this file. Each run copies ``src/``, ``tests/``,
+``perfbench/``, ``README.md`` and ``pyproject.toml`` to a temporary
+directory, since test files read the last three. It first runs every test
+file the chosen rows name once, unmutated: a file that fails there would
+read ``caught`` under any mutant, so its rows are an ``error``. For each
+row it then checks that the old text occurs exactly once in its file,
+applies the mutant to a fresh copy and runs the row's test file. A failing
+run is ``caught``, a passing one ``survived``; any other pytest exit (a
+collection error, say) is an ``error``. A row with a reason in
+``equivalent`` is not run: its mutant changes no output that a test could
+see, for the reason given. Exits 1 if an old text is missing or repeated,
+an expected catch survives, or a run errs; else 0.
 
 A change that adds or rewrites a fast path adds at least one row here.
 """
@@ -61,16 +64,48 @@ MUTANTS = (
            "            and (constraint.alphabet",
            "if ((constraint.alphabet",
            "tests/test_batched.py"),
+    Mutant("drawn-violations-alphabet-strict", "src/mdsearch/constraints/base.py",
+           "constraint.alphabet >= num_tokens",
+           "constraint.alphabet > num_tokens",
+           "tests/test_batched.py"),
+    Mutant("drawn-violations-length-and", "src/mdsearch/constraints/base.py",
+           "constraint.length is None or constraint.length",
+           "constraint.length is None and constraint.length",
+           "tests/test_batched.py"),
+    # one rule for a token sequence, and the first value past each bound
+    Mutant("check-sequence-no-rank-test", "src/mdsearch/errors.py",
+           "    if values.ndim != 1:\n        raise ContractError(f\"{what} must be one sequence",
+           "    if False:\n        raise ContractError(f\"{what} must be one sequence",
+           "tests/test_denoise.py"),
+    Mutant("proposal-draws-bound-one-higher", "src/mdsearch/search.py",
+           'check_sequence(x_t, "x_t", mask_id + 1)',
+           'check_sequence(x_t, "x_t", mask_id + 2)',
+           "tests/test_search.py"),
+    Mutant("vanilla-bound-one-higher", "src/mdsearch/diffusion.py",
+           'check_sequence(x_t, "x_t", rows.shape[1] + 1)',
+           'check_sequence(x_t, "x_t", rows.shape[1] + 2)',
+           "tests/test_diffusion.py"),
+    Mutant("vanilla-no-row-count-test", "src/mdsearch/diffusion.py",
+           "if len(rows) != len(out):", "if False:",
+           "tests/test_diffusion.py"),
+    Mutant("alpha-bound-one-higher", "src/mdsearch/diffusion.py",
+           '"step", 0, self.steps + 1,', '"step", 0, self.steps + 2,',
+           "tests/test_diffusion.py"),
+    Mutant("table-position-at-length", "src/mdsearch/denoise.py",
+           "pos >= len(pattern)", "pos > len(pattern)",
+           "tests/test_denoise.py"),
+    Mutant("default-weights-doubled", "src/mdsearch/denoise.py",
+           "1.0 / support.shape[0])", "2.0 / support.shape[0])",
+           "tests/test_denoise.py"),
     # the row contract, each tolerance loosened
     Mutant("row-sum-tolerance-1e-6", "src/mdsearch/denoise.py",
-           "np.abs(np.add.reduce(rows, axis=1) - 1.0) <= ROW_TOL",
-           "np.abs(np.add.reduce(rows, axis=1) - 1.0) <= 1e-6",
+           "initial=0.0) <= ROW_TOL", "initial=0.0) <= 1e-6",
            "tests/test_denoise.py"),
     Mutant("row-entry-bound-1e-6", "src/mdsearch/denoise.py",
            "<= 0.5 + ROW_TOL", "<= 0.5 + 1e-6",
            "tests/test_denoise.py"),
     Mutant("one-hot-tolerance-1e-3", "src/mdsearch/denoise.py",
-           "hot < 1.0 - ROW_TOL", "hot < 1.0 - 1e-3",
+           "np.minimum.reduce(hot) < 1.0 - ROW_TOL", "np.minimum.reduce(hot) < 1.0 - 1e-3",
            "tests/test_denoise.py"),
     # random_formula's one rewind and the Lemire-risky word test
     Mutant("rewind-rereads-one-draw-more", "src/mdsearch/constraints/sat.py",
@@ -91,21 +126,23 @@ MUTANTS = (
 )
 
 
-def _run(mutant: Mutant) -> str:
-    """``caught``, ``survived`` or ``error (exit N)`` for one applied mutant."""
+def _pytest(test: str, mutant: Mutant | None = None) -> int:
+    """The pytest exit code of ``test`` in a fresh copy of the repository,
+    with ``mutant`` applied if given."""
     with tempfile.TemporaryDirectory(prefix="mdsearch-mutant-") as tmp:
         tmp = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, tmp / part,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(ROOT / "pyproject.toml", tmp)
-        target = tmp / mutant.file
-        target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
-                          encoding="utf-8")
-        code = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", mutant.test],
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", "out"))
+        for part in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / part, tmp)
+        if mutant is not None:
+            target = tmp / mutant.file
+            target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                              encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test],
             cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
-    return {0: "survived", 1: "caught"}.get(code, f"error (exit {code})")
 
 
 def main(argv=None) -> int:
@@ -114,17 +151,21 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}")
         return 1
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unmutated = {test: _pytest(test) for test in
+                 sorted({m.test for m in chosen if not m.equivalent})}
     failed = 0
-    for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
+    for mutant in chosen:
         found = (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old)
         if found != 1:
             outcome = f"error (old text found {found} times)"
         elif mutant.equivalent:
             outcome = f"equivalent: {mutant.equivalent}"
+        elif unmutated[mutant.test]:
+            outcome = f"error (exit {unmutated[mutant.test]} unmutated)"
         else:
-            outcome = _run(mutant)
+            code = _pytest(mutant.test, mutant)
+            outcome = {0: "survived", 1: "caught"}.get(code, f"error (exit {code})")
         failed += not (outcome == "caught" or outcome.startswith("equivalent"))
         print(f"{mutant.name:34} {mutant.test:24} {outcome}", flush=True)
     return 1 if failed else 0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mdsearch.constraints import base
 from mdsearch.constraints.base import Constraint
 from mdsearch.constraints.peptide import (
     TERMINATOR,
@@ -19,9 +20,11 @@ from mdsearch.constraints.peptide import (
 )
 from mdsearch.constraints.sat import ClauseViolations, CnfFormula
 from mdsearch.constraints.sudoku import UnitDuplicates, random_solution
+from mdsearch.denoise import UniformDenoiser
 from mdsearch.errors import ContractError
+from mdsearch.harness.runner import build_instance, presets
 from mdsearch.search import best_of_pool, proposal_draws, refine
-from mdsearch.vocab import EditableRegion, Vocab
+from mdsearch.vocab import EditableRegion, Vocab, fully_masked
 
 from oracles import (
     naive_peptide_report,
@@ -464,3 +467,44 @@ def test_pool_scores_through_a_constraints_own_violations():
     override = Binary()
     override.violations = lambda values: np.full(len(values), 7.0)
     assert pool((override,), num_tokens=2).report.total == 7.0
+
+
+@pytest.fixture
+def token_row_calls(monkeypatch):
+    """The calls of ``constraints.base.token_rows`` while the test runs."""
+    calls = []
+    checked = base.token_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(base, "token_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("task", ["sat", "sudoku", "peptide"])
+def test_the_pool_skips_the_token_check_on_every_preset_instance(token_row_calls, task):
+    # `>` for `>=` on the alphabet, or `and` for `or` on the length, re-checked
+    # every pool's draws: the same outputs, only slower
+    cfg = presets()[task]
+    instance = build_instance(cfg, 0)
+    mask_id = instance.vocab.mask_id
+    x_t = fully_masked(instance.region, mask_id, instance.frozen_values)
+    rows = UniformDenoiser(instance.vocab).denoise(x_t, 1)
+    best_of_pool(rows, x_t, cfg.candidates, instance.constraints, None,
+                 np.random.default_rng(0), mask_id)
+    assert token_row_calls == []
+
+
+def test_the_pool_checks_tokens_once_for_a_narrower_alphabet_or_an_override(token_row_calls):
+    class Override(Binary):
+        def violations(self, values):
+            return super().violations(values)
+
+    rows = np.array([[0.5, 0.5, 0.0]] * 4)  # the draws stay inside Binary's two tokens
+    for constraint, mask_id in ((Binary(), 3), (Override(), 2)):
+        token_row_calls.clear()
+        best_of_pool(rows[:, :mask_id], np.full(4, mask_id), 8, (constraint,), None,
+                     np.random.default_rng(0), mask_id)
+        assert len(token_row_calls) == 1

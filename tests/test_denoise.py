@@ -57,6 +57,29 @@ def test_check_rows_refuses_an_observed_token_outside_the_alphabet(token):
     check_rows(rows, np.array([1, M, M]), AB)
 
 
+@pytest.mark.parametrize("values, rows", [
+    (np.int64(M), np.full((1, 2), 0.5)),
+    (np.array([True, False]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+    (np.array([[M, M]]), np.full((1, 2), 0.5)),
+], ids=["scalar", "bool", "two-dimensional"])
+def test_check_rows_refuses_a_sequence_that_is_not_one_integer_array(values, rows):
+    # a scalar raised a bare TypeError from len(); a bool array read as a mask,
+    # and its one-hot rows were blamed on the denoiser; one row of two passed
+    with pytest.raises(ContractError) as err:
+        check_rows(rows, values, AB)
+    assert err.type is ContractError
+
+
+def test_noisy_denoiser_refuses_base_rows_of_another_shape():
+    # clamping an observed position past the base's last row raised a bare IndexError
+    class Short(UniformDenoiser):
+        def denoise(self, values, t):
+            return super().denoise(values, t)[:1]
+
+    with pytest.raises(DenoiserContractError, match="base rows"):
+        CorruptedDenoiser(Short(AB), 0.5).denoise(np.array([M, 0]), 1)
+
+
 def test_check_rows_rejections():
     seq = np.array([0, M])
     with pytest.raises(DenoiserContractError):
@@ -81,6 +104,13 @@ def test_data_distribution_validation():
     assert np.allclose(dist.weights, [0.75, 0.25])
     with pytest.raises(ValueError):
         dist.support[0, 0] = 1  # read-only after construction
+
+
+def test_data_distribution_default_weights_sum_to_one():
+    # the posterior renormalizes, so only the public field shows a wrong default
+    weights = DataDistribution(np.array([[0, 1], [1, 0], [1, 1]])).weights
+    assert weights.tolist() == [1 / 3] * 3
+    assert abs(weights.sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -241,6 +271,7 @@ def test_load_table_errors(tmp_path):
         ("??\t0\n", "line 1"),                    # missing field
         ("?X\t0\t0.5,0.5\n", "line 1"),           # bad symbol
         ("??\t7\t0.5,0.5\n", "line 1"),           # bad position
+        ("??\t2\t0.5,0.5\n", "line 1"),           # position at the pattern's length
         ("??\t0\t0.5,0.5\n??\t0\t0.5,0.5\n", "line 2"),  # duplicate
     ]
     for text, fragment in cases:

@@ -47,6 +47,13 @@ def test_schedule_validation():
         NoiseSchedule((1.0, 0.1))
 
 
+def test_schedule_alpha_refuses_a_step_past_the_last():
+    sched = linear_schedule(3)
+    assert sched.alpha(3) == 0.0
+    with pytest.raises(ContractError, match="step"):
+        sched.alpha(4)
+
+
 def test_reverse_coeffs_linear():
     sched = linear_schedule(4)
     coeffs = reverse_coeffs(4, sched)
@@ -236,12 +243,27 @@ def test_guided_rejects_tokens_off_the_alphabet(refined):
         guided_reverse_step(np.array(refined), np.array([], dtype=np.int64), AB.mask_id)
 
 
-@pytest.mark.parametrize("x_t", [[7, AB.mask_id], [-1, AB.mask_id]])
+@pytest.mark.parametrize("x_t", [[7, AB.mask_id], [-1, AB.mask_id],
+                                 [AB.mask_id + 1, AB.mask_id]])
 def test_vanilla_rejects_tokens_off_the_alphabet(x_t):
     # the carried-over token came out unchanged
     with pytest.raises(ContractError, match="outside range"):
         vanilla_reverse_step(np.array(x_t), np.full((2, 2), 0.5), np.array([1]),
                              np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("x_t", [[[2, 2, 2]], [2]], ids=["one-row-of-three", "one-position"])
+def test_vanilla_refuses_a_sequence_without_one_row_per_position(x_t):
+    # the drawn token filled a whole row, or rows for 3 positions served 1
+    with pytest.raises(ContractError):
+        vanilla_reverse_step(np.array(x_t), np.full((3, 2), 0.5), np.array([0]),
+                             np.random.default_rng(0))
+
+
+def test_guided_refuses_a_candidate_that_is_not_one_sequence():
+    # the mask filled the whole row
+    with pytest.raises(ContractError, match="one sequence"):
+        guided_reverse_step(np.array([[0, 1, 0]]), np.array([0]), AB.mask_id)
 
 
 def test_monotone_unmasking_vanilla():

@@ -124,7 +124,8 @@ def test_proposal_draws_refuses_rows_off_the_alphabet(rows):
         proposal_draws(rows, x_t, 4, np.random.default_rng(0), BIN.mask_id)
 
 
-@pytest.mark.parametrize("x_t", [[7, BIN.mask_id], [-1, BIN.mask_id]])
+@pytest.mark.parametrize("x_t", [[7, BIN.mask_id], [-1, BIN.mask_id],
+                                 [BIN.mask_id + 1, BIN.mask_id]])
 def test_proposal_draws_refuse_tokens_off_the_alphabet(x_t):
     # the clamped token was copied into every draw
     with pytest.raises(ContractError, match="outside range"):
@@ -236,6 +237,25 @@ def test_refine_flips_into_feasibility():
     assert np.array_equal(result.candidate, [0, 1])
     assert result.rounds == 1
     assert result.history == (1.0, 0.0)
+
+
+class SumBlackBox(Constraint):
+    """A black box without an alphabet: no tracker checks the range of its tokens."""
+
+    name = "sum"
+
+    def violation(self, values):
+        return float(sum(values))
+
+
+@pytest.mark.parametrize("start", [[7, 1], [-1, 1]])
+def test_refine_refuses_a_start_off_the_alphabet_that_no_constraint_states(start):
+    # 7 raised a bare IndexError; -1 came back "refined", total 0 after 0 rounds
+    with pytest.raises(ContractError, match="start candidate"):
+        refine(np.array(start), (SumBlackBox(),), None, BIN, EditableRegion.all_editable(2),
+               max_rounds=8)
+    assert refine(np.array([1, 1]), (SumBlackBox(),), None, BIN,
+                  EditableRegion.all_editable(2), max_rounds=8).report.total == 0.0
 
 
 def test_refine_tie_break_lowest_position():
