@@ -20,19 +20,19 @@ from .diffusion import (
     NoiseSchedule,
     ReverseCoeffs,
     first_hitting_steps,
-    guided_reverse_step,
     linear_schedule,
     reverse_coeffs,
-    vanilla_reverse_step,
 )
 from .search import (
     SearchConfig,
     StepRecord,
     aggregate_violation,
     best_of_pool,
+    guided_reverse_step,
     proposal_draws,
     refine,
     sample,
+    vanilla_reverse_step,
 )
 from .tasks import (
     Instance,

@@ -1,12 +1,13 @@
-"""Absorbing noise schedule and the reverse step kernels.
+"""Absorbing noise schedule and its draws.
 
 The forward process independently replaces tokens with the mask id; a token
 survives unmasked through step ``t`` with probability ``alpha_t``. Reverse
 steps unmask: a masked position either keeps its mask (weight ``stay_prob``)
 or commits a clean token (weight ``commit_prob``), with the two weights
 summing to one at every step. The sampler draws each position's unmask step
-once from these weights (:func:`first_hitting_steps`); the kernels only
-commit.
+once from these weights (:func:`first_hitting_steps`) and each committed
+token from its row (:func:`sample_rows`); the reverse step kernels that
+commit live in :mod:`mdsearch.search`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_count, check_reals, check_sequence
+from .errors import ConfigError, ContractError, check_count, check_reals
 
 
 @dataclass(frozen=True)
@@ -112,42 +113,3 @@ def first_hitting_steps(schedule: NoiseSchedule, count: int,
     rising = np.asarray(schedule.alphas[::-1])
     return schedule.steps + 1 - rising.searchsorted(rng.random(count), side="right")
 
-
-def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Plain reverse commit: each position in ``committing`` (from
-    :func:`first_hitting_steps`) draws a token from its row; the rest carry
-    over. ``rows`` must already satisfy :func:`~mdsearch.denoise.check_rows`,
-    one row per position of ``x_t``, a sequence of tokens of their alphabet
-    or its mask id (:func:`~mdsearch.errors.check_sequence`).
-    """
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ContractError("reverse step: rows are not a (positions, tokens) array")
-    out = check_sequence(x_t, "x_t", rows.shape[1] + 1).copy()
-    if len(rows) != len(out):
-        raise ContractError(f"reverse step: {len(rows)} rows for {len(out)} positions")
-    try:  # no range reduction: a negative position wraps
-        out[committing] = sample_rows(rows[committing], rng)
-    except (IndexError, TypeError, ValueError) as exc:
-        raise ContractError(f"reverse step: {exc}") from None
-    return out
-
-
-def guided_reverse_step(refined: np.ndarray, remaining: np.ndarray,
-                        mask_id: int) -> np.ndarray:
-    """Reverse transition committing toward a search-refined candidate.
-
-    Every position takes the refined candidate's value (search may have
-    revised unmasked ones) except ``remaining``, the positions whose unmask
-    step from :func:`first_hitting_steps` is still to come, which keep the
-    mask. The candidate must be one fully specified sequence, tokens in
-    ``range(mask_id)`` (:func:`~mdsearch.errors.check_sequence`). Draws no
-    random numbers.
-    """
-    out = check_sequence(refined, "refined candidate", mask_id).copy()
-    try:
-        out[remaining] = mask_id
-    except IndexError as exc:  # no range reduction: a negative position wraps
-        raise ContractError(f"remaining positions: {exc}") from None
-    return out

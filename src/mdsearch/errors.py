@@ -54,7 +54,10 @@ def check_integers(values, what: str, bound: int | None = None,
     """``values`` as int64, unless they are not integers in ``range(bound)``
     (``None`` tests the dtype only): then ``error`` naming ``what``. An empty
     array passes whatever its dtype: numpy reads ``[]`` as float."""
-    values = np.asarray(values)
+    try:
+        values = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise error(f"{what} must be integers, got a ragged sequence") from None
     if values.size and values.dtype.kind not in "iu":
         raise error(f"{what} must be integers, got {values.dtype}")
     values = values.astype(np.int64, copy=False)

@@ -1,4 +1,4 @@
-"""Violation-guided search embedded in the reverse denoising loop.
+"""The reverse transitions and the violation-guided search between them.
 
 At the reverse steps where the placement turns search on, the denoiser's
 proposal is refined before the chain advances: draw a pool of fully
@@ -6,7 +6,9 @@ specified candidates from the proposal distribution (already-unmasked
 positions clamped), keep the least-violating one, then greedily walk
 single-token edits while the aggregate violation strictly decreases. The
 refined candidate drives the guided reverse kernel. Every other step is
-the plain reverse step.
+the plain reverse step, whose kernel checks the denoiser's rows itself.
+Both kernels live here; :mod:`mdsearch.diffusion` holds the noise schedule
+and its draws.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import numpy as np
 
 from .constraints.base import Constraint, ViolationReport, drawn_violations
 from .denoise import Denoiser, check_rows, probability_rows
-from .diffusion import (NoiseSchedule, first_hitting_steps, guided_reverse_step,
-                        sample_rows, vanilla_reverse_step)
-from .errors import (ConfigError, ContractError, SampleError, check_count, check_reals,
-                     check_sequence)
+from .diffusion import NoiseSchedule, first_hitting_steps, sample_rows
+from .errors import (ConfigError, ContractError, SampleError, check_count, check_integers,
+                     check_reals, check_sequence)
 from .tasks import Instance
 from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
 
@@ -173,6 +174,8 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     if max_rounds is not None:
         check_count(max_rounds, "max_rounds")
     current = check_sequence(start, "start candidate", vocab.size).copy()
+    if region.length != len(current):
+        raise ContractError(f"region of length {region.length} for a start of length {len(current)}")
     trackers = [c.tracker(current) for c in constraints]
     total = float(weighted_total(w, [tr.value() for tr in trackers]))
     history = [total]
@@ -199,6 +202,45 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
         rounds += 1
     report = ViolationReport(tuple(float(tr.value()) for tr in trackers), total)
     return RefineResult(current, report, rounds, tuple(history))
+
+
+def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarray,
+                         rng: np.random.Generator, vocab: Vocab) -> np.ndarray:
+    """Plain reverse commit: each position in ``committing`` (from
+    :func:`~mdsearch.diffusion.first_hitting_steps`) draws a token from its
+    row; the rest carry over. ``rows`` and ``x_t`` are checked here by
+    :func:`~mdsearch.denoise.check_rows`. ``committing`` holds integer
+    positions: a bool array, which numpy reads as a mask, is refused.
+    """
+    rows = check_rows(rows, x_t, vocab)
+    committing = check_integers(committing, "committing positions")
+    out = np.array(x_t, dtype=np.int64)
+    try:  # no range reduction: a negative position wraps
+        out[committing] = sample_rows(rows[committing], rng)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ContractError(f"reverse step: {exc}") from None
+    return out
+
+
+def guided_reverse_step(refined: np.ndarray, remaining: np.ndarray,
+                        mask_id: int) -> np.ndarray:
+    """Reverse transition committing toward a search-refined candidate.
+
+    Every position takes the refined candidate's value (search may have
+    revised unmasked ones) except ``remaining``, the positions whose unmask
+    step from :func:`~mdsearch.diffusion.first_hitting_steps` is still to
+    come, which keep the mask. The candidate must be one fully specified
+    sequence, tokens in ``range(mask_id)``
+    (:func:`~mdsearch.errors.check_sequence`); ``remaining`` holds integer
+    positions, not a bool mask. Draws no random numbers.
+    """
+    out = check_sequence(refined, "refined candidate", mask_id).copy()
+    remaining = check_integers(remaining, "remaining positions")
+    try:
+        out[remaining] = mask_id
+    except IndexError as exc:  # no range reduction: a negative position wraps
+        raise ContractError(f"remaining positions: {exc}") from None
+    return out
 
 
 class StepRecord(NamedTuple):
@@ -237,8 +279,10 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     is 0 (uncapped under ``last_step``), commits through the guided kernel,
     which keeps masked only the positions whose step is still to come; search
     never reads the drawn steps. Elsewhere the denoiser is queried only at
-    steps where a position unmasks, even from a ``t``-dependent model. Rows
-    are checked once per call. The final step commits every remaining mask.
+    steps where a position unmasks, even from a ``t``-dependent model. Each
+    call's rows are checked once, by :func:`check_rows`: before the pool at
+    a search step, inside :func:`vanilla_reverse_step` at a plain one. The
+    final step commits every remaining mask.
 
     The chain jumps between those event steps: a step without search or
     commit does no work and gets a shared empty record (with
@@ -270,10 +314,10 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
         first = pool = refined = None
         rounds = 0
         try:
-            rows = check_rows(denoiser.denoise(x, t), x, vocab)
+            rows = denoiser.denoise(x, t)
             if t <= search_to:
-                pick = best_of_pool(rows, x, config.candidates, instance.constraints,
-                                    config.weights, rng, vocab.mask_id)
+                pick = best_of_pool(check_rows(rows, x, vocab), x, config.candidates,
+                                    instance.constraints, config.weights, rng, vocab.mask_id)
                 candidate, first = pick.candidate, pick.first_total
                 pool = refined = pick.report.total
                 if pool != 0:
@@ -285,7 +329,7 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
                                                   result.rounds)
                 x = guided_reverse_step(candidate, order[done + committed:], vocab.mask_id)
             else:
-                x = vanilla_reverse_step(x, rows, order[done:done + committed], rng)
+                x = vanilla_reverse_step(x, rows, order[done:done + committed], rng, vocab)
         except Exception as exc:
             raise SampleError(f"{instance.name}: step t={t} failed: {exc}") from exc
         done += committed

@@ -81,13 +81,35 @@ MUTANTS = (
            'check_sequence(x_t, "x_t", mask_id + 1)',
            'check_sequence(x_t, "x_t", mask_id + 2)',
            "tests/test_search.py"),
-    Mutant("vanilla-bound-one-higher", "src/mdsearch/diffusion.py",
-           'check_sequence(x_t, "x_t", rows.shape[1] + 1)',
-           'check_sequence(x_t, "x_t", rows.shape[1] + 2)',
+    # the plain step's state and row count, checked by check_rows
+    Mutant("vanilla-bound-one-higher", "src/mdsearch/denoise.py",
+           'values = check_sequence(values, "observed tokens", vocab.mask_id + 1)\n'
+           "    rows = np.asarray(rows, dtype=np.float64)",
+           'values = check_sequence(values, "observed tokens", vocab.mask_id + 2)\n'
+           "    rows = np.asarray(rows, dtype=np.float64)",
            "tests/test_diffusion.py"),
-    Mutant("vanilla-no-row-count-test", "src/mdsearch/diffusion.py",
-           "if len(rows) != len(out):", "if False:",
+    Mutant("vanilla-no-row-count-test", "src/mdsearch/denoise.py",
+           "if rows.shape != (len(values), vocab.size):", "if False:",
            "tests/test_diffusion.py"),
+    # each denoiser call's rows checked once: in the plain step, or before the pool
+    Mutant("vanilla-no-row-check", "src/mdsearch/search.py",
+           "rows = check_rows(rows, x_t, vocab)", "rows = np.asarray(rows, dtype=np.float64)",
+           "tests/test_search.py"),
+    Mutant("search-step-no-row-check", "src/mdsearch/search.py",
+           "best_of_pool(check_rows(rows, x, vocab), x,", "best_of_pool(rows, x,",
+           "tests/test_search.py"),
+    # positions are integers, never a bool mask; a region as long as the start
+    Mutant("vanilla-bool-positions", "src/mdsearch/search.py",
+           'committing = check_integers(committing, "committing positions")',
+           "committing = np.asarray(committing)",
+           "tests/test_diffusion.py"),
+    Mutant("guided-bool-positions", "src/mdsearch/search.py",
+           'remaining = check_integers(remaining, "remaining positions")',
+           "remaining = np.asarray(remaining)",
+           "tests/test_diffusion.py"),
+    Mutant("refine-no-length-test", "src/mdsearch/search.py",
+           "if region.length != len(current):", "if False:",
+           "tests/test_search.py"),
     Mutant("alpha-bound-one-higher", "src/mdsearch/diffusion.py",
            '"step", 0, self.steps + 1,', '"step", 0, self.steps + 2,',
            "tests/test_diffusion.py"),

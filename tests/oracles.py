@@ -336,8 +336,8 @@ def sample_by_step(instance, denoiser, schedule, config, rng, collect_masks=Fals
     between the steps where something happens.
     """
     from mdsearch.denoise import check_rows
-    from mdsearch.diffusion import first_hitting_steps, guided_reverse_step
-    from mdsearch.search import StepRecord
+    from mdsearch.diffusion import first_hitting_steps
+    from mdsearch.search import StepRecord, guided_reverse_step
     from mdsearch.vocab import fully_masked, masked_positions
 
     vocab = instance.vocab

@@ -15,7 +15,7 @@ from mdsearch.denoise import (
 )
 from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, ParseError
 from mdsearch.constraints.sat import CnfFormula
-from mdsearch.search import best_of_pool, proposal_draws
+from mdsearch.search import best_of_pool, proposal_draws, vanilla_reverse_step
 from mdsearch.tasks import build_denoiser, sat_instance
 from mdsearch.vocab import Vocab
 
@@ -370,7 +370,7 @@ class NoViolation(Constraint):
 
 
 def refusals(row, tmp_path):
-    """Which of the four row checks refuse ``row`` as the row of a masked position."""
+    """Which of the five row checks refuse ``row`` as the row of a masked position."""
     rows = np.array([[1.0, 0.0, 0.0], row])
     x_t = np.array([0, ABC.mask_id])
     refused = []
@@ -380,11 +380,13 @@ def refusals(row, tmp_path):
                                                  ABC.mask_id),
         "best_of_pool": lambda: best_of_pool(rows, x_t, 3, (NoViolation(),), None,
                                              np.random.default_rng(0), ABC.mask_id),
+        "vanilla_reverse_step": lambda: vanilla_reverse_step(
+            x_t, rows, np.array([1]), np.random.default_rng(0), ABC),
     }
     for name, call in calls.items():
         try:
             call()
-        except ContractError:  # DenoiserContractError for check_rows
+        except ContractError:  # DenoiserContractError for check_rows and the step
             refused.append(name)
     path = tmp_path / "row.tsv"
     path.write_text("A?\t1\t" + ",".join(map(repr, row)) + "\n", encoding="utf-8")
@@ -395,7 +397,15 @@ def refusals(row, tmp_path):
     return refused
 
 
-EVERY_ROW_CHECK = ["check_rows", "proposal_draws", "best_of_pool", "load_table"]
+EVERY_ROW_CHECK = ["check_rows", "proposal_draws", "best_of_pool", "vanilla_reverse_step",
+                   "load_table"]
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [-3.0, 4.0, 0.0], [0.0, 0.0, 0.0]],
+                         ids=["nan", "negative", "zero"])
+def test_rows_far_from_a_distribution_are_refused_by_every_check(tmp_path, row):
+    # the plain reverse step drew a token from each: 0 from NaN, 1 from negative, 2 from zero
+    assert refusals(row, tmp_path) == EVERY_ROW_CHECK
 
 
 @pytest.mark.parametrize("scale, refused", [(2.0, EVERY_ROW_CHECK), (0.5, [])],

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from mdsearch.denoise import ROW_TOL, probability_rows
+from mdsearch.denoise import ROW_TOL, UniformDenoiser, probability_rows
 from mdsearch.diffusion import (
     NoiseSchedule,
     first_hitting_steps,
-    guided_reverse_step,
     linear_schedule,
     reverse_coeffs,
     sample_rows,
-    vanilla_reverse_step,
 )
 from mdsearch.errors import ConfigError, ContractError
+from mdsearch.search import guided_reverse_step, vanilla_reverse_step
 from mdsearch.vocab import EditableRegion, Vocab, masked_positions
 
 from oracles import forward_corrupt, sample_rows_by_sum
@@ -189,7 +188,7 @@ def test_vanilla_no_masks_identity():
     seq = np.array([0, 1, 1])
     rows = np.eye(2)[seq]
     committing = np.array([], dtype=np.int64)
-    out = vanilla_reverse_step(seq, rows, committing, np.random.default_rng(0))
+    out = vanilla_reverse_step(seq, rows, committing, np.random.default_rng(0), AB)
     assert np.array_equal(out, seq)
 
 
@@ -197,10 +196,10 @@ def test_vanilla_final_step_commits_everything():
     seq = np.full(6, AB.mask_id)
     pattern = np.array([0, 1, 1, 0, 0, 1])
     rows = np.eye(2)[pattern]
-    out = vanilla_reverse_step(seq, rows, np.arange(6), np.random.default_rng(0))
+    out = vanilla_reverse_step(seq, rows, np.arange(6), np.random.default_rng(0), AB)
     assert np.array_equal(out, pattern)
     # only the committing positions unmask, each from its own row
-    out = vanilla_reverse_step(seq, rows, np.array([1, 4]), np.random.default_rng(0))
+    out = vanilla_reverse_step(seq, rows, np.array([1, 4]), np.random.default_rng(0), AB)
     assert masked_positions(out, AB.mask_id).tolist() == [0, 2, 3, 5]
     assert out[1] == 1 and out[4] == 0
 
@@ -215,7 +214,7 @@ def test_vanilla_unmask_probability():
     hits = 0
     for _ in range(10_000):
         committing = np.flatnonzero(first_hitting_steps(sched, 1, rng) == 4) + 1
-        hits += vanilla_reverse_step(seq, rows, committing, rng)[1] == 1
+        hits += vanilla_reverse_step(seq, rows, committing, rng, AB)[1] == 1
     assert abs(hits / 10_000 - 0.25) < 0.02
 
 
@@ -249,7 +248,7 @@ def test_vanilla_rejects_tokens_off_the_alphabet(x_t):
     # the carried-over token came out unchanged
     with pytest.raises(ContractError, match="outside range"):
         vanilla_reverse_step(np.array(x_t), np.full((2, 2), 0.5), np.array([1]),
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), AB)
 
 
 @pytest.mark.parametrize("x_t", [[[2, 2, 2]], [2]], ids=["one-row-of-three", "one-position"])
@@ -257,7 +256,7 @@ def test_vanilla_refuses_a_sequence_without_one_row_per_position(x_t):
     # the drawn token filled a whole row, or rows for 3 positions served 1
     with pytest.raises(ContractError):
         vanilla_reverse_step(np.array(x_t), np.full((3, 2), 0.5), np.array([0]),
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), AB)
 
 
 def test_guided_refuses_a_candidate_that_is_not_one_sequence():
@@ -266,15 +265,36 @@ def test_guided_refuses_a_candidate_that_is_not_one_sequence():
         guided_reverse_step(np.array([[0, 1, 0]]), np.array([0]), AB.mask_id)
 
 
+NOT_POSITIONS = pytest.mark.parametrize(
+    "positions", [np.array([True, False, True]), None, [[1], [1, 2]]],
+    ids=["bool", "none", "ragged"])
+
+
+@NOT_POSITIONS
+def test_vanilla_refuses_committing_positions_that_are_not_integers(positions):
+    # numpy read the bools as a mask: positions 0 and 2 committed
+    with pytest.raises(ContractError, match="committing positions must be integers"):
+        vanilla_reverse_step(np.full(3, AB.mask_id), np.full((3, 2), 0.5), positions,
+                             np.random.default_rng(0), AB)
+
+
+@NOT_POSITIONS
+def test_guided_refuses_remaining_positions_that_are_not_integers(positions):
+    # numpy read the bools as a mask (position 0 kept the mask) and None as a
+    # new axis (every position kept it); the ragged list raised numpy's ValueError
+    with pytest.raises(ContractError, match="remaining positions must be integers"):
+        guided_reverse_step(np.array([0, 1, 1]), positions, AB.mask_id)
+
+
 def test_monotone_unmasking_vanilla():
     sched = linear_schedule(8)
     rng = np.random.default_rng(3)
     x = np.full(12, AB.mask_id)
-    rows = np.full((12, 2), 0.5)
     hits = first_hitting_steps(sched, 12, rng)
     masked = set(range(12))
     for t in range(8, 0, -1):
-        x = vanilla_reverse_step(x, rows, np.flatnonzero(hits == t), rng)
+        rows = UniformDenoiser(AB).denoise(x, t)
+        x = vanilla_reverse_step(x, rows, np.flatnonzero(hits == t), rng, AB)
         now = set(masked_positions(x, AB.mask_id).tolist())
         assert now <= masked
         masked = now

@@ -146,7 +146,7 @@ ENTRIES = {
     "linear_schedule": lambda draw: m.linear_schedule(draw(COUNTS)),
     "reverse_coeffs": lambda draw: m.reverse_coeffs(draw(COUNTS), SCHEDULE),
     "vanilla_reverse_step": lambda draw: m.vanilla_reverse_step(
-        draw(tokens()), draw(rows()), draw(tokens()), rng()),
+        draw(tokens()), draw(rows()), draw(tokens()), rng(), BITS),
     "SearchConfig": lambda draw: m.SearchConfig(
         candidates=draw(COUNTS), max_rounds=draw(COUNTS), weights=draw(weights()),
         allow_unmask_edits=draw(st.booleans() | REALS)),

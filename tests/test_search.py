@@ -258,6 +258,18 @@ def test_refine_refuses_a_start_off_the_alphabet_that_no_constraint_states(start
                   EditableRegion.all_editable(2), max_rounds=8).report.total == 0.0
 
 
+@pytest.mark.parametrize("length", [2, 5])
+def test_refine_refuses_a_region_of_another_length(length):
+    # length 2 edited positions 0-1 only and stopped at total 1; length 5 failed
+    # later, inside peek_block; the full region reaches 0
+    constraints = (ClauseViolations(CnfFormula(3, ((1, 2), (1, -2), (2, 3), (-2, 3)))),)
+    start = np.array([0, 0, 0])
+    with pytest.raises(ContractError, match=f"region of length {length} for a start of length 3"):
+        refine(start, constraints, None, BIN, EditableRegion.all_editable(length), 5)
+    assert refine(start, constraints, None, BIN, EditableRegion.all_editable(3),
+                  5).report.total == 0.0
+
+
 def test_refine_tie_break_lowest_position():
     # x1 and x2 are symmetric here: flipping either satisfies the clause
     formula = CnfFormula(2, ((1, 2),))
@@ -499,15 +511,28 @@ def test_last_step_equals_off_above_the_final_step(task):
         assert traces["last_step"][-1].refined_violation is not None
 
 
-def test_sample_off_rejects_bad_denoiser_rows():
-    class Unnormalized(UniformDenoiser):
-        def denoise(self, values, t):
-            return 2.0 * super().denoise(values, t)
+class Unnormalized(UniformDenoiser):
+    def denoise(self, values, t):
+        return 2.0 * super().denoise(values, t)
 
+
+class NotOneHot(UniformDenoiser):
+    """Uniform rows at every position, the observed ones included."""
+
+    def denoise(self, values, t):
+        return np.full((len(values), self.vocab.size), 1.0 / self.vocab.size)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("denoiser", [Unnormalized, NotOneHot],
+                         ids=["unnormalized", "not-one-hot"])
+def test_sample_rejects_bad_denoiser_rows(denoiser, placement):
+    # each step's rows are checked, by check_rows before the pool or inside the plain
+    # step; the pool's own check reads masked rows only, with a plain ContractError
     instance = _sat_searchable()
     with pytest.raises(SampleError) as err:
-        sample(instance, Unnormalized(instance.vocab), m.linear_schedule(3),
-               SearchConfig(placement="off"), np.random.default_rng(0))
+        sample(instance, denoiser(instance.vocab), m.linear_schedule(3),
+               SearchConfig(placement=placement), np.random.default_rng(0))
     assert isinstance(err.value.__cause__, DenoiserContractError)
 
 
