@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from ..errors import ConfigError, GenerationError, ParseError, check_count
+from ..errors import ConfigError, GenerationError, ParseError, check_count, read_text
 from ..vocab import Vocab
 from .base import Constraint
 
@@ -377,7 +377,7 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF: ``p cnf n m`` header, zero-terminated clauses."""
+    """Parse DIMACS CNF: one ``p cnf n m`` header, zero-terminated clauses."""
     num_vars = num_clauses = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
@@ -386,6 +386,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError(f"second header {line!r}", line_no)
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ParseError(f"bad header {line!r}", line_no)
@@ -422,8 +424,8 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 
 def load_dimacs(path) -> CnfFormula:
-    with open(path, encoding="utf-8") as handle:
-        return parse_dimacs(handle.read())
+    """The formula in DIMACS file ``path``; an unreadable file is a :class:`ConfigError`."""
+    return parse_dimacs(read_text(path, "instances"))
 
 
 def render_dimacs(formula: CnfFormula) -> str:

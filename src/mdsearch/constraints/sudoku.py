@@ -11,7 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ConfigError, GenerationError, ParseError, check_count, check_integers
+from ..errors import (ConfigError, GenerationError, ParseError, check_count, check_integers,
+                      read_text)
 from ..vocab import Vocab
 from .base import Constraint
 
@@ -312,14 +313,15 @@ def render_sudoku_line(board: SudokuBoard) -> str:
 
 
 def read_puzzles(path) -> list[SudokuBoard]:
+    """The boards in Sudoku lines file ``path``, skipping blank and ``#`` lines. An
+    unreadable file is a :class:`ConfigError`, a bad line a :class:`ParseError`."""
     boards = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                boards.append(parse_sudoku_line(line))
-            except ParseError as exc:
-                raise ParseError(str(exc), line_no) from None
+    for line_no, raw in enumerate(read_text(path, "instances").split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            boards.append(parse_sudoku_line(line))
+        except ParseError as exc:
+            raise ParseError(str(exc), line_no) from None
     return boards

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (ConfigError, ContractError, DenoiserContractError, ParseError,
-                     check_integers, check_reals, check_sequence)
+                     check_integers, check_reals, check_sequence, read_text)
 from .vocab import Vocab
 
 ROW_TOL = 1e-9
@@ -107,11 +107,14 @@ class DataDistribution:
             weights = check_reals(weights, "weights")
             if weights.shape != (support.shape[0],):
                 raise ConfigError("weights must align with the support")
-            with np.errstate(over="ignore"):
-                total = weights.sum()  # an overflowing sum would normalise to zeros
-            if not (np.isfinite(total) and (weights > 0).all()):
+            # tested once normalized, where an overflowing sum leaves zeros, a zero sum
+            # NaNs and a weight too small beside the sum a zero; all-negative weights
+            # normalize to positive ones, so the sum's sign is tested too
+            with np.errstate(all="ignore"):
+                total = weights.sum()
+                weights = weights / total
+            if not (total > 0 and (weights > 0).all()):
                 raise ConfigError("weights must be positive with a finite sum")
-            weights = weights / total
         support.setflags(write=False)
         weights.setflags(write=False)
         self.support = support
@@ -210,16 +213,12 @@ def load_table(path, vocab: Vocab) -> TableDenoiser:
     One record per line: ``pattern<TAB>pos<TAB>p_0,p_1,...`` where the
     pattern uses vocabulary symbols with ``?`` for masks. ``#`` starts a
     comment. Rows must pass :func:`probability_rows`; duplicate keys are rejected.
+    An unreadable file (missing, a directory, not UTF-8) is a :class:`ConfigError`.
     """
     if any(len(s) != 1 for s in vocab.symbols):
         raise ConfigError("table patterns require single-character symbols")
     table: dict[str, dict[int, np.ndarray]] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read table {path}: {exc}") from None
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(read_text(path, "table").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

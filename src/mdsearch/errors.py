@@ -97,3 +97,13 @@ def check_reals(values, what: str, low: float | None = None, high: float | None 
             and np.logical_and.reduce(values <= high, axis=None)):
         raise error(f"{what} not finite or outside [{low}, {high}]: {values}")
     return values.astype(np.float64, copy=False)
+
+
+def read_text(path, what: str) -> str:
+    """The text of the input file ``path`` (UTF-8, universal newlines), unless it is
+    missing, a directory or not UTF-8: then :class:`ConfigError` naming ``what``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None

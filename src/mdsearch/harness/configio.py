@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, fields, replace
 
-from ..errors import ConfigError, check_count, check_reals
+from ..errors import ConfigError, check_count, check_reals, read_text
 from ..search import SearchConfig
 
 DENOISER_CHOICES = ("exact", "noisy", "uniform")
@@ -123,8 +123,5 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return parse_config(handle.read(), base)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    """Config file ``path`` over ``base``; an unreadable file is a :class:`ConfigError`."""
+    return parse_config(read_text(path, "config"), base)

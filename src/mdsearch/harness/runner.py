@@ -25,7 +25,7 @@ from ..constraints.base import ViolationReport
 from ..constraints.sat import random_formula
 from ..constraints.sudoku import random_puzzle
 from ..denoise import Denoiser
-from ..errors import ConfigError, ContractError, check_count
+from ..errors import ConfigError, ContractError, check_count, read_text
 from ..diffusion import linear_schedule
 from ..search import SampleTrace, aggregate_violation, resolve_weights, sample
 from ..tasks import Instance, build_denoiser, peptide_instance, sat_instance, sudoku_instance
@@ -80,19 +80,17 @@ def build_instance(cfg: RunConfig, index: int) -> Instance:
 
 def load_instances(cfg: RunConfig) -> list[Instance]:
     """Instances from ``cfg.instances``: a DIMACS file/directory or a Sudoku
-    lines file, capped at ``num_samples``; a path with none is a ConfigError."""
+    lines file, capped at ``num_samples``. A path with none is a ConfigError,
+    and so (from the readers) is an unreadable one."""
     if cfg.task == "peptide":
         raise ConfigError("peptide generation is unconditional; drop --instances")
     path = Path(cfg.instances)
-    try:
-        if cfg.task == "sat":
-            files = sorted(path.glob("*.cnf")) if path.is_dir() else [path]
-            out = [sat_instance(sat.load_dimacs(f), name=f.stem) for f in files]
-        else:
-            out = [sudoku_instance(b, name=f"{path.stem}-{i:04d}")
-                   for i, b in enumerate(sudoku.read_puzzles(path))]
-    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
-        raise ConfigError(f"cannot read instances: {exc}") from None
+    if cfg.task == "sat":
+        files = sorted(path.glob("*.cnf")) if path.is_dir() else [path]
+        out = [sat_instance(sat.load_dimacs(f), name=f.stem) for f in files]
+    else:
+        out = [sudoku_instance(b, name=f"{path.stem}-{i:04d}")
+               for i, b in enumerate(sudoku.read_puzzles(path))]
     if not out:
         raise ConfigError(f"no instances in {path}")
     return out[:cfg.num_samples]
@@ -163,6 +161,24 @@ class SampleRecord:
     error: str | None = None
 
 
+def _number(value) -> bool:
+    """A JSON number as :func:`json.loads` reads it, ``Infinity`` included; a bool is not one."""
+    return type(value) in (int, float)
+
+
+# the JSON values each record field takes; a record holding another is malformed
+_RECORD_TYPES = {
+    "index": lambda v: type(v) is int,
+    "instance": lambda v: type(v) is str,
+    "feasible": lambda v: type(v) is bool,
+    "violations": lambda v: type(v) is list and all(map(_number, v)),
+    "total": lambda v: v is None or _number(v),
+    "rounds": lambda v: type(v) is int,
+    "value": lambda v: type(v) is str,
+    "error": lambda v: v is None or type(v) is str,
+}
+
+
 @dataclass(frozen=True)
 class RunResult:
     config: RunConfig
@@ -230,12 +246,10 @@ def write_results(result: RunResult, path) -> None:
 
 
 def load_results(path) -> RunResult:
+    """The run :func:`write_results` wrote to ``path``. An unreadable file, or a header
+    or record that is malformed or holds a field of the wrong type, is a ConfigError."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read results {path}: {exc}") from None
+    lines = [line for line in read_text(path, "results").splitlines() if line.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty result file")
     try:
@@ -252,17 +266,23 @@ def load_results(path) -> RunResult:
         if raw_cfg.get("weights") is not None:
             raw_cfg["weights"] = tuple(raw_cfg["weights"])
         config = RunConfig(**raw_cfg)
-        constraint_names = tuple(header["constraints"])
+        constraint_names = header["constraints"]
+        if not (type(constraint_names) is list and all(type(c) is str for c in constraint_names)):
+            raise TypeError(f"constraints is {constraint_names!r}")
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed header: {exc!r}") from None
     records = []
     for number, line in enumerate(lines[1:], start=1):
         try:
             row = json.loads(line)
+            wrong = next((k for k, fits in _RECORD_TYPES.items()
+                          if k in row and not fits(row[k])), None)
+            if wrong is not None:
+                raise TypeError(f"{wrong} is {row[wrong]!r}")
             records.append(SampleRecord(**{**row, "violations": tuple(row["violations"])}))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed record {number}: {exc!r}") from None
-    return RunResult(config, constraint_names, tuple(records), 0.0)
+    return RunResult(config, tuple(constraint_names), tuple(records), 0.0)
 
 
 def summarize_records(result: RunResult) -> dict:

@@ -142,6 +142,30 @@ MUTANTS = (
            "        if used < count:\n            rng.bit_generator.state = state",
            "        if used < count - 1:\n            rng.bit_generator.state = state",
            "tests/test_sat.py"),
+    # one reader rule for input files, and the checks on what they hold
+    Mutant("read-text-only-os-error", "src/mdsearch/errors.py",
+           "    except (OSError, UnicodeDecodeError) as exc:\n"
+           '        raise ConfigError(f"cannot read {what}',
+           "    except OSError as exc:\n"
+           '        raise ConfigError(f"cannot read {what}',
+           "tests/test_entry_points.py"),
+    Mutant("dimacs-second-header", "src/mdsearch/constraints/sat.py",
+           "            if num_vars is not None:\n"
+           '                raise ParseError(f"second header',
+           "            if False:\n"
+           '                raise ParseError(f"second header',
+           "tests/test_sat.py"),
+    Mutant("record-total-any-type", "src/mdsearch/harness/runner.py",
+           '"total": lambda v: v is None or _number(v),', '"total": lambda v: True,',
+           "tests/test_cli.py"),
+    Mutant("weights-tested-before-normalizing", "src/mdsearch/denoise.py",
+           "                weights = weights / total\n"
+           "            if not (total > 0 and (weights > 0).all()):\n",
+           "            if not (total > 0 and (weights > 0).all()):\n"
+           '                raise ConfigError("weights must be positive with a finite sum")\n'
+           "            weights = weights / total\n"
+           "            if False:\n",
+           "tests/test_denoise.py"),
     Mutant("first-hitting-left-side", "src/mdsearch/diffusion.py",
            'side="right"', 'side="left"', "tests/test_diffusion.py",
            equivalent="the sides differ only when a uniform equals an alpha exactly"),

@@ -213,6 +213,39 @@ def test_summarize_malformed_record_is_usage_error(tmp_path, capsys, case):
     assert "malformed record 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("index", True), ("index", 1.0), ("instance", 3), ("feasible", 1), ("violations", [None]),
+    ("violations", "ab"), ("total", "x"), ("total", True), ("rounds", "2"), ("value", None),
+    ("error", 0)])
+def test_summarize_record_field_of_another_type_is_usage_error(tmp_path, capsys, field, value):
+    # a text total loaded, and summarize then failed adding it up (exit 1)
+    path = tmp_path / "bench.jsonl"
+    assert run_cli("bench", "--task", "sat", "--steps", "2", "--css", "2",
+                   "--rounds", "2", "--n-samples", "1", "--out", str(path)) == 0
+    header, record = path.read_text(encoding="utf-8").splitlines()
+    record = json.dumps({**json.loads(record), field: value})
+    path.write_text("\n".join([header, record]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("summarize", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "malformed record 1" in err and f"{field} is" in err
+
+
+@pytest.mark.parametrize("constraints", ["abc", [1], None])
+def test_summarize_header_constraints_not_a_list_of_names_is_usage_error(
+        tmp_path, capsys, constraints):
+    # the text "abc" was read as three constraints, each with its own summary column
+    path = tmp_path / "bench.jsonl"
+    assert run_cli("bench", "--task", "sat", "--steps", "2", "--css", "2",
+                   "--rounds", "2", "--n-samples", "1", "--out", str(path)) == 0
+    header, record = path.read_text(encoding="utf-8").splitlines()
+    header = json.dumps({**json.loads(header), "constraints": constraints})
+    path.write_text("\n".join([header, record]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("summarize", str(path)) == 2
+    assert "malformed header" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", ["no config", "unknown config key", "config list"])
 def test_summarize_malformed_header_is_usage_error(tmp_path, capsys, case):
     path = tmp_path / "bench.jsonl"

@@ -128,6 +128,14 @@ def test_data_distribution_rejects_weights_whose_sum_overflows():
     assert big.weights.tolist() == [0.25, 0.75]
 
 
+@pytest.mark.parametrize("weights", [[1e300, 1e-300], [0.0, 0.0], [1.0, -1.0], [-1.0, -2.0]],
+                         ids=["underflow", "zeros", "zero-sum", "all-negative"])
+def test_data_distribution_rejects_weights_that_normalize_to_zero(weights):
+    # [1e300, 1e-300] normalized to [1, 0], and the posterior then divided by zero
+    with pytest.raises(ConfigError, match="positive with a finite sum"):
+        DataDistribution(np.array([[0, 0], [1, 1]]), weights=np.array(weights))
+
+
 def test_data_distribution_rejects_opposite_infinite_weights_without_a_warning():
     # their sum is NaN, which numpy reports with an "invalid value" warning
     with pytest.raises(ConfigError, match="finite"):
@@ -280,6 +288,15 @@ def test_load_table_errors(tmp_path):
         with pytest.raises(ParseError) as err:
             load_table(path, AB)
         assert fragment in str(err.value)
+
+
+def test_load_table_counts_lines_of_a_crlf_file_with_comments(tmp_path):
+    # a form feed in a comment is not a line break, as when the file was iterated
+    path = tmp_path / "table.tsv"
+    path.write_bytes(b"# table\x0cnotes\r\n??\t0\t0.5,0.5\r\n\r\n# rows\r\n??\t1\t0.5,0.6\r\n")
+    with pytest.raises(ParseError, match="probability distribution") as err:
+        load_table(path, AB)
+    assert err.value.line == 5
 
 
 @pytest.mark.parametrize("text, message", [

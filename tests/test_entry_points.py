@@ -20,12 +20,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mdsearch as m
+from mdsearch.constraints import sat, sudoku
 from mdsearch.constraints.sat import CnfFormula
 from mdsearch.constraints.sudoku import SudokuBoard, completions
 from mdsearch.errors import (ConfigError, ContractError, GenerationError, ParseError,
                              SampleError)
-from mdsearch.harness import (RunConfig, ablate, build_instance, instance_rng,
-                              parse_config, random_formula, random_puzzle, sample_rng)
+from mdsearch.harness import (RunConfig, ablate, build_instance, instance_rng, load_config,
+                              load_results, parse_config, random_formula, random_puzzle,
+                              sample_rng)
 from mdsearch.harness.cli import main
 from mdsearch.harness.configio import DENOISER_CHOICES, TASKS, _FILE_FIELDS
 
@@ -316,3 +318,28 @@ def test_bench_on_a_config_file_exits_with_a_code(sections):
         assert code in (0, 1, 2)
         if refused:
             assert code == 2 and not out.exists()
+
+
+# --- input files: every reader goes through errors.read_text -----------------
+
+READERS = {
+    "load_config": load_config,
+    "load_results": load_results,
+    "load_table": lambda path: m.load_table(path, BITS),
+    "load_dimacs": sat.load_dimacs,
+    "read_puzzles": sudoku.read_puzzles,
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not utf-8"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_an_unreadable_input_file_is_a_config_error_naming_it(tmp_path, reader, case):
+    # load_dimacs and read_puzzles raised FileNotFoundError, IsADirectoryError
+    # and UnicodeDecodeError
+    path = {"missing": tmp_path / "missing", "directory": tmp_path,
+            "not utf-8": tmp_path / "latin-1"}[case]
+    if case == "not utf-8":
+        path.write_bytes(b"\xff\xfep cnf 1 1\n1 0\n")
+    with pytest.raises(ConfigError, match="^cannot read ") as err:
+        READERS[reader](path)
+    assert str(path) in str(err.value)

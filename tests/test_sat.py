@@ -360,7 +360,9 @@ def test_dimacs_errors():
     ("p dnf 2 1\n1 2 0\n", "line 1: bad header 'p dnf"),
     ("p cnf two 1\n1 2 0\n", "line 1: bad header counts"),
     ("c only a comment\n", "missing 'p cnf' header"),
-], ids=["header", "header-counts", "no-header"])
+    # it re-declared both counts, after earlier clauses were checked against the first
+    ("p cnf 2 1\n1 2 0\np cnf 3 2\n3 0\n", "line 3: second header 'p cnf 3 2'"),
+], ids=["header", "header-counts", "no-header", "second-header"])
 def test_dimacs_header_errors(text, message):
     with pytest.raises(ParseError, match=message):
         parse_dimacs(text)

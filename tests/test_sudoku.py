@@ -153,6 +153,16 @@ def test_read_puzzles(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_read_puzzles_counts_lines_of_a_crlf_file_with_comments(tmp_path):
+    # a form feed in a comment is not a line break, as when the file was iterated
+    path = tmp_path / "puzzles.txt"
+    path.write_bytes(b"# boards\x0cnotes\r\n1234341221434321\r\n\r\n"
+                     b"# next\r\n12343412214343x1\r\n")
+    with pytest.raises(ParseError, match="bad cell character") as err:
+        read_puzzles(path)
+    assert err.value.line == 5
+
+
 def test_completions_and_generator():
     rng = np.random.default_rng(3)
     # blanks=0: the puzzle is its own unique completion and is valid
