@@ -10,12 +10,12 @@ bound open. This module checks every input against them, by the rules of
 :mod:`mdsearch.errors`: each batch of candidates, each tracked candidate,
 each edit block and each committed edit; it also checks the violations
 each batch returns. Then it calls the unchecked hooks a built-in
-constraint defines: ``_violations``, and ``_rebuild`` and ``_peek_block``
-for its tracker. A black box may define only ``violation`` instead, and
-its tracker then recomputes through ``violations``. The proposal pool's
-draws alone may skip the batch check, where it would pass them; that
-decision is :func:`drawn_violations`, and their violations are checked
-all the same. Weights and totals belong to :mod:`mdsearch.search`.
+constraint defines: ``_violations``, and ``_rebuild``, ``_peek_block`` and
+``_commit`` for its tracker. A black box may define only ``violation``
+instead, and its tracker then recomputes through ``violations``. The
+proposal pool's draws alone may skip the batch check, where it would pass
+them; that decision is :func:`drawn_violations`, and their violations are
+checked all the same. Weights and totals belong to :mod:`mdsearch.search`.
 """
 
 from __future__ import annotations
@@ -87,16 +87,19 @@ class ViolationTracker:
     def commit(self, pos: int, token: int) -> None:
         """Apply the edit to the tracked candidate.
 
-        The edit is rebuilt on a copy, so a rejected one (a position or token
-        that is not an integer in range, or one the constraint refuses)
-        raises :class:`ContractError` and leaves the tracker unchanged.
+        The constraint's ``_commit`` derives the new cache and violation
+        without modifying the tracked ones, which are replaced only after it
+        returns. So a rejected edit (a position or token that is not an
+        integer in range, or one the constraint refuses) raises
+        :class:`ContractError` and leaves the tracker unchanged.
         """
         check_count(pos, "position", 0, len(self.values), ContractError)
         check_count(token, "token", 0, self.constraint.alphabet, ContractError)
+        cache, value = self.constraint._commit(self._cache, self.values, self._value,
+                                               pos, token)
         values = self.values.copy()
         values[pos] = token
-        self._cache, self._value = self.constraint._rebuild(values)
-        self.values = values
+        self._cache, self._value, self.values = cache, value, values
 
 
 class Constraint:
@@ -104,7 +107,8 @@ class Constraint:
 
     Subclasses define :meth:`_violations` (the built-in constraints do) or
     only :meth:`violation`; each form is derived from the other. The
-    tracker hooks :meth:`_rebuild` and :meth:`_peek_block` recompute by default.
+    tracker hooks :meth:`_rebuild`, :meth:`_peek_block` and :meth:`_commit`
+    recompute by default.
     """
 
     name = "constraint"
@@ -158,6 +162,15 @@ class Constraint:
         edits[np.arange(len(edits)), np.repeat(positions, num_tokens)] = np.tile(
             np.arange(num_tokens), positions.size)
         return self.violations(edits).reshape(positions.size, num_tokens)
+
+    def _commit(self, cache, values: np.ndarray, value, pos: int, token: int):
+        """(cache, violation) of the candidate ``values`` with the checked edit
+        ``values[pos] = token``, from its :meth:`_rebuild` cache and violation.
+        It modifies neither ``cache`` nor ``values``; by default it rebuilds an
+        edited copy."""
+        edited = values.copy()
+        edited[pos] = token
+        return self._rebuild(edited)
 
 
 @dataclass(frozen=True)

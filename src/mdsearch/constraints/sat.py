@@ -377,11 +377,13 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF: one ``p cnf n m`` header, zero-terminated clauses."""
+    """Parse DIMACS CNF: one ``p cnf n m`` header (both counts at least 1),
+    zero-terminated clauses. Lines split on ``"\\n"`` alone, so a form feed
+    in a comment neither ends it nor renumbers a :class:`ParseError`."""
     num_vars = num_clauses = None
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
@@ -389,12 +391,14 @@ def parse_dimacs(text: str) -> CnfFormula:
             if num_vars is not None:
                 raise ParseError(f"second header {line!r}", line_no)
             fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
+            if len(fields) != 4 or fields[:2] != ["p", "cnf"]:
                 raise ParseError(f"bad header {line!r}", line_no)
             try:
                 num_vars, num_clauses = int(fields[2]), int(fields[3])
             except ValueError:
                 raise ParseError(f"bad header counts in {line!r}", line_no) from None
+            if num_vars < 1 or num_clauses < 1:
+                raise ParseError(f"header counts below 1 in {line!r}", line_no)
             continue
         if num_vars is None:
             raise ParseError("clause before 'p cnf' header", line_no)

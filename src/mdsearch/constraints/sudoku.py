@@ -120,8 +120,9 @@ class UnitDuplicates(Constraint):
         self.box = check_count(box, "box size", 2)
         self.side = box * box
         self.alphabet, self.length = self.side, self.side * self.side
-        # cell_units (3, cells) gives the three units an edit touches
-        self.units, self.cell_units, _ = unit_tables(box)
+        # cell_units (3, cells) gives the three units an edit touches, and
+        # _units_of the same as one (row, column, box) tuple per cell
+        self.units, self.cell_units, self._units_of = unit_tables(box)
         self._unit_cells = self.units.ravel()
 
     def _unit_histograms(self, values):
@@ -155,6 +156,23 @@ class UnitDuplicates(Constraint):
         out = np.add(delta, value, dtype=np.float64)
         out[np.arange(positions.size), old] = value
         return out
+
+    def _commit(self, hist, values, value, pos, token):
+        """Moves one count from ``old`` to ``token`` in each of the cell's three
+        units of a copy of ``hist``, by scalar updates."""
+        old = int(values[pos])
+        if token == old:
+            return hist, value
+        hist = hist.copy()
+        for unit in self._units_of[pos]:
+            counts = hist[unit]
+            counts[old] -= 1
+            if counts[old] == 0:  # old leaves the unit
+                value += 1
+            if counts[token] == 0:  # token enters it
+                value -= 1
+            counts[token] += 1
+        return hist, value
 
 
 def completions(board: SudokuBoard, limit: int = SOLUTION_CAP) -> list[np.ndarray]:

@@ -177,23 +177,26 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     if region.length != len(current):
         raise ContractError(f"region of length {region.length} for a start of length {len(current)}")
     trackers = [c.tracker(current) for c in constraints]
+    weighted = [(wk, tracker) for wk, tracker in zip(w, trackers) if wk != 0.0]
     total = float(weighted_total(w, [tr.value() for tr in trackers]))
     history = [total]
     rounds = 0
+    size = vocab.size
     pos_arr = np.array(region.positions, dtype=np.int64)
-    rows = np.arange(pos_arr.size)
+    # flat index of each position's row in the raveled (positions, tokens) scores
+    row_starts = np.arange(pos_arr.size) * size
     while total > 0 and pos_arr.size and (max_rounds is None or rounds < max_rounds):
-        # in constraint order from the first weighted block (total > 0: one exists)
-        blocks = (wk * tracker.peek_block(pos_arr, vocab.size)
-                  for wk, tracker in zip(w, trackers) if wk != 0.0)
-        scores = sum(blocks, next(blocks))
-        scores[rows, current[pos_arr]] = np.inf
+        # summed in constraint order from the first weighted block (total > 0: one exists)
+        wk, tracker = weighted[0]
+        scores = wk * tracker.peek_block(pos_arr, size).ravel()
+        for wk, tracker in weighted[1:]:
+            scores += wk * tracker.peek_block(pos_arr, size).ravel()
+        scores[row_starts + current[pos_arr]] = np.inf
         flat = int(scores.argmin())
-        best = float(scores.flat[flat])
-        if not best < total:
+        if not scores[flat] < total:
             break
-        pos = int(pos_arr[flat // vocab.size])
-        token = flat % vocab.size
+        pos = int(pos_arr[flat // size])
+        token = flat % size
         for tracker in trackers:
             tracker.commit(pos, token)
         current[pos] = token

@@ -142,6 +142,18 @@ MUTANTS = (
            "        if used < count:\n            rng.bit_generator.state = state",
            "        if used < count - 1:\n            rng.bit_generator.state = state",
            "tests/test_sat.py"),
+    # the Sudoku tracker's in-place commit and refine's flat mask
+    Mutant("unit-commit-falls-to-one", "src/mdsearch/constraints/sudoku.py",
+           "if counts[old] == 0:", "if counts[old] == 1:",
+           "tests/test_batched.py"),
+    Mutant("unit-commit-no-copy", "src/mdsearch/constraints/sudoku.py",
+           "        hist = hist.copy()\n        for unit in self._units_of[pos]:",
+           "        for unit in self._units_of[pos]:",
+           "tests/test_batched.py"),
+    Mutant("refine-mask-next-token", "src/mdsearch/search.py",
+           "scores[row_starts + current[pos_arr]] = np.inf",
+           "scores[row_starts + current[pos_arr] + 1] = np.inf",
+           "tests/test_search.py"),
     # one reader rule for input files, and the checks on what they hold
     Mutant("read-text-only-os-error", "src/mdsearch/errors.py",
            "    except (OSError, UnicodeDecodeError) as exc:\n"

@@ -2,9 +2,12 @@
 
 ``violations`` against the naive recounts row by row, every ``peek_block``
 entry against the naive recount of its edited candidate before and between
-commits, rejected commits against an unchanged tracker, and ``best_of_pool``
+commits, every ``_commit`` against a rebuild of the edited candidate,
+rejected commits against an unchanged tracker, and ``best_of_pool``
 against a per-draw ``aggregate_violation`` loop.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -249,6 +252,59 @@ def test_batched_only_black_box_refines_through_the_defaults(seed):
                     EditableRegion.all_editable(len(values)), None)
     assert result.history[0] == naive_equal_neighbours(values)
     assert result.report.total == naive_equal_neighbours(result.candidate) == 0.0
+
+
+# --- _commit against a rebuild of the edited candidate ----------------------
+
+def commit_case(kind, rng):
+    """(constraint, candidate, alphabet size) of one ``_commit`` kind."""
+    if kind in ("clause", "full"):
+        f = random_cnf(rng, int(rng.integers(3, 10)), int(rng.integers(1, 45)), repeats=True)
+        constraint = ClauseViolations(f)
+        values, size = rng.integers(0, 2, size=f.num_vars), 2
+        return (BlackBox(constraint) if kind == "full" else constraint), values, size
+    if kind.startswith("unit"):
+        box = int(kind[-1])
+        return UnitDuplicates(box), noisy_solutions(rng, box, 1)[0], box * box
+    values = rng.integers(0, VOCAB.size, size=int(rng.integers(1, 30)))
+    values[rng.random(len(values)) < 0.1] = TERM
+    return peptide_constraints(PeptideSpec(), VOCAB)[int(kind[-1])], values, VOCAB.size
+
+
+def same_cache(a, b):
+    """Whether two tracker caches (arrays, numbers, None or tuples of them) are equal,
+    type for type."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same_cache, a, b))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, kind=st.sampled_from(["clause", "unit2", "unit3", "window0",
+                                         "window1", "window2", "full"]))
+def test_commit_hook_matches_a_rebuild_and_leaves_its_arguments(seed, kind):
+    # edits to the token already there and repeated edits to one position included
+    rng = np.random.default_rng(seed)
+    constraint, values, size = commit_case(kind, rng)
+    assert (type(constraint)._commit is Constraint._commit) == (not kind.startswith("unit"))
+    cache, value = constraint._rebuild(values)
+    pos = int(rng.integers(len(values)))
+    for _ in range(12):
+        if rng.random() < 0.6:
+            pos = int(rng.integers(len(values)))
+        token = int(values[pos]) if rng.random() < 0.25 else int(rng.integers(size))
+        before_cache, before_values = copy.deepcopy(cache), values.copy()
+        got_cache, got_value = constraint._commit(cache, values, value, pos, token)
+        assert same_cache(cache, before_cache)
+        assert np.array_equal(values, before_values)
+        edited = values.copy()
+        edited[pos] = token
+        want_cache, want_value = constraint._rebuild(edited)
+        assert same_cache(got_cache, want_cache)
+        assert type(got_value) is type(want_value) and got_value == want_value
+        cache, value, values = got_cache, got_value, edited
 
 
 # --- rejected commits --------------------------------------------------------

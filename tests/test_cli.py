@@ -123,6 +123,22 @@ def test_sample_with_dimacs_instance(tmp_path, capsys):
     assert "one" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, code", [
+    ("c a\fb\np cnf 2 1\n1 -2 0\n", 0),  # a form feed inside a comment
+    ("pq cnf 2 1\n1 -2 0\n", 2),
+    ("p cnf 0 0\n", 2),
+], ids=["form-feed-comment", "header-prefix", "zero-counts"])
+def test_bench_reads_a_dimacs_header_by_its_fields(tmp_path, capsys, text, code):
+    path = tmp_path / "one.cnf"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "bench.jsonl"
+    assert run_cli("bench", "--task", "sat", "--instances", str(path), "--seed", "0",
+                   "--out", str(out)) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert "line 1: " in capsys.readouterr().err
+
+
 # --- a bad setting stops the run before its first sample -------------------
 
 @pytest.mark.parametrize("line", ["steps = abc", "weights = 1.0,x", "weights = nan",

@@ -362,10 +362,23 @@ def test_dimacs_errors():
     ("c only a comment\n", "missing 'p cnf' header"),
     # it re-declared both counts, after earlier clauses were checked against the first
     ("p cnf 2 1\n1 2 0\np cnf 3 2\n3 0\n", "line 3: second header 'p cnf 3 2'"),
-], ids=["header", "header-counts", "no-header", "second-header"])
+    # the first field must be exactly "p"
+    ("pq cnf 2 1\n1 2 0\n", "line 1: bad header 'pq cnf 2 1'"),
+    # counts below 1 are the file's fault, named by line, not a ConfigError
+    ("c none\np cnf 0 0\n", "line 2: header counts below 1 in 'p cnf 0 0'"),
+    ("p cnf -1 1\n1 0\n", "line 1: header counts below 1"),
+    ("p cnf 2 0\n", "line 1: header counts below 1"),
+], ids=["header", "header-counts", "no-header", "second-header", "header-prefix",
+        "zero-counts", "negative-variables", "zero-clauses"])
 def test_dimacs_header_errors(text, message):
     with pytest.raises(ParseError, match=message):
         parse_dimacs(text)
+
+
+def test_dimacs_comment_with_a_form_feed_is_one_line():
+    assert parse_dimacs("c a\fb\np cnf 2 1\n1 -2 0\n") == CnfFormula(2, ((1, -2),))
+    with pytest.raises(ParseError, match="line 3: bad literal 'x'"):
+        parse_dimacs("c a\fb\vc\x1cd\np cnf 2 1\n1 x 0\n")
 
 
 def test_dimacs_skips_a_lone_zero_and_ends_an_unterminated_last_clause():
