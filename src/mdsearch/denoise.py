@@ -91,34 +91,19 @@ class UniformDenoiser(Denoiser):
 
 
 class DataDistribution:
-    """Finite weighted support of fully specified sequences.
+    """Finite support of fully specified sequences, uniform over its rows.
 
-    Stands in for the unknown data distribution at desk scale. Arrays are
-    made read-only so instances can be shared across sampler threads.
+    Stands in for the unknown data distribution at desk scale. A repeated
+    row counts once per copy, so repeating a row weights it. The support is
+    made read-only.
     """
 
-    def __init__(self, support: np.ndarray, weights: np.ndarray | None = None):
+    def __init__(self, support: np.ndarray):
         support = check_integers(support, "support", error=ConfigError).copy()
         if support.ndim != 2 or support.shape[0] == 0:
             raise ConfigError("support must be a non-empty (S, L) array")
-        if weights is None:
-            weights = np.full(support.shape[0], 1.0 / support.shape[0])
-        else:
-            weights = check_reals(weights, "weights")
-            if weights.shape != (support.shape[0],):
-                raise ConfigError("weights must align with the support")
-            # tested once normalized, where an overflowing sum leaves zeros, a zero sum
-            # NaNs and a weight too small beside the sum a zero; all-negative weights
-            # normalize to positive ones, so the sum's sign is tested too
-            with np.errstate(all="ignore"):
-                total = weights.sum()
-                weights = weights / total
-            if not (total > 0 and (weights > 0).all()):
-                raise ConfigError("weights must be positive with a finite sum")
         support.setflags(write=False)
-        weights.setflags(write=False)
         self.support = support
-        self.weights = weights
 
 
 class ExactPosteriorDenoiser(Denoiser):
@@ -129,11 +114,11 @@ class ExactPosteriorDenoiser(Denoiser):
     support element is consistent (search edits can leave the support), the
     masked rows fall back to uniform so sampling can proceed.
 
-    Two read-only ``(S, L)`` tables are built once, here: entry ``[s, i]`` of
+    One read-only ``(S, L)`` table is built once, here: entry ``[s, i]`` of
     ``bins`` is ``support[s, i] + i * |V|``, the flat ``(L, |V|)`` cell that
-    support row ``s`` adds its weight to at position ``i``, and ``spread``
-    repeats ``weights[s]`` along the row. Their consistent rows feed one
-    ``bincount``, which sums each cell in support-row order.
+    support row ``s`` counts in at position ``i``. Its consistent rows feed
+    one ``bincount``, and each count is divided by the number ``n`` of
+    consistent rows, which every position's counts sum to.
     """
 
     def __init__(self, dist: DataDistribution, vocab: Vocab):
@@ -142,9 +127,7 @@ class ExactPosteriorDenoiser(Denoiser):
         self.dist = dist
         length = dist.support.shape[1]
         self.bins = dist.support + np.arange(length) * vocab.size
-        self.spread = np.repeat(dist.weights, length).reshape(dist.support.shape)
         self.bins.setflags(write=False)
-        self.spread.setflags(write=False)
 
     def denoise(self, values, t):
         values = check_integers(values, "values")
@@ -153,14 +136,13 @@ class ExactPosteriorDenoiser(Denoiser):
             raise ContractError(f"values of shape {values.shape} for support {support.shape}")
         observed = (values != vocab.mask_id).ravel().nonzero()[0]
         consistent = np.logical_and.reduce(support[:, observed] == values[observed], axis=1)
-        if not np.logical_or.reduce(consistent, axis=None):
+        n = np.add.reduce(consistent)
+        if n == 0:
             return _uniform_rows(values, vocab)
-        rows = np.bincount(self.bins.compress(consistent, axis=0).ravel(),
-                           self.spread.compress(consistent, axis=0).ravel(),
-                           values.size * vocab.size)
-        rows = rows.reshape(values.size, vocab.size)
-        rows /= np.add.reduce(rows, axis=1, keepdims=True)
-        return rows  # observed rows are one-hot: every consistent row agrees there
+        counts = np.bincount(self.bins.compress(consistent, axis=0).ravel(), None,
+                             values.size * vocab.size)
+        # observed rows are one-hot: every consistent row agrees there
+        return counts.reshape(values.size, vocab.size) / n
 
 
 class CorruptedDenoiser(Denoiser):

@@ -58,14 +58,15 @@ class SearchConfig:
             check_reals(self.weights, "constraint weights", low=0)
 
 
-def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> np.ndarray:
+def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> tuple[float, ...]:
+    """One Python float per constraint; ``None`` weights each constraint 1."""
     if weights is None:
-        return np.array([1.0] * len(constraints))
+        return (1.0,) * len(constraints)
     weights = check_reals(weights, "weights", low=0, error=ContractError)
     if weights.shape != (len(constraints),):
         raise ContractError(
             f"{weights.size} weights for {len(constraints)} constraints")
-    return weights
+    return tuple(weights.tolist())
 
 
 def weighted_total(weights, parts, start=0.0):
@@ -85,7 +86,7 @@ def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
                    resolve_weights(weights, constraints), len(values))
 
 
-def _totals(parts, w: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _totals(parts, w: tuple[float, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
     """The violations (K, count) and weighted totals of :func:`score_rows`,
     from each constraint's violations of the ``count`` rows."""
     nu = np.array(parts).reshape(len(w), count)

@@ -116,8 +116,9 @@ MUTANTS = (
     Mutant("table-position-at-length", "src/mdsearch/denoise.py",
            "pos >= len(pattern)", "pos > len(pattern)",
            "tests/test_denoise.py"),
-    Mutant("default-weights-doubled", "src/mdsearch/denoise.py",
-           "1.0 / support.shape[0])", "2.0 / support.shape[0])",
+    Mutant("posterior-divides-by-support-size", "src/mdsearch/denoise.py",
+           "counts.reshape(values.size, vocab.size) / n",
+           "counts.reshape(values.size, vocab.size) / len(support)",
            "tests/test_denoise.py"),
     # the row contract, each tolerance loosened
     Mutant("row-sum-tolerance-1e-6", "src/mdsearch/denoise.py",
@@ -170,14 +171,6 @@ MUTANTS = (
     Mutant("record-total-any-type", "src/mdsearch/harness/runner.py",
            '"total": lambda v: v is None or _number(v),', '"total": lambda v: True,',
            "tests/test_cli.py"),
-    Mutant("weights-tested-before-normalizing", "src/mdsearch/denoise.py",
-           "                weights = weights / total\n"
-           "            if not (total > 0 and (weights > 0).all()):\n",
-           "            if not (total > 0 and (weights > 0).all()):\n"
-           '                raise ConfigError("weights must be positive with a finite sum")\n'
-           "            weights = weights / total\n"
-           "            if False:\n",
-           "tests/test_denoise.py"),
     Mutant("first-hitting-left-side", "src/mdsearch/diffusion.py",
            'side="right"', 'side="left"', "tests/test_diffusion.py",
            equivalent="the sides differ only when a uniform equals an alpha exactly"),

@@ -165,20 +165,23 @@ def satisfying_assignments_by_chunks(formula) -> np.ndarray:
     return np.concatenate(found, axis=0)
 
 
-def enumerate_posterior(support, weights, observed, num_tokens) -> np.ndarray:
-    """Brute-force conditional marginals; ``observed`` maps pos -> token."""
+def enumerate_posterior(support, observed, num_tokens) -> np.ndarray:
+    """Brute-force conditional marginals; ``observed`` maps pos -> token.
+
+    Each consistent support row counts once per copy; None when none is.
+    """
     support = np.asarray(support)
     length = support.shape[1]
-    rows = np.zeros((length, num_tokens))
-    total = 0.0
-    for seq, w in zip(support, weights):
+    counts = np.zeros((length, num_tokens), dtype=np.int64)
+    n = 0
+    for seq in support:
         if all(seq[pos] == tok for pos, tok in observed.items()):
-            total += w
+            n += 1
             for i, tok in enumerate(seq):
-                rows[i, tok] += w
-    if total == 0.0:
+                counts[i, tok] += 1
+    if n == 0:
         return None
-    return rows / total
+    return counts / n
 
 
 def tv_distance(counts: dict, probs: dict, n: int) -> float:
@@ -204,23 +207,24 @@ def pool_by_draw(draws, constraints, weights=None):
     return best, best_report, first_total
 
 
-def posterior_by_position(support, weights, values, num_tokens, mask_id):
+def posterior_by_position(support, values, num_tokens, mask_id):
     """Exact posterior rows built one position at a time with ``np.add.at``.
 
-    Rows at masked positions are the support's marginals among the elements
-    consistent with the observed tokens, or uniform when none is; observed
-    positions are one-hot. Reference for the one-pass ``exact_posterior``.
+    Rows at masked positions count each token among the support rows
+    consistent with the observed tokens and divide by how many rows are
+    consistent, or are uniform when none is; observed positions are one-hot.
+    Reference for the one-pass ``ExactPosteriorDenoiser.denoise``.
     """
     support, values = np.asarray(support), np.asarray(values)
     length = support.shape[1]
     observed = np.flatnonzero(values != mask_id)
     consistent = np.all(support[:, observed] == values[observed], axis=1)
-    if consistent.any():
-        sub, w = support[consistent], np.asarray(weights)[consistent]
-        rows = np.zeros((length, num_tokens))
+    sub = support[consistent]
+    if len(sub):
+        counts = np.zeros((length, num_tokens), dtype=np.int64)
         for i in range(length):
-            np.add.at(rows[i], sub[:, i], w)
-        rows /= rows.sum(axis=1, keepdims=True)
+            np.add.at(counts[i], sub[:, i], 1)
+        rows = counts / len(sub)
     else:
         rows = np.full((length, num_tokens), 1.0 / num_tokens)
     rows[observed] = 0.0

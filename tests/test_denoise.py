@@ -98,48 +98,9 @@ def test_check_rows_rejections():
 def test_data_distribution_validation():
     with pytest.raises(ConfigError):
         DataDistribution(np.empty((0, 3), dtype=np.int64))
-    with pytest.raises(ConfigError):
-        DataDistribution(np.array([[0, 1]]), weights=np.array([0.0]))
-    dist = DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([3.0, 1.0]))
-    assert np.allclose(dist.weights, [0.75, 0.25])
+    dist = DataDistribution(np.array([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):
         dist.support[0, 0] = 1  # read-only after construction
-
-
-def test_data_distribution_default_weights_sum_to_one():
-    # the posterior renormalizes, so only the public field shows a wrong default
-    weights = DataDistribution(np.array([[0, 1], [1, 0], [1, 1]])).weights
-    assert weights.tolist() == [1 / 3] * 3
-    assert abs(weights.sum() - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_data_distribution_rejects_non_finite_weights(bad):
-    # they normalised to NaN, and the error surfaced only at sample time
-    with pytest.raises(ConfigError, match="finite"):
-        DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([1.0, bad]))
-
-
-def test_data_distribution_rejects_weights_whose_sum_overflows():
-    # they normalised to all zeros, with only numpy's overflow warning
-    with pytest.raises(ConfigError, match="finite"):
-        DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([1e308, 1e308]))
-    big = DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([1e307, 3e307]))
-    assert big.weights.tolist() == [0.25, 0.75]
-
-
-@pytest.mark.parametrize("weights", [[1e300, 1e-300], [0.0, 0.0], [1.0, -1.0], [-1.0, -2.0]],
-                         ids=["underflow", "zeros", "zero-sum", "all-negative"])
-def test_data_distribution_rejects_weights_that_normalize_to_zero(weights):
-    # [1e300, 1e-300] normalized to [1, 0], and the posterior then divided by zero
-    with pytest.raises(ConfigError, match="positive with a finite sum"):
-        DataDistribution(np.array([[0, 0], [1, 1]]), weights=np.array(weights))
-
-
-def test_data_distribution_rejects_opposite_infinite_weights_without_a_warning():
-    # their sum is NaN, which numpy reports with an "invalid value" warning
-    with pytest.raises(ConfigError, match="finite"):
-        DataDistribution(np.array([[0, 1], [1, 0]]), weights=np.array([np.inf, -np.inf]))
 
 
 def test_exact_posterior_unique_completion():
@@ -176,18 +137,28 @@ def test_exact_posterior_disjunction_marginal():
     assert abs(rows[0, 1] - 2 / 3) < 1e-12
 
 
+def test_repeated_support_rows_weight_the_posterior_by_multiplicity():
+    # support {AB, AB, BA}: AB counts twice, so P(A at position 0) = 2/3
+    dist = DataDistribution(np.array([[0, 1], [0, 1], [1, 0]]))
+    rows = ExactPosteriorDenoiser(dist, AB).denoise(np.array([M, M]), 0)
+    assert rows.tolist() == [[2 / 3, 1 / 3], [1 / 3, 2 / 3]]
+    rows = ExactPosteriorDenoiser(dist, AB).denoise(np.array([M, 1]), 0)
+    assert rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_exact_posterior_matches_enumeration_oracle():
     rng = np.random.default_rng(0)
     vocab = Vocab(("A", "B", "C"))
     for _ in range(50):
         size = int(rng.integers(1, 40))
         length = int(rng.integers(1, 6))
-        support = rng.integers(0, 3, size=(size, length))
-        weights = rng.random(size) + 0.1
-        dist = DataDistribution(support, weights=weights)
+        # repeated rows weight the posterior by their multiplicity
+        support = rng.integers(0, 3, size=(size, length)).repeat(
+            rng.integers(1, 4, size=size), axis=0)
+        dist = DataDistribution(support)
         x = rng.integers(0, 4, size=length)  # 3 == mask
         observed = {i: int(v) for i, v in enumerate(x) if v != 3}
-        expected = enumerate_posterior(support, dist.weights, observed, 3)
+        expected = enumerate_posterior(support, observed, 3)
         rows = ExactPosteriorDenoiser(dist, vocab).denoise(x, 0)
         if expected is None:
             masked = [i for i in range(length) if i not in observed]
@@ -201,13 +172,13 @@ def test_exact_posterior_matches_enumeration_oracle():
 def test_exact_posterior_matches_enumeration_on_large_support():
     rng = np.random.default_rng(7)
     vocab = Vocab(("A", "B", "C", "D"))
-    support = rng.integers(0, 4, size=(4096, 6))
-    weights = rng.random(4096) + 0.05
-    dist = DataDistribution(support, weights=weights)
+    # 4096 draws from 1024 distinct rows: most rows repeat
+    support = rng.integers(0, 4, size=(1024, 6))[rng.integers(0, 1024, size=4096)]
+    dist = DataDistribution(support)
     for _ in range(10):
         x = rng.integers(0, 5, size=6)  # 4 == mask
         observed = {i: int(v) for i, v in enumerate(x) if v != 4}
-        expected = enumerate_posterior(support, dist.weights, observed, 4)
+        expected = enumerate_posterior(support, observed, 4)
         rows = ExactPosteriorDenoiser(dist, vocab).denoise(x, 0)
         masked = [i for i in range(6) if i not in observed]
         if expected is None:
@@ -325,29 +296,27 @@ def test_exact_posterior_bitwise_matches_per_position_oracle():
         length = int(rng.integers(1, 9))
         vocab = Vocab(tuple("ABCDEF"[:num_tokens]))
         support = rng.integers(0, num_tokens, size=(int(rng.integers(1, 40)), length))
-        weights = rng.random(len(support)) + 0.01 if case % 2 else None
-        dist = DataDistribution(support, weights)
+        if case % 2:
+            support = support.repeat(rng.integers(1, 4, size=len(support)), axis=0)
+        dist = DataDistribution(support)
         # observe a support row's tokens (frozen or committed positions), or
         # random tokens that may match no row and force the uniform fallback
         source = (support[rng.integers(len(support))] if case % 3
                   else rng.integers(0, num_tokens, size=length))
         values = np.where(rng.random(length) < 0.4, source, vocab.mask_id)
         rows = ExactPosteriorDenoiser(dist, vocab).denoise(values, 0)
-        oracle = posterior_by_position(dist.support, dist.weights, values,
-                                       num_tokens, vocab.mask_id)
+        oracle = posterior_by_position(dist.support, values, num_tokens, vocab.mask_id)
         assert rows.tobytes() == oracle.tobytes()
 
 
 def test_posterior_tables_are_built_with_the_denoiser_and_read_only():
     vocab = Vocab(tuple("ABC"))
     support = np.array([[0, 1], [2, 2], [1, 0]])
-    dist = DataDistribution(support, [1.0, 2.0, 3.0])
+    dist = DataDistribution(support)
     den = ExactPosteriorDenoiser(dist, vocab)
     assert np.array_equal(den.bins, [[0, 4], [2, 5], [1, 3]])
-    assert np.array_equal(den.spread, np.repeat(dist.weights, 2).reshape(3, 2))
-    for table in (den.bins, den.spread):
-        with pytest.raises(ValueError):
-            table[0, 0] = 0
+    with pytest.raises(ValueError):
+        den.bins[0, 0] = 0
     assert np.array_equal(ExactPosteriorDenoiser(dist, Vocab(tuple("ABCD"))).bins,
                           [[0, 5], [2, 6], [1, 4]])
 

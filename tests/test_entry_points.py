@@ -135,8 +135,7 @@ def _fully_masked(draw):
 ENTRIES = {
     "CorruptedDenoiser": _denoisers,
     "DataDistribution": lambda draw: m.DataDistribution(
-        draw(st.just(DIST.support) | hnp.arrays(DTYPES, SHAPES)),
-        draw(st.none() | hnp.arrays(np.float64, SHAPES) | st.lists(REALS, max_size=3))),
+        draw(st.just(DIST.support) | hnp.arrays(DTYPES, SHAPES))),
     "Denoiser": _denoisers,
     "ExactPosteriorDenoiser": _denoisers,
     "TableDenoiser": _denoisers,
@@ -234,11 +233,10 @@ BASE = m.UniformDenoiser(BITS)
     (lambda: m.NoiseSchedule((1.0, "a", 0.0)), ConfigError),
     (lambda: m.NoiseSchedule((True, False)), ConfigError),
     (lambda: m.NoiseSchedule(((1.0,), (0.0,))), ConfigError),
-    (lambda: m.DataDistribution(DIST.support, weights=["a"] * len(DIST.support)), ConfigError),
 ], ids=["search-weights-text", "search-flag-text", "run-weights-text", "run-epsilon-text",
         "run-epsilon-pair", "run-denoiser-int", "run-instances-int", "run-out-int",
         "aggregate-weights-text", "corrupt-none", "corrupt-bool", "corrupt-list", "schedule-text",
-        "schedule-bools", "schedule-nested", "distribution-weights-text"])
+        "schedule-bools", "schedule-nested"])
 def test_arguments_of_another_type_raise_package_errors(call, error):
     # bools were read as 0 or 1, "no" as True, a nested schedule passed by luck
     # (its 1-element rows compared equal to the endpoints), an int path failed
