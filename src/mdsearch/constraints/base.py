@@ -8,8 +8,10 @@ A constraint states its ``alphabet`` (tokens per position) and candidate
 ``length`` once, as attributes; ``None``, as on a black box, leaves that
 bound open. This module checks every input against them, by the rules of
 :mod:`mdsearch.errors`: each batch of candidates, each tracked candidate,
-each edit block and each committed edit; it also checks the violations
-each batch returns. Then it calls the unchecked hooks a built-in
+each edit block and each committed edit. It also checks the violations
+every batch returns, by one rule (:func:`_checked_output`), even where a
+constraint overrides ``violations``: every scorer scores a batch through
+:func:`batch_violations`. Then it calls the unchecked hooks a built-in
 constraint defines: ``_violations``, and ``_rebuild``, ``_peek_block`` and
 ``_commit`` for its tracker. A black box may define only ``violation``
 instead, and its tracker then recomputes through ``violations``. The
@@ -40,17 +42,39 @@ def token_rows(values, alphabet: int | None, length: int | None = None) -> np.nd
     return check_integers(values, "tokens", alphabet)
 
 
+def _checked_output(constraint: "Constraint", nu, rows: int) -> np.ndarray:
+    """``nu`` as a float64 array, unless it is not ``rows`` non-negative
+    numbers of shape (rows,) (NaN is not): then :class:`ContractError`
+    naming the constraint."""
+    nu = np.asarray(nu, dtype=np.float64)
+    # NaN fails the bound too
+    if nu.shape != (rows,) or not np.minimum.reduce(nu, axis=None, initial=0.0) >= 0:
+        raise ContractError(f"{constraint.name}: violations must be {rows} non-negative "
+                            f"numbers (NaN is not), got shape {nu.shape}")
+    return nu
+
+
+def batch_violations(constraint: "Constraint", values) -> np.ndarray:
+    """``constraint.violations(values)`` of a batch of rows, with its output
+    checked by :func:`_checked_output` even where the constraint overrides
+    ``violations`` (``Constraint.violations`` checks its own)."""
+    nu = constraint.violations(values)
+    if getattr(constraint.violations, "__func__", None) is Constraint.violations:
+        return nu
+    return _checked_output(constraint, nu, len(values))
+
+
 def drawn_violations(constraint: "Constraint", draws: np.ndarray,
                      num_tokens: int) -> np.ndarray:
-    """``constraint.violations(draws)`` of int64 draws over ``num_tokens``
-    tokens that :func:`~mdsearch.search.proposal_draws` built. Unless the
+    """:func:`batch_violations` of int64 draws over ``num_tokens`` tokens
+    that :func:`~mdsearch.search.proposal_draws` built. Unless the
     constraint overrides ``violations``, :func:`token_rows` is skipped where
     it would pass them; the output check always runs."""
     if (getattr(constraint.violations, "__func__", None) is Constraint.violations
             and (constraint.alphabet is None or constraint.alphabet >= num_tokens)
             and (constraint.length is None or constraint.length == draws.shape[1])):
         return constraint._checked_violations(draws)
-    return constraint.violations(draws)
+    return batch_violations(constraint, draws)
 
 
 class ViolationTracker:
@@ -119,26 +143,22 @@ class Constraint:
         """Violation of one candidate: :meth:`violations` on a batch of one."""
         if type(self)._violations is Constraint._violations:
             raise NotImplementedError("define violation or _violations")
-        return float(self.violations(np.asarray(values)[None])[0])
+        return float(batch_violations(self, np.asarray(values)[None])[0])
 
     def violations(self, values: np.ndarray) -> np.ndarray:
         """Violations of every row of ``values`` (M, L) as an (M,) float array.
 
         Both sides are checked: the rows by :func:`token_rows`, and the output
-        (:class:`ContractError` unless of shape (M,) and ``>= 0``, which NaN
-        is not).
+        by :func:`_checked_output` (:class:`ContractError` unless of shape (M,)
+        and ``>= 0``, which NaN is not). An override is checked by
+        :func:`batch_violations`, through which every scorer calls it.
         """
         return self._checked_violations(token_rows(values, self.alphabet, self.length))
 
     def _checked_violations(self, values: np.ndarray) -> np.ndarray:
         """:meth:`violations` of rows that :func:`token_rows` has passed:
         :meth:`_violations`, with its output checked."""
-        nu = np.asarray(self._violations(values), dtype=np.float64)
-        # NaN fails the bound too
-        if nu.shape != (len(values),) or not np.minimum.reduce(nu, axis=None, initial=0.0) >= 0:
-            raise ContractError(f"{self.name}: violations must be {len(values)} non-negative "
-                                f"numbers (NaN is not), got shape {nu.shape}")
-        return nu
+        return _checked_output(self, self._violations(values), len(values))
 
     def _violations(self, values: np.ndarray) -> np.ndarray:
         """:meth:`violations` of checked rows; by default one ``violation`` per row."""
@@ -150,18 +170,18 @@ class Constraint:
 
     def _rebuild(self, values: np.ndarray):
         """(cache, violation) of one checked candidate; by default no cache
-        and one :meth:`violations` call on a batch of one."""
-        return None, float(self.violations(values[None])[0])
+        and one :func:`batch_violations` call on a batch of one."""
+        return None, float(batch_violations(self, values[None])[0])
 
     def _peek_block(self, cache, values: np.ndarray, value, positions: np.ndarray,
                     num_tokens: int) -> np.ndarray:
         """:meth:`ViolationTracker.peek_block` of checked positions from the
         candidate, its :meth:`_rebuild` cache and its violation; by default
-        one :meth:`violations` call over every single edit."""
+        one :func:`batch_violations` call over every single edit."""
         edits = np.tile(values, (positions.size * num_tokens, 1))
         edits[np.arange(len(edits)), np.repeat(positions, num_tokens)] = np.tile(
             np.arange(num_tokens), positions.size)
-        return self.violations(edits).reshape(positions.size, num_tokens)
+        return batch_violations(self, edits).reshape(positions.size, num_tokens)
 
     def _commit(self, cache, values: np.ndarray, value, pos: int, token: int):
         """(cache, violation) of the candidate ``values`` with the checked edit

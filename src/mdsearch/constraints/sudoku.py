@@ -111,6 +111,16 @@ def _bin_offsets(box: int, rows: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _slot_tables(box: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """The first slot of each cell's row, column and box unit in a raveled
+    (units, side) table: read-only (3, cells), and the same as one tuple of
+    plain ints per cell."""
+    slots = unit_tables(box)[1] * (box * box)
+    slots.setflags(write=False)
+    return slots, tuple(zip(*slots.tolist()))
+
+
 class UnitDuplicates(Constraint):
     """Total duplicate count over all units: sum of max(0, count - 1)."""
 
@@ -121,9 +131,10 @@ class UnitDuplicates(Constraint):
         self.side = box * box
         self.alphabet, self.length = self.side, self.side * self.side
         # cell_units (3, cells) gives the three units an edit touches, and
-        # _units_of the same as one (row, column, box) tuple per cell
-        self.units, self.cell_units, self._units_of = unit_tables(box)
+        # _unit_slots and _slots_of the first slot of each in the flag tables
+        self.units, self.cell_units, _ = unit_tables(box)
         self._unit_cells = self.units.ravel()
+        self._unit_slots, self._slots_of = _slot_tables(box)
 
     def _unit_histograms(self, values):
         """Digit counts (M, units, side) of every unit of every row of ``values``
@@ -142,37 +153,55 @@ class UnitDuplicates(Constraint):
         return np.subtract(self._unit_cells.size, present, dtype=np.float64)
 
     def _rebuild(self, values):
-        """Per-unit digit histograms; an edit touches exactly three units."""
+        """Per-unit digit histograms (units, side), with two int8 flag tables
+        of the same shape: each digit present in each unit at least once, and
+        at least twice. An edit touches exactly three units."""
         hist = self._unit_histograms(values[None])[0]
-        return hist, int(hist.size - np.add.reduce(hist.astype(bool), axis=None, dtype=np.intp))
+        present = (hist >= 1).view(np.int8)
+        return ((hist, present, (hist >= 2).view(np.int8)),
+                int(hist.size - np.add.reduce(present, axis=None, dtype=np.intp)))
 
-    def _peek_block(self, hist, values, value, positions, num_tokens):
-        """Leaving ``old`` and entering ``token`` over each cell's three units, by ``take``."""
+    def _peek_block(self, cache, values, value, positions, num_tokens):
+        """Entering ``token`` adds a duplicate in each of the cell's three units
+        where it is present, and leaving ``old`` removes one in each where
+        ``old`` is duplicated: both gathered from the cached flags by ``take``."""
+        _, present, dup = cache
         units = self.cell_units.take(positions, axis=1)
         old = values[positions]
-        enter = (hist >= 1).view(np.int8).take(units, axis=0)
-        leave = (hist >= 2).view(np.int8).take(units * num_tokens + old)
+        enter = present.take(units, axis=0)
+        leave = dup.take(self._unit_slots.take(positions, axis=1) + old)
         delta = enter[0] + enter[1] + enter[2] - (leave[0] + leave[1] + leave[2])[:, None]
         out = np.add(delta, value, dtype=np.float64)
         out[np.arange(positions.size), old] = value
         return out
 
-    def _commit(self, hist, values, value, pos, token):
+    def _commit(self, cache, values, value, pos, token):
         """Moves one count from ``old`` to ``token`` in each of the cell's three
-        units of a copy of ``hist``, by scalar updates."""
+        units of copies of the cached tables, by scalar updates of their
+        raveled views; a flag flips where its count crosses 0 and 1 (present)
+        or 1 and 2 (duplicated)."""
         old = int(values[pos])
         if token == old:
-            return hist, value
-        hist = hist.copy()
-        for unit in self._units_of[pos]:
-            counts = hist[unit]
-            counts[old] -= 1
-            if counts[old] == 0:  # old leaves the unit
+            return cache, value
+        hist, present, dup = cache[0].copy(), cache[1].copy(), cache[2].copy()
+        counts, once, twice = hist.ravel(), present.ravel(), dup.ravel()
+        for start in self._slots_of[pos]:
+            leaving, entering = start + old, start + token
+            left = counts[leaving] - 1
+            counts[leaving] = left
+            if left == 0:  # old leaves the unit
+                once[leaving] = 0
                 value += 1
-            if counts[token] == 0:  # token enters it
+            elif left == 1:
+                twice[leaving] = 0
+            had = counts[entering]
+            if had == 0:  # token enters it
+                once[entering] = 1
                 value -= 1
-            counts[token] += 1
-        return hist, value
+            elif had == 1:
+                twice[entering] = 1
+            counts[entering] = had + 1
+        return (hist, present, dup), value
 
 
 def completions(board: SudokuBoard, limit: int = SOLUTION_CAP) -> list[np.ndarray]:

@@ -78,8 +78,10 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator,
     ``(count, len(rows))`` holding ``count`` independent draws per row, as
     int64. A draw is the number of a row's first ``|V| - 1`` cumulative sums
     at or below its uniform times the row total. A single draw per row reads
-    each row's CDF in place; ``count`` draws read the transposed CDF, so that
-    every comparison runs over contiguous memory. For rows
+    each row's CDF in place; ``count`` draws read the transposed CDF, built
+    by one ``np.add.accumulate`` down a transposed copy of the rows (the same
+    sequential sums, bit for bit), so that every comparison runs over
+    contiguous memory. For rows
     without negative entries (every built-in denoiser's) this is the
     smallest token whose cumulative sum exceeds the uniform, capped at the
     last token; a row with entries down to ``-ROW_TOL``, which
@@ -91,11 +93,11 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator,
     counts in the default integer, which is faster for one row of hits.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    cdf = rows.cumsum(axis=1)
     if count is None:
+        cdf = rows.cumsum(axis=1)
         u = rng.random(rows.shape[0]) * cdf[:, -1]
         return np.add.reduce(cdf[:, :-1] <= u[:, None], axis=1)
-    cdf_t = cdf.T.copy()
+    cdf_t = np.add.accumulate(rows.T.copy(), axis=0)
     u = rng.random((count, rows.shape[0])) * cdf_t[-1]
     hits = np.min_scalar_type(rows.shape[1] - 1)
     return np.add.reduce(cdf_t[:-1, None, :] <= u, axis=0, dtype=hits).astype(np.int64)

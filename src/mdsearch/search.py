@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constraints.base import Constraint, ViolationReport, drawn_violations
+from .constraints.base import Constraint, ViolationReport, batch_violations, drawn_violations
 from .denoise import Denoiser, check_rows, probability_rows
 from .diffusion import NoiseSchedule, first_hitting_steps, sample_rows
 from .errors import (ConfigError, ContractError, SampleError, check_count, check_integers,
@@ -76,21 +76,18 @@ def weighted_total(weights, parts, start=0.0):
 
 def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every row of ``values`` (M, L) with one call per constraint.
+    """Score every row of ``values`` (M, L) with one
+    :func:`~mdsearch.constraints.base.batch_violations` call per constraint.
 
     Returns the violations (K, M) and the weighted totals (M,) summed by
     :func:`weighted_total` in constraint order, so a constraint of weight 0
     adds nothing to them, even where its violation is infinite.
     """
-    return _totals([c.violations(values) for c in constraints],
-                   resolve_weights(weights, constraints), len(values))
-
-
-def _totals(parts, w: tuple[float, ...], count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The violations (K, count) and weighted totals of :func:`score_rows`,
-    from each constraint's violations of the ``count`` rows."""
-    nu = np.array(parts).reshape(len(w), count)
-    return nu, weighted_total(w, nu, np.zeros(count))
+    w = resolve_weights(weights, constraints)
+    parts = [batch_violations(c, values) for c in constraints]
+    # each part is checked to be (M,); the reshape only gives K = 0 its shape
+    return (np.array(parts).reshape(len(w), len(values)),
+            weighted_total(w, parts, np.zeros(len(values))))
 
 
 def aggregate_violation(values: np.ndarray, constraints: tuple[Constraint, ...],
@@ -116,7 +113,7 @@ def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
     if rows.shape != (len(x_t), mask_id):
         raise ContractError(f"rows of shape {rows.shape} for x_t of shape {x_t.shape}")
     draws = x_t[None].repeat(count, 0)
-    masked = masked_positions(x_t, mask_id)
+    masked = x_t == mask_id
     proposal = rows[masked]
     if not probability_rows(proposal):
         raise ContractError("rows at masked positions must be probability rows")
@@ -143,10 +140,10 @@ def best_of_pool(rows: np.ndarray, x_t: np.ndarray, count: int,
     """
     draws = proposal_draws(rows, x_t, count, rng, mask_id)
     w = resolve_weights(weights, constraints)
-    nu, totals = _totals([drawn_violations(c, draws, mask_id) for c in constraints],
-                         w, count)
+    parts = [drawn_violations(c, draws, mask_id) for c in constraints]
+    totals = weighted_total(w, parts, np.zeros(count))
     best = int(totals.argmin())
-    return PoolPick(draws[best], ViolationReport(tuple(nu[:, best].tolist()),
+    return PoolPick(draws[best], ViolationReport(tuple(float(nu[best]) for nu in parts),
                                                  float(totals[best])), float(totals[0]))
 
 
@@ -184,23 +181,25 @@ def refine(start: np.ndarray, constraints: tuple[Constraint, ...], weights,
     rounds = 0
     size = vocab.size
     pos_arr = np.array(region.positions, dtype=np.int64)
-    # flat index of each position's row in the raveled (positions, tokens) scores
-    row_starts = np.arange(pos_arr.size) * size
+    # flat index of each position's current token in the raveled (positions,
+    # tokens) scores; a commit moves the one entry of its position
+    here = np.arange(pos_arr.size) * size + current[pos_arr]
     while total > 0 and pos_arr.size and (max_rounds is None or rounds < max_rounds):
         # summed in constraint order from the first weighted block (total > 0: one exists)
         wk, tracker = weighted[0]
         scores = wk * tracker.peek_block(pos_arr, size).ravel()
         for wk, tracker in weighted[1:]:
             scores += wk * tracker.peek_block(pos_arr, size).ravel()
-        scores[row_starts + current[pos_arr]] = np.inf
+        scores[here] = np.inf
         flat = int(scores.argmin())
         if not scores[flat] < total:
             break
-        pos = int(pos_arr[flat // size])
-        token = flat % size
+        row, token = divmod(flat, size)
+        pos = int(pos_arr[row])
         for tracker in trackers:
             tracker.commit(pos, token)
         current[pos] = token
+        here[row] = flat
         total = float(weighted_total(w, [tr.value() for tr in trackers]))
         history.append(total)
         rounds += 1

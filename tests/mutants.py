@@ -72,6 +72,9 @@ MUTANTS = (
            "constraint.length is None or constraint.length",
            "constraint.length is None and constraint.length",
            "tests/test_batched.py"),
+    Mutant("override-output-unchecked", "src/mdsearch/constraints/base.py",
+           "    return _checked_output(constraint, nu, len(values))", "    return nu",
+           "tests/test_batched.py"),
     # one rule for a token sequence, and the first value past each bound
     Mutant("check-sequence-no-rank-test", "src/mdsearch/errors.py",
            "    if values.ndim != 1:\n        raise ContractError(f\"{what} must be one sequence",
@@ -143,17 +146,28 @@ MUTANTS = (
            "        if used < count:\n            rng.bit_generator.state = state",
            "        if used < count - 1:\n            rng.bit_generator.state = state",
            "tests/test_sat.py"),
-    # the Sudoku tracker's in-place commit and refine's flat mask
+    # the Sudoku tracker's in-place commit with its flags, and refine's flat mask
     Mutant("unit-commit-falls-to-one", "src/mdsearch/constraints/sudoku.py",
-           "if counts[old] == 0:", "if counts[old] == 1:",
+           "if left == 0:", "if left == 1:",
            "tests/test_batched.py"),
     Mutant("unit-commit-no-copy", "src/mdsearch/constraints/sudoku.py",
-           "        hist = hist.copy()\n        for unit in self._units_of[pos]:",
-           "        for unit in self._units_of[pos]:",
+           "hist, present, dup = cache[0].copy(), cache[1].copy(), cache[2].copy()",
+           "hist, present, dup = cache[0], cache[1].copy(), cache[2].copy()",
+           "tests/test_batched.py"),
+    Mutant("unit-commit-presence-kept", "src/mdsearch/constraints/sudoku.py",
+           "once[leaving] = 0", "once[leaving] = 1",
+           "tests/test_batched.py"),
+    Mutant("unit-commit-duplicate-at-three", "src/mdsearch/constraints/sudoku.py",
+           "elif had == 1:", "elif had == 2:",
            "tests/test_batched.py"),
     Mutant("refine-mask-next-token", "src/mdsearch/search.py",
-           "scores[row_starts + current[pos_arr]] = np.inf",
-           "scores[row_starts + current[pos_arr] + 1] = np.inf",
+           "scores[here] = np.inf", "scores[here + 1] = np.inf",
+           "tests/test_search.py"),
+    Mutant("refine-index-not-moved", "src/mdsearch/search.py",
+           "        here[row] = flat\n", "",
+           "tests/test_search.py"),
+    Mutant("refine-enters-at-zero", "src/mdsearch/search.py",
+           "while total > 0 and", "while total >= 0 and",
            "tests/test_search.py"),
     # one reader rule for input files, and the checks on what they hold
     Mutant("read-text-only-os-error", "src/mdsearch/errors.py",

@@ -3,8 +3,9 @@
 ``violations`` against the naive recounts row by row, every ``peek_block``
 entry against the naive recount of its edited candidate before and between
 commits, every ``_commit`` against a rebuild of the edited candidate,
-rejected commits against an unchanged tracker, and ``best_of_pool``
-against a per-draw ``aggregate_violation`` loop.
+rejected commits against an unchanged tracker, ``best_of_pool``
+against a per-draw ``aggregate_violation`` loop, and the output check on
+every scorer, an overridden ``violations`` included.
 """
 
 import copy
@@ -24,9 +25,12 @@ from mdsearch.constraints.peptide import (
 from mdsearch.constraints.sat import ClauseViolations, CnfFormula
 from mdsearch.constraints.sudoku import UnitDuplicates, random_solution
 from mdsearch.denoise import UniformDenoiser
-from mdsearch.errors import ContractError
+from mdsearch.diffusion import linear_schedule
+from mdsearch.errors import ContractError, SampleError
 from mdsearch.harness.runner import build_instance, presets
-from mdsearch.search import best_of_pool, proposal_draws, refine
+from mdsearch.search import (SearchConfig, aggregate_violation, best_of_pool, proposal_draws,
+                             refine, sample)
+from mdsearch.tasks import Instance
 from mdsearch.vocab import EditableRegion, Vocab, fully_masked
 
 from oracles import (
@@ -281,20 +285,41 @@ def same_cache(a, b):
     return type(a) is type(b) and a == b
 
 
+def crossing_edits(solved, side):
+    """Edits of a solved grid's tokens that drive row 0's count of its first
+    digit 0 -> 1 -> 2 -> 3 -> 2 -> 1 -> 0 through cells 0, 1 and 2, so that the
+    row's presence and duplicate flags of that digit cross both ways."""
+    digit, other = int(solved[0]), int(solved[side - 1])
+    return ([(0, other)] + [(cell, digit) for cell in (0, 1, 2)]
+            + [(2, int(solved[2])), (1, int(solved[1])), (0, other)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, kind=st.sampled_from(["clause", "unit2", "unit3", "window0",
                                          "window1", "window2", "full"]))
+@example(seed=0, kind="unit2-crossings")
+@example(seed=0, kind="unit3-crossings")
 def test_commit_hook_matches_a_rebuild_and_leaves_its_arguments(seed, kind):
-    # edits to the token already there and repeated edits to one position included
+    # edits to the token already there and repeated edits to one position
+    # included; a -crossings kind makes the fixed edits of crossing_edits
     rng = np.random.default_rng(seed)
+    kind, _, crossings = kind.partition("-")
     constraint, values, size = commit_case(kind, rng)
+    edits = [None] * 12
+    if crossings:
+        values = random_solution(constraint.box, rng).ravel() - 1
+        edits = crossing_edits(values, size)
     assert (type(constraint)._commit is Constraint._commit) == (not kind.startswith("unit"))
     cache, value = constraint._rebuild(values)
+    everywhere = np.arange(len(values))
     pos = int(rng.integers(len(values)))
-    for _ in range(12):
-        if rng.random() < 0.6:
-            pos = int(rng.integers(len(values)))
-        token = int(values[pos]) if rng.random() < 0.25 else int(rng.integers(size))
+    for edit in edits:
+        if edit is not None:
+            pos, token = edit
+        else:
+            if rng.random() < 0.6:
+                pos = int(rng.integers(len(values)))
+            token = int(values[pos]) if rng.random() < 0.25 else int(rng.integers(size))
         before_cache, before_values = copy.deepcopy(cache), values.copy()
         got_cache, got_value = constraint._commit(cache, values, value, pos, token)
         assert same_cache(cache, before_cache)
@@ -304,6 +329,8 @@ def test_commit_hook_matches_a_rebuild_and_leaves_its_arguments(seed, kind):
         want_cache, want_value = constraint._rebuild(edited)
         assert same_cache(got_cache, want_cache)
         assert type(got_value) is type(want_value) and got_value == want_value
+        got_block = constraint._peek_block(got_cache, edited, got_value, everywhere, size)
+        assert np.array_equal(got_block, constraint.tracker(edited).peek_block(everywhere, size))
         cache, value, values = got_cache, got_value, edited
 
 
@@ -523,6 +550,52 @@ def test_pool_scores_through_a_constraints_own_violations():
     override = Binary()
     override.violations = lambda values: np.full(len(values), 7.0)
     assert pool((override,), num_tokens=2).report.total == 7.0
+
+
+class Overrides(Constraint):
+    """Overrides ``violations`` without calling ``super()``: a batch of M rows
+    gets ``make(M)`` back."""
+
+    name = "overrides"
+
+    def __init__(self, make):
+        self.make = make
+
+    def violations(self, values):
+        return self.make(len(values))
+
+
+BAD_OUTPUTS = {
+    "nan": lambda m: np.full(m, np.nan),
+    "negative": lambda m: np.full(m, -1.0),
+    "scalar": lambda m: np.float64(0.0),
+    "column": lambda m: np.zeros((m, 1)),
+    "one-too-many": lambda m: np.zeros(m + 1),
+}
+TERNARY = Vocab(("0", "1", "2"))
+SCORERS = {
+    "pool": lambda c: pool((c,)),
+    "aggregate_violation": lambda c: aggregate_violation(np.zeros(4, dtype=np.int64), (c,)),
+    "refine": lambda c: refine(np.zeros(4, dtype=np.int64), (c,), None, TERNARY,
+                               EditableRegion.all_editable(4), None),
+    "sample": lambda c: sample(Instance("overridden", TERNARY, EditableRegion.all_editable(4),
+                                        (c,)),
+                               UniformDenoiser(TERNARY), linear_schedule(2), SearchConfig(),
+                               np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+@pytest.mark.parametrize("output", sorted(BAD_OUTPUTS))
+def test_every_scorer_checks_what_an_overridden_violations_returns(output, scorer):
+    with pytest.raises((ContractError, SampleError)) as raised:
+        SCORERS[scorer](Overrides(BAD_OUTPUTS[output]))
+    error = raised.value
+    if scorer == "sample":
+        assert type(error) is SampleError
+        error = error.__cause__
+    assert type(error) is ContractError
+    assert str(error).startswith("overrides: violations must be")
 
 
 @pytest.fixture

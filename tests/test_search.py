@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import mdsearch as m
-from mdsearch.constraints.base import Constraint
+from mdsearch.constraints.base import Constraint, ViolationTracker
 from mdsearch.constraints.peptide import PeptideSpec
 from mdsearch.constraints.sat import ClauseViolations, CnfFormula
+from mdsearch.constraints.sudoku import completions, random_puzzle
 from mdsearch.denoise import (ROW_TOL, DataDistribution, Denoiser, ExactPosteriorDenoiser,
                               UniformDenoiser)
 from mdsearch.errors import ConfigError, ContractError, DenoiserContractError, SampleError
@@ -230,6 +231,27 @@ def test_refine_early_exit_and_zero_rounds():
     assert [type(v) for v in result.report.values] == [float]
 
 
+def test_refine_from_a_zero_violation_start_peeks_at_no_edit(monkeypatch):
+    # entering the loop at total 0 would change no output, only the time spent
+    calls = []
+    peek_block = ViolationTracker.peek_block
+
+    def counted(self, positions, num_tokens):
+        calls.append(self.constraint.name)
+        return peek_block(self, positions, num_tokens)
+
+    monkeypatch.setattr(ViolationTracker, "peek_block", counted)
+    instance = sudoku_instance(random_puzzle(2, 8, np.random.default_rng(4)))
+    solved = completions(instance.data, 1)[0]
+    for cap in (None, 8):
+        result = refine(solved, instance.constraints, None, instance.vocab, instance.region, cap)
+        assert result.rounds == 0 and result.history == (0.0,)
+    assert calls == []
+    refine(np.zeros(16, dtype=np.int64), instance.constraints, None, instance.vocab,
+           instance.region, 1)
+    assert calls == ["units"]
+
+
 def test_refine_flips_into_feasibility():
     constraints = (ClauseViolations(PAIR_FORMULA),)
     result = refine(np.array([0, 0]), constraints, None, BIN,
@@ -345,6 +367,26 @@ def assert_refine_paths_agree(start, constraints, weights, vocab, region, cap):
         assert result.rounds == rounds
         assert result.report == report
     return fast
+
+
+class BitTable(Constraint):
+    """The violation of each 3-bit candidate, read off a table by its bits."""
+
+    name = "table"
+    alphabet, length = 2, 3
+    # from 000 the greedy walk is 100, 110, 111 and then 011: bit 0 returns
+    # to the token it left three rounds before
+    TABLE = np.array([10.0, 9.5, 9.5, 6.0, 9.0, 8.5, 8.0, 7.0])
+
+    def _violations(self, values):
+        return self.TABLE[values @ np.array([4, 2, 1])]
+
+
+def test_refine_may_return_a_position_to_the_token_it_left():
+    result = assert_refine_paths_agree(np.zeros(3, dtype=np.int64), (BitTable(),), None, BIN,
+                                       EditableRegion.all_editable(3), 16)
+    assert result.candidate.tolist() == [0, 1, 1]
+    assert result.history == (10.0, 9.0, 8.0, 7.0, 6.0)
 
 
 def test_refine_sudoku9_tracker_path_matches_full_recompute():
