@@ -4,19 +4,19 @@ A constraint scores a batch of candidates, one per row, with
 :meth:`Constraint.violations`; for refinement, its tracker caches one
 candidate and scores every single edit at once with :meth:`ViolationTracker.peek_block`.
 
-A constraint states its ``alphabet`` (tokens per position) and candidate
-``length`` once, as attributes; ``None``, as on a black box, leaves that
-bound open. This module checks every input against them, by the rules of
-:mod:`mdsearch.errors`: each batch of candidates, each tracked candidate,
-each edit block and each committed edit. It also checks the violations
-every batch returns, by one rule (:func:`_checked_output`), even where a
-constraint overrides ``violations``: every scorer scores a batch through
-:func:`batch_violations`. Then it calls the unchecked hooks a built-in
-constraint defines: ``_violations``, and ``_rebuild``, ``_peek_block`` and
-``_commit`` for its tracker. A black box may define only ``violation``
-instead, and its tracker then recomputes through ``violations``. The
-proposal pool's draws alone may skip the batch check, where it would pass
-them; that decision is :func:`drawn_violations`, and their violations are
+A constraint defines one scoring hook, ``_violations`` on checked (M, L)
+rows; ``violations`` and ``violation`` derive from it, and a subclass that
+defines either of them is refused. A constraint states its ``alphabet``
+(tokens per position) and candidate ``length`` once, as attributes;
+``None``, as on a black box, leaves that bound open. This module checks
+every input against them, by the rules of :mod:`mdsearch.errors`: each
+batch of candidates, each tracked candidate, each edit block and each
+committed edit. It also checks the violations every batch returns, by one
+rule (:func:`_checked_output`). Then it calls the unchecked hooks:
+``_violations``, and ``_rebuild``, ``_peek_block`` and ``_commit`` for the
+tracker, which by default recompute through ``violations``. The proposal
+pool's draws alone may skip the batch check, where it would pass them;
+that decision is :func:`drawn_violations`, and their violations are
 checked all the same. Weights and totals belong to :mod:`mdsearch.search`.
 """
 
@@ -54,27 +54,16 @@ def _checked_output(constraint: "Constraint", nu, rows: int) -> np.ndarray:
     return nu
 
 
-def batch_violations(constraint: "Constraint", values) -> np.ndarray:
-    """``constraint.violations(values)`` of a batch of rows, with its output
-    checked by :func:`_checked_output` even where the constraint overrides
-    ``violations`` (``Constraint.violations`` checks its own)."""
-    nu = constraint.violations(values)
-    if getattr(constraint.violations, "__func__", None) is Constraint.violations:
-        return nu
-    return _checked_output(constraint, nu, len(values))
-
-
 def drawn_violations(constraint: "Constraint", draws: np.ndarray,
                      num_tokens: int) -> np.ndarray:
-    """:func:`batch_violations` of int64 draws over ``num_tokens`` tokens
-    that :func:`~mdsearch.search.proposal_draws` built. Unless the
-    constraint overrides ``violations``, :func:`token_rows` is skipped where
-    it would pass them; the output check always runs."""
-    if (getattr(constraint.violations, "__func__", None) is Constraint.violations
-            and (constraint.alphabet is None or constraint.alphabet >= num_tokens)
+    """:meth:`Constraint.violations` of int64 draws over ``num_tokens``
+    tokens that :func:`~mdsearch.search.proposal_draws` built, skipping
+    :func:`token_rows` where it would pass them; the output check always
+    runs."""
+    if ((constraint.alphabet is None or constraint.alphabet >= num_tokens)
             and (constraint.length is None or constraint.length == draws.shape[1])):
-        return constraint._checked_violations(draws)
-    return batch_violations(constraint, draws)
+        return _checked_output(constraint, constraint._violations(draws), len(draws))
+    return constraint.violations(draws)
 
 
 class ViolationTracker:
@@ -100,7 +89,10 @@ class ViolationTracker:
 
         Entry ``[i, token]`` is the violation of the candidate with
         ``positions[i]`` replaced by ``token``, computed in one vectorized call.
+        ``num_tokens`` is a count of at least 1, equal to the constraint's
+        ``alphabet`` where it states one; else :class:`ContractError`.
         """
+        check_count(num_tokens, "token count", 1, error=ContractError)
         alphabet = self.constraint.alphabet
         if alphabet is not None and num_tokens != alphabet:
             raise ContractError(f"{num_tokens} tokens for an alphabet of {alphabet}")
@@ -129,8 +121,8 @@ class ViolationTracker:
 class Constraint:
     """A black-box, non-negative violation over fully specified candidates.
 
-    Subclasses define :meth:`_violations` (the built-in constraints do) or
-    only :meth:`violation`; each form is derived from the other. The
+    Subclasses define :meth:`_violations`, and may not define
+    :meth:`violation` or :meth:`violations`, which derive from it. The
     tracker hooks :meth:`_rebuild`, :meth:`_peek_block` and :meth:`_commit`
     recompute by default.
     """
@@ -139,30 +131,32 @@ class Constraint:
     alphabet: int | None = None
     length: int | None = None
 
+    def __init_subclass__(cls, **kwargs):
+        """Refuse a subclass that defines ``violation`` or ``violations``
+        with :class:`ContractError`, so that every scorer checks what it scores."""
+        super().__init_subclass__(**kwargs)
+        defined = sorted(vars(cls).keys() & {"violation", "violations"})
+        if defined:
+            raise ContractError(f"{cls.__name__} defines {' and '.join(defined)}; "
+                                "a constraint defines only _violations")
+
     def violation(self, values: np.ndarray) -> float:
         """Violation of one candidate: :meth:`violations` on a batch of one."""
-        if type(self)._violations is Constraint._violations:
-            raise NotImplementedError("define violation or _violations")
-        return float(batch_violations(self, np.asarray(values)[None])[0])
+        return float(self.violations(np.asarray(values)[None])[0])
 
     def violations(self, values: np.ndarray) -> np.ndarray:
-        """Violations of every row of ``values`` (M, L) as an (M,) float array.
-
-        Both sides are checked: the rows by :func:`token_rows`, and the output
-        by :func:`_checked_output` (:class:`ContractError` unless of shape (M,)
-        and ``>= 0``, which NaN is not). An override is checked by
-        :func:`batch_violations`, through which every scorer calls it.
-        """
-        return self._checked_violations(token_rows(values, self.alphabet, self.length))
-
-    def _checked_violations(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`violations` of rows that :func:`token_rows` has passed:
-        :meth:`_violations`, with its output checked."""
+        """Violations of every row of ``values`` (M, L) as an (M,) float array:
+        :meth:`_violations` with both sides checked, the rows by
+        :func:`token_rows` and the output by :func:`_checked_output`
+        (:class:`ContractError` unless of shape (M,) and ``>= 0``, which NaN
+        is not)."""
+        values = token_rows(values, self.alphabet, self.length)
         return _checked_output(self, self._violations(values), len(values))
 
     def _violations(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`violations` of checked rows; by default one ``violation`` per row."""
-        return np.array([float(self.violation(row)) for row in values], dtype=np.float64)
+        """Violations of rows that :func:`token_rows` has passed; the one
+        hook every constraint defines."""
+        raise NotImplementedError(f"{type(self).__name__} must define _violations")
 
     def tracker(self, values: np.ndarray) -> ViolationTracker:
         """Incremental edit tracker of ``values``, scored by this constraint's hooks."""
@@ -170,18 +164,18 @@ class Constraint:
 
     def _rebuild(self, values: np.ndarray):
         """(cache, violation) of one checked candidate; by default no cache
-        and one :func:`batch_violations` call on a batch of one."""
-        return None, float(batch_violations(self, values[None])[0])
+        and one :meth:`violations` call on a batch of one."""
+        return None, float(self.violations(values[None])[0])
 
     def _peek_block(self, cache, values: np.ndarray, value, positions: np.ndarray,
                     num_tokens: int) -> np.ndarray:
         """:meth:`ViolationTracker.peek_block` of checked positions from the
         candidate, its :meth:`_rebuild` cache and its violation; by default
-        one :func:`batch_violations` call over every single edit."""
+        one :meth:`violations` call over every single edit."""
         edits = np.tile(values, (positions.size * num_tokens, 1))
         edits[np.arange(len(edits)), np.repeat(positions, num_tokens)] = np.tile(
             np.arange(num_tokens), positions.size)
-        return batch_violations(self, edits).reshape(positions.size, num_tokens)
+        return self.violations(edits).reshape(positions.size, num_tokens)
 
     def _commit(self, cache, values: np.ndarray, value, pos: int, token: int):
         """(cache, violation) of the candidate ``values`` with the checked edit

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constraints.base import Constraint, ViolationReport, batch_violations, drawn_violations
+from .constraints.base import Constraint, ViolationReport, drawn_violations
 from .denoise import Denoiser, check_rows, probability_rows
 from .diffusion import NoiseSchedule, first_hitting_steps, sample_rows
 from .errors import (ConfigError, ContractError, SampleError, check_count, check_integers,
@@ -77,14 +77,15 @@ def weighted_total(weights, parts, start=0.0):
 def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
                ) -> tuple[np.ndarray, np.ndarray]:
     """Score every row of ``values`` (M, L) with one
-    :func:`~mdsearch.constraints.base.batch_violations` call per constraint.
+    :meth:`~mdsearch.constraints.base.Constraint.violations` call per
+    constraint, which checks the rows and each constraint's output.
 
     Returns the violations (K, M) and the weighted totals (M,) summed by
     :func:`weighted_total` in constraint order, so a constraint of weight 0
     adds nothing to them, even where its violation is infinite.
     """
     w = resolve_weights(weights, constraints)
-    parts = [batch_violations(c, values) for c in constraints]
+    parts = [c.violations(values) for c in constraints]
     # each part is checked to be (M,); the reshape only gives K = 0 its shape
     return (np.array(parts).reshape(len(w), len(values)),
             weighted_total(w, parts, np.zeros(len(values))))
@@ -136,7 +137,8 @@ def best_of_pool(rows: np.ndarray, x_t: np.ndarray, count: int,
     constraint, and only the pick gets a report. Ties break toward the
     earliest draw. ``first_total`` is the violation of the first draw, i.e.
     what a pool of one would have returned. Each constraint scores the
-    draws through :func:`~mdsearch.constraints.base.drawn_violations`.
+    draws through :func:`~mdsearch.constraints.base.drawn_violations`,
+    which skips the row check where it would pass them and checks the output.
     """
     draws = proposal_draws(rows, x_t, count, rng, mask_id)
     w = resolve_weights(weights, constraints)

@@ -59,11 +59,6 @@ MUTANTS = (
            "constraint.alphabet >= num_tokens",
            "constraint.alphabet <= num_tokens",
            "tests/test_batched.py"),
-    Mutant("drawn-violations-any-override", "src/mdsearch/constraints/base.py",
-           'if (getattr(constraint.violations, "__func__", None) is Constraint.violations\n'
-           "            and (constraint.alphabet",
-           "if ((constraint.alphabet",
-           "tests/test_batched.py"),
     Mutant("drawn-violations-alphabet-strict", "src/mdsearch/constraints/base.py",
            "constraint.alphabet >= num_tokens",
            "constraint.alphabet > num_tokens",
@@ -72,8 +67,21 @@ MUTANTS = (
            "constraint.length is None or constraint.length",
            "constraint.length is None and constraint.length",
            "tests/test_batched.py"),
-    Mutant("override-output-unchecked", "src/mdsearch/constraints/base.py",
-           "    return _checked_output(constraint, nu, len(values))", "    return nu",
+    # one hook per constraint, its output checked on every batch
+    Mutant("subclass-guard-off", "src/mdsearch/constraints/base.py",
+           "        if defined:\n            raise ContractError(",
+           "        if False:\n            raise ContractError(",
+           "tests/test_batched.py"),
+    Mutant("violations-output-unchecked", "src/mdsearch/constraints/base.py",
+           "        return _checked_output(self, self._violations(values), len(values))",
+           "        return self._violations(values)",
+           "tests/test_batched.py"),
+    Mutant("drawn-output-unchecked", "src/mdsearch/constraints/base.py",
+           "        return _checked_output(constraint, constraint._violations(draws), len(draws))",
+           "        return constraint._violations(draws)",
+           "tests/test_batched.py"),
+    Mutant("peek-block-token-count-unchecked", "src/mdsearch/constraints/base.py",
+           '        check_count(num_tokens, "token count", 1, error=ContractError)\n', "",
            "tests/test_batched.py"),
     # one rule for a token sequence, and the first value past each bound
     Mutant("check-sequence-no-rank-test", "src/mdsearch/errors.py",

@@ -110,15 +110,16 @@ def refine_by_neighborhood(start, constraints, weights, vocab, region, max_round
     ``aggregate_violation``: (candidate, report, rounds, history).
 
     Takes the first strictly least edit in (position, token) order while it
-    strictly improves, for at most ``max_rounds`` rounds. Reference for
-    ``refine``, whose weighted totals add the constraints in the same order.
+    strictly improves, for at most ``max_rounds`` rounds (``None``: no cap).
+    Reference for ``refine``, whose weighted totals add the constraints in
+    the same order.
     """
     from mdsearch.search import aggregate_violation
 
     current = np.array(start, dtype=np.int64)
     report = aggregate_violation(current, constraints, weights)
     history, rounds = [report.total], 0
-    while report.total > 0 and rounds < max_rounds:
+    while report.total > 0 and (max_rounds is None or rounds < max_rounds):
         best = None
         for _, _, edited in neighborhood(current, vocab, region):
             edit_report = aggregate_violation(edited, constraints, weights)

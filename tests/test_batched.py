@@ -4,8 +4,9 @@
 entry against the naive recount of its edited candidate before and between
 commits, every ``_commit`` against a rebuild of the edited candidate,
 rejected commits against an unchanged tracker, ``best_of_pool``
-against a per-draw ``aggregate_violation`` loop, and the output check on
-every scorer, an overridden ``violations`` included.
+against a per-draw ``aggregate_violation`` loop, the output check on
+every scorer, and the refusal of a constraint that defines ``violation``
+or ``violations`` instead of ``_violations``.
 """
 
 import copy
@@ -73,14 +74,15 @@ def naive_peptide_tokens(values):
 
 
 class BlackBox(Constraint):
-    """Defines only the scalar ``violation``, as an outside evaluator would."""
+    """Defines only ``_violations``, as an outside evaluator would: it states
+    no alphabet or length and gets the default tracker hooks."""
 
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
 
-    def violation(self, values):
-        return self.inner.violation(values)
+    def _violations(self, values):
+        return self.inner.violations(values)
 
 
 def recomputes(constraint):
@@ -377,12 +379,12 @@ def test_rejected_commit_leaves_the_tracker_unchanged(kind):
 
 def test_commit_the_constraint_refuses_leaves_the_tracker_unchanged():
     class RefusesFive(Constraint):
-        """A black box with no alphabet whose ``violation`` refuses token 5."""
+        """A black box with no alphabet whose ``_violations`` refuses token 5."""
 
-        def violation(self, values):
-            if 5 in values:
+        def _violations(self, values):
+            if (values == 5).any():
                 raise ContractError("token 5 is not allowed")
-            return float(values.sum())
+            return values.sum(axis=1).astype(np.float64)
 
     values = np.array([1, 0, 2])
     tracker = RefusesFive().tracker(values)
@@ -414,6 +416,25 @@ def test_tracker_block_edge_shapes(kind):
             with pytest.raises(ContractError):
                 tracker.peek_block([p], wrong)
     assert tracker.value() == naive(values)
+
+
+@pytest.mark.parametrize("kind", ["clause", "full"])
+@pytest.mark.parametrize("bad", [2.5, -1, 0, None, np.float64(2.0)])
+def test_peek_block_refuses_a_token_count_that_is_not_a_count(kind, bad):
+    # on a black box, 2.5 raised TypeError, -1 numpy's ValueError, and 0
+    # returned an empty (P, 0) block
+    constraint, values, _, _ = tracker_case(kind, np.random.default_rng(3))
+    with pytest.raises(ContractError, match="token count"):
+        constraint.tracker(values).peek_block([0], bad)
+
+
+def test_peek_block_refuses_a_bool_token_count():
+    # True equals an alphabet of 1, and passed the alphabet test
+    unary = Binary()
+    unary.alphabet = 1
+    with pytest.raises(ContractError, match="token count"):
+        unary.tracker(np.zeros(3, dtype=np.int64)).peek_block([0], True)
+    assert unary.tracker(np.zeros(3, dtype=np.int64)).peek_block([0], 1).tolist() == [[0.0]]
 
 
 @pytest.mark.parametrize("kind", ["clause", "unit", "prefix", "full"])
@@ -470,8 +491,8 @@ def test_best_of_pool_tie_goes_to_the_earliest_draw():
     class FirstBitClear(Constraint):
         name = "first-bit"
 
-        def violation(self, values):
-            return float(values[0] == 0) + 1.0
+        def _violations(self, values):
+            return (values[:, 0] == 0) + 1.0
 
     rows = np.full((3, 2), 0.5)
     x_t = np.full(3, 2)
@@ -535,33 +556,15 @@ def test_pool_refuses_a_black_box_output_that_is_nan_or_misshapen(make):
         pool((UnitDuplicates(2), Returns(make)), num_tokens=4, length=16)
 
 
-def test_pool_scores_through_a_constraints_own_violations():
-    class Counted(Binary):
-        alphabet = None
-        calls = 0
-
-        def violations(self, values):
-            Counted.calls += 1
-            return super().violations(values)
-
-    plain, counted = (pool((c,), num_tokens=2, seed=5) for c in (Binary(), Counted()))
-    assert Counted.calls == 1 and counted.report == plain.report
-    assert counted.candidate.tolist() == plain.candidate.tolist()
-    override = Binary()
-    override.violations = lambda values: np.full(len(values), 7.0)
-    assert pool((override,), num_tokens=2).report.total == 7.0
-
-
 class Overrides(Constraint):
-    """Overrides ``violations`` without calling ``super()``: a batch of M rows
-    gets ``make(M)`` back."""
+    """A batch of M rows gets ``make(M)`` back from ``_violations``."""
 
     name = "overrides"
 
     def __init__(self, make):
         self.make = make
 
-    def violations(self, values):
+    def _violations(self, values):
         return self.make(len(values))
 
 
@@ -585,9 +588,37 @@ SCORERS = {
 }
 
 
+def test_a_constraint_defines_only_the_violations_hook():
+    # an own ``violations`` was scored unchecked wherever a scorer forgot to
+    # check its output; now the class statement itself fails
+    with pytest.raises(ContractError, match="Scalar defines violation; "):
+        class Scalar(Constraint):
+            def violation(self, values):
+                return 0.0
+    with pytest.raises(ContractError, match="Batch defines violations; "):
+        class Batch(Binary):
+            def violations(self, values):
+                return np.zeros(len(values))
+
+    class Empty(Constraint):
+        name = "empty"
+
+    zeros = np.zeros(4, dtype=np.int64)
+    for score in (lambda c: c.violation(zeros), lambda c: c.tracker(zeros),
+                  *SCORERS.values()):
+        with pytest.raises((NotImplementedError, SampleError)) as raised:
+            score(Empty())
+        error = raised.value
+        if type(error) is SampleError:
+            error = error.__cause__
+        assert type(error) is NotImplementedError
+        assert str(error) == "Empty must define _violations"
+
+
 @pytest.mark.parametrize("scorer", sorted(SCORERS))
 @pytest.mark.parametrize("output", sorted(BAD_OUTPUTS))
 def test_every_scorer_checks_what_an_overridden_violations_returns(output, scorer):
+    # ``Overrides`` stands for any constraint's ``_violations``
     with pytest.raises((ContractError, SampleError)) as raised:
         SCORERS[scorer](Overrides(BAD_OUTPUTS[output]))
     error = raised.value
@@ -626,14 +657,7 @@ def test_the_pool_skips_the_token_check_on_every_preset_instance(token_row_calls
     assert token_row_calls == []
 
 
-def test_the_pool_checks_tokens_once_for_a_narrower_alphabet_or_an_override(token_row_calls):
-    class Override(Binary):
-        def violations(self, values):
-            return super().violations(values)
-
+def test_the_pool_checks_tokens_once_for_a_narrower_alphabet(token_row_calls):
     rows = np.array([[0.5, 0.5, 0.0]] * 4)  # the draws stay inside Binary's two tokens
-    for constraint, mask_id in ((Binary(), 3), (Override(), 2)):
-        token_row_calls.clear()
-        best_of_pool(rows[:, :mask_id], np.full(4, mask_id), 8, (constraint,), None,
-                     np.random.default_rng(0), mask_id)
-        assert len(token_row_calls) == 1
+    best_of_pool(rows, np.full(4, 3), 8, (Binary(),), None, np.random.default_rng(0), 3)
+    assert len(token_row_calls) == 1

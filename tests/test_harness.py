@@ -27,7 +27,7 @@ from mdsearch.harness import (
 )
 from mdsearch.diffusion import linear_schedule
 from mdsearch.harness.configio import load_config
-from mdsearch.search import sample
+from mdsearch.search import aggregate_violation, sample
 from mdsearch.tasks import exact_distribution
 
 from oracles import naive_sat_violation
@@ -83,6 +83,18 @@ def test_readme_config_example_parses():
     assert parse_config(example) == RunConfig(
         task="sat", steps=20, candidates=32, placement="all_steps",
         sat_vars=7, sat_clauses=45)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    example = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    x0, constraints = namespace["x0"], namespace["instance"].constraints
+    clauses = aggregate_violation(x0, constraints).values
+    assert capsys.readouterr().out.splitlines() == [
+        str(not any(clauses)), str(clauses + (float(max(x0.sum() - 3, 0)),))]
 
 
 def test_config_validation():

@@ -12,8 +12,8 @@ class Fixed(Constraint):
         self.name = name
         self._value = value
 
-    def violation(self, values):
-        return self._value
+    def _violations(self, values):
+        return np.full(len(values), self._value)
 
 
 def test_weighted_sum_examples():
@@ -52,8 +52,8 @@ def test_full_recompute_tracker_consistency():
     class CountOnes(Constraint):
         name = "ones"
 
-        def violation(self, values):
-            return float((np.asarray(values) == 1).sum())
+        def _violations(self, values):
+            return (values == 1).sum(axis=1).astype(np.float64)
 
     values = np.array([0, 1, 1, 0])
     tracker = CountOnes().tracker(values)
@@ -75,8 +75,10 @@ class BadOnOneEdit(Constraint):
     def __init__(self, bad):
         self.bad = bad
 
-    def violation(self, values):
-        return self.bad if values.tolist() == [1, 1, 0] else float((values == 0).sum())
+    def _violations(self, values):
+        nu = (values == 0).sum(axis=1).astype(np.float64)
+        nu[(values == [1, 1, 0]).all(axis=1)] = self.bad
+        return nu
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0])

@@ -45,8 +45,8 @@ class HideTracker(Constraint):
         self.inner = inner
         self.name = inner.name
 
-    def violation(self, values):
-        return self.inner.violation(values)
+    def _violations(self, values):
+        return self.inner.violations(values)
 
 
 def test_search_config_validation():
@@ -85,8 +85,8 @@ class InfiniteBox(Constraint):
 
     name = "infinite"
 
-    def violation(self, values):
-        return math.inf
+    def _violations(self, values):
+        return np.full(len(values), math.inf)
 
 
 def test_zero_weight_constraint_counts_for_nothing():
@@ -266,8 +266,8 @@ class SumBlackBox(Constraint):
 
     name = "sum"
 
-    def violation(self, values):
-        return float(sum(values))
+    def _violations(self, values):
+        return values.sum(axis=1).astype(np.float64)
 
 
 @pytest.mark.parametrize("start", [[7, 1], [-1, 1]])
@@ -404,6 +404,34 @@ def test_refine_sudoku9_tracker_path_matches_full_recompute():
                                            instance.vocab, instance.region, 16)
         moved += result.rounds
     assert moved > 0
+
+
+@pytest.mark.parametrize("case", ["table", "sat", "sudoku9"])
+def test_uncapped_refine_matches_brute_force_descent(case):
+    # the oracle raised TypeError at max_rounds=None, so the uncapped
+    # refinement that every last_step sample runs was never compared with it
+    rng = np.random.default_rng(6)
+    if case == "table":
+        start, constraints, vocab, region = (np.zeros(3, dtype=np.int64), (BitTable(),), BIN,
+                                             EditableRegion.all_editable(3))
+    elif case == "sat":
+        formula = CnfFormula(20, tuple(
+            tuple(int(v * s) for v, s in zip(rng.choice(20, 3, replace=False) + 1,
+                                             rng.integers(0, 2, 3) * 2 - 1))
+            for _ in range(85)))
+        start, constraints, vocab, region = (rng.integers(0, 2, size=20),
+                                             (ClauseViolations(formula),), BIN,
+                                             EditableRegion.all_editable(20))
+    else:
+        from mdsearch.constraints.sudoku import random_puzzle
+
+        instance = sudoku_instance(random_puzzle(3, 40, rng))
+        x = fully_masked(instance.region, instance.vocab.mask_id, instance.frozen_values)
+        start = best_of_pool(m.build_denoiser(instance, "noisy", 0.5).denoise(x, 10), x, 8,
+                             instance.constraints, None, rng, instance.vocab.mask_id).candidate
+        constraints, vocab, region = instance.constraints, instance.vocab, instance.region
+    result = assert_refine_paths_agree(start, constraints, None, vocab, region, None)
+    assert result.rounds > 0
 
 
 @pytest.mark.parametrize("case", ["default", "swamped"])
