@@ -10,6 +10,7 @@ negative residues -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,16 +31,17 @@ def residue_vocab() -> Vocab:
 
 @dataclass(frozen=True)
 class PeptideSpec:
-    """Feasibility thresholds for antimicrobial-style peptides."""
+    """Feasibility thresholds for antimicrobial-style peptides; the residue
+    sets are the module's constants, read as class attributes."""
 
     min_length: int = 10
     max_length: int = 50
     charge_min: int = 2
     charge_max: int = 9
     hydro_min: float = 0.30
-    hydrophobic: frozenset = HYDROPHOBIC
-    positive: frozenset = POSITIVE
-    negative: frozenset = NEGATIVE
+    hydrophobic: ClassVar[frozenset] = HYDROPHOBIC
+    positive: ClassVar[frozenset] = POSITIVE
+    negative: ClassVar[frozenset] = NEGATIVE
 
     def __post_init__(self):
         check_count(self.min_length, "min_length")

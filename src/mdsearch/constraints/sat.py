@@ -90,16 +90,6 @@ class ClauseViolations(Constraint):
         pairs, pair_of_lit = np.unique(keys.ravel(), return_inverse=True)
         return (pair_of_lit, *np.divmod(pairs, m))
 
-    def true_literal_counts(self, values) -> np.ndarray:
-        """Per-clause true-literal counts (..., clauses) of checked (..., n) tokens.
-
-        Counted over the padded table, so a pad counts its clause's first
-        literal again. A count is zero exactly when its clause is false, and
-        flip deltas are taken over the same padded literals, so tracker
-        values and tracker deltas are those of the unpadded clauses.
-        """
-        return np.add.reduce(values[..., self._var_pos] == self._polarity, axis=-1)
-
     def _violations(self, values):
         """Clauses whose literals are all false, which a pad (a repeat of its
         clause's first literal) does not change. One gather through the
@@ -114,8 +104,11 @@ class ClauseViolations(Constraint):
 
     def _rebuild(self, values):
         """Per-clause true-literal counts, from which :meth:`_peek_block`
-        derives every variable's flip delta at once."""
-        counts = self.true_literal_counts(values)
+        derives every variable's flip delta at once. A pad counts its clause's
+        first literal again, so a count is zero exactly when its clause is
+        false, and the deltas, taken over the same padded literals, are those
+        of the unpadded clauses."""
+        counts = np.add.reduce(values[self._var_pos] == self._polarity, axis=-1)
         return counts, int(np.add.reduce(counts == 0, axis=None))
 
     def _peek_block(self, counts, values, value, positions, num_tokens):

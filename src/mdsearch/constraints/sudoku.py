@@ -8,6 +8,7 @@ token ids ``digit - 1`` flattened row-major. A board of box size ``b`` has
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,56 +70,52 @@ class SudokuBoard:
         return f"SudokuBoard(box={self.box}, givens={len(self.given_positions())})"
 
 
-def unit_indices(box: int) -> np.ndarray:
-    """Flat cell indices of every row, column, and box unit."""
-    side = box * box
-    cells = np.arange(side * side).reshape(side, side)
-    rows = [cells[r] for r in range(side)]
-    cols = [cells[:, c] for c in range(side)]
-    boxes = [cells[r:r + box, c:c + box].ravel()
-             for r in range(0, side, box) for c in range(0, side, box)]
-    return np.array(rows + cols + boxes)
+class UnitTables(NamedTuple):
+    """The unit geometry of one box size; the arrays are read-only.
+
+    ``units`` (units, side) holds the flat cells of every row, column and box
+    unit, in that order; ``cell_units`` (3, cells) the row, column and box
+    unit of each cell; ``cell_slots`` (3, cells) is ``cell_units * side``, the
+    first slot of each in a raveled (units, side) table. ``unit_ids`` and
+    ``slot_starts`` hold the last two as one tuple of plain ints per cell, for
+    the Python loops.
+    """
+
+    units: np.ndarray
+    cell_units: np.ndarray
+    cell_slots: np.ndarray
+    unit_ids: tuple[tuple[int, int, int], ...]
+    slot_starts: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=16)
-def unit_tables(box: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int, int], ...]]:
-    """The unit tables of one box size, built once and shared read-only.
-
-    Returns ``units``, the (units, side) :func:`unit_indices`; ``cell_units``,
-    the (3, cells) row, column and box unit of each cell; and the same unit
-    ids as one ``(row, column, box)`` tuple of plain ints per cell, which the
-    backtracking loops of :func:`random_solution` and :func:`completions` read.
-    """
+def unit_tables(box: int) -> UnitTables:
+    """The :class:`UnitTables` of box size ``box``, built once and shared."""
     side = box * box
-    units = unit_indices(box)
+    cells = np.arange(side * side).reshape(side, side)
+    units = np.array([cells[r] for r in range(side)] + [cells[:, c] for c in range(side)]
+                     + [cells[r:r + box, c:c + box].ravel()
+                        for r in range(0, side, box) for c in range(0, side, box)])
     ids = np.arange(len(units))[:, None]
     cell_units = np.empty((3, side * side), dtype=np.int64)
     cell_units[ids // side, units] = ids
-    units.setflags(write=False)
-    cell_units.setflags(write=False)
-    return units, cell_units, tuple(zip(*cell_units.tolist()))
+    cell_slots = cell_units * side
+    for table in (units, cell_units, cell_slots):
+        table.setflags(write=False)
+    return UnitTables(units, cell_units, cell_slots, tuple(zip(*cell_units.tolist())),
+                      tuple(zip(*cell_slots.tolist())))
 
 
 @lru_cache(maxsize=16)
 def _bin_offsets(box: int, rows: int) -> np.ndarray:
     """Read-only ``row * slots + unit * side`` for every unit slot of ``rows``
-    candidates, in :func:`unit_indices` order (slots = units * side)."""
+    candidates, in :attr:`UnitTables.units` order (slots = units * side)."""
     side = box * box
     units = 3 * side
     out = (np.arange(rows)[:, None] * (units * side)
            + np.repeat(np.arange(units) * side, side))
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=16)
-def _slot_tables(box: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
-    """The first slot of each cell's row, column and box unit in a raveled
-    (units, side) table: read-only (3, cells), and the same as one tuple of
-    plain ints per cell."""
-    slots = unit_tables(box)[1] * (box * box)
-    slots.setflags(write=False)
-    return slots, tuple(zip(*slots.tolist()))
 
 
 class UnitDuplicates(Constraint):
@@ -130,11 +127,10 @@ class UnitDuplicates(Constraint):
         self.box = check_count(box, "box size", 2)
         self.side = box * box
         self.alphabet, self.length = self.side, self.side * self.side
-        # cell_units (3, cells) gives the three units an edit touches, and
-        # _unit_slots and _slots_of the first slot of each in the flag tables
-        self.units, self.cell_units, _ = unit_tables(box)
-        self._unit_cells = self.units.ravel()
-        self._unit_slots, self._slots_of = _slot_tables(box)
+        # tables.cell_units and cell_slots give the three units an edit touches
+        # and the first slot of each in the flag tables
+        self.tables = unit_tables(box)
+        self._unit_cells = self.tables.units.ravel()
 
     def _unit_histograms(self, values):
         """Digit counts (M, units, side) of every unit of every row of ``values``
@@ -143,7 +139,7 @@ class UnitDuplicates(Constraint):
         flat = values.take(self._unit_cells, axis=1)
         flat += _bin_offsets(self.box, rows)
         hist = np.bincount(flat.ravel(), minlength=rows * slots)
-        return hist.reshape(rows, len(self.units), self.side)
+        return hist.reshape(rows, 3 * self.side, self.side)
 
     def _violations(self, values):
         # sum(max(0, count - 1)) over the units, read off as the unit slots
@@ -166,10 +162,10 @@ class UnitDuplicates(Constraint):
         where it is present, and leaving ``old`` removes one in each where
         ``old`` is duplicated: both gathered from the cached flags by ``take``."""
         _, present, dup = cache
-        units = self.cell_units.take(positions, axis=1)
+        units = self.tables.cell_units.take(positions, axis=1)
         old = values[positions]
         enter = present.take(units, axis=0)
-        leave = dup.take(self._unit_slots.take(positions, axis=1) + old)
+        leave = dup.take(self.tables.cell_slots.take(positions, axis=1) + old)
         delta = enter[0] + enter[1] + enter[2] - (leave[0] + leave[1] + leave[2])[:, None]
         out = np.add(delta, value, dtype=np.float64)
         out[np.arange(positions.size), old] = value
@@ -185,7 +181,7 @@ class UnitDuplicates(Constraint):
             return cache, value
         hist, present, dup = cache[0].copy(), cache[1].copy(), cache[2].copy()
         counts, once, twice = hist.ravel(), present.ravel(), dup.ravel()
-        for start in self._slots_of[pos]:
+        for start in self.tables.slot_starts[pos]:
             leaving, entering = start + old, start + token
             left = counts[leaving] - 1
             counts[leaving] = left
@@ -218,7 +214,7 @@ def completions(board: SudokuBoard, limit: int = SOLUTION_CAP) -> list[np.ndarra
     """
     check_count(limit, "solution limit")
     side = board.side
-    cell_units = unit_tables(board.box)[2]
+    cell_units = unit_tables(board.box).unit_ids
     tokens = board.tokens().tolist()
     unit_used = [0] * (3 * side)
     for pos, tok in enumerate(tokens):
@@ -282,7 +278,7 @@ def random_solution(box: int, rng: np.random.Generator) -> np.ndarray:
     """
     side = check_count(box, "box size", 2) ** 2
     cells = side * side
-    cell_units = unit_tables(box)[2]
+    cell_units = unit_tables(box).unit_ids
     tokens = [-1] * cells
     unit_used = [0] * (3 * side)  # fill restores it whenever it returns False
 

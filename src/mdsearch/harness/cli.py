@@ -129,7 +129,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    if args.out:
+    if args.out is not None:  # an empty path names the working directory: refused
         make_output_directory(args.out)
     return _print_summary([load_results(path) for path in args.results], args.out)
 

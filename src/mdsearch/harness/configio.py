@@ -50,8 +50,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type == "int" and f.name not in ("candidates", "rounds"):
                 check_count(value, f.name, 1 if f.name == "steps" else 0)
-            elif f.type == "str | None" and not (value is None or isinstance(value, str)):
-                raise ConfigError(f"{f.name} must be a path or None, got {value!r}")
+            elif f.type == "str | None" and not (value is None or value and isinstance(value, str)):
+                raise ConfigError(f"{f.name} must be a non-empty path or None, got {value!r}")
         if check_reals(self.epsilon, "epsilon", 0, 1).ndim:
             raise ConfigError("epsilon must be one number")
         if not (self.denoiser in DENOISER_CHOICES

@@ -269,7 +269,7 @@ def load_results(path) -> RunResult:
         constraint_names = header["constraints"]
         if not (type(constraint_names) is list and all(type(c) is str for c in constraint_names)):
             raise TypeError(f"constraints is {constraint_names!r}")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{path}: malformed header: {exc!r}") from None
     records = []
     for number, line in enumerate(lines[1:], start=1):

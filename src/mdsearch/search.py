@@ -74,28 +74,19 @@ def weighted_total(weights, parts, start=0.0):
     return sum((w * part for w, part in zip(weights, parts) if w != 0), start)
 
 
-def score_rows(values: np.ndarray, constraints: tuple[Constraint, ...], weights
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Score every row of ``values`` (M, L) with one
-    :meth:`~mdsearch.constraints.base.Constraint.violations` call per
-    constraint, which checks the rows and each constraint's output.
-
-    Returns the violations (K, M) and the weighted totals (M,) summed by
-    :func:`weighted_total` in constraint order, so a constraint of weight 0
-    adds nothing to them, even where its violation is infinite.
-    """
-    w = resolve_weights(weights, constraints)
-    parts = [c.violations(values) for c in constraints]
-    # each part is checked to be (M,); the reshape only gives K = 0 its shape
-    return (np.array(parts).reshape(len(w), len(values)),
-            weighted_total(w, parts, np.zeros(len(values))))
-
-
 def aggregate_violation(values: np.ndarray, constraints: tuple[Constraint, ...],
                         weights=None) -> ViolationReport:
-    """Evaluate every constraint and fold the results into one report."""
-    nu, totals = score_rows(np.asarray(values)[None], constraints, weights)
-    return ViolationReport(tuple(nu[:, 0].tolist()), float(totals[0]))
+    """Evaluate every constraint and fold the results into one report.
+
+    One :meth:`~mdsearch.constraints.base.Constraint.violations` call per
+    constraint checks the values and the constraint's output; the total is
+    :func:`weighted_total` in constraint order, so a constraint of weight 0
+    adds nothing to it, even where its violation is infinite.
+    """
+    w = resolve_weights(weights, constraints)
+    values = np.asarray(values)[None]
+    parts = tuple(float(c.violations(values)[0]) for c in constraints)
+    return ViolationReport(parts, weighted_total(w, parts))
 
 
 def proposal_draws(rows: np.ndarray, x_t: np.ndarray, count: int,
@@ -133,9 +124,9 @@ def best_of_pool(rows: np.ndarray, x_t: np.ndarray, count: int,
                  rng: np.random.Generator, mask_id: int) -> PoolPick:
     """Least-violating sample among ``count`` proposal draws.
 
-    All draws are scored as :func:`score_rows` scores them, one call per
-    constraint, and only the pick gets a report. Ties break toward the
-    earliest draw. ``first_total`` is the violation of the first draw, i.e.
+    All draws are scored with one call per constraint and summed as
+    :func:`aggregate_violation` sums them, and only the pick gets a report.
+    Ties break toward the earliest draw. ``first_total`` is the violation of the first draw, i.e.
     what a pool of one would have returned. Each constraint scores the
     draws through :func:`~mdsearch.constraints.base.drawn_violations`,
     which skips the row check where it would pass them and checks the output.

@@ -24,6 +24,10 @@ class Vocab:
     symbols: tuple[str, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.symbols, tuple)
+                and all(isinstance(s, str) and s for s in self.symbols)):
+            raise ConfigError(f"vocabulary symbols {self.symbols!r} must be a tuple of "
+                              "non-empty strings")
         if not self.symbols:
             raise ConfigError("vocabulary must contain at least one token")
         if len(set(self.symbols)) != len(self.symbols):

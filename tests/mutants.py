@@ -50,6 +50,10 @@ MUTANTS = (
            "float(totals[best])), float(totals[0]))",
            "float(totals[0])), float(totals[0]))",
            "tests/test_batched.py"),
+    Mutant("aggregate-unweighted", "src/mdsearch/search.py",
+           "ViolationReport(parts, weighted_total(w, parts))",
+           "ViolationReport(parts, sum(parts))",
+           "tests/test_search.py"),
     Mutant("refine-report-start-total", "src/mdsearch/search.py",
            "for tr in trackers), total)",
            "for tr in trackers), history[0])",
@@ -155,6 +159,9 @@ MUTANTS = (
            "        if used < count - 1:\n            rng.bit_generator.state = state",
            "tests/test_sat.py"),
     # the Sudoku tracker's in-place commit with its flags, and refine's flat mask
+    Mutant("unit-slots-one-digit-short", "src/mdsearch/constraints/sudoku.py",
+           "cell_slots = cell_units * side", "cell_slots = cell_units * (side - 1)",
+           "tests/test_batched.py"),
     Mutant("unit-commit-falls-to-one", "src/mdsearch/constraints/sudoku.py",
            "if left == 0:", "if left == 1:",
            "tests/test_batched.py"),

@@ -262,7 +262,8 @@ def test_summarize_header_constraints_not_a_list_of_names_is_usage_error(
     assert "malformed header" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["no config", "unknown config key", "config list"])
+@pytest.mark.parametrize("case", ["no config", "unknown config key", "config list",
+                                  "empty instances"])
 def test_summarize_malformed_header_is_usage_error(tmp_path, capsys, case):
     path = tmp_path / "bench.jsonl"
     assert run_cli("bench", "--task", "sat", "--steps", "2", "--css", "2",
@@ -273,6 +274,8 @@ def test_summarize_malformed_header_is_usage_error(tmp_path, capsys, case):
         del header["config"]
     elif case == "unknown config key":
         header["config"]["colour"] = "blue"
+    elif case == "empty instances":  # it once meant "generate them"
+        header["config"]["instances"] = ""
     else:
         header["config"] = []
     path.write_text("\n".join([json.dumps(header), record]) + "\n", encoding="utf-8")
@@ -385,3 +388,25 @@ def test_an_output_path_that_cannot_be_made_is_usage_error(tmp_path, capsys, mon
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
     assert calls == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("bench", "--out"), ("bench", "--instances"), ("sample", "--instances"),
+    ("ablate", "--instances"), ("summarize", "--out"),
+])
+def test_an_empty_out_or_instances_is_usage_error(tmp_path, capsys, monkeypatch, command, flag):
+    # an empty --out wrote no file and an empty --instances generated instances,
+    # both with exit 0
+    import mdsearch.harness.cli as cli
+    import mdsearch.harness.runner as runner
+
+    calls = []
+    monkeypatch.setattr(runner, "run_sample", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "run_sample", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "load_results", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    inputs = ["results.jsonl"] if command == "summarize" else ["--task", "sat", "--n-samples", "2"]
+    assert run_cli(command, *inputs, flag, "") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert calls == [] and list(tmp_path.iterdir()) == []

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mdsearch.constraints.peptide import (
+    HYDROPHOBIC,
+    NEGATIVE,
+    POSITIVE,
     PeptideSpec,
     TERMINATOR,
     logical_length,
@@ -195,6 +200,16 @@ def test_peptide_spec_rejects_malformed_thresholds(fields):
     # empty window was accepted
     with pytest.raises(ConfigError):
         PeptideSpec(**fields)
+
+
+def test_peptide_spec_residue_sets_are_constants():
+    # as fields, PeptideSpec(positive=5) built and failed only at scoring
+    assert [f.name for f in dataclasses.fields(PeptideSpec)] == [
+        "min_length", "max_length", "charge_min", "charge_max", "hydro_min"]
+    spec = PeptideSpec(min_length=5)
+    assert (spec.hydrophobic, spec.positive, spec.negative) == (HYDROPHOBIC, POSITIVE, NEGATIVE)
+    with pytest.raises(TypeError):
+        PeptideSpec(positive=frozenset("K"))
 
 
 def test_peptide_spec_accepts_negative_charge_bounds():

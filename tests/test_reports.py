@@ -83,7 +83,7 @@ class BadOnOneEdit(Constraint):
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0])
 def test_nan_or_negative_output_is_refused_at_every_entry(bad):
-    # NaN passed score_rows, whose (nu < 0).any() is False for NaN, and the
+    # NaN passed the batch scorer, whose (nu < 0).any() is False for NaN, and the
     # full-recompute tracker checked no output at all
     zeros = np.zeros(3, dtype=np.int64)
     with pytest.raises(ContractError, match="non-negative"):

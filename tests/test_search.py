@@ -26,7 +26,6 @@ from mdsearch.search import (
     proposal_draws,
     refine,
     sample,
-    score_rows,
 )
 from mdsearch.tasks import Instance, sat_instance, sudoku_instance
 from mdsearch.vocab import EditableRegion, Vocab, fully_masked, masked_positions
@@ -95,8 +94,8 @@ def test_zero_weight_constraint_counts_for_nothing():
     weights = (1.0, 0.0)
     report = aggregate_violation(np.array([0, 0]), constraints, weights)
     assert report.values == (1.0, math.inf) and report.total == 1.0
-    nu, totals = score_rows(np.array([[0, 0], [0, 1]]), constraints, weights)
-    assert totals.tolist() == [1.0, 0.0]
+    report = aggregate_violation(np.array([0, 1]), constraints, weights)
+    assert report.values == (0.0, math.inf) and report.total == 0.0
     result = refine(np.array([0, 0]), constraints, weights, BIN,
                     EditableRegion.all_editable(2), max_rounds=8)
     assert result.history == (1.0, 0.0) and result.report.total == 0.0

@@ -14,7 +14,7 @@ from mdsearch.constraints.sudoku import (
     random_solution,
     read_puzzles,
     render_sudoku_line,
-    unit_indices,
+    unit_tables,
 )
 from mdsearch.errors import ConfigError, ContractError, GenerationError, ParseError
 
@@ -22,6 +22,7 @@ from oracles import (
     completions_by_backtracking,
     naive_sudoku_violation,
     random_solution_by_backtracking,
+    sudoku_cell_units,
 )
 
 VALID_4X4 = np.array([
@@ -33,8 +34,24 @@ VALID_4X4 = np.array([
 
 
 def test_unit_structure():
-    assert unit_indices(2).shape == (12, 4)
-    assert unit_indices(3).shape == (27, 9)  # the classic 27 units
+    for box in (2, 3, 4):
+        side = box * box
+        tables = unit_tables(box)
+        assert unit_tables(box) is tables  # built once per box size
+        assert tables.units.shape == (3 * side, side)  # 27 units for the classic 9x9
+        expected = sudoku_cell_units(box)
+        assert np.array_equal(tables.cell_units, expected)
+        assert np.array_equal(tables.cell_slots, expected * side)
+        # each unit lists its cells in ascending order, and each cell is in its three units
+        assert (np.diff(tables.units, axis=1) > 0).all()
+        for cell in range(side * side):
+            assert all(cell in tables.units[unit] for unit in expected[:, cell])
+        assert np.array_equal(np.array(tables.unit_ids).T, tables.cell_units)
+        assert np.array_equal(np.array(tables.slot_starts).T, tables.cell_slots)
+        assert all(type(i) is int for ids in tables.unit_ids + tables.slot_starts for i in ids)
+        for table in (tables.units, tables.cell_units, tables.cell_slots):
+            with pytest.raises(ValueError):
+                table[0, 0] = -1
 
 
 def test_violation_examples():

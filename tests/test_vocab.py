@@ -32,6 +32,11 @@ def test_vocab_validation():
         Vocab(("A", "A"))
     with pytest.raises(ConfigError):
         Vocab(("A", "?"))
+    # a list could not be hashed as a denoiser table key, ints could not be
+    # rendered, and an empty symbol rendered [0, 1] as "a"
+    for symbols in (["0", "1"], (1, 2), ("", "a"), ("a", None), "ab"):
+        with pytest.raises(ConfigError, match="tuple of non-empty strings"):
+            Vocab(symbols)
 
 
 def test_render_parse_roundtrip():
