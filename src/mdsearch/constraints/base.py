@@ -171,10 +171,11 @@ class Constraint:
                     num_tokens: int) -> np.ndarray:
         """:meth:`ViolationTracker.peek_block` of checked positions from the
         candidate, its :meth:`_rebuild` cache and its violation; by default
-        one :meth:`violations` call over every single edit."""
-        edits = np.tile(values, (positions.size * num_tokens, 1))
-        edits[np.arange(len(edits)), np.repeat(positions, num_tokens)] = np.tile(
-            np.arange(num_tokens), positions.size)
+        one :meth:`violations` call over every single edit, row
+        ``i * num_tokens + token`` setting ``positions[i]`` to ``token``."""
+        rows = np.arange(positions.size * num_tokens)
+        edits = values[None].repeat(rows.size, 0)
+        edits[rows, positions.repeat(num_tokens)] = rows % num_tokens
         return self.violations(edits).reshape(positions.size, num_tokens)
 
     def _commit(self, cache, values: np.ndarray, value, pos: int, token: int):

@@ -1,4 +1,4 @@
-"""CNF clause evaluation with vectorized flip deltas, plus DIMACS io.
+"""CNF clause evaluation, plus DIMACS io.
 
 Assignments are token arrays over the binary alphabet: token 1 means true.
 Variable ``v`` (1-based, as in DIMACS) corresponds to position ``v - 1``.
@@ -68,7 +68,8 @@ class CnfFormula:
 
 
 class ClauseViolations(Constraint):
-    """Number of clauses with every literal false."""
+    """Number of clauses with every literal false. Refinement scores it
+    through :class:`Constraint`'s default tracker hooks."""
 
     name = "clauses"
     alphabet = 2
@@ -79,16 +80,6 @@ class ClauseViolations(Constraint):
         # (clauses, width) variable position and polarity of each padded literal
         self._var_pos = np.abs(formula._literals) - 1
         self._polarity = (formula._literals > 0).astype(np.int64)
-
-    @cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(pair of each padded literal, variable, clause) over distinct
-        (variable, clause) pairs, so that a variable occurring twice in one
-        clause changes that clause's count once per flip."""
-        m = len(self._var_pos)
-        keys = self._var_pos * m + np.arange(m)[:, None]
-        pairs, pair_of_lit = np.unique(keys.ravel(), return_inverse=True)
-        return (pair_of_lit, *np.divmod(pairs, m))
 
     def _violations(self, values):
         """Clauses whose literals are all false, which a pad (a repeat of its
@@ -101,28 +92,6 @@ class ClauseViolations(Constraint):
         for slot in range(1, false.shape[1]):
             violated = violated & false[:, slot]
         return np.add.reduce(violated, axis=1, dtype=np.float64)
-
-    def _rebuild(self, values):
-        """Per-clause true-literal counts, from which :meth:`_peek_block`
-        derives every variable's flip delta at once. A pad counts its clause's
-        first literal again, so a count is zero exactly when its clause is
-        false, and the deltas, taken over the same padded literals, are those
-        of the unpadded clauses."""
-        counts = np.add.reduce(values[self._var_pos] == self._polarity, axis=-1)
-        return counts, int(np.add.reduce(counts == 0, axis=None))
-
-    def _peek_block(self, counts, values, value, positions, num_tokens):
-        """Flip deltas of all variables from one bincount over literal deltas."""
-        pair_of_lit, pair_var, pair_clause = self._pairs
-        lit_delta = np.where(values[self._var_pos] == self._polarity, -1, 1).ravel()
-        pair_delta = np.bincount(pair_of_lit, weights=lit_delta, minlength=len(pair_var))
-        before = counts[pair_clause]
-        change = (before + pair_delta == 0).astype(np.int64) - (before == 0)
-        flip = np.bincount(pair_var, weights=change, minlength=len(values))
-        out = np.empty((positions.size, 2))
-        out.fill(float(value))
-        out[np.arange(positions.size), 1 - values[positions]] += flip[positions]
-        return out
 
 
 # Truth tables of variables 0..5 inside one 64-bit word: bit c of word v is

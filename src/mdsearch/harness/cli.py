@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
-from pathlib import Path
 
 from ..errors import ConfigError, ParseError
 from .configio import TASKS, RunConfig, load_config
@@ -125,7 +124,7 @@ def _cmd_ablate(args) -> int:
                                     "out"))
     results = ablate(cfg, placements=args.placement, candidate_counts=args.candidates,
                      step_counts=args.steps, epsilons=args.epsilon, out_dir=args.out)
-    return _print_summary(results, Path(args.out) / "summary.csv" if args.out else None)
+    return _print_summary(results)  # ablate writes the files
 
 
 def _cmd_summarize(args) -> int:

@@ -136,17 +136,22 @@ def run_sample(cfg: RunConfig, instance: Instance, index: int,
     return final, trace, aggregate_violation(final, instance.constraints, cfg.weights)
 
 
-def make_output_directory(path) -> None:
-    """Make the directory that the output file ``path`` goes in. A ``path``
+def make_output_directory(*paths) -> None:
+    """Make the directory that each output file in ``paths`` goes in. A path
     that names a directory, or whose directory cannot be made, is a
-    :class:`ConfigError`: commands check their output here before any work."""
-    path = Path(path)
-    if path.is_dir():
-        raise ConfigError(f"output {path} is a directory, not a file")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory for {path}: {exc}") from None
+    :class:`ConfigError`: commands check every output here before any work."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise ConfigError(f"output {path} is a directory, not a file")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory for {path}: {exc}") from None
+
+
+def _output_files(cfg: RunConfig) -> tuple[Path, ...]:
+    """The files a run of ``cfg`` writes: none, or its results and their summary CSV."""
+    return (Path(cfg.out), Path(cfg.out).with_suffix(".summary.csv")) if cfg.out else ()
 
 
 @dataclass(frozen=True)
@@ -190,14 +195,18 @@ class RunResult:
 def run_experiment(cfg: RunConfig) -> RunResult:
     """Run every sample of a config; write result files when ``out`` is set.
 
-    A bad setting (see :func:`run_instances`), an ``out`` that names a
-    directory or one whose directory cannot be made fails the run before its
-    first sample; per-sample errors are recorded (total ``None``, other
-    metrics zeroed) rather than aborting the whole run.
+    A bad setting (see :func:`run_instances`), or an output file (results
+    or summary) that names a directory or whose directory cannot be made,
+    fails the run before its first sample; per-sample errors are recorded
+    (total ``None``, other metrics zeroed) rather than aborting the whole run.
     """
     instances, tables = run_instances(cfg)
-    if cfg.out:
-        make_output_directory(cfg.out)
+    make_output_directory(*_output_files(cfg))
+    return _run(cfg, instances, tables)
+
+
+def _run(cfg: RunConfig, instances: list[Instance], tables: dict[Vocab, Denoiser]) -> RunResult:
+    """:func:`run_experiment` after its set-up and output checks."""
     names = tuple(c.name for c in instances[0].constraints) if instances else ()
     records = []
     run_start = time.perf_counter()
@@ -221,9 +230,9 @@ def run_experiment(cfg: RunConfig) -> RunResult:
     result = RunResult(cfg, names, tuple(records),
                        time.perf_counter() - run_start)
     if cfg.out:
-        write_results(result, cfg.out)
-        write_summary_csv(render_summary_csv([result]),
-                          Path(cfg.out).with_suffix(".summary.csv"))
+        results, summary = _output_files(cfg)
+        write_results(result, results)
+        write_summary_csv(render_summary_csv([result]), summary)
     return result
 
 
@@ -364,8 +373,14 @@ def ablate(base: RunConfig, placements=None, candidate_counts=None,
            step_counts=None, epsilons=None, out_dir=None) -> list[RunResult]:
     """Sweep the requested axes as a cross product of paired runs.
 
-    Every arm is built, and so checked, before the first one runs.
+    Every arm is built, and so checked, before the first one runs. The arms
+    share one set-up (:func:`run_instances`), which no swept axis enters;
+    then every file the sweep writes is checked. With ``out_dir``, which may
+    not be empty, each arm writes its files there and the sweep its
+    ``summary.csv``.
     """
+    if out_dir == "":
+        raise ConfigError("out directory must be a non-empty path or None")
     arms = []
     for placement, count, steps, eps in itertools.product(
             placements or [base.placement], candidate_counts or [base.candidates],
@@ -376,4 +391,10 @@ def ablate(base: RunConfig, placements=None, candidate_counts=None,
             out = str(Path(out_dir) / f"{stem.replace('.', 'p')}.jsonl")
         arms.append(replace(base, placement=placement, candidates=count,
                             steps=steps, epsilon=eps, out=out))
-    return [run_experiment(arm) for arm in arms]
+    instances, tables = run_instances(base)
+    summary = () if out_dir is None else (Path(out_dir) / "summary.csv",)
+    make_output_directory(*summary, *(path for arm in arms for path in _output_files(arm)))
+    results = [_run(arm, instances, tables) for arm in arms]
+    if summary:
+        write_summary_csv(render_summary_csv(results), *summary)
+    return results

@@ -78,14 +78,13 @@ def aggregate_violation(values: np.ndarray, constraints: tuple[Constraint, ...],
                         weights=None) -> ViolationReport:
     """Evaluate every constraint and fold the results into one report.
 
-    One :meth:`~mdsearch.constraints.base.Constraint.violations` call per
+    One :meth:`~mdsearch.constraints.base.Constraint.violation` call per
     constraint checks the values and the constraint's output; the total is
     :func:`weighted_total` in constraint order, so a constraint of weight 0
     adds nothing to it, even where its violation is infinite.
     """
     w = resolve_weights(weights, constraints)
-    values = np.asarray(values)[None]
-    parts = tuple(float(c.violations(values)[0]) for c in constraints)
+    parts = tuple(c.violation(values) for c in constraints)
     return ViolationReport(parts, weighted_total(w, parts))
 
 

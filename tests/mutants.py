@@ -184,6 +184,14 @@ MUTANTS = (
     Mutant("refine-enters-at-zero", "src/mdsearch/search.py",
            "while total > 0 and", "while total >= 0 and",
            "tests/test_search.py"),
+    # the default tracker hooks, SAT's refinement path: each edit's token and position
+    Mutant("default-peek-token-one-off", "src/mdsearch/constraints/base.py",
+           "= rows % num_tokens", "= (rows + 1) % num_tokens",
+           "tests/test_batched.py"),
+    Mutant("default-peek-next-position", "src/mdsearch/constraints/base.py",
+           "edits[rows, positions.repeat(num_tokens)]",
+           "edits[rows, (positions.repeat(num_tokens) + 1) % len(values)]",
+           "tests/test_batched.py"),
     # one reader rule for input files, and the checks on what they hold
     Mutant("read-text-only-os-error", "src/mdsearch/errors.py",
            "    except (OSError, UnicodeDecodeError) as exc:\n"

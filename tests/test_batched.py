@@ -360,7 +360,7 @@ def test_rejected_commit_leaves_the_tracker_unchanged(kind):
     rng = np.random.default_rng(7)
     constraint, values, size, naive = tracker_case(kind, rng)
     tracker = constraint.tracker(values)
-    assert recomputes(constraint) == (kind == "full")
+    assert recomputes(constraint) == (kind in ("clause", "full"))
     everywhere = np.arange(len(values))
     block, value = tracker.peek_block(everywhere, size), tracker.value()
     for pos, token in ((-1, 0), (len(values), 0), (0, -1), (0, size), (1, size + 7),

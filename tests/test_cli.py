@@ -366,13 +366,19 @@ def test_a_runtime_error_exits_1(monkeypatch, capsys):
     ("bench", "file/x.jsonl", "cannot make output directory"),
     ("ablate", "file/sweep", "cannot make output directory"),
     ("bench", "dir", "is a directory"),
+    ("bench", "o/run.jsonl", "is a directory"),
+    ("ablate", "a", "is a directory"),
+    ("ablate", "arms", "is a directory"),
     ("summarize", "file/x.csv", "cannot make output directory"),
     ("summarize", "dir", "is a directory"),
-], ids=["bench", "ablate", "bench-directory", "summarize", "summarize-directory"])
+], ids=["bench", "ablate", "bench-directory", "bench-summary-directory",
+        "ablate-summary-directory", "ablate-last-arm-directory", "summarize",
+        "summarize-directory"])
 def test_an_output_path_that_cannot_be_made_is_usage_error(tmp_path, capsys, monkeypatch,
                                                            command, out, message):
-    # a file where the output directory should go, or a directory where the
-    # output file should go, failed only after every sample or result file
+    # a file where the output directory should go, or a directory where an
+    # output file should go (a run's summary CSV, a sweep's summary.csv or
+    # its last arm's results), failed only after every sample or result file
     import mdsearch.harness.cli as cli
     import mdsearch.harness.runner as runner
 
@@ -381,18 +387,24 @@ def test_an_output_path_that_cannot_be_made_is_usage_error(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "load_results", lambda *args: calls.append(args))
     (tmp_path / "file").write_text("", encoding="utf-8")
     (tmp_path / "dir").mkdir()
+    (tmp_path / "o" / "run.summary.csv").mkdir(parents=True)
+    (tmp_path / "a" / "summary.csv").mkdir(parents=True)
+    (tmp_path / "arms" / "sat-all_steps-M32-T20-eps0p5.jsonl").mkdir(parents=True)
     inputs = ([str(tmp_path / "results.jsonl")] if command == "summarize"
               else ["--task", "sat", "--n-samples", "3"])
+    if command == "ablate":
+        inputs += ["--search", "off,all"]
+    made = sorted(tmp_path.rglob("*"))
     code = run_cli(command, *inputs, "--out", str(tmp_path / out))
     assert code == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
-    assert calls == []
+    assert calls == [] and sorted(tmp_path.rglob("*")) == made
 
 
 @pytest.mark.parametrize("command, flag", [
     ("bench", "--out"), ("bench", "--instances"), ("sample", "--instances"),
-    ("ablate", "--instances"), ("summarize", "--out"),
+    ("ablate", "--out"), ("ablate", "--instances"), ("summarize", "--out"),
 ])
 def test_an_empty_out_or_instances_is_usage_error(tmp_path, capsys, monkeypatch, command, flag):
     # an empty --out wrote no file and an empty --instances generated instances,

@@ -879,6 +879,7 @@ def test_sudoku_search_repairs_corrupted_proposals():
 NUMPY_WRAPPER_FILES = {"_methods.py", "fromnumeric.py", "numeric.py"}
 HOT_PATH_SHAPES = {
     **{task: presets()[task] for task in ("sat", "sudoku", "peptide")},
+    "sat-last": replace(presets()["sat"], placement="last_step"),
     "sudoku9": replace(presets()["sudoku"], steps=4, sudoku_box=3, sudoku_blanks=40),
     "sat20": RunConfig(task="sat", steps=8, placement="off", denoiser="exact",
                        sat_vars=20, sat_clauses=70),
@@ -899,10 +900,8 @@ def test_the_sampler_calls_no_numpy_python_wrapper(shape):
     every refinement round. Call the ufunc reduction (``np.add.reduce`` and
     its kin), the array method, or ``np.empty`` plus ``fill`` instead.
 
-    One unprofiled run of the same sample first warms the caches built on
-    first use: ``ClauseViolations._pairs`` (``np.unique``, at the first
-    refinement on a formula) and Sudoku's ``_bin_offsets`` (``np.repeat``,
-    once per batch size).
+    One unprofiled run of the same sample first warms the cache built on
+    first use: Sudoku's ``_bin_offsets`` (``np.repeat``, once per batch size).
     """
     cfg = HOT_PATH_SHAPES[shape]
     instance = build_instance(cfg, 0)
