@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError, check_count, check_integers
+from ..errors import ContractError, check_count, check_integers, check_sequence
 
 
 def token_rows(values, alphabet: int | None, length: int | None = None) -> np.ndarray:
@@ -96,7 +96,7 @@ class ViolationTracker:
         alphabet = self.constraint.alphabet
         if alphabet is not None and num_tokens != alphabet:
             raise ContractError(f"{num_tokens} tokens for an alphabet of {alphabet}")
-        positions = check_integers(positions, "positions", len(self.values))
+        positions = check_sequence(positions, "positions", len(self.values))
         return self.constraint._peek_block(self._cache, self.values, self._value,
                                            positions, num_tokens)
 

@@ -60,11 +60,6 @@ def _membership_weights(vocab: Vocab, residues) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _charge_weights(vocab: Vocab, spec: "PeptideSpec") -> np.ndarray:
-    return np.array([(sym in spec.positive) - (sym in spec.negative)
-                     for sym in vocab.symbols], dtype=np.int64)
-
-
 def _terminator_id(vocab: Vocab) -> int:
     """The terminator's token; :class:`ConfigError` if ``vocab`` has none."""
     if TERMINATOR not in vocab.symbols:
@@ -72,16 +67,21 @@ def _terminator_id(vocab: Vocab) -> int:
     return vocab.index(TERMINATOR)
 
 
-def logical_length(values: np.ndarray, term_id: int) -> int:
-    """Index of the first terminator, or the slot count if there is none."""
-    hits = np.flatnonzero(np.asarray(values) == term_id)
-    return int(hits[0]) if hits.size else len(values)
+def _lengths(values: np.ndarray, term_id: int) -> np.ndarray:
+    """Logical length of each row of (M, L) ``values``: its first terminator
+    slot, found once by ``argmax``, or the slot count. A terminator column
+    past the last slot stands for "none", and keeps ``argmax`` off an empty
+    axis at 0 slots."""
+    is_term = np.empty((len(values), values.shape[1] + 1), dtype=bool)
+    is_term[:, -1] = True
+    np.equal(values, term_id, out=is_term[:, :-1])
+    return is_term.argmax(axis=1)
 
 
 def peptide_string(values: np.ndarray, vocab: Vocab) -> str:
     """Residues before the first terminator, as single-letter codes."""
-    term = _terminator_id(vocab)
-    return vocab.render(np.asarray(values)[:logical_length(values, term)])
+    values = np.asarray(values)
+    return vocab.render(values[:_lengths(values[None], _terminator_id(vocab))[0]])
 
 
 class _PrefixWindow(Constraint):
@@ -93,7 +93,6 @@ class _PrefixWindow(Constraint):
 
     def __init__(self, spec: PeptideSpec, vocab: Vocab, weights: np.ndarray):
         self.spec = spec
-        self.vocab = vocab
         self.term_id = _terminator_id(vocab)
         self.weights = weights
         self.alphabet = len(weights)
@@ -101,20 +100,10 @@ class _PrefixWindow(Constraint):
     def _nu(self, length, count) -> np.ndarray:
         raise NotImplementedError
 
-    def _lengths(self, values) -> np.ndarray:
-        """Logical length of each row of checked ``values``: its first
-        terminator slot, found once by ``argmax``, or the slot count. A
-        terminator column past the last slot stands for "none", and keeps
-        ``argmax`` off an empty axis at 0 slots."""
-        is_term = np.empty((len(values), values.shape[1] + 1), dtype=bool)
-        is_term[:, -1] = True
-        np.equal(values, self.term_id, out=is_term[:, :-1])
-        return is_term.argmax(axis=1)
-
     def _violations(self, values):
         """The hinge of each row's logical length and of the weighted count
         of its tokens before that length."""
-        length = self._lengths(values)
+        length = _lengths(values, self.term_id)
         inside = np.arange(values.shape[1]) < length[:, None]
         return self._nu(length, np.add.reduce(self.weights[values] * inside, axis=1))
 
@@ -160,7 +149,7 @@ class LengthWindow(_PrefixWindow):
 
     def _violations(self, values):
         """The hinge of the logical length alone: no token counts are read."""
-        return self._nu(self._lengths(values), None)
+        return self._nu(_lengths(values, self.term_id), None)
 
     def _nu(self, length, count):
         return _hinge(length, self.spec.min_length, self.spec.max_length)
@@ -172,7 +161,8 @@ class ChargeWindow(_PrefixWindow):
     name = "charge"
 
     def __init__(self, spec: PeptideSpec, vocab: Vocab):
-        super().__init__(spec, vocab, _charge_weights(vocab, spec))
+        super().__init__(spec, vocab, _membership_weights(vocab, spec.positive)
+                         - _membership_weights(vocab, spec.negative))
 
     def _nu(self, length, count):
         return _hinge(count, self.spec.charge_min, self.spec.charge_max)

@@ -85,12 +85,10 @@ class ClauseViolations(Constraint):
         """Clauses whose literals are all false, which a pad (a repeat of its
         clause's first literal) does not change. One gather through the
         transposed literal table, a view, gives each literal slot's
-        (M, clauses) falsities; ANDs across the slots mark the violated
+        (M, clauses) falsities; one AND across the slots marks the violated
         clauses."""
         false = values[:, self._var_pos.T] != self._polarity.T
-        violated = false[:, 0]
-        for slot in range(1, false.shape[1]):
-            violated = violated & false[:, slot]
+        violated = np.logical_and.reduce(false, axis=1)
         return np.add.reduce(violated, axis=1, dtype=np.float64)
 
 

@@ -28,7 +28,7 @@ _DIGIT_CHARS = "123456789ABCDEFGHIJKLMNOPQRSTUVW"
 
 
 def digit_vocab(box: int) -> Vocab:
-    side = box * box
+    side = check_count(box, "box size", 2) ** 2
     if side > len(_DIGIT_CHARS):
         raise ConfigError(f"box size {box} too large to render")
     return Vocab(tuple(_DIGIT_CHARS[:side]))
@@ -177,8 +177,6 @@ class UnitDuplicates(Constraint):
         raveled views; a flag flips where its count crosses 0 and 1 (present)
         or 1 and 2 (duplicated)."""
         old = int(values[pos])
-        if token == old:
-            return cache, value
         hist, present, dup = cache[0].copy(), cache[1].copy(), cache[2].copy()
         counts, once, twice = hist.ravel(), present.ravel(), dup.ravel()
         for start in self.tables.slot_starts[pos]:

@@ -53,9 +53,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, lists: bool = False):
     parser.add_argument("--eps", type=kind(float), dest="epsilon",
                         help="denoiser corruption weight")
     parser.add_argument("--denoiser", help="exact|noisy|uniform|table:PATH")
-    parser.add_argument("--n-samples", type=int, dest="num_samples")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="result file (JSON lines)")
     parser.add_argument("--instances", help="DIMACS file/dir or sudoku lines file")
     parser.add_argument("--config", help="config file; flags override it")
 
@@ -150,6 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate = sub.add_parser("ablate", help="sweep search placement/pool/steps/eps")
     _add_run_flags(p_ablate, lists=True)
     p_ablate.set_defaults(func=_cmd_ablate)
+
+    for p_run in (p_bench, p_ablate):  # sample runs one instance and writes no file
+        p_run.add_argument("--n-samples", type=int, dest="num_samples")
+        p_run.add_argument("--out", help="result file (JSON lines); ablate: its directory")
 
     p_sum = sub.add_parser("summarize", help="tabulate result files")
     p_sum.add_argument("results", nargs="+", help="JSON-lines result files")

@@ -118,6 +118,10 @@ MUTANTS = (
            'committing = check_integers(committing, "committing positions")',
            "committing = np.asarray(committing)",
            "tests/test_diffusion.py"),
+    Mutant("vanilla-index-error-leaks", "src/mdsearch/search.py",
+           "except (IndexError, TypeError, ValueError) as exc:",
+           "except (TypeError, ValueError) as exc:",
+           "tests/test_diffusion.py"),
     Mutant("guided-bool-positions", "src/mdsearch/search.py",
            'remaining = check_integers(remaining, "remaining positions")',
            "remaining = np.asarray(remaining)",

@@ -408,7 +408,8 @@ def test_tracker_block_edge_shapes(kind):
     p = int(rng.integers(len(values)))
     assert_block_matches_naive(tracker, values, [p], size, naive)  # a Python list
     assert_block_matches_naive(tracker, values, [p, 0, p, p], size, naive)
-    for bad in ([-1], [len(values)], [0, len(values) + 3], [1.7], [True], [0.0, 1.0]):
+    for bad in ([-1], [len(values)], [0, len(values) + 3], [1.7], [True], [0.0, 1.0],
+                [[0, 1]], [[0], [1]]):
         with pytest.raises(ContractError):
             tracker.peek_block(bad, size)
     if constraint.alphabet is not None:  # a black box states no alphabet

@@ -30,6 +30,16 @@ def test_sample_search_off(capsys):
     assert "committed=" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--out", "sample.jsonl"), ("--n-samples", "3")])
+def test_sample_takes_no_out_or_sample_count(tmp_path, capsys, monkeypatch, flag, value):
+    # --out wrote no file and --n-samples was overwritten with 1, both with exit 0
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run_cli("sample", "--task", "sat", "--seed", "0", flag, value)
+    assert err.value.code == 2 and flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_writes_results(tmp_path, capsys):
     out = tmp_path / "bench.jsonl"
     code = run_cli("bench", "--task", "sat", "--steps", "4", "--css", "4",
@@ -176,9 +186,10 @@ def test_weight_arity_fails_the_run_not_each_sample(tmp_path, capsys, command):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\nweights = 1.0,2.0\n", encoding="utf-8")
     out = tmp_path / "bench.jsonl"
+    # sample runs one instance and takes neither --n-samples nor --out
+    files = [] if command == "sample" else ["--n-samples", "3", "--out", str(out)]
     code = run_cli(command, "--task", "sat", "--steps", "4", "--css", "4",
-                   "--rounds", "2", "--n-samples", "3", "--config", str(cfg),
-                   "--out", str(out))
+                   "--rounds", "2", "--config", str(cfg), *files)
     assert code == 2
     assert "weights" in capsys.readouterr().err
     assert not out.exists()
@@ -189,15 +200,15 @@ def test_instances_file_without_instances_is_usage_error(tmp_path, capsys, comma
     puzzles = tmp_path / "puzzles.txt"
     puzzles.write_text("# no boards\n", encoding="utf-8")
     out = tmp_path / "bench.jsonl"
-    code = run_cli(command, "--task", "sudoku", "--instances", str(puzzles),
-                   "--out", str(out))
+    files = [] if command == "sample" else ["--out", str(out)]
+    code = run_cli(command, "--task", "sudoku", "--instances", str(puzzles), *files)
     assert code == 2
     assert "no instances" in capsys.readouterr().err
     assert list(tmp_path.glob("bench*")) == []
     # a missing path, and a directory given for Sudoku, were runtime errors (exit 1)
     for task, path in [("sat", tmp_path / "missing.cnf"), ("sudoku", tmp_path / "missing"),
                        ("sudoku", tmp_path)]:
-        code = run_cli(command, "--task", task, "--instances", str(path), "--out", str(out))
+        code = run_cli(command, "--task", task, "--instances", str(path), *files)
         assert code == 2
         assert "cannot read instances" in capsys.readouterr().err
         assert list(tmp_path.glob("bench*")) == []
@@ -209,7 +220,8 @@ def test_non_utf8_config_or_instances_is_usage_error(tmp_path, capsys, command, 
     path = tmp_path / "input"
     path.write_bytes(b"\xff[run]\n")
     out = tmp_path / "bench.jsonl"
-    assert run_cli(command, "--task", "sat", flag, str(path), "--out", str(out)) == 2
+    files = [] if command == "sample" else ["--out", str(out)]
+    assert run_cli(command, "--task", "sat", flag, str(path), *files) == 2
     assert "cannot read" in capsys.readouterr().err
     assert not out.exists()
 
@@ -300,8 +312,9 @@ def test_unusable_table_fails_the_run_not_each_sample(tmp_path, capsys, command,
     elif case == "malformed":
         table.write_text("??\t0\n", encoding="utf-8")
     out = tmp_path / "runs"
-    code = run_cli(command, "--task", "sat", "--steps", "2", "--n-samples", "3",
-                   "--seed", "0", "--denoiser", f"table:{table}", "--out", str(out))
+    files = [] if command == "sample" else ["--n-samples", "3", "--out", str(out)]
+    code = run_cli(command, "--task", "sat", "--steps", "2", "--seed", "0",
+                   "--denoiser", f"table:{table}", *files)
     assert code == 2
     err = capsys.readouterr().err
     assert ("line 1" if case == "malformed" else "cannot read table") in err
@@ -312,8 +325,9 @@ def test_unusable_table_fails_the_run_not_each_sample(tmp_path, capsys, command,
 @pytest.mark.parametrize("denoiser", ["exact", "noisy"])
 def test_exact_denoiser_for_peptides_is_usage_error(tmp_path, capsys, command, denoiser):
     out = tmp_path / "runs"
-    code = run_cli(command, "--task", "peptide", "--steps", "2", "--n-samples", "2",
-                   "--denoiser", denoiser, "--out", str(out))
+    files = [] if command == "sample" else ["--n-samples", "2", "--out", str(out)]
+    code = run_cli(command, "--task", "peptide", "--steps", "2", "--denoiser", denoiser,
+                   *files)
     assert code == 2
     assert "enumerable" in capsys.readouterr().err
     assert list(tmp_path.glob("runs*")) == []
@@ -417,7 +431,8 @@ def test_an_empty_out_or_instances_is_usage_error(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli, "run_sample", lambda *args: calls.append(args))
     monkeypatch.setattr(cli, "load_results", lambda *args: calls.append(args))
     monkeypatch.chdir(tmp_path)
-    inputs = ["results.jsonl"] if command == "summarize" else ["--task", "sat", "--n-samples", "2"]
+    inputs = {"summarize": ["results.jsonl"], "sample": ["--task", "sat"]}.get(
+        command, ["--task", "sat", "--n-samples", "2"])
     assert run_cli(command, *inputs, flag, "") == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""

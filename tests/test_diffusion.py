@@ -259,6 +259,14 @@ def test_vanilla_refuses_a_sequence_without_one_row_per_position(x_t):
                              np.random.default_rng(0), AB)
 
 
+@pytest.mark.parametrize("committing", [[3], [[0], [1]]], ids=["past-the-end", "2-d"])
+def test_vanilla_refuses_committing_positions_it_cannot_index(committing):
+    # numpy's IndexError or ValueError, named as the reverse step's
+    with pytest.raises(ContractError, match="^reverse step"):
+        vanilla_reverse_step(np.full(3, AB.mask_id), np.full((3, 2), 0.5), np.array(committing),
+                             np.random.default_rng(0), AB)
+
+
 def test_guided_refuses_a_candidate_that_is_not_one_sequence():
     # the mask filled the whole row
     with pytest.raises(ContractError, match="one sequence"):

@@ -9,7 +9,6 @@ from mdsearch.constraints.peptide import (
     POSITIVE,
     PeptideSpec,
     TERMINATOR,
-    logical_length,
     peptide_constraints,
     peptide_string,
     residue_vocab,
@@ -52,9 +51,10 @@ def test_vocab_shape():
 
 def test_logical_length_and_rendering():
     values = tokens("KKLL", slots=8)
-    assert logical_length(values, TERM) == 4
     assert peptide_string(values, VOCAB) == "KKLL"
-    assert logical_length(tokens("KKLL"), TERM) == 4  # no terminator present
+    assert peptide_string(tokens("KKLL"), VOCAB) == "KKLL"  # no terminator present
+    assert peptide_string(tokens("", slots=3), VOCAB) == ""
+    assert peptide_string(tokens(""), VOCAB) == ""  # no slots
 
 
 def test_a_vocabulary_without_the_terminator_is_a_config_error():

@@ -261,18 +261,22 @@ def test_givens_without_a_completion_give_none():
     assert completions_by_backtracking(2, board.grid, SOLUTION_CAP) == []
 
 
-@pytest.mark.parametrize("bad", [2.5, 2.0, True, None, "2"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, None, "2", -1, 1])
 def test_sudoku_sizes_must_be_integers(bad):
-    # 2.5 gave a "6.25x6.25" grid message, True a numpy TypeError
+    # 2.5 gave a "6.25x6.25" grid message, True a numpy TypeError; digit_vocab
+    # gave -1, 1 and True a one-symbol vocabulary
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match="box size"):
         SudokuBoard(bad, VALID_4X4)
     with pytest.raises(ConfigError, match="box size"):
         UnitDuplicates(bad)
     with pytest.raises(ConfigError, match="box size"):
+        digit_vocab(bad)
+    with pytest.raises(ConfigError, match="box size"):
         random_puzzle(bad, 3, rng)
-    with pytest.raises(ConfigError, match="blank count"):
-        random_puzzle(2, bad, rng)
+    if not (type(bad) is int and bad == 1):  # one blank is a valid count
+        with pytest.raises(ConfigError, match="blank count"):
+            random_puzzle(2, bad, rng)
     assert SudokuBoard(np.int64(2), VALID_4X4) == SudokuBoard(2, VALID_4X4)
     assert random_puzzle(np.int64(2), np.int64(3), np.random.default_rng(1)) == \
         random_puzzle(2, 3, np.random.default_rng(1))
