@@ -108,48 +108,86 @@ _NO_CODES = np.empty(0, dtype=np.int64)
 _NO_CODES.flags.writeable = False
 
 
+def _variable_rows(num_vars: int, words: np.ndarray) -> np.ndarray:
+    """The (n, len(words)) variable table over the uint64 word indices
+    ``words``: row ``v`` holds variable ``v + 1``'s truth in each word. The
+    low 6 rows are the ``_IN_WORD`` constants; variable v >= 6 is constant
+    within a word, so its row is bit v-6 of the word index negated into an
+    all-ones or all-zeros word."""
+    table = np.empty((num_vars, len(words)), dtype=np.uint64)
+    table[:_WORD_BITS] = _IN_WORD[:num_vars, None]
+    high = table[_WORD_BITS:]
+    np.right_shift(words, np.arange(len(high), dtype=np.uint64)[:, None], out=high)
+    high &= np.uint64(1)
+    np.negative(high, out=high)
+    return table
+
+
 def _satisfying_words(num_vars: int, literals: np.ndarray) -> np.ndarray:
     """Truth tables of a stack of formulas over all 2^n codes, packed into
     uint64 words: a single formula is a stack of one.
 
     ``literals`` is a (B, clauses, width) stack of padded literal tables
-    over ``num_vars`` variables. In row ``b`` of the (B, 2^n / 64) result,
-    bit ``c % 64`` of word ``c // 64`` is set when assignment ``c`` (bit
-    ``v`` of ``c`` is variable ``v + 1``) satisfies every clause of formula
-    ``b``; bits at and above ``2^n`` are clear.
+    over ``num_vars`` variables; it is left unchanged. In row ``b`` of the
+    (B, 2^n / 64) result, bit ``c % 64`` of word ``c // 64`` is set when
+    assignment ``c`` (bit ``v`` of ``c`` is variable ``v + 1``) satisfies
+    every clause of formula ``b``; bits at and above ``2^n`` are clear.
 
     Clauses are evaluated in blocks of about ``_BLOCK_WORDS`` gathered words
     over the whole stack: each clause gathers its variables' rows of the
-    (n, words) variable table, flips the negated ones, ORs them, and the
-    block's clauses are ANDed into their formula's row. The evaluation stops
-    after the first block that leaves no formula a satisfying code.
+    (n, words) variable table (:func:`_variable_rows`), flips the negated
+    ones, ORs them, and the block's clauses are ANDed into their formula's
+    row. The evaluation stops after the first block that leaves no formula
+    a satisfying code.
+
+    A stack that spans more than one block is evaluated on its live words
+    only. Each formula's clauses are first stable-sorted (in a copy) by
+    their count of literals over variables 1-6, so the clauses over the
+    word-index variables alone, which clear whole words, come first. After
+    a block, while clauses remain and at most half the current columns hold
+    a satisfying code of some formula, the columns where every formula's
+    word is zero are dropped and the variable table is rebuilt over the
+    kept word indices; blocks widen as the columns narrow. The kept columns
+    are scattered back into the full-width result at the end, so the words
+    are those of the plain evaluation.
     """
     n = num_vars
     if n > ENUM_VAR_CAP:
         raise ConfigError(f"enumeration capped at {ENUM_VAR_CAP} variables, got {n}")
     num_words = 1 << max(n - _WORD_BITS, 0)
-    table = np.empty((n, num_words), dtype=np.uint64)
-    table[:_WORD_BITS] = _IN_WORD[:n, None]
-    # variable v >= 6 is constant within a word: negating bit v-6 of the
-    # word index gives an all-ones or all-zeros word
-    high = table[_WORD_BITS:]
-    np.right_shift(np.arange(num_words, dtype=np.uint64),
-                   np.arange(len(high), dtype=np.uint64)[:, None], out=high)
-    high &= np.uint64(1)
-    np.negative(high, out=high)
+    words = np.arange(num_words, dtype=np.uint64)
+    table = _variable_rows(n, words)
     count, num_clauses, width = literals.shape
+    step = max(_BLOCK_WORDS // max(count * width * num_words, 1), 1)
+    if step < num_clauses:
+        low = np.count_nonzero(np.abs(literals) <= _WORD_BITS, axis=2)
+        order = np.argsort(low, axis=1, kind="stable")
+        literals = np.take_along_axis(literals, order[..., None], axis=1)
     variables = np.abs(literals) - 1
     flips = np.negative((literals < 0).astype(np.uint64))[..., None]
     # below 6 variables the one word is partial: only its low 2^n bits are codes
     ok = np.full((count, num_words), np.uint64((1 << min(1 << n, 64)) - 1))
-    step = max(_BLOCK_WORDS // max(count * width * num_words, 1), 1)
-    for start in range(0, num_clauses, step):
+    start = 0
+    while start < num_clauses:
         rows = table[variables[:, start:start + step]]
         rows ^= flips[:, start:start + step]
         ok &= np.bitwise_and.reduce(np.bitwise_or.reduce(rows, axis=2), axis=1)
-        if not ok.any():
+        del rows
+        start += step
+        held = np.count_nonzero(ok)
+        if held == 0:
             break
-    return ok
+        if start < num_clauses and 2 * held <= len(words):
+            live = np.flatnonzero(ok.any(axis=0))
+            ok, words = ok[:, live], words[live]
+            del table
+            table = _variable_rows(n, words)
+            step = max(_BLOCK_WORDS // (count * width * len(words)), 1)
+    if len(words) == num_words:
+        return ok
+    full = np.zeros((count, num_words), dtype=np.uint64)
+    full[:, words] = ok
+    return full
 
 
 def _codes_of(words: np.ndarray) -> np.ndarray:
@@ -172,7 +210,10 @@ def satisfying_assignments(formula: CnfFormula) -> np.ndarray:
 
     Exhaustive enumeration, capped at ``ENUM_VAR_CAP`` variables, over packed
     truth tables with one bit per code (2^n / 8 bytes per variable), clauses
-    evaluated in blocks (:func:`_satisfying_words`). The satisfying codes are
+    evaluated in blocks (:func:`_satisfying_words`). A formula that spans
+    more than one block has its clauses evaluated in a copy sorted to put
+    those over variables 7 and up first, on the words that still hold a
+    satisfying code; neither changes the result. The satisfying codes are
     computed once per formula and cached on it, so enumerating a formula that
     :func:`is_satisfiable` has checked evaluates no clause. The rows come out
     in ascending code order, variable 1 being the lowest bit of the code.
@@ -286,11 +327,15 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
     batch it saves the state, reads the batch's 32-bit words in one call,
     decodes them into literal tables (:func:`_decode_draws`) and truth-tables
     those in one pass of :func:`_satisfying_words`, the function that
-    evaluates a single formula as a stack of one. The draws are then taken
-    in order, each a validated formula passed to :func:`is_satisfiable`. If
-    fewer draws were used than read, because one was accepted or the decode
-    stopped early, the state is restored once and only the used draws'
-    words are read again. Where the decode stopped early, the next draw is
+    evaluates a single formula as a stack of one. A batch of several draws
+    fits one block there, so its clauses are evaluated in their drawn order
+    over every word; a single draw that spans several blocks (every draw at
+    20 variables) is evaluated on a sorted copy of its clauses, narrowed to
+    its live words, and its literal table is left as drawn. The draws are
+    then taken in order, each a validated formula passed to
+    :func:`is_satisfiable`. If fewer draws were used than read, because one
+    was accepted or the decode stopped early, the state is restored once
+    and only the used draws' words are read again. Where the decode stopped early, the next draw is
     made by the per-clause ``choice``/``integers`` loop (:func:`_loop_draw`).
     So, as the tests check on the installed numpy, the formula and the
     generator state after the call are those of that loop run once per

@@ -58,18 +58,20 @@ def _add_run_flags(parser: argparse.ArgumentParser, lists: bool = False):
     parser.add_argument("--config", help="config file; flags override it")
 
 
-def _merge_config(args: argparse.Namespace, skip=()) -> RunConfig:
-    """The task preset, then the config file, then every flag that was given."""
+def _merge_config(args: argparse.Namespace, skip=(), refused=()) -> RunConfig:
+    """The task preset, then the config file (which may set no field in
+    ``refused``), then every flag that was given."""
     base = presets()[args.task] if args.task else RunConfig()
     if args.config:
-        base = load_config(args.config, base)
+        base = load_config(args.config, base, refused)
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                  if f.name not in skip and getattr(args, f.name, None) is not None}
     return replace(base, **overrides)
 
 
 def _cmd_sample(args) -> int:
-    cfg = replace(_merge_config(args), num_samples=1)
+    # one sample and no file: a config file's out or num_samples is refused, as the flags are
+    cfg = replace(_merge_config(args, refused=("num_samples", "out")), num_samples=1)
     instances, tables = run_instances(cfg)
     instance = instances[0]
     final, trace, report = run_sample(cfg, instance, 0, tables)

@@ -98,8 +98,10 @@ def _coerce(field, raw: str):
     return raw
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Config from file text, overlaid on ``base`` (or the defaults)."""
+def parse_config(text: str, base: RunConfig | None = None,
+                 refused: tuple[str, ...] = ()) -> RunConfig:
+    """Config from file text, overlaid on ``base`` (or the defaults); a key
+    for a field named in ``refused`` is a :class:`ConfigError`."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read_string(text)
@@ -118,10 +120,14 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             field = _FILE_FIELDS.get((section, key))
             if field is None:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
+            if field.name in refused:
+                raise ConfigError(f"key {key!r} in [{section}] is not taken by this command")
             values[field.name] = _coerce(field, raw)
     return replace(base or RunConfig(), **values)
 
 
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    """Config file ``path`` over ``base``; an unreadable file is a :class:`ConfigError`."""
-    return parse_config(read_text(path, "config"), base)
+def load_config(path, base: RunConfig | None = None,
+                refused: tuple[str, ...] = ()) -> RunConfig:
+    """Config file ``path`` over ``base`` (see :func:`parse_config`); an
+    unreadable file is a :class:`ConfigError`."""
+    return parse_config(read_text(path, "config"), base, refused)

@@ -299,7 +299,8 @@ def summarize_records(result: RunResult) -> dict:
 
     ``mean_violation`` and ``mean_rounds`` are means over the samples that
     finished, and None when none did: a run whose samples all failed has
-    no mean, not a perfect one.
+    no mean, not a perfect one. Likewise ``feasibility`` is None for a run
+    of no samples.
     """
     records = result.records
     n = len(records)
@@ -312,7 +313,7 @@ def summarize_records(result: RunResult) -> dict:
                  f"den={result.config.denoiser}",
         "samples": n,
         "feasible": feasible,
-        "feasibility": feasible / n if n else 0.0,
+        "feasibility": feasible / n if n else None,
         "mean_violation": (sum(r.total for r in finite) / len(finite)
                            if finite else None),
         "mean_rounds": (sum(r.rounds for r in finite) / len(finite)
@@ -327,7 +328,8 @@ def summarize_records(result: RunResult) -> dict:
 
 def render_summary_csv(results: list[RunResult]) -> str:
     """One CSV row per run, plus a feasibility delta against the first row;
-    a metric with no value (see :func:`summarize_records`) is an empty cell."""
+    a metric with no value (see :func:`summarize_records`) is an empty cell,
+    and so is a delta from or to a run with no feasibility."""
     if not results:
         raise ConfigError("nothing to summarize")
     tasks = {r.config.task for r in results}
@@ -341,7 +343,8 @@ def render_summary_csv(results: list[RunResult]) -> str:
     writer.writerow(columns)
     for summary, result in zip(summaries, results):
         summary = dict(summary)
-        summary["delta_feasibility"] = summary["feasibility"] - base
+        summary["delta_feasibility"] = (None if base is None or summary["feasibility"] is None
+                                        else summary["feasibility"] - base)
         summary["wall_s"] = round(result.wall_time, 3)
         writer.writerow([_csv_cell(summary[c]) for c in columns])
     return out.getvalue()

@@ -204,11 +204,16 @@ def vanilla_reverse_step(x_t: np.ndarray, rows: np.ndarray, committing: np.ndarr
     """Plain reverse commit: each position in ``committing`` (from
     :func:`~mdsearch.diffusion.first_hitting_steps`) draws a token from its
     row; the rest carry over. ``rows`` and ``x_t`` are checked here by
-    :func:`~mdsearch.denoise.check_rows`. ``committing`` holds integer
-    positions: a bool array, which numpy reads as a mask, is refused.
+    :func:`~mdsearch.denoise.check_rows`. ``committing`` is a 1-D array of
+    integer positions: a bool array, which numpy reads as a mask, and an
+    array of another rank, which numpy reads as an index per axis, are
+    refused.
     """
     rows = check_rows(rows, x_t, vocab)
     committing = check_integers(committing, "committing positions")
+    if committing.ndim != 1:
+        raise ContractError("reverse step: committing positions must be 1-D, "
+                            f"got shape {committing.shape}")
     out = np.array(x_t, dtype=np.int64)
     try:  # no range reduction: a negative position wraps
         out[committing] = sample_rows(rows[committing], rng)
@@ -226,11 +231,13 @@ def guided_reverse_step(refined: np.ndarray, remaining: np.ndarray,
     step from :func:`~mdsearch.diffusion.first_hitting_steps` is still to
     come, which keep the mask. The candidate must be one fully specified
     sequence, tokens in ``range(mask_id)``
-    (:func:`~mdsearch.errors.check_sequence`); ``remaining`` holds integer
-    positions, not a bool mask. Draws no random numbers.
+    (:func:`~mdsearch.errors.check_sequence`); ``remaining`` is a 1-D array
+    of integer positions, not a bool mask. Draws no random numbers.
     """
     out = check_sequence(refined, "refined candidate", mask_id).copy()
     remaining = check_integers(remaining, "remaining positions")
+    if remaining.ndim != 1:
+        raise ContractError(f"remaining positions must be 1-D, got shape {remaining.shape}")
     try:
         out[remaining] = mask_id
     except IndexError as exc:  # no range reduction: a negative position wraps

@@ -126,6 +126,12 @@ MUTANTS = (
            'remaining = check_integers(remaining, "remaining positions")',
            "remaining = np.asarray(remaining)",
            "tests/test_diffusion.py"),
+    Mutant("vanilla-no-rank-test", "src/mdsearch/search.py",
+           "    if committing.ndim != 1:", "    if committing.ndim > 2:",
+           "tests/test_diffusion.py"),
+    Mutant("guided-no-rank-test", "src/mdsearch/search.py",
+           "    if remaining.ndim != 1:", "    if remaining.ndim > 2:",
+           "tests/test_diffusion.py"),
     Mutant("refine-no-length-test", "src/mdsearch/search.py",
            "if region.length != len(current):", "if False:",
            "tests/test_search.py"),
@@ -161,6 +167,26 @@ MUTANTS = (
     Mutant("rewind-skipped-one-draw-short", "src/mdsearch/constraints/sat.py",
            "        if used < count:\n            rng.bit_generator.state = state",
            "        if used < count - 1:\n            rng.bit_generator.state = state",
+           "tests/test_sat.py"),
+    # enumeration narrowed to live words: the index bookkeeping and the clause
+    # sort. test_satisfying_assignments_match_the_chunked_oracle_at_the_cap
+    # catches a narrowing that forgets earlier ones;
+    # test_a_multi_block_stack_narrows_to_the_words_some_formula_holds one that
+    # keeps the first formula's words or scatters into the wrong columns; and
+    # test_enumeration_sorts_a_copy_of_the_callers_clauses a sort in place
+    Mutant("narrow-forgets-earlier-words", "src/mdsearch/constraints/sat.py",
+           "ok, words = ok[:, live], words[live]",
+           "ok, words = ok[:, live], live.astype(np.uint64)",
+           "tests/test_sat.py"),
+    Mutant("narrow-to-first-formula-words", "src/mdsearch/constraints/sat.py",
+           "live = np.flatnonzero(ok.any(axis=0))", "live = np.flatnonzero(ok[0])",
+           "tests/test_sat.py"),
+    Mutant("scatter-into-leading-columns", "src/mdsearch/constraints/sat.py",
+           "full[:, words] = ok", "full[:, :len(words)] = ok",
+           "tests/test_sat.py"),
+    Mutant("clause-sort-in-place", "src/mdsearch/constraints/sat.py",
+           "literals = np.take_along_axis(literals, order[..., None], axis=1)",
+           "literals[...] = np.take_along_axis(literals, order[..., None], axis=1)",
            "tests/test_sat.py"),
     # the Sudoku tracker's in-place commit with its flags, and refine's flat mask
     Mutant("unit-slots-one-digit-short", "src/mdsearch/constraints/sudoku.py",

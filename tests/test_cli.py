@@ -40,6 +40,16 @@ def test_sample_takes_no_out_or_sample_count(tmp_path, capsys, monkeypatch, flag
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("line", ["out = cfgout.jsonl", "num_samples = 5"])
+def test_sample_config_takes_no_out_or_sample_count(tmp_path, capsys, monkeypatch, line):
+    # the file's out wrote nothing and its num_samples ran one sample, with exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(f"[run]\n{line}\n", encoding="utf-8")
+    assert run_cli("sample", "--task", "sat", "--seed", "0", "--config", "run.ini") == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
 def test_bench_writes_results(tmp_path, capsys):
     out = tmp_path / "bench.jsonl"
     code = run_cli("bench", "--task", "sat", "--steps", "4", "--css", "4",
@@ -356,6 +366,20 @@ def test_a_run_whose_samples_all_failed_reports_no_means(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.count("# 2 of 2 samples failed (") == 2
     assert captured.out.strip().splitlines()[1].split(",")[5:7] == ["", ""]
+
+
+def test_a_run_of_no_samples_reports_no_feasibility(tmp_path, capsys):
+    # zero samples read as feasibility 0.0 and delta 0.0, next to empty means
+    out = tmp_path / "empty.jsonl"
+    assert run_cli("bench", "--task", "sat", "--n-samples", "0", "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert len(out.read_text().splitlines()) == 1
+    for text in (captured.out, out.with_suffix(".summary.csv").read_text()):
+        header, row = text.strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["samples"] == cells["feasible"] == "0"
+        assert cells["feasibility"] == cells["delta_feasibility"] == ""
+        assert cells["mean_violation"] == cells["mean_rounds"] == ""
 
 
 def test_a_run_without_failures_reports_none_on_stderr(tmp_path, capsys):

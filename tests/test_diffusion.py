@@ -294,6 +294,25 @@ def test_guided_refuses_remaining_positions_that_are_not_integers(positions):
         guided_reverse_step(np.array([0, 1, 1]), positions, AB.mask_id)
 
 
+NOT_FLAT = pytest.mark.parametrize(
+    "positions", [np.array([[0, 1]]), np.array(1)], ids=["one-row-of-two", "0-d"])
+
+
+@NOT_FLAT
+def test_vanilla_refuses_committing_positions_that_are_not_1d(positions):
+    # numpy read the row of two as positions 0 and 1 and committed both
+    with pytest.raises(ContractError, match="committing positions must be 1-D"):
+        vanilla_reverse_step(np.full(3, AB.mask_id), np.full((3, 2), 0.5), positions,
+                             np.random.default_rng(0), AB)
+
+
+@NOT_FLAT
+def test_guided_refuses_remaining_positions_that_are_not_1d(positions):
+    # numpy read the row of two as positions 0 and 1 and masked both
+    with pytest.raises(ContractError, match="remaining positions must be 1-D"):
+        guided_reverse_step(np.array([1, 0, 1]), positions, AB.mask_id)
+
+
 def test_monotone_unmasking_vanilla():
     sched = linear_schedule(8)
     rng = np.random.default_rng(3)

@@ -326,10 +326,71 @@ def test_a_formula_is_evaluated_once_and_its_codes_are_read_only(monkeypatch):
     assert_enumeration_matches_oracle(formula)
 
 
-def test_satisfying_assignments_match_the_chunked_oracle_at_the_cap():
+def row_builds(monkeypatch):
+    """The word indices of each variable table that ``sat._satisfying_words``
+    builds from now on, in order."""
+    built = []
+    real = sat._variable_rows
+    monkeypatch.setattr(sat, "_variable_rows",
+                        lambda n, words: built.append(words.copy()) or real(n, words))
+    return built
+
+
+def oracle_words(formula):
+    """The chunked oracle's satisfying assignments, packed as
+    ``sat._satisfying_words`` packs one formula's row."""
+    n = formula.num_vars
+    codes = satisfying_assignments_by_chunks(formula) @ (1 << np.arange(n))
+    bits = np.zeros(max(1 << n, 64), dtype=np.uint8)
+    bits[codes] = 1
+    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def test_satisfying_assignments_match_the_chunked_oracle_at_the_cap(monkeypatch):
     formula = sat.random_formula(20, 70, np.random.default_rng(11))
     assert formula.num_vars == ENUM_VAR_CAP
-    assert_enumeration_matches_oracle(formula)
+    built = row_builds(monkeypatch)
+    twin = CnfFormula(20, formula.clauses)
+    assert_enumeration_matches_oracle(twin)
+    assert twin._codes.tobytes() == formula._codes.tobytes()
+    # the full table, then at least two narrowings, each to at most half the
+    # columns: a second narrowing composes word indices already narrowed
+    widths = [len(words) for words in built]
+    assert widths[0] == 1 << 14 and len(widths) >= 3
+    assert all(2 * after <= before for before, after in zip(widths, widths[1:]))
+
+
+def narrowing_stack():
+    """A (3, 60, 3) stack of 16-variable formulas, two of them satisfiable,
+    that spans many blocks."""
+    rng = np.random.default_rng(3)
+    formulas = [sat.random_formula(16, 60, rng) for _ in range(2)]
+    formulas.append(sat._loop_draw(16, 60, rng))
+    return formulas, np.stack([f._literals for f in formulas])
+
+
+def test_a_multi_block_stack_narrows_to_the_words_some_formula_holds(monkeypatch):
+    formulas, literals = narrowing_stack()
+    built = row_builds(monkeypatch)
+    words = sat._satisfying_words(16, literals)
+    assert len(built) >= 2 and 2 * len(built[-1]) <= len(built[0]) == 1 << 10
+    expected = [oracle_words(f) for f in formulas]
+    assert words.dtype == np.uint64 and words.shape == (3, 1 << 10)
+    for row, packed in zip(words, expected):
+        assert row.tobytes() == packed.tobytes()
+    # the narrowed columns are those where some formula holds a code, not
+    # only where the first one does
+    assert (expected[1] & ~expected[0]).any()
+
+
+def test_enumeration_sorts_a_copy_of_the_callers_clauses():
+    _, literals = narrowing_stack()
+    before = literals.copy()
+    low = np.count_nonzero(np.abs(literals) <= 6, axis=2)
+    assert (np.diff(low, axis=1) < 0).any()  # the sort reorders this stack
+    assert literals.flags.writeable  # so a sort in place would not raise
+    sat._satisfying_words(16, literals)
+    assert literals.tobytes() == before.tobytes()
 
 
 def test_dimacs_roundtrip():
