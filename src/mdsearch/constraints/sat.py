@@ -6,6 +6,7 @@ Variable ``v`` (1-based, as in DIMACS) corresponds to position ``v - 1``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -123,6 +124,14 @@ def _variable_rows(num_vars: int, words: np.ndarray) -> np.ndarray:
     return table
 
 
+def _clauses_hold(table: np.ndarray, literals: np.ndarray) -> np.ndarray:
+    """AND over the clauses of padded ``literals`` (a table or a stack) of
+    the OR of their literals' rows of the variable table ``table``."""
+    rows = table[np.abs(literals) - 1]
+    rows ^= np.negative((literals < 0).astype(np.uint64))[..., None]
+    return np.bitwise_and.reduce(np.bitwise_or.reduce(rows, axis=-2), axis=-2)
+
+
 def _satisfying_words(num_vars: int, literals: np.ndarray) -> np.ndarray:
     """Truth tables of a stack of formulas over all 2^n codes, packed into
     uint64 words: a single formula is a stack of one.
@@ -133,60 +142,60 @@ def _satisfying_words(num_vars: int, literals: np.ndarray) -> np.ndarray:
     assignment ``c`` (bit ``v`` of ``c`` is variable ``v + 1``) satisfies
     every clause of formula ``b``; bits at and above ``2^n`` are clear.
 
-    Clauses are evaluated in blocks of about ``_BLOCK_WORDS`` gathered words
-    over the whole stack: each clause gathers its variables' rows of the
-    (n, words) variable table (:func:`_variable_rows`), flips the negated
-    ones, ORs them, and the block's clauses are ANDed into their formula's
-    row. The evaluation stops after the first block that leaves no formula
-    a satisfying code.
-
-    A stack that spans more than one block is evaluated on its live words
-    only. Each formula's clauses are first stable-sorted (in a copy) by
-    their count of literals over variables 1-6, so the clauses over the
-    word-index variables alone, which clear whole words, come first. After
-    a block, while clauses remain and at most half the current columns hold
-    a satisfying code of some formula, the columns where every formula's
-    word is zero are dropped and the variable table is rebuilt over the
-    kept word indices; blocks widen as the columns narrow. The kept columns
-    are scattered back into the full-width result at the end, so the words
-    are those of the plain evaluation.
+    A stack that fits one block of ``_BLOCK_WORDS`` gathered words is
+    evaluated in one gather over the (n, words) variable table
+    (:func:`_variable_rows`). A larger one is evaluated formula by formula
+    on a frontier of live word indices, over a copy of its clauses
+    stable-sorted by level: the word-index bits a clause reads, its top
+    variable less 6 (at least 0). The frontier starts as word 0 over 0
+    bits. Each block widens it (``words | e << bits``, still ascending) to
+    the highest level whose clauses fit one block over the widened words,
+    or to the next clause's level with as many clauses as fit; evaluates
+    those clauses; and once at most half its words hold a code, drops the
+    dead ones. A dropped word fails some clause whatever its higher bits,
+    so scattering the live words over every word sharing their low bits
+    gives the words of the plain evaluation.
     """
     n = num_vars
     if n > ENUM_VAR_CAP:
         raise ConfigError(f"enumeration capped at {ENUM_VAR_CAP} variables, got {n}")
     num_words = 1 << max(n - _WORD_BITS, 0)
-    words = np.arange(num_words, dtype=np.uint64)
-    table = _variable_rows(n, words)
     count, num_clauses, width = literals.shape
-    step = max(_BLOCK_WORDS // max(count * width * num_words, 1), 1)
-    if step < num_clauses:
-        low = np.count_nonzero(np.abs(literals) <= _WORD_BITS, axis=2)
-        order = np.argsort(low, axis=1, kind="stable")
-        literals = np.take_along_axis(literals, order[..., None], axis=1)
-    variables = np.abs(literals) - 1
-    flips = np.negative((literals < 0).astype(np.uint64))[..., None]
     # below 6 variables the one word is partial: only its low 2^n bits are codes
-    ok = np.full((count, num_words), np.uint64((1 << min(1 << n, 64)) - 1))
-    start = 0
-    while start < num_clauses:
-        rows = table[variables[:, start:start + step]]
-        rows ^= flips[:, start:start + step]
-        ok &= np.bitwise_and.reduce(np.bitwise_or.reduce(rows, axis=2), axis=1)
-        del rows
-        start += step
-        held = np.count_nonzero(ok)
-        if held == 0:
-            break
-        if start < num_clauses and 2 * held <= len(words):
-            live = np.flatnonzero(ok.any(axis=0))
-            ok, words = ok[:, live], words[live]
-            del table
-            table = _variable_rows(n, words)
-            step = max(_BLOCK_WORDS // (count * width * len(words)), 1)
-    if len(words) == num_words:
-        return ok
+    codes = np.uint64((1 << min(1 << n, 64)) - 1)
+    if count * num_clauses * width * num_words <= _BLOCK_WORDS:
+        return codes & _clauses_hold(
+            _variable_rows(n, np.arange(num_words, dtype=np.uint64)), literals)
     full = np.zeros((count, num_words), dtype=np.uint64)
-    full[:, words] = ok
+    for out, clauses in zip(full, literals):
+        levels = np.maximum(np.abs(clauses).max(axis=1) - _WORD_BITS, 0)
+        clauses, levels = clauses[np.argsort(levels, kind="stable")], sorted(levels.tolist())
+        words, ok, bits, table, start = np.zeros(1, np.uint64), np.array([codes]), 0, None, 0
+        while start < num_clauses:
+            top, stop, end = max(levels[start], bits), start, start
+            while end < num_clauses:
+                level, end = levels[end], bisect_right(levels, levels[end], end)
+                if (end - start) * width * len(words) << max(level - bits, 0) > _BLOCK_WORDS:
+                    break
+                top, stop = max(level, bits), end
+            if stop == start:
+                stop += max(_BLOCK_WORDS // (width * len(words) << top - bits), 1)
+            if top > bits:
+                high = np.arange(1 << top - bits, dtype=np.uint64)[:, None] << np.uint64(bits)
+                words, ok, bits, table = (high | words).ravel(), np.tile(ok, len(high)), top, None
+            if table is None:
+                table = _variable_rows(min(n, _WORD_BITS + bits), words)
+            ok &= _clauses_hold(table, clauses[start:stop])
+            start, held = stop, np.count_nonzero(ok)
+            if held == 0:
+                break
+            if 2 * held <= len(words):
+                live = np.flatnonzero(ok)
+                words, ok, table = words[live], ok[live], None
+        else:
+            if count == 1 and len(words) == num_words:
+                return ok[None]
+            out.reshape(-1, 1 << bits)[:, words] = ok
     return full
 
 
@@ -211,9 +220,8 @@ def satisfying_assignments(formula: CnfFormula) -> np.ndarray:
     Exhaustive enumeration, capped at ``ENUM_VAR_CAP`` variables, over packed
     truth tables with one bit per code (2^n / 8 bytes per variable), clauses
     evaluated in blocks (:func:`_satisfying_words`). A formula that spans
-    more than one block has its clauses evaluated in a copy sorted to put
-    those over variables 7 and up first, on the words that still hold a
-    satisfying code; neither changes the result. The satisfying codes are
+    more than one block grows a frontier of live words one clause level at
+    a time, which leaves the result unchanged. The satisfying codes are
     computed once per formula and cached on it, so enumerating a formula that
     :func:`is_satisfiable` has checked evaluates no clause. The rows come out
     in ascending code order, variable 1 being the lowest bit of the code.
@@ -330,12 +338,12 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
     evaluates a single formula as a stack of one. A batch of several draws
     fits one block there, so its clauses are evaluated in their drawn order
     over every word; a single draw that spans several blocks (every draw at
-    20 variables) is evaluated on a sorted copy of its clauses, narrowed to
-    its live words, and its literal table is left as drawn. The draws are
-    then taken in order, each a validated formula passed to
-    :func:`is_satisfiable`. If fewer draws were used than read, because one
-    was accepted or the decode stopped early, the state is restored once
-    and only the used draws' words are read again. Where the decode stopped early, the next draw is
+    20 variables) is evaluated level by level of a sorted copy of its
+    clauses, on a frontier of live words. The draws are then taken in
+    order, each a validated formula passed to :func:`is_satisfiable`. If
+    fewer draws were used than read, because one was accepted or the decode
+    stopped early, the state is restored once and only the used draws'
+    words are read again. Where the decode stopped early, the next draw is
     made by the per-clause ``choice``/``integers`` loop (:func:`_loop_draw`).
     So, as the tests check on the installed numpy, the formula and the
     generator state after the call are those of that loop run once per

@@ -168,25 +168,26 @@ MUTANTS = (
            "        if used < count:\n            rng.bit_generator.state = state",
            "        if used < count - 1:\n            rng.bit_generator.state = state",
            "tests/test_sat.py"),
-    # enumeration narrowed to live words: the index bookkeeping and the clause
-    # sort. test_satisfying_assignments_match_the_chunked_oracle_at_the_cap
-    # catches a narrowing that forgets earlier ones;
-    # test_a_multi_block_stack_narrows_to_the_words_some_formula_holds one that
-    # keeps the first formula's words or scatters into the wrong columns; and
+    # enumeration on a frontier of live words, one clause level at a time.
+    # test_satisfying_assignments_match_the_chunked_oracle_at_the_cap catches
+    # a widening by the wrong bit and a level one too low;
+    # test_a_multi_block_stack_narrows_to_the_words_some_formula_holds a
+    # scatter into the leading columns; and
     # test_enumeration_sorts_a_copy_of_the_callers_clauses a sort in place
-    Mutant("narrow-forgets-earlier-words", "src/mdsearch/constraints/sat.py",
-           "ok, words = ok[:, live], words[live]",
-           "ok, words = ok[:, live], live.astype(np.uint64)",
+    Mutant("frontier-widens-by-the-wrong-bit", "src/mdsearch/constraints/sat.py",
+           "[:, None] << np.uint64(bits)", "[:, None] << np.uint64(bits + 1)",
            "tests/test_sat.py"),
-    Mutant("narrow-to-first-formula-words", "src/mdsearch/constraints/sat.py",
-           "live = np.flatnonzero(ok.any(axis=0))", "live = np.flatnonzero(ok[0])",
+    Mutant("clause-level-one-low", "src/mdsearch/constraints/sat.py",
+           "np.abs(clauses).max(axis=1) - _WORD_BITS, 0)",
+           "np.abs(clauses).max(axis=1) - _WORD_BITS - 1, 0)",
            "tests/test_sat.py"),
-    Mutant("scatter-into-leading-columns", "src/mdsearch/constraints/sat.py",
-           "full[:, words] = ok", "full[:, :len(words)] = ok",
+    Mutant("frontier-scatter-into-leading-columns", "src/mdsearch/constraints/sat.py",
+           "out.reshape(-1, 1 << bits)[:, words] = ok",
+           "out.reshape(-1, 1 << bits)[:, :len(words)] = ok",
            "tests/test_sat.py"),
     Mutant("clause-sort-in-place", "src/mdsearch/constraints/sat.py",
-           "literals = np.take_along_axis(literals, order[..., None], axis=1)",
-           "literals[...] = np.take_along_axis(literals, order[..., None], axis=1)",
+           "clauses, levels = clauses[np.argsort(",
+           "clauses[:], levels = clauses[np.argsort(",
            "tests/test_sat.py"),
     # the Sudoku tracker's in-place commit with its flags, and refine's flat mask
     Mutant("unit-slots-one-digit-short", "src/mdsearch/constraints/sudoku.py",

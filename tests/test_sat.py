@@ -353,11 +353,10 @@ def test_satisfying_assignments_match_the_chunked_oracle_at_the_cap(monkeypatch)
     twin = CnfFormula(20, formula.clauses)
     assert_enumeration_matches_oracle(twin)
     assert twin._codes.tobytes() == formula._codes.tobytes()
-    # the full table, then at least two narrowings, each to at most half the
-    # columns: a second narrowing composes word indices already narrowed
-    widths = [len(words) for words in built]
-    assert widths[0] == 1 << 14 and len(widths) >= 3
-    assert all(2 * after <= before for before, after in zip(widths, widths[1:]))
+    # the frontier never spans every word, and its word indices ascend
+    assert len(built) >= 3
+    assert all(len(words) < 1 << 14 for words in built)
+    assert all((words[1:] > words[:-1]).all() for words in built)
 
 
 def narrowing_stack():
@@ -373,24 +372,76 @@ def test_a_multi_block_stack_narrows_to_the_words_some_formula_holds(monkeypatch
     formulas, literals = narrowing_stack()
     built = row_builds(monkeypatch)
     words = sat._satisfying_words(16, literals)
-    assert len(built) >= 2 and 2 * len(built[-1]) <= len(built[0]) == 1 << 10
+    # each formula grows its own frontier, which never spans all 2^10 words
+    assert len(built) >= 3 and all(len(w) < 1 << 10 for w in built)
     expected = [oracle_words(f) for f in formulas]
     assert words.dtype == np.uint64 and words.shape == (3, 1 << 10)
     for row, packed in zip(words, expected):
         assert row.tobytes() == packed.tobytes()
-    # the narrowed columns are those where some formula holds a code, not
-    # only where the first one does
+    # the formulas hold different words, so a frontier shared with, or
+    # scattered from, another formula would show
     assert (expected[1] & ~expected[0]).any()
 
 
 def test_enumeration_sorts_a_copy_of_the_callers_clauses():
     _, literals = narrowing_stack()
     before = literals.copy()
-    low = np.count_nonzero(np.abs(literals) <= 6, axis=2)
-    assert (np.diff(low, axis=1) < 0).any()  # the sort reorders this stack
+    levels = np.maximum(np.abs(literals).max(axis=2) - 6, 0)
+    assert (np.diff(levels, axis=1) < 0).any()  # the sort reorders this stack
     assert literals.flags.writeable  # so a sort in place would not raise
     sat._satisfying_words(16, literals)
     assert literals.tobytes() == before.tobytes()
+
+
+@st.composite
+def formula_stacks(draw):
+    """A variable count of 1-16, a block size, and 1-4 formulas over it with
+    1-4 literals per clause, padded to a common width: unit clauses,
+    tautologies, and in some stacks only variables 7 and up. The small
+    blocks make even the 6- and 7-variable stacks grow frontiers."""
+    n = draw(st.sampled_from((6, 7))) if draw(st.booleans()) else draw(st.integers(1, 16))
+    width = draw(st.integers(1, 4))
+    low = draw(st.sampled_from((1, 7))) if n >= 7 else 1
+    literal = st.integers(low, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    formulas = []
+    for _ in range(draw(st.integers(1, 4))):
+        clauses = []
+        for _ in range(draw(st.integers(1, 40))):
+            clause = draw(st.lists(literal, min_size=1, max_size=width))
+            if len(clause) < width and draw(st.booleans()):
+                clause.append(-clause[0])  # a tautology
+            clauses.append(tuple(clause))
+        formulas.append(CnfFormula(n, tuple(clauses)))
+    return n, formulas, draw(st.sampled_from((sat._BLOCK_WORDS, 64, 1)))
+
+
+def padded_stack(formulas):
+    """The (B, clauses, width) stack of the formulas' literal tables, each
+    clause padded to the widest by repeating its first literal."""
+    width = max(len(c) for f in formulas for c in f.clauses)
+    most = max(len(f.clauses) for f in formulas)
+    # a formula with fewer clauses repeats its first one, which changes nothing
+    tables = [f.clauses + f.clauses[:1] * (most - len(f.clauses)) for f in formulas]
+    return np.array([[c + c[:1] * (width - len(c)) for c in clauses] for clauses in tables],
+                    dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(formula_stacks())
+# a 7-variable stack too large for one block; one word, with a tautology and
+# an unsatisfiable formula; near-tautological at the cap, levels 0 and 14
+@example((7, [CnfFormula(7, ((7,), (-7, 1)) * 1200)] * 4, sat._BLOCK_WORDS))
+@example((6, [CnfFormula(6, ((1, -1), (2, 3, -4, 5))), CnfFormula(6, ((6,), (-6,)))], 1))
+@example((20, [CnfFormula(20, ((-7, 8, 20), (1, 2, 3)))], sat._BLOCK_WORDS))
+def test_frontier_words_match_the_oracle(case):
+    n, formulas, block = case
+    literals = padded_stack(formulas)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sat, "_BLOCK_WORDS", block)
+        words = sat._satisfying_words(n, literals)
+    assert words.dtype == np.uint64 and words.shape == (len(formulas), 1 << max(n - 6, 0))
+    for row, formula in zip(words, formulas):
+        assert row.tobytes() == oracle_words(formula).tobytes()
 
 
 def test_dimacs_roundtrip():
