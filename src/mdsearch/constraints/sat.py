@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -34,6 +34,9 @@ class CnfFormula:
 
     def __post_init__(self):
         check_count(self.num_vars, "variable count", 1)
+        if not (isinstance(self.clauses, tuple)
+                and all(issubclass(t, tuple) for t in set(map(type, self.clauses)))):
+            raise ConfigError(f"clauses {self.clauses!r} must be a tuple of tuples")
         if not self.clauses:
             raise ConfigError("formula needs at least one clause")
         if not all(self.clauses):
@@ -59,13 +62,13 @@ class CnfFormula:
     def _codes(self) -> np.ndarray:
         """Read-only ascending codes of the satisfying assignments, evaluated
         once per formula for :func:`is_satisfiable` and
-        :func:`satisfying_assignments`: the formula's truth table is
-        :func:`_satisfying_words` over a stack of one formula.
+        :func:`satisfying_assignments` from the formula's truth table
+        (:func:`_satisfying_words`).
 
         The formula keeps the K codes rather than the 2^n / 8 bytes of words,
         which at 20 variables are 128 KiB.
         """
-        return _codes_of(_satisfying_words(self.num_vars, self._literals[None])[0])
+        return _codes_of(_satisfying_words(self.num_vars, self._literals))
 
 
 class ClauseViolations(Constraint):
@@ -102,8 +105,7 @@ _IN_WORD = np.array([sum(1 << c for c in range(64) if c >> v & 1)
 # one clause at 20, so a block stays in cache and an unsatisfiable formula
 # stops after few blocks.
 _BLOCK_WORDS = 1 << 15
-# Rejection draws that random_formula decodes and truth-tables together,
-# fewer where their truth tables would exceed one block of _BLOCK_WORDS.
+# Rejection draws that random_formula reads and decodes together.
 _BATCH_DRAWS = 6
 _NO_CODES = np.empty(0, dtype=np.int64)
 _NO_CODES.flags.writeable = False
@@ -124,78 +126,85 @@ def _variable_rows(num_vars: int, words: np.ndarray) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=ENUM_VAR_CAP)
+def _all_word_rows(num_vars: int) -> np.ndarray:
+    """The read-only :func:`_variable_rows` table over every word index,
+    built once per variable count."""
+    rows = _variable_rows(num_vars, np.arange(1 << max(num_vars - _WORD_BITS, 0),
+                                              dtype=np.uint64))
+    rows.flags.writeable = False
+    return rows
+
+
 def _clauses_hold(table: np.ndarray, literals: np.ndarray) -> np.ndarray:
-    """AND over the clauses of padded ``literals`` (a table or a stack) of
-    the OR of their literals' rows of the variable table ``table``."""
-    rows = table[np.abs(literals) - 1]
-    rows ^= np.negative((literals < 0).astype(np.uint64))[..., None]
-    return np.bitwise_and.reduce(np.bitwise_or.reduce(rows, axis=-2), axis=-2)
+    """AND over the clauses of the padded (clauses, width) int64 ``literals``
+    of the OR of their literals' rows of the variable table ``table``."""
+    slots = literals.T  # a view, so that both reductions run over the leading axis
+    rows = table[np.abs(slots) - 1]
+    rows ^= (slots >> 63).view(np.uint64)[..., None]  # all ones at a negative literal
+    return np.bitwise_and.reduce(np.bitwise_or.reduce(rows, axis=0), axis=0)
 
 
 def _satisfying_words(num_vars: int, literals: np.ndarray) -> np.ndarray:
-    """Truth tables of a stack of formulas over all 2^n codes, packed into
-    uint64 words: a single formula is a stack of one.
+    """Truth table of one formula over all 2^n codes, packed into uint64 words.
 
-    ``literals`` is a (B, clauses, width) stack of padded literal tables
-    over ``num_vars`` variables; it is left unchanged. In row ``b`` of the
-    (B, 2^n / 64) result, bit ``c % 64`` of word ``c // 64`` is set when
-    assignment ``c`` (bit ``v`` of ``c`` is variable ``v + 1``) satisfies
-    every clause of formula ``b``; bits at and above ``2^n`` are clear.
+    ``literals`` is the formula's (clauses, width) padded literal table over
+    ``num_vars`` variables; it is left unchanged. In the (2^n / 64,) result,
+    bit ``c % 64`` of word ``c // 64`` is set when assignment ``c`` (bit
+    ``v`` of ``c`` is variable ``v + 1``) satisfies every clause; bits at and
+    above ``2^n`` are clear.
 
-    A stack that fits one block of ``_BLOCK_WORDS`` gathered words is
-    evaluated in one gather over the (n, words) variable table
-    (:func:`_variable_rows`). A larger one is evaluated formula by formula
-    on a frontier of live word indices, over a copy of its clauses
-    stable-sorted by level: the word-index bits a clause reads, its top
-    variable less 6 (at least 0). The frontier starts as word 0 over 0
-    bits. Each block widens it (``words | e << bits``, still ascending) to
-    the highest level whose clauses fit one block over the widened words,
-    or to the next clause's level with as many clauses as fit; evaluates
-    those clauses; and once at most half its words hold a code, drops the
-    dead ones. A dropped word fails some clause whatever its higher bits,
-    so scattering the live words over every word sharing their low bits
-    gives the words of the plain evaluation.
+    A formula that fits one block of ``_BLOCK_WORDS`` gathered words is
+    evaluated in one gather over the variable table of every word
+    (:func:`_all_word_rows`). A larger one is evaluated on a frontier of
+    live word indices, over a copy of its clauses stable-sorted by level:
+    the word-index bits a clause reads, its top variable less 6 (at least
+    0). The frontier starts as word 0 over 0 bits. Each block widens it
+    (``words | e << bits``, still ascending) to the highest level whose
+    clauses fit one block over the widened words, or to the next clause's
+    level with as many clauses as fit; evaluates those clauses over the
+    frontier's :func:`_variable_rows`; and once at most half its words hold
+    a code, drops the dead ones. A dropped word fails some clause whatever
+    its higher bits, so scattering the live words over every word sharing
+    their low bits gives the words of the plain evaluation.
     """
     n = num_vars
     if n > ENUM_VAR_CAP:
         raise ConfigError(f"enumeration capped at {ENUM_VAR_CAP} variables, got {n}")
     num_words = 1 << max(n - _WORD_BITS, 0)
-    count, num_clauses, width = literals.shape
+    num_clauses, width = literals.shape
     # below 6 variables the one word is partial: only its low 2^n bits are codes
     codes = np.uint64((1 << min(1 << n, 64)) - 1)
-    if count * num_clauses * width * num_words <= _BLOCK_WORDS:
-        return codes & _clauses_hold(
-            _variable_rows(n, np.arange(num_words, dtype=np.uint64)), literals)
-    full = np.zeros((count, num_words), dtype=np.uint64)
-    for out, clauses in zip(full, literals):
-        levels = np.maximum(np.abs(clauses).max(axis=1) - _WORD_BITS, 0)
-        clauses, levels = clauses[np.argsort(levels, kind="stable")], sorted(levels.tolist())
-        words, ok, bits, table, start = np.zeros(1, np.uint64), np.array([codes]), 0, None, 0
-        while start < num_clauses:
-            top, stop, end = max(levels[start], bits), start, start
-            while end < num_clauses:
-                level, end = levels[end], bisect_right(levels, levels[end], end)
-                if (end - start) * width * len(words) << max(level - bits, 0) > _BLOCK_WORDS:
-                    break
-                top, stop = max(level, bits), end
-            if stop == start:
-                stop += max(_BLOCK_WORDS // (width * len(words) << top - bits), 1)
-            if top > bits:
-                high = np.arange(1 << top - bits, dtype=np.uint64)[:, None] << np.uint64(bits)
-                words, ok, bits, table = (high | words).ravel(), np.tile(ok, len(high)), top, None
-            if table is None:
-                table = _variable_rows(min(n, _WORD_BITS + bits), words)
-            ok &= _clauses_hold(table, clauses[start:stop])
-            start, held = stop, np.count_nonzero(ok)
-            if held == 0:
+    if num_clauses * width * num_words <= _BLOCK_WORDS:
+        return codes & _clauses_hold(_all_word_rows(n), literals)
+    levels = np.maximum(np.abs(literals).max(axis=1) - _WORD_BITS, 0)
+    clauses, levels = literals[np.argsort(levels, kind="stable")], sorted(levels.tolist())
+    words, ok, bits, table, start = np.zeros(1, np.uint64), np.array([codes]), 0, None, 0
+    while start < num_clauses:
+        top, stop, end = max(levels[start], bits), start, start
+        while end < num_clauses:
+            level, end = levels[end], bisect_right(levels, levels[end], end)
+            if (end - start) * width * len(words) << max(level - bits, 0) > _BLOCK_WORDS:
                 break
-            if 2 * held <= len(words):
-                live = np.flatnonzero(ok)
-                words, ok, table = words[live], ok[live], None
-        else:
-            if count == 1 and len(words) == num_words:
-                return ok[None]
-            out.reshape(-1, 1 << bits)[:, words] = ok
+            top, stop = max(level, bits), end
+        if stop == start:
+            stop += max(_BLOCK_WORDS // (width * len(words) << top - bits), 1)
+        if top > bits:
+            high = np.arange(1 << top - bits, dtype=np.uint64)[:, None] << np.uint64(bits)
+            words, ok, bits, table = (high | words).ravel(), np.tile(ok, len(high)), top, None
+        if table is None:
+            table = _variable_rows(min(n, _WORD_BITS + bits), words)
+        ok &= _clauses_hold(table, clauses[start:stop])
+        start, held = stop, np.count_nonzero(ok)
+        if held == 0:
+            return np.zeros(num_words, dtype=np.uint64)
+        if 2 * held <= len(words):
+            live = np.flatnonzero(ok)
+            words, ok, table = words[live], ok[live], None
+    if len(words) == num_words:
+        return ok
+    full = np.zeros(num_words, dtype=np.uint64)
+    full.reshape(-1, 1 << bits)[:, words] = ok
     return full
 
 
@@ -304,18 +313,14 @@ def _decode_draws(num_vars: int, num_clauses: int, words: np.ndarray) -> np.ndar
     return literals.reshape(-1, num_clauses, 3)
 
 
-def _drawn_formula(num_vars: int, literals: np.ndarray,
-                   words: np.ndarray | None) -> CnfFormula:
+def _drawn_formula(num_vars: int, literals: np.ndarray) -> CnfFormula:
     """The formula of one row of a :func:`_decode_draws` batch, validated as any
-    other. Its literal table and, given its row of the batch's
-    :func:`_satisfying_words`, its satisfying codes are cached from
-    read-only copies, so the formula keeps no batch array alive."""
+    other. Its literal table is cached from a read-only copy, so the formula
+    keeps no batch array alive."""
     formula = CnfFormula(num_vars, tuple(map(tuple, literals.tolist())))
     table = literals.copy()
     table.flags.writeable = False
     formula.__dict__["_literals"] = table
-    if words is not None:
-        formula.__dict__["_codes"] = _codes_of(words)
     return formula
 
 
@@ -328,23 +333,17 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
     variable cap); at 45 clauses over 7 variables most draws are
     unsatisfiable, so expect several rejections per instance.
 
-    The rejection draws are made in batches of up to ``_BATCH_DRAWS``, fewer
-    where their truth tables would exceed one block of ``_BLOCK_WORDS``
-    (one draw at 20 variables, and one without ``require_satisfiable``).
-    This is the one function here that handles the generator's state. Per
-    batch it saves the state, reads the batch's 32-bit words in one call,
-    decodes them into literal tables (:func:`_decode_draws`) and truth-tables
-    those in one pass of :func:`_satisfying_words`, the function that
-    evaluates a single formula as a stack of one. A batch of several draws
-    fits one block there, so its clauses are evaluated in their drawn order
-    over every word; a single draw that spans several blocks (every draw at
-    20 variables) is evaluated level by level of a sorted copy of its
-    clauses, on a frontier of live words. The draws are then taken in
-    order, each a validated formula passed to :func:`is_satisfiable`. If
-    fewer draws were used than read, because one was accepted or the decode
-    stopped early, the state is restored once and only the used draws'
-    words are read again. Where the decode stopped early, the next draw is
-    made by the per-clause ``choice``/``integers`` loop (:func:`_loop_draw`).
+    The rejection draws are made in batches of ``_BATCH_DRAWS`` (one draw
+    without ``require_satisfiable``). This is the one function here that
+    handles the generator's state. Per batch it saves the state, reads the
+    batch's 32-bit words in one call and decodes them into literal tables
+    (:func:`_decode_draws`). The draws are then taken in order, each a
+    validated formula passed on its own to :func:`is_satisfiable`, so only
+    the draws checked are truth-tabled. If fewer draws were used than read,
+    because one was accepted or the decode stopped early, the state is
+    restored once and only the used draws' words are read again. Where the
+    decode stopped early, the next draw is made by the per-clause
+    ``choice``/``integers`` loop (:func:`_loop_draw`).
     So, as the tests check on the installed numpy, the formula and the
     generator state after the call are those of that loop run once per
     rejection draw. The accepted formula's satisfying codes are cached on
@@ -353,10 +352,7 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
     check_count(num_vars, "variable count", 3,  # 3-CNF, and the check enumerates
                 ENUM_VAR_CAP + 1 if require_satisfiable else None)
     check_count(num_clauses, "clause count", 1)
-    batch = 1
-    if require_satisfiable:
-        clause_words = 3 << max(num_vars - _WORD_BITS, 0)
-        batch = min(_BATCH_DRAWS, max(_BLOCK_WORDS // (num_clauses * clause_words), 1))
+    batch = _BATCH_DRAWS if require_satisfiable else 1
     width = len(_clause_bounds(num_vars))
     draws = 0
     while draws < REJECTION_CAP:
@@ -364,10 +360,9 @@ def random_formula(num_vars: int, num_clauses: int, rng: np.random.Generator,
         state = rng.bit_generator.state
         literals = _decode_draws(num_vars, num_clauses, rng.integers(
             0, 1 << 32, size=(count * num_clauses, width), dtype=np.uint32))
-        truth = _satisfying_words(num_vars, literals) if require_satisfiable else None
         used = 0
         for table in literals:
-            formula = _drawn_formula(num_vars, table, None if truth is None else truth[used])
+            formula = _drawn_formula(num_vars, table)
             used += 1
             if not require_satisfiable or is_satisfiable(formula):
                 break

@@ -320,7 +320,7 @@ def random_puzzle(box: int, blanks: int, rng: np.random.Generator) -> SudokuBoar
     enforced.
     """
     side = check_count(box, "box size", 2) ** 2
-    check_count(blanks, "blank count", 0, side * side)
+    check_count(blanks, "blank count", 0, side * side + 1)
     grid = random_solution(box, rng).ravel()
     holes = rng.choice(side * side, size=blanks, replace=False)
     grid[holes] = 0

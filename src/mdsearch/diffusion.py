@@ -27,6 +27,8 @@ class NoiseSchedule:
     alphas: tuple[float, ...]
 
     def __post_init__(self):
+        if not isinstance(self.alphas, tuple):
+            raise ConfigError(f"survival probabilities {self.alphas!r} must be a tuple")
         a = check_reals(self.alphas, "survival probabilities", 0, 1)
         if a.ndim != 1 or len(a) < 2:
             raise ConfigError("schedule needs at least one step")

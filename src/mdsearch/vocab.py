@@ -7,6 +7,7 @@ here are pure: inputs are never mutated.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,6 +78,8 @@ class EditableRegion:
 
     def __post_init__(self):
         check_count(self.length, "region length", 1)
+        if not isinstance(self.editable, frozenset):
+            raise ConfigError(f"editable positions {self.editable!r} must be a frozenset")
         for p in self.editable:
             check_count(p, "editable position", 0, self.length)
 
@@ -85,8 +88,12 @@ class EditableRegion:
         return cls.with_frozen(length, frozenset())
 
     @classmethod
-    def with_frozen(cls, length: int, frozen: set[int] | frozenset[int]) -> "EditableRegion":
+    def with_frozen(cls, length: int, frozen: Iterable[int]) -> "EditableRegion":
+        """The region of ``length`` positions less ``frozen``, any iterable of
+        positions (an array too)."""
         check_count(length, "region length", 1)
+        if frozen is None:
+            raise ConfigError("frozen positions must be an iterable of positions, got None")
         for p in frozen:
             check_count(p, "frozen position", 0, length)
         return cls(length, frozenset(range(length)) - frozenset(frozen))

@@ -171,24 +171,51 @@ MUTANTS = (
     # enumeration on a frontier of live words, one clause level at a time.
     # test_satisfying_assignments_match_the_chunked_oracle_at_the_cap catches
     # a widening by the wrong bit and a level one too low;
-    # test_a_multi_block_stack_narrows_to_the_words_some_formula_holds a
-    # scatter into the leading columns; and
-    # test_enumeration_sorts_a_copy_of_the_callers_clauses a sort in place
+    # test_multi_block_formulas_narrow_to_the_words_each_holds a scatter into
+    # the leading columns; test_enumeration_sorts_a_copy_of_the_callers_clauses
+    # a sort in place; and
+    # test_one_block_formulas_read_one_shared_all_words_table a writable
+    # all-words table
     Mutant("frontier-widens-by-the-wrong-bit", "src/mdsearch/constraints/sat.py",
            "[:, None] << np.uint64(bits)", "[:, None] << np.uint64(bits + 1)",
            "tests/test_sat.py"),
     Mutant("clause-level-one-low", "src/mdsearch/constraints/sat.py",
-           "np.abs(clauses).max(axis=1) - _WORD_BITS, 0)",
-           "np.abs(clauses).max(axis=1) - _WORD_BITS - 1, 0)",
+           "np.abs(literals).max(axis=1) - _WORD_BITS, 0)",
+           "np.abs(literals).max(axis=1) - _WORD_BITS - 1, 0)",
            "tests/test_sat.py"),
     Mutant("frontier-scatter-into-leading-columns", "src/mdsearch/constraints/sat.py",
-           "out.reshape(-1, 1 << bits)[:, words] = ok",
-           "out.reshape(-1, 1 << bits)[:, :len(words)] = ok",
+           "full.reshape(-1, 1 << bits)[:, words] = ok",
+           "full.reshape(-1, 1 << bits)[:, :len(words)] = ok",
            "tests/test_sat.py"),
     Mutant("clause-sort-in-place", "src/mdsearch/constraints/sat.py",
-           "clauses, levels = clauses[np.argsort(",
-           "clauses[:], levels = clauses[np.argsort(",
+           "clauses, levels = literals[np.argsort(",
+           "clauses = literals; clauses[:], levels = literals[np.argsort(",
            "tests/test_sat.py"),
+    Mutant("all-words-table-writable", "src/mdsearch/constraints/sat.py",
+           "    rows.flags.writeable = False\n", "",
+           "tests/test_sat.py"),
+    # value types refuse a caller's mutable containers, and a puzzle may be all blank
+    Mutant("formula-takes-a-list-of-clauses", "src/mdsearch/constraints/sat.py",
+           "if not (isinstance(self.clauses, tuple)\n",
+           "if not (isinstance(self.clauses, (tuple, list))\n",
+           "tests/test_sat.py"),
+    Mutant("formula-takes-a-list-clause", "src/mdsearch/constraints/sat.py",
+           "issubclass(t, tuple) for t in set(map(type, self.clauses))",
+           "issubclass(t, (tuple, list)) for t in set(map(type, self.clauses))",
+           "tests/test_sat.py"),
+    Mutant("schedule-takes-a-list", "src/mdsearch/diffusion.py",
+           "if not isinstance(self.alphas, tuple):",
+           "if not isinstance(self.alphas, (tuple, list)):",
+           "tests/test_diffusion.py"),
+    Mutant("region-takes-any-container", "src/mdsearch/vocab.py",
+           "if not isinstance(self.editable, frozenset):", "if False:",
+           "tests/test_vocab.py"),
+    Mutant("with-frozen-takes-none", "src/mdsearch/vocab.py",
+           "        if frozen is None:\n", "        if False:\n",
+           "tests/test_vocab.py"),
+    Mutant("puzzle-refuses-all-blank", "src/mdsearch/constraints/sudoku.py",
+           '"blank count", 0, side * side + 1)', '"blank count", 0, side * side)',
+           "tests/test_sudoku.py"),
     # the Sudoku tracker's in-place commit with its flags, and refine's flat mask
     Mutant("unit-slots-one-digit-short", "src/mdsearch/constraints/sudoku.py",
            "cell_slots = cell_units * side", "cell_slots = cell_units * (side - 1)",

@@ -46,6 +46,15 @@ def test_schedule_validation():
         NoiseSchedule((1.0, 0.1))
 
 
+def test_schedule_refuses_a_mutable_container():
+    # a list was kept, so editing it afterwards changed the draws silently;
+    # it also made the schedule unhashable
+    alphas = [1.0, 0.5, 0.0]
+    with pytest.raises(ConfigError, match="must be a tuple"):
+        NoiseSchedule(alphas)
+    assert hash(NoiseSchedule((1.0, 0.5, 0.0))) == hash(linear_schedule(2))
+
+
 def test_schedule_alpha_refuses_a_step_past_the_last():
     sched = linear_schedule(3)
     assert sched.alpha(3) == 0.0

@@ -41,6 +41,17 @@ def test_formula_validation():
         CnfFormula(2, ((0,),))
 
 
+def test_formula_refuses_mutable_clause_containers():
+    # a list of clauses was kept, so editing it afterwards made the checks
+    # leak numpy's IndexError; it also made the formula unhashable
+    clauses = [[1, 2], [-1, 3]]
+    for bad in (clauses, [(1, 2), (-1, 3)], ([1, 2], (-1, 3))):
+        with pytest.raises(ConfigError, match="tuple of tuples"):
+            CnfFormula(3, bad)
+    formula = CnfFormula(3, ((1, 2), (-1, 3)))
+    assert hash(formula) == hash(CnfFormula(3, ((1, 2), (-1, 3))))
+
+
 def test_formula_rejects_non_integer_literals():
     # a float literal would fail only later, in violations; True would
     # read as variable 1
@@ -338,7 +349,7 @@ def row_builds(monkeypatch):
 
 def oracle_words(formula):
     """The chunked oracle's satisfying assignments, packed as
-    ``sat._satisfying_words`` packs one formula's row."""
+    ``sat._satisfying_words`` packs them."""
     n = formula.num_vars
     codes = satisfying_assignments_by_chunks(formula) @ (1 << np.arange(n))
     bits = np.zeros(max(1 << n, 64), dtype=np.uint8)
@@ -359,89 +370,80 @@ def test_satisfying_assignments_match_the_chunked_oracle_at_the_cap(monkeypatch)
     assert all((words[1:] > words[:-1]).all() for words in built)
 
 
-def narrowing_stack():
-    """A (3, 60, 3) stack of 16-variable formulas, two of them satisfiable,
-    that spans many blocks."""
+def narrowing_formulas():
+    """Three (60, 3) 16-variable formulas, each spanning many blocks, the
+    first two satisfiable."""
     rng = np.random.default_rng(3)
     formulas = [sat.random_formula(16, 60, rng) for _ in range(2)]
     formulas.append(sat._loop_draw(16, 60, rng))
-    return formulas, np.stack([f._literals for f in formulas])
+    return formulas
 
 
-def test_a_multi_block_stack_narrows_to_the_words_some_formula_holds(monkeypatch):
-    formulas, literals = narrowing_stack()
+def test_multi_block_formulas_narrow_to_the_words_each_holds(monkeypatch):
+    formulas = narrowing_formulas()
     built = row_builds(monkeypatch)
-    words = sat._satisfying_words(16, literals)
-    # each formula grows its own frontier, which never spans all 2^10 words
-    assert len(built) >= 3 and all(len(w) < 1 << 10 for w in built)
     expected = [oracle_words(f) for f in formulas]
-    assert words.dtype == np.uint64 and words.shape == (3, 1 << 10)
-    for row, packed in zip(words, expected):
-        assert row.tobytes() == packed.tobytes()
-    # the formulas hold different words, so a frontier shared with, or
-    # scattered from, another formula would show
-    assert (expected[1] & ~expected[0]).any()
+    for formula, packed in zip(formulas, expected):
+        words = sat._satisfying_words(16, formula._literals)
+        assert words.dtype == np.uint64 and words.shape == (1 << 10,)
+        assert words.tobytes() == packed.tobytes()
+    # each formula grows its own frontier, which never spans all 2^10 words,
+    # so each satisfiable formula's words are scattered from its frontier
+    assert len(built) >= 3 and all(len(w) < 1 << 10 for w in built)
 
 
 def test_enumeration_sorts_a_copy_of_the_callers_clauses():
-    _, literals = narrowing_stack()
+    # a formula drawn by the loop, so no enumeration runs before the call
+    literals = sat._loop_draw(16, 60, np.random.default_rng(3))._literals.copy()
     before = literals.copy()
-    levels = np.maximum(np.abs(literals).max(axis=2) - 6, 0)
-    assert (np.diff(levels, axis=1) < 0).any()  # the sort reorders this stack
+    levels = np.maximum(np.abs(literals).max(axis=1) - 6, 0)
+    assert (np.diff(levels) < 0).any()  # the sort reorders this table
     assert literals.flags.writeable  # so a sort in place would not raise
     sat._satisfying_words(16, literals)
     assert literals.tobytes() == before.tobytes()
 
 
+def test_one_block_formulas_read_one_shared_all_words_table():
+    table = sat._all_word_rows(9)
+    assert not table.flags.writeable
+    assert sat._all_word_rows(9) is table
+    assert table.tobytes() == sat._variable_rows(9, np.arange(8, dtype=np.uint64)).tobytes()
+
+
 @st.composite
-def formula_stacks(draw):
-    """A variable count of 1-16, a block size, and 1-4 formulas over it with
-    1-4 literals per clause, padded to a common width: unit clauses,
-    tautologies, and in some stacks only variables 7 and up. The small
-    blocks make even the 6- and 7-variable stacks grow frontiers."""
+def frontier_formulas(draw):
+    """A formula over 1-16 variables with 1-4 literals per clause, and a
+    block size: unit clauses, tautologies, and in some formulas only
+    variables 7 and up. The small blocks make even the 6- and 7-variable
+    formulas grow frontiers."""
     n = draw(st.sampled_from((6, 7))) if draw(st.booleans()) else draw(st.integers(1, 16))
     width = draw(st.integers(1, 4))
     low = draw(st.sampled_from((1, 7))) if n >= 7 else 1
     literal = st.integers(low, n).flatmap(lambda v: st.sampled_from((v, -v)))
-    formulas = []
-    for _ in range(draw(st.integers(1, 4))):
-        clauses = []
-        for _ in range(draw(st.integers(1, 40))):
-            clause = draw(st.lists(literal, min_size=1, max_size=width))
-            if len(clause) < width and draw(st.booleans()):
-                clause.append(-clause[0])  # a tautology
-            clauses.append(tuple(clause))
-        formulas.append(CnfFormula(n, tuple(clauses)))
-    return n, formulas, draw(st.sampled_from((sat._BLOCK_WORDS, 64, 1)))
-
-
-def padded_stack(formulas):
-    """The (B, clauses, width) stack of the formulas' literal tables, each
-    clause padded to the widest by repeating its first literal."""
-    width = max(len(c) for f in formulas for c in f.clauses)
-    most = max(len(f.clauses) for f in formulas)
-    # a formula with fewer clauses repeats its first one, which changes nothing
-    tables = [f.clauses + f.clauses[:1] * (most - len(f.clauses)) for f in formulas]
-    return np.array([[c + c[:1] * (width - len(c)) for c in clauses] for clauses in tables],
-                    dtype=np.int64)
+    clauses = []
+    for _ in range(draw(st.integers(1, 40))):
+        clause = draw(st.lists(literal, min_size=1, max_size=width))
+        if len(clause) < width and draw(st.booleans()):
+            clause.append(-clause[0])  # a tautology
+        clauses.append(tuple(clause))
+    return CnfFormula(n, tuple(clauses)), draw(st.sampled_from((sat._BLOCK_WORDS, 64, 1)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(formula_stacks())
-# a 7-variable stack too large for one block; one word, with a tautology and
-# an unsatisfiable formula; near-tautological at the cap, levels 0 and 14
-@example((7, [CnfFormula(7, ((7,), (-7, 1)) * 1200)] * 4, sat._BLOCK_WORDS))
-@example((6, [CnfFormula(6, ((1, -1), (2, 3, -4, 5))), CnfFormula(6, ((6,), (-6,)))], 1))
-@example((20, [CnfFormula(20, ((-7, 8, 20), (1, 2, 3)))], sat._BLOCK_WORDS))
+@given(frontier_formulas())
+# a 7-variable formula too large for one block; one word, with a tautology,
+# and an unsatisfiable one; near-tautological at the cap, levels 0 and 14
+@example((CnfFormula(7, ((7,), (-7, 1)) * 4200), sat._BLOCK_WORDS))
+@example((CnfFormula(6, ((1, -1), (2, 3, -4, 5))), 1))
+@example((CnfFormula(6, ((6,), (-6,))), 1))
+@example((CnfFormula(20, ((-7, 8, 20), (1, 2, 3))), sat._BLOCK_WORDS))
 def test_frontier_words_match_the_oracle(case):
-    n, formulas, block = case
-    literals = padded_stack(formulas)
+    formula, block = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sat, "_BLOCK_WORDS", block)
-        words = sat._satisfying_words(n, literals)
-    assert words.dtype == np.uint64 and words.shape == (len(formulas), 1 << max(n - 6, 0))
-    for row, formula in zip(words, formulas):
-        assert row.tobytes() == oracle_words(formula).tobytes()
+        words = sat._satisfying_words(formula.num_vars, formula._literals)
+    assert words.dtype == np.uint64 and words.shape == (1 << max(formula.num_vars - 6, 0),)
+    assert words.tobytes() == oracle_words(formula).tobytes()
 
 
 def test_dimacs_roundtrip():
@@ -644,8 +646,7 @@ def test_mt_rng_with_zero_word_sets_that_output():
 def test_a_lemire_risky_draw_inside_a_batch_falls_back_alone(monkeypatch):
     # at n=7 a draw reads 45 * 8 words, so word 440 is the first word of
     # clause 10 of draw 1; the word 0 is below Floyd's first bound, 5
-    draws_per_batch = sat._BLOCK_WORDS // (45 * 3 * 2)
-    assert min(sat._BATCH_DRAWS, draws_per_batch) > 2
+    assert sat._BATCH_DRAWS > 2
     assert len(sat._decode_draws(7, 45, batch_words(mt_rng_with_zero_word(0, 440), 7, 45,
                                                     3))) == 1
     loop_rng = mt_rng_with_zero_word(0, 440)
@@ -662,6 +663,21 @@ def test_a_lemire_risky_draw_inside_a_batch_falls_back_alone(monkeypatch):
     # draw 0 came from the batch and was rejected; only draw 1 took the loop
     assert len(checks) > 2 and not real_check(checks[0])
     assert len(loop_draws) == 1
+
+
+def test_random_formula_truth_tables_each_checked_draw_on_its_own(monkeypatch):
+    # at (7, 45) a batch decodes _BATCH_DRAWS draws; only the draws checked
+    # are truth-tabled, each as one (clauses, 3) table
+    tables, checks = [], []
+    real_words, real_check = sat._satisfying_words, sat.is_satisfiable
+    monkeypatch.setattr(sat, "_satisfying_words",
+                        lambda n, literals: tables.append(literals.shape)
+                        or real_words(n, literals))
+    monkeypatch.setattr(sat, "is_satisfiable",
+                        lambda formula: checks.append(formula) or real_check(formula))
+    formula = sat.random_formula(7, 45, np.random.default_rng(8))
+    assert len(checks) > 1 and checks[-1] is formula
+    assert tables == [(45, 3)] * len(checks)
 
 
 @pytest.mark.parametrize("seed, position", [(0, 0), (2, 1), (3, 2), (4, 3), (8, 4), (18, 5)])

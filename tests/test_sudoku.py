@@ -302,8 +302,11 @@ def test_random_solution_restarts_box_4_streams_past_the_budget(seed):
 
 
 def test_generator_blank_count_bounds():
-    with pytest.raises(ConfigError):
-        random_puzzle(2, 16, np.random.default_rng(0))
+    # every cell may be blank, as SudokuBoard and parse_sudoku_line allow
+    board = random_puzzle(2, 16, np.random.default_rng(0))
+    assert board.grid.shape == (4, 4) and not board.grid.any()
+    with pytest.raises(ConfigError, match="blank count"):
+        random_puzzle(2, 17, np.random.default_rng(0))
 
 
 def test_digit_vocab_hex_rendering():

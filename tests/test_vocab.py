@@ -71,6 +71,18 @@ def test_region_helpers():
         EditableRegion(0, frozenset())
 
 
+def test_region_refuses_a_mutable_or_missing_container():
+    # a list or set of editable positions was kept, so appending to it
+    # afterwards changed the positions; it also made the region unhashable
+    for editable in ([0, 1], {0, 1}, None):
+        with pytest.raises(ConfigError, match="must be a frozenset"):
+            EditableRegion(3, editable)
+    with pytest.raises(ConfigError, match="frozen positions"):
+        EditableRegion.with_frozen(3, None)
+    region = EditableRegion(3, frozenset({0, 1}))
+    assert hash(region) == hash(EditableRegion.with_frozen(3, [2]))
+
+
 @pytest.mark.parametrize("frozen", [{5}, {3}, {-1}, {0, 7}])
 def test_region_rejects_frozen_positions_outside_the_sequence(frozen):
     # a frozen position past the end was dropped without a word
