@@ -79,7 +79,6 @@ class ClauseViolations(Constraint):
     alphabet = 2
 
     def __init__(self, formula: CnfFormula):
-        self.formula = formula
         self.length = formula.num_vars
         # (clauses, width) variable position and polarity of each padded literal
         self._var_pos = np.abs(formula._literals) - 1

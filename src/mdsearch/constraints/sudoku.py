@@ -75,17 +75,14 @@ class UnitTables(NamedTuple):
 
     ``units`` (units, side) holds the flat cells of every row, column and box
     unit, in that order; ``cell_units`` (3, cells) the row, column and box
-    unit of each cell; ``cell_slots`` (3, cells) is ``cell_units * side``, the
-    first slot of each in a raveled (units, side) table. ``unit_ids`` and
-    ``slot_starts`` hold the last two as one tuple of plain ints per cell, for
-    the Python loops.
+    unit of each cell, and ``unit_ids`` the same as one tuple of plain ints
+    per cell, for the Python loops. In a raveled (units, side) table, unit
+    ``u``'s slots start at ``u * side``.
     """
 
     units: np.ndarray
     cell_units: np.ndarray
-    cell_slots: np.ndarray
     unit_ids: tuple[tuple[int, int, int], ...]
-    slot_starts: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=16)
@@ -99,11 +96,9 @@ def unit_tables(box: int) -> UnitTables:
     ids = np.arange(len(units))[:, None]
     cell_units = np.empty((3, side * side), dtype=np.int64)
     cell_units[ids // side, units] = ids
-    cell_slots = cell_units * side
-    for table in (units, cell_units, cell_slots):
+    for table in (units, cell_units):
         table.setflags(write=False)
-    return UnitTables(units, cell_units, cell_slots, tuple(zip(*cell_units.tolist())),
-                      tuple(zip(*cell_slots.tolist())))
+    return UnitTables(units, cell_units, tuple(zip(*cell_units.tolist())))
 
 
 @lru_cache(maxsize=16)
@@ -127,8 +122,8 @@ class UnitDuplicates(Constraint):
         self.box = check_count(box, "box size", 2)
         self.side = box * box
         self.alphabet, self.length = self.side, self.side * self.side
-        # tables.cell_units and cell_slots give the three units an edit touches
-        # and the first slot of each in the flag tables
+        # tables.cell_units gives the three units an edit touches; unit u's
+        # slots in the raveled flag tables start at u * side
         self.tables = unit_tables(box)
         self._unit_cells = self.tables.units.ravel()
 
@@ -165,7 +160,7 @@ class UnitDuplicates(Constraint):
         units = self.tables.cell_units.take(positions, axis=1)
         old = values[positions]
         enter = present.take(units, axis=0)
-        leave = dup.take(self.tables.cell_slots.take(positions, axis=1) + old)
+        leave = dup.take(units * self.side + old)
         delta = enter[0] + enter[1] + enter[2] - (leave[0] + leave[1] + leave[2])[:, None]
         out = np.add(delta, value, dtype=np.float64)
         out[np.arange(positions.size), old] = value
@@ -176,11 +171,11 @@ class UnitDuplicates(Constraint):
         units of copies of the cached tables, by scalar updates of their
         raveled views; a flag flips where its count crosses 0 and 1 (present)
         or 1 and 2 (duplicated)."""
-        old = int(values[pos])
+        old, side = int(values[pos]), self.side
         hist, present, dup = cache[0].copy(), cache[1].copy(), cache[2].copy()
         counts, once, twice = hist.ravel(), present.ravel(), dup.ravel()
-        for start in self.tables.slot_starts[pos]:
-            leaving, entering = start + old, start + token
+        for unit in self.tables.unit_ids[pos]:
+            leaving, entering = unit * side + old, unit * side + token
             left = counts[leaving] - 1
             counts[leaving] = left
             if left == 0:  # old leaves the unit

@@ -38,7 +38,8 @@ class SearchConfig:
     greedy refinement (ignored for ``last_step`` placement, which refines
     until no improving neighbor remains), and ``allow_unmask_edits`` lets
     refinement edit the whole editable region; off, the sampler narrows
-    the region it refines to the positions still masked.
+    the region it refines to the positions still masked. ``weights`` is
+    ``None`` or a flat tuple of one number per constraint.
     """
 
     candidates: int = 32
@@ -54,8 +55,10 @@ class SearchConfig:
             raise ConfigError(f"placement must be one of {PLACEMENTS}")
         if not isinstance(self.allow_unmask_edits, (bool, np.bool_)):
             raise ConfigError(f"allow_unmask_edits {self.allow_unmask_edits!r} is not a bool")
-        if self.weights is not None:
-            check_reals(self.weights, "constraint weights", low=0)
+        if self.weights is not None and not (
+                isinstance(self.weights, tuple)
+                and check_reals(self.weights, "constraint weights", low=0).ndim == 1):
+            raise ConfigError(f"constraint weights {self.weights!r} must be a flat tuple")
 
 
 def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> tuple[float, ...]:
@@ -65,7 +68,7 @@ def resolve_weights(weights, constraints: tuple[Constraint, ...]) -> tuple[float
     weights = check_reals(weights, "weights", low=0, error=ContractError)
     if weights.shape != (len(constraints),):
         raise ContractError(
-            f"{weights.size} weights for {len(constraints)} constraints")
+            f"weights of shape {weights.shape} for {len(constraints)} constraints")
     return tuple(weights.tolist())
 
 

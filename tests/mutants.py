@@ -207,6 +207,9 @@ MUTANTS = (
            "if not isinstance(self.alphas, tuple):",
            "if not isinstance(self.alphas, (tuple, list)):",
            "tests/test_diffusion.py"),
+    Mutant("weights-take-a-list", "src/mdsearch/search.py",
+           "isinstance(self.weights, tuple)", "isinstance(self.weights, (tuple, list))",
+           "tests/test_search.py"),
     Mutant("region-takes-any-container", "src/mdsearch/vocab.py",
            "if not isinstance(self.editable, frozenset):", "if False:",
            "tests/test_vocab.py"),
@@ -218,7 +221,10 @@ MUTANTS = (
            "tests/test_sudoku.py"),
     # the Sudoku tracker's in-place commit with its flags, and refine's flat mask
     Mutant("unit-slots-one-digit-short", "src/mdsearch/constraints/sudoku.py",
-           "cell_slots = cell_units * side", "cell_slots = cell_units * (side - 1)",
+           "units * self.side + old", "units * (self.side - 1) + old",
+           "tests/test_batched.py"),
+    Mutant("unit-commit-slot-one-digit-short", "src/mdsearch/constraints/sudoku.py",
+           "unit * side + old", "unit * (side - 1) + old",
            "tests/test_batched.py"),
     Mutant("unit-commit-falls-to-one", "src/mdsearch/constraints/sudoku.py",
            "if left == 0:", "if left == 1:",

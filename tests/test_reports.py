@@ -35,6 +35,9 @@ def test_feasibility_is_zero_vector():
 def test_weight_arity_checked():
     with pytest.raises(ContractError):
         aggregate_violation(np.zeros(1), (Fixed("a", 1.0),), weights=(1.0, 2.0))
+    # one weight, nested: the message names its shape, not its size
+    with pytest.raises(ContractError, match=r"weights of shape \(1, 1\) for 1 constraints"):
+        aggregate_violation(np.zeros(1), (Fixed("a", 1.0),), weights=[[1.0]])
 
 
 def test_negative_violation_rejected():

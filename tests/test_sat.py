@@ -81,6 +81,11 @@ def test_sat_violation_examples():
         g.violation(np.array([0, 1, 1]))
 
 
+def test_clause_violations_keep_no_formula():
+    # the scorer reads its (clauses, width) literal tables, never the formula
+    assert not hasattr(ClauseViolations(CnfFormula(2, ((1, -2),))), "formula")
+
+
 def test_sat_violation_matches_naive_oracle():
     rng = np.random.default_rng(1)
     f = random_formula_by_draw(7, 45, rng, require_satisfiable=False)

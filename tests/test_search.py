@@ -79,6 +79,16 @@ def test_non_finite_or_negative_weights_are_rejected_before_scoring(bad):
         aggregate_violation(np.zeros(3, dtype=np.int64), constraints, (bad,))
 
 
+@pytest.mark.parametrize("bad", [[1.0, 2.0], np.array([1.0]), 2.0, ((1.0,),)])
+def test_weights_are_a_flat_tuple(bad):
+    # a list was kept as the caller's object and left the config unhashable
+    with pytest.raises(ConfigError, match="weights"):
+        SearchConfig(weights=bad)
+    with pytest.raises(ConfigError, match="weights"):
+        RunConfig(task="sat", weights=bad)
+    hash(SearchConfig(weights=(1.0, np.float64(2.0))))  # a tuple config hashes
+
+
 class InfiniteBox(Constraint):
     """A black box that scores every candidate as infinitely violating."""
 

@@ -7,6 +7,7 @@ from mdsearch.constraints.sudoku import (
     SOLUTION_CAP,
     SudokuBoard,
     UnitDuplicates,
+    UnitTables,
     completions,
     digit_vocab,
     parse_sudoku_line,
@@ -38,18 +39,17 @@ def test_unit_structure():
         side = box * box
         tables = unit_tables(box)
         assert unit_tables(box) is tables  # built once per box size
+        assert UnitTables._fields == ("units", "cell_units", "unit_ids")
         assert tables.units.shape == (3 * side, side)  # 27 units for the classic 9x9
         expected = sudoku_cell_units(box)
         assert np.array_equal(tables.cell_units, expected)
-        assert np.array_equal(tables.cell_slots, expected * side)
         # each unit lists its cells in ascending order, and each cell is in its three units
         assert (np.diff(tables.units, axis=1) > 0).all()
         for cell in range(side * side):
             assert all(cell in tables.units[unit] for unit in expected[:, cell])
         assert np.array_equal(np.array(tables.unit_ids).T, tables.cell_units)
-        assert np.array_equal(np.array(tables.slot_starts).T, tables.cell_slots)
-        assert all(type(i) is int for ids in tables.unit_ids + tables.slot_starts for i in ids)
-        for table in (tables.units, tables.cell_units, tables.cell_slots):
+        assert all(type(i) is int for ids in tables.unit_ids for i in ids)
+        for table in (tables.units, tables.cell_units):
             with pytest.raises(ValueError):
                 table[0, 0] = -1
 
