@@ -42,7 +42,7 @@ from .tasks import (
     sat_instance,
     sudoku_instance,
 )
-from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
+from .vocab import EditableRegion, Vocab, masked_positions
 
 __version__ = "0.1.0"
 
@@ -76,6 +76,5 @@ __all__ = [
     "sudoku_instance",
     "EditableRegion",
     "Vocab",
-    "fully_masked",
     "masked_positions",
 ]

@@ -189,7 +189,7 @@ class RunResult:
     config: RunConfig
     constraint_names: tuple[str, ...]
     records: tuple[SampleRecord, ...]
-    wall_time: float
+    wall_time: float | None  # None for a run read back from its result file
 
 
 def run_experiment(cfg: RunConfig) -> RunResult:
@@ -291,7 +291,7 @@ def load_results(path) -> RunResult:
             records.append(SampleRecord(**{**row, "violations": tuple(row["violations"])}))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed record {number}: {exc!r}") from None
-    return RunResult(config, tuple(constraint_names), tuple(records), 0.0)
+    return RunResult(config, tuple(constraint_names), tuple(records), None)
 
 
 def summarize_records(result: RunResult) -> dict:
@@ -345,7 +345,7 @@ def render_summary_csv(results: list[RunResult]) -> str:
         summary = dict(summary)
         summary["delta_feasibility"] = (None if base is None or summary["feasibility"] is None
                                         else summary["feasibility"] - base)
-        summary["wall_s"] = round(result.wall_time, 3)
+        summary["wall_s"] = None if result.wall_time is None else round(result.wall_time, 3)
         writer.writerow([_csv_cell(summary[c]) for c in columns])
     return out.getvalue()
 

@@ -25,7 +25,7 @@ from .diffusion import NoiseSchedule, first_hitting_steps, sample_rows
 from .errors import (ConfigError, ContractError, SampleError, check_count, check_integers,
                      check_reals, check_sequence)
 from .tasks import Instance
-from .vocab import EditableRegion, Vocab, fully_masked, masked_positions
+from .vocab import EditableRegion, Vocab, masked_positions
 
 PLACEMENTS = ("off", "last_step", "all_steps")
 
@@ -301,7 +301,7 @@ def sample(instance: Instance, denoiser: Denoiser, schedule: NoiseSchedule,
     vocab = instance.vocab
     search_to = {"off": 0, "last_step": 1, "all_steps": schedule.steps}[config.placement]
     cap = None if config.placement == "last_step" else config.max_rounds
-    x = fully_masked(instance.region, vocab.mask_id, instance.frozen_values)
+    x = instance.start.copy()  # the chain may return its first state unchanged
     masked = masked_positions(x, vocab.mask_id)
     hits = first_hitting_steps(schedule, masked.size, rng)
     order = masked[(-hits).argsort(kind="stable")]

@@ -23,13 +23,18 @@ from .denoise import (
     UniformDenoiser,
     load_table,
 )
-from .errors import ConfigError, check_count
+from .errors import ConfigError, check_count, check_integers
 from .vocab import EditableRegion, Vocab
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Instance:
-    """One generation problem: alphabet, frozen conditioning, evaluators."""
+    """One generation problem: alphabet, frozen conditioning, evaluators.
+
+    ``frozen_values`` has shape ``(length,)``; only its frozen positions are
+    read, and each must hold a token, else :class:`ConfigError`. ``start`` is
+    the read-only state every reverse chain begins from: the mask wherever
+    the region is editable, the frozen values elsewhere."""
 
     name: str
     vocab: Vocab
@@ -38,6 +43,22 @@ class Instance:
     frozen_values: np.ndarray | None = None
     data: Any = None
     renderer: Callable[[np.ndarray], str] | None = field(default=None, repr=False)
+    start: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        start = np.full(self.length, self.vocab.mask_id, dtype=np.int64)
+        if self.region.frozen:
+            if self.frozen_values is None:
+                raise ConfigError("frozen positions present but no frozen values given")
+            values = check_integers(self.frozen_values, "frozen values", error=ConfigError)
+            if values.shape != (self.length,):
+                raise ConfigError(
+                    f"frozen values have shape {values.shape}, expected ({self.length},)")
+            idx = np.array(self.region.frozen)
+            start[idx] = check_integers(values[idx], "frozen values", self.vocab.mask_id,
+                                        ConfigError)
+        start.flags.writeable = False
+        object.__setattr__(self, "start", start)
 
     @property
     def length(self) -> int:
@@ -64,16 +85,13 @@ def sat_instance(formula: sat.CnfFormula, name: str = "sat") -> Instance:
 def sudoku_instance(board: sudoku.SudokuBoard, name: str = "sudoku") -> Instance:
     """Board cells with the givens frozen to their token values."""
     vocab = sudoku.digit_vocab(board.box)
-    tokens = board.tokens()
-    frozen_positions = board.given_positions()
-    frozen_values = np.where(tokens >= 0, tokens, 0)
-    region = EditableRegion.with_frozen(board.side ** 2, set(map(int, frozen_positions)))
+    region = EditableRegion.with_frozen(board.side ** 2, set(map(int, board.given_positions())))
     return Instance(
         name=name,
         vocab=vocab,
         region=region,
         constraints=(sudoku.UnitDuplicates(board.box),),
-        frozen_values=frozen_values,
+        frozen_values=board.tokens(),
         data=board,
     )
 

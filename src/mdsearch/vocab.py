@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_count, check_integers, check_sequence
+from .errors import ConfigError, ContractError, check_count, check_sequence
 
 MASK_CHAR = "?"
 
@@ -106,26 +106,6 @@ class EditableRegion:
     @cached_property
     def frozen(self) -> tuple[int, ...]:
         return tuple(p for p in range(self.length) if p not in self.editable)
-
-
-def fully_masked(region: EditableRegion, mask_id: int,
-                 frozen_values: np.ndarray | None = None) -> np.ndarray:
-    """Initial latent state: mask everywhere editable, frozen values elsewhere.
-
-    Frozen values must be tokens, in ``range(mask_id)``, else :class:`ConfigError`."""
-    length = region.length
-    out = np.empty(length, dtype=np.int64)
-    out.fill(mask_id)
-    if region.frozen:
-        if frozen_values is None:
-            raise ConfigError("frozen positions present but no frozen values given")
-        frozen_values = check_integers(frozen_values, "frozen values", error=ConfigError)
-        if frozen_values.shape != (length,):
-            raise ConfigError(
-                f"frozen values have shape {frozen_values.shape}, expected ({length},)")
-        idx = np.array(region.frozen)
-        out[idx] = check_integers(frozen_values[idx], "frozen values", mask_id, ConfigError)
-    return out
 
 
 def masked_positions(values: np.ndarray, mask_id: int) -> np.ndarray:

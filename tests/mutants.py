@@ -216,6 +216,16 @@ MUTANTS = (
     Mutant("with-frozen-takes-none", "src/mdsearch/vocab.py",
            "        if frozen is None:\n", "        if False:\n",
            "tests/test_vocab.py"),
+    # an instance checks its givens once, when it is built
+    Mutant("instance-given-may-be-the-mask", "src/mdsearch/tasks.py",
+           '"frozen values", self.vocab.mask_id,', '"frozen values", self.vocab.mask_id + 1,',
+           "tests/test_tasks.py"),
+    Mutant("instance-givens-any-shape", "src/mdsearch/tasks.py",
+           "if values.shape != (self.length,):", "if False:",
+           "tests/test_tasks.py"),
+    Mutant("sample-shares-the-start-state", "src/mdsearch/search.py",
+           "x = instance.start.copy()", "x = instance.start",
+           "tests/test_tasks.py"),
     Mutant("puzzle-refuses-all-blank", "src/mdsearch/constraints/sudoku.py",
            '"blank count", 0, side * side + 1)', '"blank count", 0, side * side)',
            "tests/test_sudoku.py"),

@@ -343,10 +343,10 @@ def sample_by_step(instance, denoiser, schedule, config, rng, collect_masks=Fals
     from mdsearch.denoise import check_rows
     from mdsearch.diffusion import first_hitting_steps
     from mdsearch.search import StepRecord, guided_reverse_step
-    from mdsearch.vocab import fully_masked, masked_positions
+    from mdsearch.vocab import masked_positions
 
     vocab = instance.vocab
-    x = fully_masked(instance.region, vocab.mask_id, instance.frozen_values)
+    x = instance.start.copy()
     masked = masked_positions(x, vocab.mask_id)
     hits = first_hitting_steps(schedule, masked.size, rng)
     order = masked[np.argsort(-hits, kind="stable")]

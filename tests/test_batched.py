@@ -32,7 +32,7 @@ from mdsearch.harness.runner import build_instance, presets
 from mdsearch.search import (SearchConfig, aggregate_violation, best_of_pool, proposal_draws,
                              refine, sample)
 from mdsearch.tasks import Instance
-from mdsearch.vocab import EditableRegion, Vocab, fully_masked
+from mdsearch.vocab import EditableRegion, Vocab
 
 from oracles import (
     naive_peptide_report,
@@ -651,7 +651,7 @@ def test_the_pool_skips_the_token_check_on_every_preset_instance(token_row_calls
     cfg = presets()[task]
     instance = build_instance(cfg, 0)
     mask_id = instance.vocab.mask_id
-    x_t = fully_masked(instance.region, mask_id, instance.frozen_values)
+    x_t = instance.start.copy()
     rows = UniformDenoiser(instance.vocab).denoise(x_t, 1)
     best_of_pool(rows, x_t, cfg.candidates, instance.constraints, None,
                  np.random.default_rng(0), mask_id)

@@ -102,6 +102,19 @@ def test_summarize_from_files(tmp_path, capsys):
     assert (tmp_path / "sum.csv").read_text() == text
 
 
+def test_summarize_leaves_wall_time_empty(tmp_path, capsys):
+    # result files keep no wall time, and summarize printed 0.0 for every run
+    path = tmp_path / "a.jsonl"
+    assert run_cli("bench", "--task", "sat", "--n-samples", "3", "--seed", "0",
+                   "--out", str(path)) == 0
+    bench_row = capsys.readouterr().out.splitlines()[1]
+    assert not bench_row.endswith(",")
+    assert run_cli("summarize", str(path)) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.endswith(",wall_s")
+    assert row == bench_row.rsplit(",", 1)[0] + ","
+
+
 def test_summarize_mixed_tasks_is_usage_error(tmp_path, capsys):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

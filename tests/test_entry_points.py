@@ -127,9 +127,9 @@ def _vocab(draw):
     BITS.parse(draw(st.text(max_size=5)))
 
 
-def _fully_masked(draw):
+def _instance(draw):
     region = m.EditableRegion.with_frozen(3, {0})
-    m.fully_masked(region, BITS.mask_id, draw(tokens() | st.none()))
+    m.Instance("one-given", BITS, region, CONSTRAINTS, draw(tokens() | st.none() | REALS))
 
 
 ENTRIES = {
@@ -167,14 +167,13 @@ ENTRIES = {
     "sudoku_instance": lambda draw: m.sudoku_instance(SudokuBoard(
         draw(COUNTS), draw(hnp.arrays(DTYPES, st.sampled_from([(4, 4), (4,), (3, 3)]))))),
     "EditableRegion": _region,
+    "Instance": _instance,
     "Vocab": _vocab,
-    "fully_masked": _fully_masked,
     "masked_positions": lambda draw: m.masked_positions(draw(tokens()), BITS.mask_id),
 }
 # no count, array or float argument to malform: plain records, and functions
 # of a built instance or of a file (the file readers have their own tests)
-NO_MALFORMED_ARGUMENT = {"ReverseCoeffs", "StepRecord", "Instance", "exact_distribution",
-                         "load_table"}
+NO_MALFORMED_ARGUMENT = {"ReverseCoeffs", "StepRecord", "exact_distribution", "load_table"}
 
 RUN_FIELDS = {**{f.name: COUNTS for f in fields(RunConfig) if f.type == "int"},
               "epsilon": REALS, "weights": weights(), "denoiser": REALS | COUNTS,

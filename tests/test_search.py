@@ -28,7 +28,7 @@ from mdsearch.search import (
     sample,
 )
 from mdsearch.tasks import Instance, sat_instance, sudoku_instance
-from mdsearch.vocab import EditableRegion, Vocab, fully_masked, masked_positions
+from mdsearch.vocab import EditableRegion, Vocab, masked_positions
 
 from oracles import (bernoulli_chain, guided_chain, naive_sat_violation, neighborhood,
                      refine_by_neighborhood, sample_by_step, tv_distance)
@@ -406,7 +406,7 @@ def test_refine_sudoku9_tracker_path_matches_full_recompute():
     for _ in range(3):
         instance = sudoku_instance(random_puzzle(3, 40, rng))
         den = m.build_denoiser(instance, "noisy", 0.5)
-        x = fully_masked(instance.region, instance.vocab.mask_id, instance.frozen_values)
+        x = instance.start.copy()
         pick = best_of_pool(den.denoise(x, 10), x, 8, instance.constraints, None, rng,
                             instance.vocab.mask_id)
         result = assert_refine_paths_agree(pick.candidate, instance.constraints, None,
@@ -435,7 +435,7 @@ def test_uncapped_refine_matches_brute_force_descent(case):
         from mdsearch.constraints.sudoku import random_puzzle
 
         instance = sudoku_instance(random_puzzle(3, 40, rng))
-        x = fully_masked(instance.region, instance.vocab.mask_id, instance.frozen_values)
+        x = instance.start.copy()
         start = best_of_pool(m.build_denoiser(instance, "noisy", 0.5).denoise(x, 10), x, 8,
                              instance.constraints, None, rng, instance.vocab.mask_id).candidate
         constraints, vocab, region = instance.constraints, instance.vocab, instance.region

@@ -4,15 +4,84 @@ import pytest
 from mdsearch.constraints.sat import CnfFormula, satisfying_assignments
 from mdsearch.constraints.sudoku import SudokuBoard, random_puzzle
 from mdsearch.denoise import CorruptedDenoiser, ExactPosteriorDenoiser, TableDenoiser, UniformDenoiser
+from mdsearch.diffusion import linear_schedule
 from mdsearch.errors import ConfigError
+from mdsearch.search import PLACEMENTS, SearchConfig, sample
 from mdsearch.tasks import (
+    Instance,
     build_denoiser,
     exact_distribution,
     peptide_instance,
     sat_instance,
     sudoku_instance,
 )
-from mdsearch.vocab import fully_masked
+from mdsearch.vocab import EditableRegion, Vocab, masked_positions
+
+AB = Vocab(("A", "B", "C", "D"))
+BIN = Vocab(("0", "1"))
+
+
+def plain_instance(vocab, region, frozen_values=None):
+    return Instance("plain", vocab, region, (), frozen_values)
+
+
+def test_instance_start_all_editable():
+    inst = plain_instance(AB, EditableRegion.all_editable(3))
+    assert np.array_equal(inst.start, [4, 4, 4])
+
+
+def test_instance_start_with_frozen():
+    inst = plain_instance(AB, EditableRegion.with_frozen(3, {0}), np.array([0, 0, 0]))
+    assert np.array_equal(inst.start, [0, 4, 4])
+
+
+def test_instance_start_sat_shape():
+    # assignment bits all editable; the formula lives outside the sequence
+    inst = plain_instance(BIN, EditableRegion.all_editable(7))
+    assert np.array_equal(inst.start, np.full(7, 2))
+
+
+def test_instance_frozen_value_errors():
+    region = EditableRegion.with_frozen(3, {0})
+    with pytest.raises(ConfigError):
+        plain_instance(AB, region)  # missing frozen values
+    with pytest.raises(ConfigError):
+        plain_instance(AB, region, np.array([0, 0]))
+    # a frozen value is a token: -1 and mask_id + 1 were copied into the state
+    for bad in (AB.mask_id, -1, AB.mask_id + 1):
+        with pytest.raises(ConfigError):
+            plain_instance(AB, region, np.array([bad, 0, 0]))
+
+
+def test_instance_start_masks_the_editable_set():
+    region = EditableRegion.with_frozen(5, {1, 4})
+    inst = plain_instance(AB, region, np.array([0, 1, 0, 0, 2]))
+    assert tuple(masked_positions(inst.start, AB.mask_id)) == region.positions
+
+
+def test_instance_start_is_read_only():
+    inst = plain_instance(AB, EditableRegion.with_frozen(3, {0}), np.array([1, 0, 0]))
+    with pytest.raises(ValueError):
+        inst.start[1] = 0
+    assert inst.start.tolist() == [1, 4, 4]
+
+
+def test_instance_start_keeps_its_values_when_the_caller_edits_theirs():
+    values = np.array([1, 0, 0])
+    inst = plain_instance(AB, EditableRegion.with_frozen(3, {0}), values)
+    values[0] = 2
+    assert inst.start.tolist() == [1, 4, 4]
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_all_given_board_samples_a_writeable_copy_of_the_board(placement):
+    # every cell given: the chain may return the state it began from
+    board = random_puzzle(2, 0, np.random.default_rng(0))
+    inst = sudoku_instance(board)
+    final, _ = sample(inst, UniformDenoiser(inst.vocab), linear_schedule(4),
+                      SearchConfig(placement=placement), np.random.default_rng(1))
+    assert final.flags.writeable and final is not inst.start
+    assert np.array_equal(final, board.tokens())
 
 
 def test_sat_instance_shape():
@@ -36,7 +105,7 @@ def test_sudoku_instance_freezes_givens():
     solved = exact_distribution(inst).support[0]
     line = inst.render(solved)
     assert len(line) == 16 and "." not in line
-    masked = inst.render(fully_masked(inst.region, inst.vocab.mask_id, inst.frozen_values))
+    masked = inst.render(inst.start.copy())
     assert [i for i, ch in enumerate(masked) if ch == "?"] == list(inst.region.positions)
 
 

@@ -5,12 +5,10 @@ from mdsearch.errors import ConfigError, ContractError
 from mdsearch.vocab import (
     EditableRegion,
     Vocab,
-    fully_masked,
     masked_positions,
 )
 
 AB = Vocab(("A", "B", "C", "D"))
-BIN = Vocab(("0", "1"))
 
 
 def test_vocab_basics():
@@ -100,47 +98,8 @@ def test_region_refuses_positions_that_are_not_integers(position):
         EditableRegion.with_frozen(3, {position})
 
 
-def test_fully_masked_all_editable():
-    region = EditableRegion.all_editable(3)
-    out = fully_masked(region, AB.mask_id)
-    assert np.array_equal(out, [4, 4, 4])
-
-
-def test_fully_masked_with_frozen():
-    region = EditableRegion.with_frozen(3, {0})
-    frozen = np.array([0, 0, 0])
-    out = fully_masked(region, AB.mask_id, frozen)
-    assert np.array_equal(out, [0, 4, 4])
-
-
-def test_fully_masked_sat_shape():
-    # assignment bits all editable; the formula lives outside the sequence
-    region = EditableRegion.all_editable(7)
-    out = fully_masked(region, BIN.mask_id)
-    assert np.array_equal(out, np.full(7, 2))
-
-
-def test_fully_masked_errors():
-    region = EditableRegion.with_frozen(3, {0})
-    with pytest.raises(ConfigError):
-        fully_masked(region, AB.mask_id)  # missing frozen values
-    with pytest.raises(ConfigError):
-        fully_masked(region, AB.mask_id, np.array([0, 0]))
-    # a frozen value is a token: -1 and mask_id + 1 were copied into the state
-    for bad in (AB.mask_id, -1, AB.mask_id + 1):
-        with pytest.raises(ConfigError):
-            fully_masked(region, AB.mask_id, np.array([bad, 0, 0]))
-
-
 def test_masked_positions():
     m = AB.mask_id
     assert set(masked_positions(np.array([m, m, m]), m)) == {0, 1, 2}
     assert set(masked_positions(np.array([0, m, 1]), m)) == {1}
     assert masked_positions(np.array([0, 1, 2]), m).size == 0
-
-
-def test_fully_masked_reports_editable_set():
-    region = EditableRegion.with_frozen(5, {1, 4})
-    out = fully_masked(region, AB.mask_id, np.array([0, 1, 0, 0, 2]))
-    assert tuple(masked_positions(out, AB.mask_id)) == region.positions
-
